@@ -15,7 +15,7 @@
 //! | Anonymous upload (Tor substitute) | [`upload`] |
 //! | Server: sharded VP database (`VpId`-indexed), boards, ledger (§4) | [`server`] |
 //! | Viewmap construction (§5.2.1), zero-copy `Arc` members + per-second spatial grid | [`viewmap`] |
-//! | Incremental viewmap maintenance (delta ingest, bit-identical extraction) | [`maintained`] |
+//! | The investigation path's per-minute structures: admission bounds table + region-lazy viewlink memo (bit-identical to the cold build) | [`maintained`] |
 //! | TrustRank verification (§5.2.2, Alg. 1) on the CSR gather engine | [`trustrank`] |
 //! | Video solicitation & hash validation (§5.2.3) | [`solicit`] |
 //! | Untraceable rewarding (§5.3, App. A) | [`reward`] |

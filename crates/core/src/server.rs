@@ -25,10 +25,19 @@
 //! * **Zero-copy hand-off** — VPs are stored as `Arc<StoredVp>`, and
 //!   [`Viewmap`] members share those `Arc`s: building a viewmap never
 //!   clones a VP's 60 VDs or its Bloom filter.
+//! * **Admission table + viewlink memo per minute** — beside its VPs a
+//!   minute bucket keeps one bounding-box row per VP (appended at
+//!   ingest, computed while screening) and the handle of its region-lazy
+//!   viewlink memo ([`crate::maintained`]). Ingest never links anything;
+//!   an investigation scans the table, then links — under the memo's own
+//!   lock — only the members its site admits that no earlier site did.
 //!
-//! Lock order is always id stripes (ascending) → minute shard; both
-//! acquisitions are short (no validation or hashing happens under a
-//! lock). Single submission takes one id stripe then the shard; batch
+//! Lock order is always id stripes (ascending) → minute shard → memo;
+//! the stripe and shard acquisitions are short (no validation, hashing,
+//! or linking happens under them), and a memo lock is only ever taken
+//! with no shard lock held — an investigation blocks ingest for its
+//! minute's stripe only while it scans the admission table. Single
+//! submission takes one id stripe then the shard; batch
 //! submission ([`ViewMapServer::submit_batch`]) takes every stripe its
 //! minute group needs in ascending order, then the shard — one
 //! acquisition per (minute, batch) instead of per VP, which is where the
@@ -54,6 +63,7 @@
 //! the shards, the id index, and the log together. The concrete
 //! append-log engine lives in the `vm-store` crate.
 
+use crate::maintained::{BoundsTable, MemoCell, MemoTotals, VdBounds};
 use crate::reward::Cash;
 use crate::solicit::{validate_upload, UploadError, VideoUpload};
 use crate::types::{MinuteId, VpId, MAX_NEIGHBORS};
@@ -64,7 +74,9 @@ use crate::wal::VpWal;
 use parking_lot::RwLock;
 use rand::Rng;
 use std::collections::{HashMap, HashSet};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 use vm_crypto::{BlindedMessage, RsaKeyPair, RsaPublicKey, Signature};
 use vm_obs::{Counter, Histogram, Registry};
 
@@ -87,6 +99,13 @@ const _: () = {
 /// smaller batches hash inline (spawn/join would dominate).
 const BATCH_KEY_PARALLEL_THRESHOLD: usize = 4096;
 
+/// Bytes all of a cell's viewlink memos may hold together. A memo costs
+/// ~1.3 KB per materialised member, so this is roughly 400k members —
+/// several whole city minutes, or thousands of incident sites. Past it,
+/// whole least-recently-investigated memos are dropped (their minutes
+/// re-materialise on the next investigation).
+const MEMO_BYTE_BUDGET: usize = 512 << 20;
+
 /// Why a VP submission was rejected.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SubmitError {
@@ -101,16 +120,28 @@ pub enum SubmitError {
 }
 
 /// Lock-free admission screen shared by the single and batch paths.
-fn screen(vp: &StoredVp) -> Result<(), SubmitError> {
-    if vp.vds.len() != crate::types::SECONDS_PER_VP as usize
-        || !vp.vds.windows(2).all(|w| w[0].time < w[1].time)
-    {
+/// An accepted VP comes back with its row for the minute's admission
+/// table — gathered in the same pass over the 60 VDs that checks their
+/// time order — so nothing about it is computed under a lock.
+fn screen(vp: &StoredVp) -> Result<VdBounds, SubmitError> {
+    if vp.vds.len() != crate::types::SECONDS_PER_VP as usize {
+        return Err(SubmitError::MalformedVds);
+    }
+    let mut bounds = VdBounds::EMPTY;
+    let mut ordered = true;
+    let mut prev = None;
+    for vd in &vp.vds {
+        ordered &= prev < Some(vd.time);
+        prev = Some(vd.time);
+        bounds.include(&vd.loc);
+    }
+    if !ordered {
         return Err(SubmitError::MalformedVds);
     }
     if vp.bloom.is_suspicious(MAX_NEIGHBORS) {
         return Err(SubmitError::SuspiciousBloom);
     }
-    Ok(())
+    Ok(bounds)
 }
 
 /// Why a reward request was rejected.
@@ -138,18 +169,30 @@ struct VpSlot {
     pos: u32,
 }
 
+/// One stored minute: the VPs in append order, the admission table that
+/// mirrors them row for row, and the minute's viewlink memo. The memo
+/// lives and dies with the bucket — a minute without a bucket has no
+/// memo, and eviction drops both in one critical section — so a memo
+/// can never describe another incarnation of its minute.
+struct MinuteBucket {
+    vps: Vec<Arc<StoredVp>>,
+    bounds: BoundsTable,
+    memo: Arc<MemoCell>,
+}
+
+impl MinuteBucket {
+    /// Append an accepted VP and its table row; returns its position.
+    fn push(&mut self, vp: StoredVp, bounds: VdBounds) -> u32 {
+        let pos = self.vps.len() as u32;
+        self.bounds.push(bounds, vp.trusted);
+        self.vps.push(Arc::new(vp));
+        pos
+    }
+}
+
 #[derive(Default)]
 struct DbShard {
-    by_minute: HashMap<MinuteId, Vec<Arc<StoredVp>>>,
-    /// Incrementally maintained viewlink graphs, one per minute that has
-    /// been investigated through the maintained path
-    /// ([`ViewMapServer::build_viewmap_maintained`]). Created lazily on
-    /// first maintained investigation, spliced under this shard's write
-    /// lock in the same critical section that appends to the bucket, and
-    /// dropped whole on eviction — so a maintained graph always mirrors
-    /// its bucket exactly and can never outlive it. Minutes only ever
-    /// ingested (never investigated) pay nothing.
-    maintained: HashMap<MinuteId, crate::maintained::MaintainedViewmap>,
+    by_minute: HashMap<MinuteId, MinuteBucket>,
 }
 
 fn minute_stripe(minute: MinuteId) -> usize {
@@ -188,25 +231,31 @@ struct CoreMetrics {
     eviction_sweeps: Arc<Counter>,
     /// `vm_core_batch_accepted_vps` — accepted VPs per batch-ingest call.
     batch_accepted: Arc<Histogram>,
-    /// `vm_core_investigate_us` — full investigation pipeline latency
-    /// (cold and maintained paths both record here).
+    /// `vm_core_investigate_us` — full investigation pipeline latency.
     investigate_us: Arc<Histogram>,
     /// `vm_core_trustrank_iterations` — power-method iterations per
     /// investigation.
     trustrank_iterations: Arc<Histogram>,
     /// `vm_core_build_phase_us{phase=...}` — the four viewlink-engine
-    /// phases of every cold build, in catalog order.
+    /// phases of every batch link (a minute's first materialisation),
+    /// in catalog order.
     build_tables_us: Arc<Histogram>,
     build_candidates_us: Arc<Histogram>,
     build_keys_us: Arc<Histogram>,
     build_linkage_us: Arc<Histogram>,
-    /// `vm_core_maintained_create_us` / `vm_core_maintained_extract_us`
-    /// / `vm_core_maintained_splice_us` — the maintained-graph
-    /// lifecycle: one-time creation, per-investigation extraction, and
-    /// the ingest-side splice done under the shard lock.
+    /// `vm_core_maintained_create_us` / `vm_core_maintained_splice_us`
+    /// / `vm_core_maintained_extract_us` — the viewlink memo, all on the
+    /// investigation side: a minute's first materialisation (batch
+    /// engine), linking newly admitted members into an existing memo,
+    /// and admission + induced-subgraph extraction.
     maintained_create_us: Arc<Histogram>,
     maintained_extract_us: Arc<Histogram>,
     maintained_splice_us: Arc<Histogram>,
+    /// `vm_core_maintained_hits_total` / `_misses_total` — admitted
+    /// members the memo already held vs. linked now: the memo's
+    /// useful/attempted ratio.
+    maintained_hits: Arc<Counter>,
+    maintained_misses: Arc<Counter>,
     /// `vm_core_cash_redeemed_total` / `vm_core_cash_double_spend_total`
     /// / `vm_core_blind_signatures_total` — the reward path: units of
     /// cash accepted into the ledger, redeem attempts bounced as double
@@ -234,6 +283,8 @@ impl CoreMetrics {
             maintained_create_us: obs.histogram("vm_core_maintained_create_us"),
             maintained_extract_us: obs.histogram("vm_core_maintained_extract_us"),
             maintained_splice_us: obs.histogram("vm_core_maintained_splice_us"),
+            maintained_hits: obs.counter("vm_core_maintained_hits_total"),
+            maintained_misses: obs.counter("vm_core_maintained_misses_total"),
             cash_redeemed: obs.counter("vm_core_cash_redeemed_total"),
             cash_double_spend: obs.counter("vm_core_cash_double_spend_total"),
             blind_signatures: obs.counter("vm_core_blind_signatures_total"),
@@ -272,6 +323,13 @@ pub struct ViewMapServer {
     /// one snapshot covers the whole stack.
     obs: Arc<Registry>,
     metrics: CoreMetrics,
+    /// What all live viewlink memos hold (also the
+    /// `vm_core_maintained_{members,bytes}` gauges), checked against
+    /// `memo_budget` after every investigation.
+    memo_totals: Arc<MemoTotals>,
+    memo_budget: usize,
+    /// Investigation counter; stamps memos for the budget's LRU order.
+    memo_clock: AtomicU64,
 }
 
 impl ViewMapServer {
@@ -291,6 +349,10 @@ impl ViewMapServer {
     pub fn with_key(key: RsaKeyPair, cfg: ViewmapConfig) -> Self {
         let obs = Arc::new(Registry::new());
         let metrics = CoreMetrics::register(&obs);
+        let memo_totals = Arc::new(MemoTotals::new(
+            obs.gauge("vm_core_maintained_members"),
+            obs.gauge("vm_core_maintained_bytes"),
+        ));
         ViewMapServer {
             db: (0..DB_SHARDS)
                 .map(|_| RwLock::new(DbShard::default()))
@@ -308,6 +370,9 @@ impl ViewMapServer {
             wal: None,
             obs,
             metrics,
+            memo_totals,
+            memo_budget: MEMO_BYTE_BUDGET,
+            memo_clock: AtomicU64::new(0),
         }
     }
 
@@ -495,20 +560,16 @@ impl ViewMapServer {
                 .copied()
                 .collect();
             for m in expired {
+                // The viewlink memo goes with its bucket, whole, so a
+                // later resubmission of the minute starts from none
+                // instead of trusting any pre-eviction edge.
                 if let Some(bucket) = sh.by_minute.remove(&m) {
-                    evicted += bucket.len();
-                    for vp in &bucket {
+                    evicted += bucket.vps.len();
+                    for vp in &bucket.vps {
                         id_guards[id_stripe(&vp.id)].remove(&vp.id);
                     }
                 }
             }
-            // Maintained viewlink graphs die with their minutes — whole
-            // structures, never partial retirement, so a later
-            // resubmission of the minute starts from a fresh cold build
-            // instead of trusting any pre-eviction edge. Swept by its
-            // own key set (not `expired`) to also clear graphs created
-            // for minutes that never had a bucket.
-            sh.maintained.retain(|m, _| m.0 >= cutoff.0);
         }
         // Sweep the log while still holding every id stripe: all ingest
         // paths take an id stripe before touching memory or the log, so
@@ -532,13 +593,16 @@ impl ViewMapServer {
         // Screen without locks: shape validation, Bloom poisoning, and
         // the in-batch first-wins duplicate filter.
         let mut seen: HashSet<VpId> = HashSet::with_capacity(total);
-        let mut groups: HashMap<MinuteId, Vec<(usize, StoredVp)>> = HashMap::new();
+        let mut groups: HashMap<MinuteId, Vec<(usize, StoredVp, VdBounds)>> = HashMap::new();
         let mut accepted = 0usize;
         for (idx, vp) in vps.into_iter().enumerate() {
-            if let Err(e) = screen(&vp) {
-                results[idx] = Err(e);
-                continue;
-            }
+            let bounds = match screen(&vp) {
+                Ok(bounds) => bounds,
+                Err(e) => {
+                    results[idx] = Err(e);
+                    continue;
+                }
+            };
             if !seen.insert(vp.id) {
                 results[idx] = Err(SubmitError::Duplicate);
                 continue;
@@ -557,7 +621,10 @@ impl ViewMapServer {
                 continue;
             }
             accepted += 1;
-            groups.entry(vp.minute()).or_default().push((idx, vp));
+            groups
+                .entry(vp.minute())
+                .or_default()
+                .push((idx, vp, bounds));
         }
 
         // Optionally warm the link-key cache while the VPs are
@@ -566,7 +633,7 @@ impl ViewMapServer {
         if warm_keys {
             let mut flat: Vec<&StoredVp> = Vec::with_capacity(accepted);
             for group in groups.values() {
-                flat.extend(group.iter().map(|(_, vp)| vp));
+                flat.extend(group.iter().map(|(_, vp, _)| vp));
             }
             let cuts = crate::par::even_cuts(
                 flat.len(),
@@ -586,7 +653,8 @@ impl ViewMapServer {
         // cannot deadlock; the index entry and the shard append still
         // commit under the same critical section.
         for (minute, group) in groups {
-            let mut stripes: Vec<usize> = group.iter().map(|(_, vp)| id_stripe(&vp.id)).collect();
+            let mut stripes: Vec<usize> =
+                group.iter().map(|(_, vp, _)| id_stripe(&vp.id)).collect();
             stripes.sort_unstable();
             stripes.dedup();
             let mut guards: Vec<_> = Vec::with_capacity(stripes.len());
@@ -596,18 +664,16 @@ impl ViewMapServer {
                 guards.push(self.id_index[s].write());
             }
             let mut shard = self.db[minute_stripe(minute)].write();
-            let sh = &mut *shard;
-            let bucket = sh.by_minute.entry(minute).or_default();
-            let first_new = bucket.len();
-            for (idx, vp) in group {
+            let bucket = self.bucket_mut(&mut shard, minute);
+            let first_new = bucket.vps.len();
+            for (idx, vp, bounds) in group {
                 let ids = &mut guards[guard_of[id_stripe(&vp.id)]];
                 if ids.contains_key(&vp.id) {
                     results[idx] = Err(SubmitError::Duplicate);
                     continue;
                 }
-                let pos = bucket.len() as u32;
                 let id = vp.id;
-                bucket.push(Arc::new(vp));
+                let pos = bucket.push(vp, bounds);
                 ids.insert(id, VpSlot { minute, pos });
             }
             // Group commit to the log while the shard lock is still held,
@@ -615,22 +681,11 @@ impl ViewMapServer {
             // call (one buffered write + at most one fsync in the
             // backend) for the whole (minute, batch) group.
             if let Some(wal) = &self.wal {
-                if bucket.len() > first_new {
+                if bucket.vps.len() > first_new {
                     let appended: Vec<&StoredVp> =
-                        bucket[first_new..].iter().map(|a| a.as_ref()).collect();
+                        bucket.vps[first_new..].iter().map(|a| a.as_ref()).collect();
                     wal.append(&appended)
                         .expect("WAL append failed; durable state would diverge");
-                }
-            }
-            // Splice the accepted tail into the minute's maintained
-            // viewlink graph (if one exists) in the same critical
-            // section, so the maintained mirror can never observe a
-            // half-committed batch or miss an append.
-            if bucket.len() > first_new {
-                if let Some(mv) = sh.maintained.get_mut(&minute) {
-                    self.metrics
-                        .maintained_splice_us
-                        .time(|| mv.ingest(&bucket[first_new..]));
                 }
             }
         }
@@ -650,8 +705,25 @@ impl ViewMapServer {
         result
     }
 
+    /// The minute's bucket under the shard's write guard, created (with
+    /// its empty memo) on the minute's first accepted VP.
+    fn bucket_mut<'a>(&self, shard: &'a mut DbShard, minute: MinuteId) -> &'a mut MinuteBucket {
+        shard
+            .by_minute
+            .entry(minute)
+            .or_insert_with(|| MinuteBucket {
+                vps: Vec::new(),
+                bounds: BoundsTable::default(),
+                memo: Arc::new(MemoCell::new(
+                    minute,
+                    self.cfg,
+                    Arc::clone(&self.memo_totals),
+                )),
+            })
+    }
+
     fn store_inner(&self, vp: StoredVp) -> Result<(), SubmitError> {
-        screen(&vp)?;
+        let bounds = screen(&vp)?;
         let id = vp.id;
         let minute = vp.minute();
         // Lock order: id stripe, then minute shard. The index entry and
@@ -662,23 +734,14 @@ impl ViewMapServer {
             return Err(SubmitError::Duplicate);
         }
         let mut shard = self.db[minute_stripe(minute)].write();
-        let sh = &mut *shard;
-        let bucket = sh.by_minute.entry(minute).or_default();
-        let pos = bucket.len() as u32;
-        bucket.push(Arc::new(vp));
+        let bucket = self.bucket_mut(&mut shard, minute);
+        let pos = bucket.push(vp, bounds);
         ids.insert(id, VpSlot { minute, pos });
         // Mirror the accepted VP into the log before the shard lock is
         // released, so log order equals bucket order within the minute.
         if let Some(wal) = &self.wal {
-            wal.append(&[bucket[pos as usize].as_ref()])
+            wal.append(&[bucket.vps[pos as usize].as_ref()])
                 .expect("WAL append failed; durable state would diverge");
-        }
-        // Keep the maintained viewlink graph (if any) mirroring the
-        // bucket under the same critical section.
-        if let Some(mv) = sh.maintained.get_mut(&minute) {
-            self.metrics
-                .maintained_splice_us
-                .time(|| mv.ingest(&bucket[pos as usize..]));
         }
         Ok(())
     }
@@ -689,7 +752,11 @@ impl ViewMapServer {
     pub fn lookup_vp(&self, id: VpId) -> Option<Arc<StoredVp>> {
         let slot = *self.id_index[id_stripe(&id)].read().get(&id)?;
         let shard = self.db[minute_stripe(slot.minute)].read();
-        let vp = shard.by_minute.get(&slot.minute)?.get(slot.pos as usize)?;
+        let vp = shard
+            .by_minute
+            .get(&slot.minute)?
+            .vps
+            .get(slot.pos as usize)?;
         debug_assert_eq!(vp.id, id, "id index points at the wrong record");
         Some(Arc::clone(vp))
     }
@@ -700,14 +767,17 @@ impl ViewMapServer {
             .read()
             .by_minute
             .get(&minute)
-            .map_or(0, |v| v.len())
+            .map_or(0, |b| b.vps.len())
     }
 
     /// Total VPs stored.
     pub fn total_vps(&self) -> usize {
         self.db
             .iter()
-            .map(|s| s.read().by_minute.values().map(|v| v.len()).sum::<usize>())
+            .map(|s| {
+                let sh = s.read();
+                sh.by_minute.values().map(|b| b.vps.len()).sum::<usize>()
+            })
             .sum()
     }
 
@@ -750,24 +820,112 @@ impl ViewMapServer {
         h
     }
 
-    /// Build the viewmap for a minute around an incident site.
+    /// Build the viewmap for a minute around an incident site — **the**
+    /// investigation path (the wire's `Investigate` opcode lands here
+    /// through [`investigate`](Self::investigate)).
     ///
-    /// Snapshots the minute's `Arc`s (pointer copies) and releases the
-    /// shard lock before construction, so a long build never blocks
-    /// ingest; viewmap members share the database allocations.
+    /// 1. *Admission snapshot*, under the minute shard's **read** lock:
+    ///    scan the minute's bounds table (one 32-byte row per VP; the
+    ///    box test is reject-only, see [`crate::maintained`]), clone the
+    ///    survivors' `Arc`s, and clone the handle of the minute's
+    ///    viewlink memo. This is the only part ingest can wait on.
+    /// 2. Outside every lock: the exact 60-position check on the
+    ///    survivors — the cold build's own predicate.
+    /// 3. Under the memo's own lock: link the admitted members the memo
+    ///    has not seen (batch engine when it is empty, splice otherwise)
+    ///    and extract the induced subgraph in bucket order.
+    ///
+    /// The result is **bit-identical** to `Viewmap::build(&bucket[..L],
+    /// site, minute, cfg)` for the bucket prefix `L` the snapshot saw:
+    /// the same member `Arc`s in bucket order, the same ascending
+    /// adjacency rows, the same trusted indices. The cold engine stays
+    /// as the memo's batch linker and as that test oracle.
+    ///
+    /// A minute with no bucket has no memo and none is created for it:
+    /// the answer is the empty viewmap, whatever minute id a client
+    /// sends. A sweep that evicts the minute after the snapshot does
+    /// not disturb the investigation — it answers for its snapshot on
+    /// the orphaned memo handle, which then dies with it.
     pub fn build_viewmap(&self, minute: MinuteId, site: Site) -> Viewmap {
-        let candidates = self.minute_vps(minute);
-        // `build` is itself a thin wrapper over the profiled path, so
-        // taking the profile here costs four timestamp reads, not an
-        // alternate code path.
-        let (vm, profile) = Viewmap::build_profiled(&candidates, site, minute, &self.cfg, 0);
-        self.metrics.record_build_profile(&profile);
+        let t_admit = Instant::now();
+        let snapshot = {
+            let shard = self.db[minute_stripe(minute)].read();
+            shard.by_minute.get(&minute).map(|b| {
+                (
+                    b.bounds.survivors(&b.vps, &site, &self.cfg),
+                    Arc::clone(&b.memo),
+                )
+            })
+        };
+        let Some((survivors, memo)) = snapshot else {
+            return Viewmap {
+                vps: Vec::new(),
+                adj: Vec::new(),
+                trusted: Vec::new(),
+                minute,
+            };
+        };
+        let admitted = survivors.settle();
+        let admit = t_admit.elapsed();
+
+        memo.touch(self.memo_clock.fetch_add(1, Ordering::Relaxed));
+        let m = &self.metrics;
+        let vm = memo.with(|graph| {
+            let t_link = Instant::now();
+            let linked = graph.materialise(&admitted);
+            if let Some(profile) = &linked.batch {
+                m.maintained_create_us.record_duration_us(t_link.elapsed());
+                m.record_build_profile(profile);
+            } else if linked.misses > 0 {
+                m.maintained_splice_us.record_duration_us(t_link.elapsed());
+            }
+            m.maintained_hits.add(linked.hits as u64);
+            m.maintained_misses.add(linked.misses as u64);
+            let t_extract = Instant::now();
+            let vm = graph.extract(admitted);
+            m.maintained_extract_us
+                .record_duration_us(admit + t_extract.elapsed());
+            vm
+        });
+        // Dropped first: had a sweep orphaned this memo, its bytes
+        // would otherwise count against the live memos below.
+        drop(memo);
+        self.enforce_memo_budget();
         vm
+    }
+
+    /// Drop whole least-recently-investigated memos until the cell is
+    /// back under its byte budget. Runs after an investigation, with no
+    /// lock held: shard read locks are taken one at a time to collect
+    /// handles, then each victim is cleared under its own lock. A minute
+    /// whose memo was dropped re-materialises on its next investigation.
+    fn enforce_memo_budget(&self) {
+        if self.memo_totals.bytes() <= self.memo_budget {
+            return;
+        }
+        let mut live: Vec<(u64, Arc<MemoCell>)> = Vec::new();
+        for shard in &self.db {
+            let sh = shard.read();
+            live.extend(
+                sh.by_minute
+                    .values()
+                    .filter(|b| b.memo.members() > 0)
+                    .map(|b| (b.memo.last_used(), Arc::clone(&b.memo))),
+            );
+        }
+        live.sort_unstable_by_key(|(tick, _)| *tick);
+        for (_, memo) in live {
+            if self.memo_totals.bytes() <= self.memo_budget {
+                break;
+            }
+            memo.with(|graph| graph.clear());
+        }
     }
 
     /// Full investigation pipeline for one minute: build the viewmap, run
     /// Algorithm 1, and post the verified VP ids on the solicitation
-    /// board. Returns the posted ids.
+    /// board. Returns the posted ids. No shard lock is held while
+    /// linking, extracting, or running TrustRank.
     pub fn investigate(&self, minute: MinuteId, site: Site) -> Vec<VpId> {
         self.metrics.investigate_us.time(|| {
             let vm = self.build_viewmap(minute, site);
@@ -781,82 +939,16 @@ impl ViewMapServer {
         })
     }
 
-    /// As [`build_viewmap`](Self::build_viewmap), served from the
-    /// minute's incrementally maintained viewlink graph
-    /// ([`crate::maintained::MaintainedViewmap`]).
-    ///
-    /// The first call for a minute creates the maintained graph (one
-    /// cold-build-priced pass, under the minute shard's write lock — it
-    /// briefly blocks ingest for that one stripe). Every later call
-    /// costs only the admission pass plus an index remap of the
-    /// already-maintained edges, because batch/single ingest splices new
-    /// members in as they commit and eviction drops the graph with its
-    /// bucket. The result is **bit-identical** to
-    /// [`build_viewmap`](Self::build_viewmap) of the same stored state —
-    /// members, adjacency order, trusted indices — which the
-    /// churn-equivalence suite in `vm-bench` pins across random
-    /// submit/evict interleavings.
-    ///
-    /// Recovery safety: maintained graphs live only in memory and are
-    /// never persisted, so a recovered server starts with none and
-    /// rebuilds on first use — stale maintained state cannot survive a
-    /// crash by construction.
-    pub fn build_viewmap_maintained(&self, minute: MinuteId, site: Site) -> Viewmap {
-        let mut shard = self.db[minute_stripe(minute)].write();
-        let sh = &mut *shard;
-        // A radio-range config change would invalidate the edge set;
-        // recreate rather than trust it (cfg is fixed per server today,
-        // so this is a guard, not a hot path).
-        if sh
-            .maintained
-            .get(&minute)
-            .is_some_and(|mv| mv.dsrc_radius_m() != self.cfg.dsrc_radius_m)
-        {
-            sh.maintained.remove(&minute);
-        }
-        if !sh.maintained.contains_key(&minute) {
-            let members = sh.by_minute.get(&minute).cloned().unwrap_or_default();
-            let mv = self.metrics.maintained_create_us.time(|| {
-                crate::maintained::MaintainedViewmap::create(
-                    members,
-                    minute,
-                    &self.cfg,
-                    0,
-                    &mut crate::viewmap::BuildScratch::new(),
-                )
-            });
-            sh.maintained.insert(minute, mv);
-        }
-        let mv = sh.maintained.get(&minute).expect("just inserted");
-        self.metrics
-            .maintained_extract_us
-            .time(|| mv.extract(site, &self.cfg))
-    }
-
-    /// As [`investigate`](Self::investigate), served from the maintained
-    /// viewlink graph: identical verdicts and board postings at
-    /// incremental cost once the minute's graph exists.
-    pub fn investigate_maintained(&self, minute: MinuteId, site: Site) -> Vec<VpId> {
-        self.metrics.investigate_us.time(|| {
-            let vm = self.build_viewmap_maintained(minute, site);
-            let (_, ids, iterations) = vm.verify_counted(&site, &self.cfg);
-            self.metrics.trustrank_iterations.record(iterations as u64);
-            let mut board = self.solicited.write();
-            for id in &ids {
-                board.insert(*id);
-            }
-            ids
-        })
-    }
-
-    /// Is a maintained viewlink graph currently alive for `minute`?
-    /// Observability hook for tests and the fault harness (which asserts
-    /// that recovery never resurrects maintained state).
+    /// Does `minute` currently hold a viewlink memo with anything
+    /// materialised? Observability hook for tests and the fault harness
+    /// (which asserts that recovery, promotion, and eviction never
+    /// carry memo state over).
     pub fn has_maintained(&self, minute: MinuteId) -> bool {
         self.db[minute_stripe(minute)]
             .read()
-            .maintained
-            .contains_key(&minute)
+            .by_minute
+            .get(&minute)
+            .is_some_and(|b| b.memo.members() > 0)
     }
 
     /// Post a solicitation directly (investigator action: request the
@@ -874,7 +966,7 @@ impl ViewMapServer {
             .read()
             .by_minute
             .get(&minute)
-            .cloned()
+            .map(|b| b.vps.clone())
             .unwrap_or_default()
     }
 
@@ -1709,5 +1801,170 @@ mod tests {
             Arc::ptr_eq(&vm.vps[0], &db_copy),
             "viewmap member and DB record must be the same allocation"
         );
+    }
+
+    // ── Viewlink memo ────────────────────────────────────────────────
+
+    use crate::maintained::testutil::{assert_identical, cluster};
+
+    /// Store a linked cluster for `minute` (trusted head through the
+    /// authority channel, the rest as one warm batch).
+    fn store_cluster(srv: &ViewMapServer, n: usize, minute: u64, seed: u64) {
+        let mut vps = cluster(n, 0.0, minute, seed, true).into_iter();
+        srv.submit_trusted(vps.next().expect("n > 0")).unwrap();
+        let r = srv.submit_batch_warm(vps.map(submission));
+        assert!(r.iter().all(|x| x.is_ok()));
+    }
+
+    /// `build_viewmap` against the cold oracle over the same bucket.
+    fn assert_matches_cold(srv: &ViewMapServer, minute: u64, site: Site, ctx: &str) {
+        let m = MinuteId(minute);
+        let cold = Viewmap::build(&srv.minute_vps(m), site, m, &srv.cfg);
+        assert_identical(&srv.build_viewmap(m, site), &cold, ctx);
+    }
+
+    fn site_at(x: f64, radius_m: f64) -> Site {
+        Site {
+            center: GeoPos::new(x, 0.0),
+            radius_m,
+        }
+    }
+
+    #[test]
+    fn investigating_a_minute_without_a_bucket_creates_no_memo() {
+        // The wire hands any u64 to `investigate`; a minute that stores
+        // nothing must cost nothing and leave nothing behind.
+        let srv = server(70);
+        store_cluster(&srv, 6, 3, 71);
+        for m in [0u64, 7, u64::MAX] {
+            let vm = srv.build_viewmap(MinuteId(m), site_at(0.0, 1.0e6));
+            assert!(vm.is_empty() && vm.minute == MinuteId(m));
+            assert!(srv.investigate(MinuteId(m), site_at(0.0, 1.0e6)).is_empty());
+            assert!(!srv.has_maintained(MinuteId(m)), "minute {m}");
+        }
+        let snap = srv.obs().snapshot();
+        assert_eq!(snap.gauge("vm_core_maintained_members"), Some(0));
+        assert_eq!(snap.gauge("vm_core_maintained_bytes"), Some(0));
+
+        // Nor does an evicted minute keep or regain one.
+        assert_matches_cold(&srv, 3, site_at(0.0, 1.0e6), "stored minute");
+        assert!(srv.has_maintained(MinuteId(3)));
+        srv.evict_minutes_before(MinuteId(4));
+        assert!(srv
+            .build_viewmap(MinuteId(3), site_at(0.0, 1.0e6))
+            .is_empty());
+        assert!(!srv.has_maintained(MinuteId(3)));
+        assert_eq!(
+            srv.obs().snapshot().gauge("vm_core_maintained_bytes"),
+            Some(0),
+            "the memo's bytes left with its bucket"
+        );
+    }
+
+    #[test]
+    fn memo_links_only_what_sites_admit_and_counts_it() {
+        let srv = server(72);
+        store_cluster(&srv, 40, 0, 73);
+        let counters = || {
+            let snap = srv.obs().snapshot();
+            (
+                snap.counter("vm_core_maintained_hits_total").unwrap(),
+                snap.counter("vm_core_maintained_misses_total").unwrap(),
+                snap.gauge("vm_core_maintained_members").unwrap(),
+            )
+        };
+        assert_matches_cold(&srv, 0, site_at(1200.0, 100.0), "first touch");
+        let (hits, first, members) = counters();
+        assert!(hits == 0 && first > 0 && first < 40 && members == first as i64);
+        assert_matches_cold(&srv, 0, site_at(1200.0, 100.0), "repeat");
+        assert_eq!(counters(), (first, first, first as i64));
+
+        // A late upload, then a wider site: only the crescent links.
+        let late = cluster(3, 900.0, 0, 74, false);
+        let r = srv.submit_batch(late.into_iter().map(submission));
+        assert!(r.iter().all(|x| x.is_ok()));
+        assert_matches_cold(&srv, 0, site_at(1200.0, 1500.0), "wider after late wave");
+        let (_, misses, members) = counters();
+        assert!(misses > first && members == misses as i64);
+        assert_matches_cold(&srv, 0, site_at(0.0, 1.0e7), "whole minute");
+        assert_eq!(counters().2, 43);
+
+        let snap = srv.obs().snapshot();
+        let h = |name: &str| snap.histogram(name).map_or(0, |h| h.count);
+        assert_eq!(h("vm_core_maintained_create_us"), 1, "one first touch");
+        assert_eq!(h("vm_core_maintained_splice_us"), 2, "two crescents");
+        assert_eq!(h("vm_core_maintained_extract_us"), 4, "every site");
+    }
+
+    #[test]
+    fn memo_byte_budget_drops_least_recently_investigated_whole() {
+        let mut srv = server(75);
+        for m in 0..3u64 {
+            store_cluster(&srv, 12, m, 76 + m);
+        }
+        let whole = site_at(0.0, 1.0e7);
+        assert_matches_cold(&srv, 0, whole, "minute 0");
+        let one = srv.memo_totals.bytes();
+        assert!(one > 0);
+        // Room for two such memos, not three.
+        srv.memo_budget = one * 5 / 2;
+        assert_matches_cold(&srv, 1, whole, "minute 1");
+        assert!(srv.has_maintained(MinuteId(0)) && srv.has_maintained(MinuteId(1)));
+        // Re-investigating minute 0 makes minute 1 the oldest.
+        assert_matches_cold(&srv, 0, site_at(300.0, 200.0), "minute 0 again");
+        assert_matches_cold(&srv, 2, whole, "minute 2 goes over budget");
+        assert!(!srv.has_maintained(MinuteId(1)), "oldest memo dropped");
+        assert!(srv.has_maintained(MinuteId(0)) && srv.has_maintained(MinuteId(2)));
+        assert!(srv.memo_totals.bytes() <= srv.memo_budget);
+        assert_eq!(
+            srv.obs().snapshot().gauge("vm_core_maintained_bytes"),
+            Some(srv.memo_totals.bytes() as i64)
+        );
+        // The dropped minute re-materialises to the same answer.
+        assert_matches_cold(&srv, 1, site_at(600.0, 100.0), "minute 1 from cold");
+        assert!(srv.has_maintained(MinuteId(1)));
+
+        // A budget no memo fits: every answer is still the cold build,
+        // and nothing is retained.
+        srv.memo_budget = 1;
+        for m in 0..3u64 {
+            assert_matches_cold(&srv, m, whole, "over budget alone");
+            assert!(!srv.has_maintained(MinuteId(m)));
+        }
+        assert_eq!(srv.memo_totals.bytes(), 0);
+    }
+
+    #[test]
+    fn investigation_after_a_sweep_answers_its_snapshot_on_an_orphan_memo() {
+        // The race the lifecycle docs describe, forced: take the
+        // admission snapshot, evict and resubmit the minute, then let the
+        // investigation finish. It must answer for the old incarnation
+        // and leave the new bucket's memo untouched.
+        let srv = server(80);
+        store_cluster(&srv, 8, 0, 81);
+        let site = site_at(0.0, 1.0e7);
+        let old_bucket = srv.minute_vps(MinuteId(0));
+        let (survivors, memo) = {
+            let shard = srv.db[minute_stripe(MinuteId(0))].read();
+            let b = &shard.by_minute[&MinuteId(0)];
+            (
+                b.bounds.survivors(&b.vps, &site, &srv.cfg),
+                Arc::clone(&b.memo),
+            )
+        };
+        srv.evict_minutes_before(MinuteId(1));
+        store_cluster(&srv, 5, 0, 82);
+        let admitted = survivors.settle();
+        let vm = memo.with(|g| {
+            g.materialise(&admitted);
+            g.extract(admitted)
+        });
+        let cold = Viewmap::build(&old_bucket, site, MinuteId(0), &srv.cfg);
+        assert_identical(&vm, &cold, "snapshot of the evicted incarnation");
+        assert!(!srv.has_maintained(MinuteId(0)), "nothing re-inserted");
+        drop(memo);
+        assert_eq!(srv.memo_totals.bytes(), 0, "orphan returned its bytes");
+        assert_matches_cold(&srv, 0, site, "new incarnation");
+        assert_eq!(srv.build_viewmap(MinuteId(0), site).len(), 5);
     }
 }

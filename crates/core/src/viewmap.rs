@@ -225,38 +225,23 @@ impl Viewmap {
             .filter(|vp| vp.minute() == minute && !vp.vds.is_empty())
             .collect();
 
-        // Trusted VP(s) closest to the investigation site. Squared
-        // distances order identically (sqrt is monotone), so the sort
-        // never pays a square root per VD.
-        let mut trusted_refs: Vec<&Arc<StoredVp>> =
-            in_minute.iter().copied().filter(|vp| vp.trusted).collect();
-        trusted_refs.sort_by(|a, b| {
-            let da = nearest_approach_sq(a, &site.center);
-            let db = nearest_approach_sq(b, &site.center);
-            da.partial_cmp(&db).unwrap_or(std::cmp::Ordering::Equal)
-        });
-
-        // Coverage radius: encompass the site and the nearest trusted VP
-        // (one sqrt here, at the caller — `GeoPos::distance` is
-        // `distance_sq().sqrt()`, so the value is bit-identical).
-        let coverage_radius = trusted_refs
-            .first()
-            .map(|vp| nearest_approach_sq(vp, &site.center).sqrt())
-            .unwrap_or(0.0)
-            .max(site.radius_m)
-            + cfg.coverage_margin_m;
-
-        let mut vps: Vec<Arc<StoredVp>> = Vec::new();
-        for vp in &in_minute {
-            let admit = vp.trusted
-                || vp
-                    .vds
-                    .iter()
-                    .any(|vd| vd.loc.distance(&site.center) <= coverage_radius);
-            if admit {
-                vps.push(Arc::clone(vp));
-            }
-        }
+        // Coverage: encompass the site and the nearest trusted VP, then
+        // admit in input order. Both steps are the shared functions the
+        // server's table-driven admission also calls, so the two can
+        // never disagree on a member.
+        let radius = coverage_radius(
+            in_minute
+                .iter()
+                .filter(|vp| vp.trusted)
+                .map(|vp| vp.as_ref()),
+            &site,
+            cfg,
+        );
+        let vps: Vec<Arc<StoredVp>> = in_minute
+            .into_iter()
+            .filter(|vp| admits(vp, &site.center, radius))
+            .cloned()
+            .collect();
 
         let threads = if threads == 0 {
             crate::par::auto_threads(vps.len(), PARALLEL_MEMBER_THRESHOLD)
@@ -463,10 +448,10 @@ impl BuildScratch {
 /// positions go to a shared coordinate slab, not into this struct — the
 /// pair loop later reads them from the rank-ordered arena.
 ///
-/// Crate-visible (not just module-local) because the incremental
-/// maintainer ([`crate::maintained`]) runs the same scan and the same
-/// pairwise predicates over per-member geometry rows instead of the
-/// engine's rank-gathered SoA tables.
+/// Crate-visible (not just module-local) because the viewlink memo
+/// ([`crate::maintained`]) runs the same scan and the same pairwise
+/// predicates over per-member geometry rows instead of the engine's
+/// rank-gathered SoA tables.
 pub(crate) struct MemberGeom {
     /// First in-window offset (1-based); 0 when no in-window VDs exist.
     pub(crate) first: u32,
@@ -681,7 +666,7 @@ impl MemberGeom {
 // grid, Morton order, and SoA tables above only generate/prune candidate
 // supersets. These free functions are that predicate, factored out so the
 // cold engine (`build_viewlinks`, reading rank-indexed SoA columns) and
-// the incremental maintainer (`crate::maintained`, reading per-member
+// the viewlink memo's splice (`crate::maintained`, reading per-member
 // `MemberGeom` rows) run byte-for-byte the same comparisons — the
 // bit-identity the churn-equivalence suite pins rests on this sharing.
 
@@ -765,7 +750,7 @@ pub(crate) fn shares_in_range_second(
 /// compact windows: conservative integer prefilters (only when both
 /// members' fixed-point forms are exact), then the bit-exact `f64`
 /// shared-second scan. The engine's per-candidate settling closure and
-/// the incremental maintainer both resolve to this.
+/// the viewlink memo's splice both resolve to this.
 #[inline]
 pub(crate) fn settle_pair(
     ga: &MemberGeom,
@@ -1057,7 +1042,7 @@ pub(crate) fn build_viewlinks(
     // bit-exact f64 shared-second walk — so the surviving pair set is
     // identical to the reference definition's. The comparisons live in
     // the shared pairwise-predicate functions above (also the
-    // incremental maintainer's edge test); this closure only adapts them
+    // viewlink memo's edge test); this closure only adapts them
     // to the rank-indexed SoA columns.
     let settle = |a: usize, b: usize| -> bool {
         if fpe[a]
@@ -1267,6 +1252,38 @@ pub(crate) fn build_viewlinks(
     }
     profile.linkage_ms = t_linkage.elapsed().as_secs_f64() * 1e3;
     adj
+}
+
+/// Coverage radius of a site: reach the nearest trusted VP (or the site
+/// itself when that is wider, or when the minute has no trusted VP), plus
+/// the configured margin. `trusted` is the minute's trusted VPs in any
+/// order — only the minimum enters, and it is taken in squared space
+/// with one `sqrt` at the end (`GeoPos::distance` is
+/// `distance_sq().sqrt()`, so the value is bit-identical).
+pub(crate) fn coverage_radius<'a>(
+    trusted: impl IntoIterator<Item = &'a StoredVp>,
+    site: &Site,
+    cfg: &ViewmapConfig,
+) -> f64 {
+    trusted
+        .into_iter()
+        .map(|vp| nearest_approach_sq(vp, &site.center))
+        .reduce(f64::min)
+        .map_or(0.0, f64::sqrt)
+        .max(site.radius_m)
+        + cfg.coverage_margin_m
+}
+
+/// The admission predicate: trusted VPs are members wherever they are;
+/// any other VP is a member iff it claims a position within
+/// `coverage_radius` of the site center.
+#[inline]
+pub(crate) fn admits(vp: &StoredVp, center: &GeoPos, coverage_radius: f64) -> bool {
+    vp.trusted
+        || vp
+            .vds
+            .iter()
+            .any(|vd| vd.loc.distance(center) <= coverage_radius)
 }
 
 /// Squared nearest approach of a VP's claimed trajectory to a point.

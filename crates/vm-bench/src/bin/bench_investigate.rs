@@ -19,11 +19,12 @@
 //! pin — so the speedup columns can never drift from a correctness
 //! regression silently.
 //!
-//! Server B then also carries the incremental-maintenance path: a
-//! `MaintainedViewmap` is created once (`maintained_create_ms`), then
-//! [`INGEST_RUNS`] seeded +n/100 churn delta waves are batch-ingested
-//! (the server splices each into the live graph), a maintained
-//! extraction closing each warm re-investigation
+//! Server B then also carries the production investigation path: its
+//! first `build_viewmap` materialises the minute's viewlink memo
+//! (`maintained_create_ms` — the site covers the whole area, so the
+//! whole minute is linked once), then [`INGEST_RUNS`] seeded +n/100
+//! churn delta waves are batch-ingested, a `build_viewmap` closing each
+//! warm re-investigation by linking just the wave into the memo
 //! (`incremental_reinvestigate_ms` is the median wave) — asserted
 //! identical to a cold build over the grown bucket, and bounded at the
 //! 100k tier to `build_ms / 50`.
@@ -68,6 +69,7 @@ use viewmap_core::types::{GeoPos, SECONDS_PER_VP};
 use viewmap_core::viewmap::{BuildProfile, Viewmap, ViewmapConfig};
 use viewmap_core::vp::{VpBuilder, VpKind};
 use vm_bench::investigate::{naive_build, naive_verify, SynthWorld};
+use vm_bench::worlds::cold_oracle;
 use vm_crypto::RsaKeyPair;
 use vm_repl::{Follower, FollowerConfig, Primary, ReplicationConfig};
 use vm_service::{ServiceConfig, VmClient, VmService};
@@ -571,11 +573,12 @@ fn run_tier(n: usize, seed: u64) -> TierResult {
     let members = vm.len();
     let edges = vm.edge_count();
 
-    // ── Build path B: auto-parallel engine on the batch-ingested
-    //    (key-warm) store — the production investigation path ─────────
+    // ── Build path B: the cold engine, auto-parallel, on the
+    //    batch-ingested (key-warm) store — the oracle the production
+    //    path is checked against below ─────────────────────────────────
     let mut pvm: Option<Viewmap> = None;
     let parallel_build_ms = time_ms(|| {
-        pvm = Some(srv_batch.build_viewmap(minute, site));
+        pvm = Some(cold_oracle(&srv_batch, minute, site, &cfg));
     });
     let pvm = pvm.unwrap();
     assert_eq!(pvm.len(), members, "parallel/sequential member mismatch");
@@ -586,19 +589,21 @@ fn run_tier(n: usize, seed: u64) -> TierResult {
     }
     drop(pvm);
 
-    // ── Build path E: incremental maintenance — create the maintained
-    //    graph once (cold, `maintained_create_ms`), then time a warm
-    //    re-investigation: a +n/100 churn delta batch-ingested (the
-    //    server splices it into the live graph under the commit lock)
-    //    followed by a maintained extraction. The result is asserted
-    //    node- and edge-identical to a cold build over the grown
-    //    bucket, so the speedup column can never hide a divergence. ──
+    // ── Build path E: the production path, `build_viewmap` through
+    //    the minute's viewlink memo — the first call materialises it
+    //    (`maintained_create_ms`; this site admits the whole minute),
+    //    then time a warm re-investigation: a +n/100 churn delta
+    //    batch-ingested (no link work at ingest) followed by a
+    //    `build_viewmap` that links just the delta and extracts. The
+    //    result is asserted node- and edge-identical to a cold build
+    //    over the grown bucket, so the speedup column can never hide a
+    //    divergence. ──────────────────────────────────────────────────
     let maintained_create_ms = time_ms(|| {
-        let mvm = srv_batch.build_viewmap_maintained(minute, site);
-        assert_eq!(mvm.len(), members, "maintained cold extract members");
-        assert_eq!(mvm.edge_count(), edges, "maintained cold extract edges");
+        let mvm = srv_batch.build_viewmap(minute, site);
+        assert_eq!(mvm.len(), members, "memo first-touch members");
+        assert_eq!(mvm.edge_count(), edges, "memo first-touch edges");
     });
-    assert!(srv_batch.has_maintained(minute), "graph kept alive");
+    assert!(srv_batch.has_maintained(minute), "memo kept alive");
     // Median of INGEST_RUNS waves, each a fresh disjoint delta (wave 0
     // is the pinned one): a single ~60 ms measurement on the 1-core
     // host can catch a scheduler hiccup and blow the 50× bound with no
@@ -616,14 +621,13 @@ fn run_tier(n: usize, seed: u64) -> TierResult {
                 .map(|vp| viewmap_core::upload::AnonymousSubmission { session_id: 0, vp });
             let results = srv_batch.submit_batch_warm(subs);
             assert!(results.iter().all(|x| x.is_ok()), "delta stored");
-            ivm = Some(srv_batch.build_viewmap_maintained(minute, site));
+            ivm = Some(srv_batch.build_viewmap(minute, site));
         }));
     }
     let incremental_reinvestigate_ms = median_ms(&mut incr_times);
     let ivm = ivm.unwrap();
     assert_eq!(srv_batch.total_vps(), n + 1 + n_delta);
-    let grown = srv_batch.minute_vps(minute);
-    let cold_grown = Viewmap::build(&grown, site, minute, &cfg);
+    let cold_grown = cold_oracle(&srv_batch, minute, site, &cfg);
     assert_eq!(ivm.len(), cold_grown.len(), "incremental member mismatch");
     assert_eq!(
         ivm.edge_count(),
@@ -876,12 +880,12 @@ fn main() {
          trip on the wire; \
          phase_ms is the per-phase split of the sequential cold build_ms \
          (tables/candidates/keys/linkage, from Viewmap::build_profiled); \
-         parallel_build_ms is the auto-parallel engine on the batch-ingested (key-warm) store, \
+         parallel_build_ms is the auto-parallel cold engine on the batch-ingested (key-warm) store, \
          asserted member- and edge-identical to the sequential cold build_ms; \
-         maintained_create_ms is the one-time cold creation of the incremental \
-         MaintainedViewmap on that store, and incremental_reinvestigate_ms is a warm \
+         maintained_create_ms is the first build_viewmap on that store (the whole-area site \
+         materialises the minute's viewlink memo once), and incremental_reinvestigate_ms is a warm \
          re-investigation after it exists — one submit_batch_warm of a +n/100 churn \
-         delta wave (spliced into the live graph) plus a maintained extraction, the \
+         delta wave plus a build_viewmap that links the wave into the memo and extracts, the \
          median of 3 disjoint waves, asserted node- and edge-identical to a cold \
          build over the grown bucket; at the 100k tier it must stay within \
          build_ms/50; each tier is measured in its own child process so no tier \

@@ -10,9 +10,10 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use viewmap_core::bloom::BloomFilter;
-use viewmap_core::types::{GeoPos, VpId, SECONDS_PER_VP};
+use viewmap_core::server::ViewMapServer;
+use viewmap_core::types::{GeoPos, MinuteId, VpId, SECONDS_PER_VP};
 use viewmap_core::vd::ViewDigest;
-use viewmap_core::viewmap::Viewmap;
+use viewmap_core::viewmap::{Site, Viewmap, ViewmapConfig};
 use viewmap_core::vp::StoredVp;
 
 /// Meters between neighboring vehicles in a [`linked_minute`] world.
@@ -80,10 +81,22 @@ pub fn viewmap_checksum(vm: &Viewmap) -> u64 {
     sum
 }
 
+/// The cold oracle: `Viewmap::build` over `srv`'s stored bucket of
+/// `minute`. `ViewMapServer::build_viewmap` — the memoised investigation
+/// path — must reproduce it field for field for the same stored state;
+/// the equivalence suites and both fault harnesses compare against this.
+pub fn cold_oracle(
+    srv: &ViewMapServer,
+    minute: MinuteId,
+    site: Site,
+    cfg: &ViewmapConfig,
+) -> Viewmap {
+    Viewmap::build(&srv.minute_vps(minute), site, minute, cfg)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use viewmap_core::viewmap::{Site, ViewmapConfig};
 
     #[test]
     fn linked_minute_is_deterministic_and_actually_linked() {
@@ -107,7 +120,7 @@ mod tests {
                 .map(std::sync::Arc::new)
                 .collect::<Vec<_>>(),
             site,
-            viewmap_core::types::MinuteId(2),
+            MinuteId(2),
             &ViewmapConfig::default(),
         );
         assert_eq!(vm.len(), 8);

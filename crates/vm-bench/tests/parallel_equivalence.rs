@@ -19,6 +19,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
+use viewmap_core::maintained::{Admitted, MaintainedViewmap};
 use viewmap_core::server::ViewMapServer;
 use viewmap_core::types::{GeoPos, MinuteId};
 use viewmap_core::upload::AnonymousSubmission;
@@ -425,23 +426,31 @@ fn hundred_k_tier_topology_pinned_to_seed_42() {
 
     // ── Incremental delta pin ───────────────────────────────────────
     // Grow the pinned world by the seeded +1k churn delta through the
-    // maintained path and pin the grown topology too. The cold-build
-    // oracle above anchors the base; the maintained path's equality to
-    // a cold build of the grown bucket is proven structurally by the
-    // churn-equivalence suite and re-asserted on every bench run, so
-    // this pin records the incremental result directly instead of
-    // rerunning the O(n·k) oracle on 101k members.
-    let delta = arcs(&SynthWorld::delta(w.side_m, 1_000, 42));
-    let mut mv = viewmap_core::MaintainedViewmap::create(
-        arcs(&w.vps),
-        w.minute,
-        &cfg,
-        0,
-        &mut viewmap_core::viewmap::BuildScratch::new(),
+    // viewlink memo (batch-linked base, spliced delta) and pin the grown
+    // topology too. The cold-build oracle above anchors the base; the
+    // memo's equality to a cold build of the grown bucket is proven
+    // structurally by the churn-equivalence suite and re-asserted on
+    // every bench run, so this pin records the incremental result
+    // directly instead of rerunning the O(n·k) oracle on 101k members.
+    // (The site admits every member, so each admission is the whole
+    // bucket.)
+    let mut bucket = arcs(&w.vps);
+    let mut memo = MaintainedViewmap::new(w.minute, cfg);
+    let first = memo.materialise(&Admitted::whole(&bucket));
+    assert!(
+        first.batch.is_some(),
+        "an empty memo links through the batch engine"
     );
-    assert_eq!(mv.edge_count(), 1_075_043, "maintained create edge count");
-    mv.ingest(&delta);
-    let grown = mv.extract(w.site, &cfg);
+    assert_eq!(memo.edge_count(), 1_075_043, "memo first-touch edge count");
+    bucket.extend(arcs(&SynthWorld::delta(w.side_m, 1_000, 42)));
+    let admitted = Admitted::whole(&bucket);
+    let wave = memo.materialise(&admitted);
+    assert_eq!(
+        (wave.hits, wave.misses),
+        (100_000, 1_000),
+        "only the delta links"
+    );
+    let grown = memo.extract(admitted);
     assert_eq!(grown.len(), 101_000, "grown member count");
     assert_eq!(grown.edge_count(), 1_075_188, "grown edge count");
     assert_eq!(

@@ -27,7 +27,7 @@ use viewmap_core::types::{MinuteId, VpId};
 use viewmap_core::viewmap::{Site, ViewmapConfig};
 use viewmap_core::vp::StoredVp;
 use viewmap_core::{reward::Wallet, trustrank};
-use vm_bench::worlds::viewmap_checksum;
+use vm_bench::worlds::{cold_oracle, viewmap_checksum};
 use vm_obs::Registry;
 use vm_service::proto::ErrorCode;
 use vm_service::{ClientConfig, ClientError, ServiceConfig, VmClient, VmService};
@@ -194,6 +194,12 @@ fn build_oracle(
     Ok(oracle)
 }
 
+/// Checksum of the cold oracle over `srv`'s stored bucket — what
+/// `build_viewmap` (the memoised investigation path) must reproduce.
+fn cold_checksum(srv: &ViewMapServer, minute: MinuteId, site: Site) -> u64 {
+    viewmap_checksum(&cold_oracle(srv, minute, site, &ViewmapConfig::default()))
+}
+
 /// Assert `srv` and `oracle` are observably the same system over the
 /// given minutes, and that both systems' telemetry agrees with the
 /// state it describes (stored − evicted == resident).
@@ -233,7 +239,7 @@ fn check_equivalence(
         );
         ensure!(
             viewmap_checksum(&srv.build_viewmap(minute, site))
-                == viewmap_checksum(&oracle.build_viewmap(minute, site)),
+                == cold_checksum(oracle, minute, site),
             "{label}: viewmap checksum diverged at {minute:?}"
         );
         ensure!(
@@ -544,8 +550,8 @@ fn run_rural_sparse(seed: u64, report: &mut RunReport) -> Result<(), String> {
 // ── retention-churn ──────────────────────────────────────────────────
 
 /// Multi-minute ingest against progressive eviction sweeps: retention
-/// is exact, maintained graphs die with their minute, and survivors
-/// keep maintained-vs-cold checksum equality throughout.
+/// is exact, viewlink memos die with their minute, and survivors keep
+/// memo-vs-cold checksum equality throughout.
 fn run_retention_churn(seed: u64, report: &mut RunReport) -> Result<(), String> {
     let minutes_total = 4usize;
     let cfg = SimConfig {
@@ -561,13 +567,17 @@ fn run_retention_churn(seed: u64, report: &mut RunReport) -> Result<(), String> 
     rig.check_wire_investigations(&oracle, &minutes, world.site, report)?;
     check_equivalence(&rig.srv, &oracle, &minutes, world.site, "pre-churn")?;
 
-    // Materialize a maintained graph per minute so the sweeps actually
-    // have live incremental state to invalidate.
+    // Materialize a viewlink memo per minute so the sweeps actually
+    // have live memo state to invalidate.
     for &minute in &minutes {
         ensure!(
-            viewmap_checksum(&rig.srv.build_viewmap_maintained(minute, world.site))
-                == viewmap_checksum(&rig.srv.build_viewmap(minute, world.site)),
-            "maintained viewmap diverged from cold build at {minute:?}"
+            viewmap_checksum(&rig.srv.build_viewmap(minute, world.site))
+                == cold_checksum(&rig.srv, minute, world.site),
+            "memoised viewmap diverged from cold build at {minute:?}"
+        );
+        ensure!(
+            rig.srv.has_maintained(minute),
+            "no viewlink memo materialised for {minute:?}"
         );
     }
 
@@ -583,19 +593,19 @@ fn run_retention_churn(seed: u64, report: &mut RunReport) -> Result<(), String> 
         for m in 0..cutoff {
             ensure!(
                 !rig.srv.has_maintained(MinuteId(m as u64)),
-                "maintained graph outlived evicted minute {m}"
+                "viewlink memo outlived evicted minute {m}"
             );
         }
-        // Survivors: maintained and cold builds still agree, and the
+        // Survivors: memoised and cold builds still agree, and the
         // whole system equals an oracle fed only the surviving minutes.
         let survivors: Vec<MinuteId> = (cutoff as u64..minutes_total as u64)
             .map(MinuteId)
             .collect();
         for &minute in &survivors {
             ensure!(
-                viewmap_checksum(&rig.srv.build_viewmap_maintained(minute, world.site))
-                    == viewmap_checksum(&rig.srv.build_viewmap(minute, world.site)),
-                "post-sweep maintained viewmap diverged at {minute:?}"
+                viewmap_checksum(&rig.srv.build_viewmap(minute, world.site))
+                    == cold_checksum(&rig.srv, minute, world.site),
+                "post-sweep memoised viewmap diverged at {minute:?}"
             );
         }
         // The sweep oracle replays the full history — ingest, the

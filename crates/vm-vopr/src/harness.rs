@@ -29,7 +29,7 @@ use viewmap_core::types::{GeoPos, MinuteId, VpId};
 use viewmap_core::upload::AnonymousSubmission;
 use viewmap_core::viewmap::{Site, ViewmapConfig};
 use viewmap_core::vp::StoredVp;
-use vm_bench::worlds::{linked_minute, viewmap_checksum};
+use vm_bench::worlds::{cold_oracle, linked_minute, viewmap_checksum};
 use vm_crypto::RsaKeyPair;
 use vm_obs::Registry;
 use vm_repl::{Follower, FollowerConfig, Primary, ReplicationConfig};
@@ -163,6 +163,12 @@ fn site() -> Site {
     }
 }
 
+/// Checksum of the cold oracle over `srv`'s stored bucket — what
+/// `build_viewmap` (the memoised investigation path) must reproduce.
+fn cold_checksum(srv: &ViewMapServer, minute: MinuteId) -> u64 {
+    viewmap_checksum(&cold_oracle(srv, minute, site(), &ViewmapConfig::default()))
+}
+
 enum Settled {
     /// The service accepted the op on this settle.
     Accepted,
@@ -273,8 +279,7 @@ fn check_equivalence(
             "{label}: bucket order diverged at {minute:?}"
         );
         ensure!(
-            viewmap_checksum(&srv.build_viewmap(minute, site()))
-                == viewmap_checksum(&oracle.build_viewmap(minute, site())),
+            viewmap_checksum(&srv.build_viewmap(minute, site())) == cold_checksum(oracle, minute),
             "{label}: viewmap checksum diverged at {minute:?}"
         );
         ensure!(
@@ -503,26 +508,27 @@ fn run_inner(scenario: Scenario, seed: u64) -> Result<RunReport, String> {
                 );
             }
             let oracle = build_oracle(&world, &accepted, vmcfg)?;
-            check_equivalence(&srv, &oracle, minutes, &format!("post-crash gen {gen}"))?;
             if matches!(scenario, Scenario::Churn) {
-                // Recovery must never trust maintained state stale: a
-                // reopened server starts with no maintained graphs
-                // (they are in-memory splices of a dead process), and
-                // the first maintained investigation of each minute
-                // must rebuild one that equals the oracle's cold build.
+                // Recovery must never trust memo state stale: a
+                // reopened server starts with no viewlink memos (they
+                // are in-memory state of a dead process) — checked
+                // before anything investigates it — and the first
+                // investigation of each minute must materialise one
+                // that equals the oracle's cold build.
                 for m in 0..minutes {
                     let minute = MinuteId(m as u64);
                     ensure!(
                         !srv.has_maintained(minute),
-                        "gen {gen}: recovered server holds a maintained graph for {minute:?}"
+                        "gen {gen}: recovered server holds a viewlink memo for {minute:?}"
                     );
                     ensure!(
-                        viewmap_checksum(&srv.build_viewmap_maintained(minute, site()))
-                            == viewmap_checksum(&oracle.build_viewmap(minute, site())),
-                        "gen {gen}: post-crash maintained viewmap diverged at {minute:?}"
+                        viewmap_checksum(&srv.build_viewmap(minute, site()))
+                            == cold_checksum(&oracle, minute),
+                        "gen {gen}: post-crash memoised viewmap diverged at {minute:?}"
                     );
                 }
             }
+            check_equivalence(&srv, &oracle, minutes, &format!("post-crash gen {gen}"))?;
         }
 
         // ── Serve and drive the (re-driven) op schedule. ─────────────
@@ -614,15 +620,15 @@ fn run_inner(scenario: Scenario, seed: u64) -> Result<RunReport, String> {
                 }
                 report.ops += 1;
                 if matches!(scenario, Scenario::Churn) && report.ops.is_multiple_of(5) {
-                    // Investigation racing ingest: the maintained graph
-                    // (created on the first probe, spliced by every
-                    // submit since) must equal a cold build of the same
+                    // Investigation racing ingest: the viewlink memo
+                    // (materialised on the first probe, grown by every
+                    // probe since) must equal a cold build of the same
                     // bucket at any point of the history.
                     let minute = MinuteId(m as u64);
                     ensure!(
-                        viewmap_checksum(&srv.build_viewmap_maintained(minute, site()))
-                            == viewmap_checksum(&srv.build_viewmap(minute, site())),
-                        "mid-ingest maintained viewmap diverged at {minute:?}"
+                        viewmap_checksum(&srv.build_viewmap(minute, site()))
+                            == cold_checksum(&srv, minute),
+                        "mid-ingest memoised viewmap diverged at {minute:?}"
                     );
                 }
             }
@@ -643,11 +649,11 @@ fn run_inner(scenario: Scenario, seed: u64) -> Result<RunReport, String> {
         }
 
         if matches!(scenario, Scenario::Churn) {
-            // ── Retention sweep racing the maintained graphs: evict
-            //    minute 0 (memory + WAL segment + maintained graph in
-            //    one atomic sweep), then re-drive its whole population
-            //    through the wire and require the rebuilt maintained
-            //    graph to equal a cold build again. ───────────────────
+            // ── Retention sweep racing the viewlink memos: evict
+            //    minute 0 (memory + WAL segment + memo in one atomic
+            //    sweep), then re-drive its whole population through
+            //    the wire and require the re-materialised memo to
+            //    equal a cold build again. ────────────────────────────
             let evicted = srv.evict_minutes_before(MinuteId(1));
             ensure!(
                 evicted == 1 + accepted[0].len(),
@@ -656,7 +662,7 @@ fn run_inner(scenario: Scenario, seed: u64) -> Result<RunReport, String> {
             );
             ensure!(
                 !srv.has_maintained(MinuteId(0)),
-                "maintained graph outlived its evicted minute"
+                "viewlink memo outlived its evicted minute"
             );
             accepted[0].clear();
             present[0].clear();
@@ -681,9 +687,9 @@ fn run_inner(scenario: Scenario, seed: u64) -> Result<RunReport, String> {
                 report.ops += 1;
             }
             ensure!(
-                viewmap_checksum(&srv.build_viewmap_maintained(MinuteId(0), site()))
-                    == viewmap_checksum(&srv.build_viewmap(MinuteId(0), site())),
-                "maintained viewmap diverged after evict-and-resubmit"
+                viewmap_checksum(&srv.build_viewmap(MinuteId(0), site()))
+                    == cold_checksum(&srv, MinuteId(0)),
+                "memoised viewmap diverged after evict-and-resubmit"
             );
         }
 

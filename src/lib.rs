@@ -9,8 +9,9 @@
 //! hosts the runnable examples and cross-crate integration tests:
 //!
 //! * [`core`] — view digests, view profiles, guard VPs,
-//!   viewmap construction (cold four-phase engine plus the incremental
-//!   maintainer behind `ViewMapServer::investigate_maintained`),
+//!   viewmap construction (the cold four-phase engine, and the bounds
+//!   table + region-lazy viewlink memo `ViewMapServer::investigate`
+//!   serves every site from),
 //!   TrustRank verification, solicitation, blind-signature rewarding,
 //!   the tracking adversary, attack toolkit.
 //! * [`crypto`] — SHA-256, big integers, RSA blind signatures

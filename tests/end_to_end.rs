@@ -8,8 +8,9 @@ use viewmap::core::server::{RedeemError, RewardError, ViewMapServer};
 use viewmap::core::solicit::{UploadError, VideoUpload};
 use viewmap::core::types::{GeoPos, MinuteId, SECONDS_PER_VP};
 use viewmap::core::upload::AnonymousChannel;
-use viewmap::core::viewmap::{Site, ViewmapConfig};
-use viewmap::core::vp::{FinalizedMinute, VpBuilder, VpKind};
+use viewmap::core::viewmap::{Site, Viewmap, ViewmapConfig};
+use viewmap::core::vp::{FinalizedMinute, StoredVp, VpBuilder, VpKind};
+use viewmap::service::{ServiceConfig, VmClient, VmService};
 
 /// Drive a convoy of `n` vehicles along a line, all exchanging VDs with
 /// every vehicle in DSRC range; vehicle 0 is a police car.
@@ -240,4 +241,113 @@ fn fake_vps_cannot_enter_an_honest_viewmap() {
         !solicited.contains(&fake_id),
         "fake VP must not be solicited"
     );
+}
+
+/// The production investigation path over the wire — `VmClient →
+/// VmService → ViewMapServer::investigate`, served from the minute's
+/// viewlink memo — through one minute's whole life: first touch, late
+/// uploads, follow-ups at other sites, eviction, resubmission. Every
+/// wire reply must be what the in-process cold oracle (`Viewmap::build`
+/// over the stored bucket, then Algorithm 1) answers for the same
+/// stored state.
+#[test]
+fn wire_investigations_equal_the_cold_oracle_through_a_minutes_life() {
+    let cfg = ViewmapConfig::default();
+    let (fins, _) = convoy(14, 150.0, 9);
+    let mut vps: Vec<StoredVp> = fins.into_iter().map(|f| f.profile.into_stored()).collect();
+    let police = vps.remove(0);
+    let mut rng = StdRng::seed_from_u64(10);
+    let server = std::sync::Arc::new(ViewMapServer::new(&mut rng, 512, cfg));
+    let service = VmService::spawn(
+        std::sync::Arc::clone(&server),
+        "127.0.0.1:0",
+        ServiceConfig::default(),
+    )
+    .expect("spawn service");
+    let mut client = VmClient::connect(service.addr()).expect("connect");
+    let minute = MinuteId(0);
+    let site = |x: f64, radius_m: f64| Site {
+        center: GeoPos::new(x, 0.0),
+        radius_m,
+    };
+
+    // One wire investigation against the oracle; also the in-process
+    // viewmap, field for field, members by allocation.
+    let check = |client: &mut VmClient, s: Site, ctx: &str| {
+        let cold = Viewmap::build(&server.minute_vps(minute), s, minute, &cfg);
+        let wire = client.investigate(minute, s).expect("wire investigation");
+        assert_eq!(wire, cold.verify(&s, &cfg).1, "{ctx}: wire reply");
+        let got = server.build_viewmap(minute, s);
+        assert_eq!(got.len(), cold.len(), "{ctx}: member count");
+        for (g, c) in got.vps.iter().zip(&cold.vps) {
+            assert!(std::sync::Arc::ptr_eq(g, c), "{ctx}: member allocation");
+        }
+        assert_eq!(got.adj, cold.adj, "{ctx}: adjacency rows");
+        assert_eq!(got.trusted, cold.trusted, "{ctx}: trusted indices");
+        wire
+    };
+    let stat = |client: &mut VmClient, name: &str| -> u64 {
+        let text = client.stats().expect("stats");
+        text.lines()
+            .find_map(|l| l.strip_prefix(name)?.trim().parse().ok())
+            .unwrap_or_else(|| panic!("{name} missing from STATS"))
+    };
+
+    // Nothing stored yet: an empty reply, and no memo for the asking.
+    assert!(check(&mut client, site(600.0, 200.0), "empty cell").is_empty());
+    assert!(!server.has_maintained(minute));
+
+    // The authority seeds its VP in process; eight vehicles upload.
+    server.submit_trusted(police.clone()).expect("trusted");
+    let acks = client.submit_pipelined(&vps[..8]).expect("uploads");
+    assert!(acks.iter().all(|a| a.is_ok()));
+
+    // First touch at a 200 m site materialises part of the minute.
+    let first = check(&mut client, site(600.0, 200.0), "first touch");
+    assert!(!first.is_empty(), "the convoy around the site is verified");
+    assert!(server.has_maintained(minute));
+    let linked_first = stat(&mut client, "vm_core_maintained_misses_total");
+    assert!(
+        linked_first > 0 && linked_first < 9,
+        "a local site links a subset"
+    );
+
+    // Late uploads, then follow-ups: local, elsewhere, point, wide.
+    for vp in &vps[8..] {
+        client.submit(vp).expect("late upload");
+    }
+    for (k, (x, r)) in [
+        (700.0, 200.0),
+        (1500.0, 200.0),
+        (300.0, 0.0),
+        (900.0, 3000.0),
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        check(&mut client, site(x, r), &format!("follow-up {k}"));
+    }
+    assert_eq!(
+        stat(&mut client, "vm_core_maintained_misses_total"),
+        14,
+        "every member linked exactly once"
+    );
+    assert!(stat(&mut client, "vm_core_maintained_hits_total") > 0);
+    let again = check(&mut client, site(600.0, 200.0), "first site again");
+    assert!(first.iter().all(|id| again.contains(id)));
+
+    // Eviction drops the bucket and its memo together.
+    assert_eq!(server.evict_minutes_before(MinuteId(1)), 14);
+    assert!(!server.has_maintained(minute));
+    assert!(check(&mut client, site(600.0, 200.0), "evicted").is_empty());
+    assert!(!server.has_maintained(minute), "no bucket, no memo");
+
+    // Resubmission (eviction forgot the ids) starts from none.
+    server.submit_trusted(police).expect("trusted again");
+    let acks = client.submit_batch(vps.clone()).expect("resubmission");
+    assert!(acks.iter().all(|a| a.is_ok()));
+    let back = check(&mut client, site(600.0, 200.0), "resubmitted");
+    assert_eq!(back, again, "same stored state, same answer");
+    check(&mut client, site(900.0, 3000.0), "resubmitted, wide");
+    assert_eq!(server.total_vps(), 14);
 }
