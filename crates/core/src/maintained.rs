@@ -105,7 +105,7 @@
 //! predicate alone.
 
 use crate::types::{GeoPos, MinuteId, SECONDS_PER_VP};
-use crate::viewmap::{self, BuildProfile, BuildScratch, MemberGeom, Site, Viewmap, ViewmapConfig};
+use crate::viewmap::{self, BuildProfile, MemberGeom, Site, Viewmap, ViewmapConfig};
 use crate::vp::StoredVp;
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -457,18 +457,10 @@ impl MaintainedViewmap {
         let mut profile = BuildProfile::default();
         // `new` is ascending in bucket position, so the engine's
         // ascending local rows map to ascending position rows.
-        self.adj = viewmap::build_viewlinks(
-            &vps,
-            self.minute,
-            &self.cfg,
-            threads,
-            &mut profile,
-            &mut BuildScratch::new(),
-            false,
-        )
-        .into_iter()
-        .map(|row| row.into_iter().map(|j| pos[j]).collect())
-        .collect();
+        self.adj = viewmap::build_viewlinks(&vps, self.minute, &self.cfg, threads, &mut profile)
+            .into_iter()
+            .map(|row| row.into_iter().map(|j| pos[j]).collect())
+            .collect();
         self.edges = self.adj.iter().map(Vec::len).sum::<usize>() / 2;
 
         let start = self.minute.start_second();

@@ -64,12 +64,6 @@
 //!    partner side of each probe is a spatial neighbor sitting nearby in
 //!    the arena. Survivors are sorted back to ascending pair order before
 //!    the adjacency lists are assembled.
-//!
-//! The engine's large transient arenas (coordinate slabs, pair lists,
-//! probe tables — hundreds of MB at the 100k tier) can be reused across
-//! builds through [`BuildScratch`] / [`Viewmap::build_with_scratch`]:
-//! allocation reuse only, with every buffer cleared and rewritten per
-//! build, so scratch builds stay bit-for-bit identical to fresh ones.
 
 use crate::trustrank::{self, Verification};
 use crate::types::{GeoPos, MinuteId, VpId, DSRC_RADIUS_M, SECONDS_PER_VP};
@@ -142,83 +136,25 @@ impl Viewmap {
         minute: MinuteId,
         cfg: &ViewmapConfig,
     ) -> Viewmap {
-        Self::build_threads(candidates, site, minute, cfg, 0)
+        Self::build_with_threads(candidates, site, minute, cfg, 0).0
     }
 
     /// As [`build`](Self::build) with an explicit worker-thread count for
-    /// the construction phases. `0` (the [`build`](Self::build) default)
+    /// the construction phases, additionally returning the wall-clock
+    /// cost of each phase. `0` (the [`build`](Self::build) default)
     /// picks automatically: single-threaded below
     /// [`PARALLEL_MEMBER_THRESHOLD`] members, one thread per core (capped)
     /// above it. Any thread count produces a bit-for-bit identical
     /// viewmap; the explicit knob exists so benchmarks can pin the
     /// sequential baseline and tests can force the fan-out on small
-    /// inputs.
-    pub fn build_threads(
+    /// inputs. The profile is four timestamp reads — the profiled build
+    /// *is* the production build — so it is always returned.
+    pub fn build_with_threads(
         candidates: &[Arc<StoredVp>],
         site: Site,
         minute: MinuteId,
         cfg: &ViewmapConfig,
         threads: usize,
-    ) -> Viewmap {
-        Self::build_profiled(candidates, site, minute, cfg, threads).0
-    }
-
-    /// As [`build_threads`](Self::build_threads), additionally returning
-    /// the wall-clock cost of each construction phase. The
-    /// instrumentation is four timestamp reads — the profiled build *is*
-    /// the production build — so benchmarks and capacity planning read
-    /// the real phase split instead of hand-instrumented one-offs.
-    pub fn build_profiled(
-        candidates: &[Arc<StoredVp>],
-        site: Site,
-        minute: MinuteId,
-        cfg: &ViewmapConfig,
-        threads: usize,
-    ) -> (Viewmap, BuildProfile) {
-        // Throwaway scratch: `retain_arenas = false` frees the phase-1
-        // coordinate slabs as soon as the rank arena is gathered, so a
-        // one-shot build keeps the pre-scratch peak-memory profile
-        // (~200 MB lower at the 100k tier during phases 2-4).
-        Self::build_impl(
-            candidates,
-            site,
-            minute,
-            cfg,
-            threads,
-            &mut BuildScratch::new(),
-            false,
-        )
-    }
-
-    /// As [`build_profiled`](Self::build_profiled), reusing the caller's
-    /// [`BuildScratch`] for the engine's large transient arenas. A fresh
-    /// build first-touches a few hundred MB of freshly mapped pages at
-    /// the 100k tier (~0.5 s of page faults on a cold run); an
-    /// investigation service building viewmaps back to back keeps one
-    /// scratch per worker and pays that once. The scratch carries **no
-    /// state between builds** — every buffer is cleared and fully
-    /// rewritten before use — so the constructed viewmap is bit-for-bit
-    /// identical to a fresh-allocation build (the `parallel_equivalence`
-    /// suite pins scratch-reuse builds against fresh ones).
-    pub fn build_with_scratch(
-        candidates: &[Arc<StoredVp>],
-        site: Site,
-        minute: MinuteId,
-        cfg: &ViewmapConfig,
-        threads: usize,
-        scratch: &mut BuildScratch,
-    ) -> (Viewmap, BuildProfile) {
-        Self::build_impl(candidates, site, minute, cfg, threads, scratch, true)
-    }
-
-    fn build_impl(
-        candidates: &[Arc<StoredVp>],
-        site: Site,
-        minute: MinuteId,
-        cfg: &ViewmapConfig,
-        threads: usize,
-        scratch: &mut BuildScratch,
-        retain_arenas: bool,
     ) -> (Viewmap, BuildProfile) {
         let in_minute: Vec<&Arc<StoredVp>> = candidates
             .iter()
@@ -249,15 +185,7 @@ impl Viewmap {
             threads.clamp(1, crate::par::MAX_THREADS)
         };
         let mut profile = BuildProfile::default();
-        let adj = build_viewlinks(
-            &vps,
-            minute,
-            cfg,
-            threads,
-            &mut profile,
-            scratch,
-            retain_arenas,
-        );
+        let adj = build_viewlinks(&vps, minute, cfg, threads, &mut profile);
 
         let trusted = vps
             .iter()
@@ -274,20 +202,6 @@ impl Viewmap {
             },
             profile,
         )
-    }
-
-    /// As [`build`](Self::build), taking owned VPs (wraps each in an
-    /// `Arc`; moving into the `Arc` is not a clone). Convenience for
-    /// tests, examples, and experiment code that assembles candidate
-    /// vectors locally.
-    pub fn build_owned(
-        candidates: Vec<StoredVp>,
-        site: Site,
-        minute: MinuteId,
-        cfg: &ViewmapConfig,
-    ) -> Viewmap {
-        let arcs: Vec<Arc<StoredVp>> = candidates.into_iter().map(Arc::new).collect();
-        Self::build(&arcs, site, minute, cfg)
     }
 
     /// Number of member VPs.
@@ -383,7 +297,7 @@ pub(crate) const TRAJ_SEGMENTS: usize = 6;
 const FP_MAX_M: f64 = 1.0e9;
 
 /// Wall-clock milliseconds per viewlink-engine phase, from
-/// [`Viewmap::build_profiled`]. The phases are the four stages the
+/// [`Viewmap::build_with_threads`]. The phases are the four stages the
 /// module docs describe; admission/coverage selection (microseconds at
 /// any tier) is outside them, so the fields sum to slightly less than
 /// the end-to-end build time.
@@ -401,45 +315,6 @@ pub struct BuildProfile {
     /// Phase 4 — flat-arena assembly plus the two-way Bloom linkage
     /// pass in holder-tile order.
     pub linkage_ms: f64,
-}
-
-/// Reusable large arenas for the viewlink engine, so back-to-back
-/// builds stop paying first-touch page faults on hundreds of MB of
-/// freshly mapped memory (the coordinate arena alone is ~200 MB at the
-/// 100k tier; the probe arenas add ~120 MB more).
-///
-/// Semantics: pure allocation reuse. Every buffer is cleared and fully
-/// rewritten by the build that borrows it, so a scratch-reuse build is
-/// bit-for-bit identical to a fresh one for any population and thread
-/// count — reusing one scratch across unrelated minutes, sites, and
-/// populations is always safe. The clear-and-resize passes are memsets
-/// over already-resident pages, which is the cheap half of what a cold
-/// allocation pays (fault + zero) and none of the expensive half.
-///
-/// One scratch serves one build at a time (`&mut`); give each
-/// investigation worker its own.
-#[derive(Default)]
-pub struct BuildScratch {
-    /// Phase-1 per-chunk coordinate slabs (one per worker chunk).
-    chunk_coords: Vec<Vec<f64>>,
-    /// The rank-ordered interleaved `(x, y)` coordinate arena.
-    arena: Vec<f64>,
-    /// Packed candidate/surviving pair list (`i << 32 | j`).
-    pairs: Vec<u64>,
-    /// Holder-rank evaluation order for the linkage pass.
-    eval: Vec<u64>,
-    /// Flat Bloom words of every probed member.
-    bloom_words: Vec<u64>,
-    /// Flat `(h1, h2|1)` probe halves of every cached link key.
-    key_halves: Vec<(u64, u64)>,
-}
-
-impl BuildScratch {
-    /// An empty scratch; arenas grow to the working-set size of the
-    /// first build that uses it and are retained from then on.
-    pub fn new() -> BuildScratch {
-        BuildScratch::default()
-    }
 }
 
 /// Per-member scan output of phase 1: the compact-window shape, the
@@ -815,26 +690,13 @@ pub(crate) fn morton_code(cx: u32, cy: u32) -> u64 {
 /// fans out over contiguous chunks and merges in chunk order (with
 /// order-restoring sorts after the spatially-reordered passes), so the
 /// result is identical for any `threads`.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn build_viewlinks(
     vps: &[Arc<StoredVp>],
     minute: MinuteId,
     cfg: &ViewmapConfig,
     threads: usize,
     profile: &mut BuildProfile,
-    scratch: &mut BuildScratch,
-    retain_arenas: bool,
 ) -> Vec<Vec<usize>> {
-    // Disjoint borrows of the reusable arenas (cleared before use; see
-    // `BuildScratch` for the no-state-between-builds contract).
-    let BuildScratch {
-        chunk_coords,
-        arena,
-        pairs: in_range,
-        eval,
-        bloom_words,
-        key_halves,
-    } = scratch;
     let n = vps.len();
     let mut adj = vec![Vec::new(); n];
     if n < 2 {
@@ -857,20 +719,14 @@ pub(crate) fn build_viewlinks(
     let t_tables = std::time::Instant::now();
 
     // ── Phase 1: trajectory tables, Morton order, SoA gather ────────────
-    // Parallel member scan into chunk-local geometry + coordinate slabs.
-    // The slabs are scratch-owned and cleared per build: worker `t`
-    // refills slab `t`, so a retained scratch serves any later build
-    // (including one with a different chunk count — extra slabs idle,
-    // missing ones are created empty and grow on first use).
+    // Parallel member scan into chunk-local geometry + coordinate slabs
+    // (worker `t` fills slab `t`).
     let chunks = member_cuts.len() - 1;
-    if chunk_coords.len() < chunks {
-        chunk_coords.resize_with(chunks, Vec::new);
-    }
+    let mut chunk_coords: Vec<Vec<f64>> = vec![Vec::new(); chunks];
     let unit_cuts: Vec<usize> = (0..=chunks).collect();
     let chunk_geoms: Vec<Vec<MemberGeom>> =
-        crate::par::map_disjoint_mut(&mut chunk_coords[..chunks], &unit_cuts, |t, slab| {
+        crate::par::map_disjoint_mut(&mut chunk_coords[..], &unit_cuts, |t, slab| {
             let coords = &mut slab[0];
-            coords.clear();
             let (lo, hi) = (member_cuts[t], member_cuts[t + 1]);
             coords.reserve((hi - lo) * 2 * SECONDS_PER_VP as usize);
             let mut geoms = Vec::with_capacity(hi - lo);
@@ -1006,13 +862,10 @@ pub(crate) fn build_viewlinks(
     }
 
     // Coordinate arena in rank order: interleaved (x, y) f64 pairs, so
-    // the exact scan streams two contiguous, usually-nearby slabs. The
-    // arena is scratch-retained: clear + resize is a memset over warm
-    // pages where a fresh allocation would fault in every page.
+    // the exact scan streams two contiguous, usually-nearby slabs.
     let rank_cuts = crate::par::even_cuts(n_ranked, threads);
     let arena_cuts: Vec<usize> = rank_cuts.iter().map(|&k| arena_off[k] as usize).collect();
-    arena.clear();
-    arena.resize(arena_off[n_ranked] as usize, 0.0);
+    let mut arena = vec![0.0f64; arena_off[n_ranked] as usize];
     crate::par::map_disjoint_mut(&mut arena[..], &arena_cuts, |t, slab| {
         let mut p = 0usize;
         for k in rank_cuts[t]..rank_cuts[t + 1] {
@@ -1022,16 +875,10 @@ pub(crate) fn build_viewlinks(
             p += l;
         }
     });
-    // The phase-1 slabs are fully transcribed into the rank arena; on a
-    // one-shot build, free them now (they are roughly another arena's
-    // worth of memory) instead of carrying them through phases 2-4. A
-    // caller-owned scratch keeps them — that retained capacity is
-    // exactly what the next build's reuse pays for.
-    if !retain_arenas {
-        for slab in chunk_coords.iter_mut() {
-            *slab = Vec::new();
-        }
-    }
+    // The phase-1 slabs are fully transcribed into the rank arena: free
+    // them now (they are roughly another arena's worth of memory, ~200 MB
+    // at the 100k tier) instead of carrying them through phases 2-4.
+    drop(chunk_coords);
     profile.tables_ms = t_tables.elapsed().as_secs_f64() * 1e3;
     let t_candidates = std::time::Instant::now();
 
@@ -1070,7 +917,7 @@ pub(crate) fn build_viewlinks(
     // edge order the two-way validation and adjacency assembly follow —
     // erasing the Morton processing order from the result.
     let g_cuts = crate::par::even_cuts(n_gridded, threads);
-    in_range.clear();
+    let mut in_range: Vec<u64> = Vec::new();
     let pair_chunks = crate::par::map_ranges(&g_cuts, |_t, lo, hi| {
         let mut out: Vec<u64> = Vec::new();
         for a in lo..hi {
@@ -1164,8 +1011,7 @@ pub(crate) fn build_viewlinks(
     // owner — and are laid out in Morton rank order, so the partner side
     // of a probe is a spatial neighbor sitting nearby in the arena
     // rather than a uniformly random multi-MB jump.
-    bloom_words.clear();
-    bloom_words.reserve(
+    let mut bloom_words: Vec<u64> = Vec::with_capacity(
         needed
             .iter()
             .map(|&m| vps[m].bloom.m_bits().div_ceil(64))
@@ -1173,8 +1019,8 @@ pub(crate) fn build_viewlinks(
     );
     let mut bloom_meta: Vec<(u32, u32, u32)> = vec![(0, 0, 0); n]; // (base, m_bits, k)
     let mut key_spans = vec![(0u32, 0u32); n];
-    key_halves.clear();
-    key_halves.reserve(needed.len() * SECONDS_PER_VP as usize);
+    let mut key_halves: Vec<(u64, u64)> =
+        Vec::with_capacity(needed.len() * SECONDS_PER_VP as usize);
     for &mu in &probe_order {
         let m = mu as usize;
         let vp = &vps[m];
@@ -1183,7 +1029,7 @@ pub(crate) fn build_viewlinks(
             vp.bloom.m_bits() as u32,
             vp.bloom.k() as u32,
         );
-        vp.bloom.append_words(bloom_words);
+        vp.bloom.append_words(&mut bloom_words);
         let cached = vp.link_keys();
         key_spans[m] = (key_halves.len() as u32, cached.len() as u32);
         for key in cached {
@@ -1218,13 +1064,11 @@ pub(crate) fn build_viewlinks(
     // are rank-local. The evaluation order is a pure function of the
     // pair set, and survivors sort back to ascending pair order, so the
     // reordering is invisible in the output.
-    eval.clear();
-    eval.extend(
-        in_range
-            .iter()
-            .enumerate()
-            .map(|(idx, &packed)| ((rank_of[(packed >> 32) as usize] as u64) << 32) | idx as u64),
-    );
+    let mut eval: Vec<u64> = in_range
+        .iter()
+        .enumerate()
+        .map(|(idx, &packed)| ((rank_of[(packed >> 32) as usize] as u64) << 32) | idx as u64)
+        .collect();
     eval.sort_unstable();
     let pair_cuts = crate::par::even_cuts(eval.len(), threads);
     let mut survivors: Vec<u32> = crate::par::map_ranges(&pair_cuts, |_t, lo, hi| {
@@ -1345,6 +1189,10 @@ mod tests {
             .collect()
     }
 
+    fn arcs(vps: Vec<StoredVp>) -> Vec<Arc<StoredVp>> {
+        vps.into_iter().map(Arc::new).collect()
+    }
+
     fn site_at(x: f64, r: f64) -> Site {
         Site {
             center: GeoPos::new(x, 0.0),
@@ -1356,7 +1204,7 @@ mod tests {
     fn chain_viewmap_is_connected_single_layer() {
         let vps = build_chain(8, 150.0, 1);
         let site = site_at(7.0 * 150.0, 200.0);
-        let vm = Viewmap::build_owned(vps, site, MinuteId(0), &ViewmapConfig::default());
+        let vm = Viewmap::build(&arcs(vps), site, MinuteId(0), &ViewmapConfig::default());
         assert_eq!(vm.len(), 8);
         assert_eq!(vm.trusted, vec![0]);
         // Each interior node links to both neighbors.
@@ -1369,7 +1217,7 @@ mod tests {
         let vps = build_chain(8, 150.0, 2);
         let site = site_at(7.0 * 150.0, 160.0);
         let cfg = ViewmapConfig::default();
-        let vm = Viewmap::build_owned(vps, site, MinuteId(0), &cfg);
+        let vm = Viewmap::build(&arcs(vps), site, MinuteId(0), &cfg);
         let (v, ids) = vm.verify(&site, &cfg);
         assert!(v.top.is_some());
         assert!(!ids.is_empty());
@@ -1390,7 +1238,7 @@ mod tests {
         }
         vps.push(b.finalize().profile.into_stored());
         let site = site_at(600.0, 200.0);
-        let vm = Viewmap::build_owned(vps, site, MinuteId(0), &ViewmapConfig::default());
+        let vm = Viewmap::build(&arcs(vps), site, MinuteId(0), &ViewmapConfig::default());
         let solo = vm
             .vps
             .iter()
@@ -1410,8 +1258,8 @@ mod tests {
         }
         vps.push(b.finalize().profile.into_stored());
         // Site radius large enough that coverage admits the whole chain.
-        let vm = Viewmap::build_owned(
-            vps,
+        let vm = Viewmap::build(
+            &arcs(vps),
             site_at(0.0, 400.0),
             MinuteId(0),
             &ViewmapConfig::default(),
@@ -1432,7 +1280,7 @@ mod tests {
             vps.push(vp);
         }
         let site = site_at(300.0, 150.0);
-        let vm = Viewmap::build_owned(vps, site, MinuteId(0), &ViewmapConfig::default());
+        let vm = Viewmap::build(&arcs(vps), site, MinuteId(0), &ViewmapConfig::default());
         assert_eq!(vm.len(), 4, "distant VPs excluded from coverage");
     }
 
@@ -1442,7 +1290,7 @@ mod tests {
         vps[0].trusted = false;
         let site = site_at(450.0, 200.0);
         let cfg = ViewmapConfig::default();
-        let vm = Viewmap::build_owned(vps, site, MinuteId(0), &cfg);
+        let vm = Viewmap::build(&arcs(vps), site, MinuteId(0), &cfg);
         let (v, ids) = vm.verify(&site, &cfg);
         assert_eq!(v.top, None);
         assert!(ids.is_empty());
@@ -1451,8 +1299,8 @@ mod tests {
     #[test]
     fn adjacency_is_symmetric() {
         let vps = build_chain(10, 120.0, 10);
-        let vm = Viewmap::build_owned(
-            vps,
+        let vm = Viewmap::build(
+            &arcs(vps),
             site_at(500.0, 300.0),
             MinuteId(0),
             &ViewmapConfig::default(),
@@ -1468,10 +1316,7 @@ mod tests {
     fn build_shares_arcs_with_caller() {
         // Zero-copy admission: the viewmap's members are the same
         // allocations the caller (in production, the server DB) holds.
-        let vps: Vec<Arc<StoredVp>> = build_chain(4, 150.0, 11)
-            .into_iter()
-            .map(Arc::new)
-            .collect();
+        let vps = arcs(build_chain(4, 150.0, 11));
         let vm = Viewmap::build(
             &vps,
             site_at(0.0, 400.0),
@@ -1518,7 +1363,7 @@ mod tests {
         vps.extend(build_chain(3, 150.0, 78));
         let site = site_at(0.0, 1.5e9);
         let cfg = ViewmapConfig::default();
-        let vm = Viewmap::build_owned(vps, site, MinuteId(0), &cfg);
+        let vm = Viewmap::build(&arcs(vps), site, MinuteId(0), &cfg);
         assert_eq!(vm.len(), 5, "everyone admitted");
         for i in 0..vm.len() {
             for j in (i + 1)..vm.len() {
@@ -1532,18 +1377,15 @@ mod tests {
     }
 
     #[test]
-    fn build_profiled_is_the_production_build_plus_times() {
-        // The profiled entry point must return the exact viewmap the
+    fn forced_fanout_is_the_production_build_plus_times() {
+        // An explicit thread count must return the exact viewmap the
         // plain build produces (it IS the plain build), with finite,
         // non-negative per-phase times.
-        let vps: Vec<Arc<StoredVp>> = build_chain(10, 120.0, 30)
-            .into_iter()
-            .map(Arc::new)
-            .collect();
+        let vps = arcs(build_chain(10, 120.0, 30));
         let cfg = ViewmapConfig::default();
         let site = site_at(500.0, 300.0);
-        let plain = Viewmap::build_threads(&vps, site, MinuteId(0), &cfg, 2);
-        let (profiled, p) = Viewmap::build_profiled(&vps, site, MinuteId(0), &cfg, 2);
+        let plain = Viewmap::build(&vps, site, MinuteId(0), &cfg);
+        let (profiled, p) = Viewmap::build_with_threads(&vps, site, MinuteId(0), &cfg, 2);
         assert_eq!(plain.len(), profiled.len());
         assert_eq!(plain.trusted, profiled.trusted);
         for i in 0..plain.len() {
@@ -1561,71 +1403,13 @@ mod tests {
     }
 
     #[test]
-    fn scratch_reuse_is_bit_identical_across_unrelated_builds() {
-        // One scratch reused across different populations, sites, thread
-        // counts, and an empty minute must never change an output bit —
-        // the arenas carry allocations, not state.
-        let cfg = ViewmapConfig::default();
-        let mut scratch = BuildScratch::new();
-        let builds: Vec<(Vec<Arc<StoredVp>>, Site, MinuteId, usize)> = vec![
-            (
-                build_chain(12, 140.0, 61)
-                    .into_iter()
-                    .map(Arc::new)
-                    .collect(),
-                site_at(800.0, 900.0),
-                MinuteId(0),
-                1,
-            ),
-            (
-                build_chain(5, 200.0, 62)
-                    .into_iter()
-                    .map(Arc::new)
-                    .collect(),
-                site_at(0.0, 1500.0),
-                MinuteId(0),
-                4,
-            ),
-            (
-                build_chain(8, 120.0, 63)
-                    .into_iter()
-                    .map(Arc::new)
-                    .collect(),
-                site_at(400.0, 600.0),
-                MinuteId(3), // empty minute: early-exit path with a used scratch
-                2,
-            ),
-            (
-                build_chain(12, 140.0, 61)
-                    .into_iter()
-                    .map(Arc::new)
-                    .collect(),
-                site_at(800.0, 900.0),
-                MinuteId(0),
-                3,
-            ),
-        ];
-        for (i, (vps, site, minute, threads)) in builds.iter().enumerate() {
-            let fresh = Viewmap::build_threads(vps, *site, *minute, &cfg, *threads);
-            let (reused, _) =
-                Viewmap::build_with_scratch(vps, *site, *minute, &cfg, *threads, &mut scratch);
-            assert_eq!(fresh.len(), reused.len(), "build {i}: member count");
-            assert_eq!(fresh.trusted, reused.trusted, "build {i}: trusted");
-            for k in 0..fresh.len() {
-                assert_eq!(fresh.vps[k].id, reused.vps[k].id, "build {i}: member {k}");
-                assert_eq!(fresh.adj[k], reused.adj[k], "build {i}: adjacency {k}");
-            }
-        }
-    }
-
-    #[test]
     fn soa_engine_matches_exhaustive_edges() {
         // The SoA/Morton candidate generation must find exactly the edges
         // an O(n²) scan over min_aligned_distance + mutually_linked finds.
         for seed in [20u64, 21, 22] {
             let vps = build_chain(12, 140.0, seed);
             let cfg = ViewmapConfig::default();
-            let vm = Viewmap::build_owned(vps.clone(), site_at(800.0, 900.0), MinuteId(0), &cfg);
+            let vm = Viewmap::build(&arcs(vps.clone()), site_at(800.0, 900.0), MinuteId(0), &cfg);
             assert_eq!(vm.len(), vps.len());
             // Map viewmap index -> original index via VP id.
             for i in 0..vm.len() {

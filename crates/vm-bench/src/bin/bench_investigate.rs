@@ -565,7 +565,7 @@ fn run_tier(n: usize, seed: u64) -> TierResult {
     let mut phase = BuildProfile::default();
     let build_ms = time_ms(|| {
         let candidates = srv.minute_vps(minute);
-        let (built, p) = Viewmap::build_profiled(&candidates, site, minute, &cfg, 1);
+        let (built, p) = Viewmap::build_with_threads(&candidates, site, minute, &cfg, 1);
         vm = Some(built);
         phase = p;
     });
@@ -879,7 +879,7 @@ fn main() {
          (server-side coalescing into warm batches) plus one investigation round \
          trip on the wire; \
          phase_ms is the per-phase split of the sequential cold build_ms \
-         (tables/candidates/keys/linkage, from Viewmap::build_profiled); \
+         (tables/candidates/keys/linkage, from Viewmap::build_with_threads); \
          parallel_build_ms is the auto-parallel cold engine on the batch-ingested (key-warm) store, \
          asserted member- and edge-identical to the sequential cold build_ms; \
          maintained_create_ms is the first build_viewmap on that store (the whole-area site \

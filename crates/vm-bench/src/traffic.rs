@@ -2,6 +2,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 use viewmap_core::attack::{AttackConfig, SyntheticViewmap};
 use viewmap_core::types::{GeoPos, MinuteId};
 use viewmap_core::viewmap::{Site, Viewmap, ViewmapConfig};
@@ -63,8 +64,9 @@ pub fn traffic_viewmap(out: &SimOutput, minute: usize) -> Viewmap {
         center: GeoPos::new(4000.0, 4000.0),
         radius_m: 40_000.0, // cover everything: study the whole graph
     };
-    Viewmap::build_owned(
-        vps,
+    let arcs: Vec<Arc<_>> = vps.into_iter().map(Arc::new).collect();
+    Viewmap::build(
+        &arcs,
         site,
         MinuteId(minute as u64),
         &ViewmapConfig::default(),

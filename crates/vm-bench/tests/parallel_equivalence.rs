@@ -4,7 +4,7 @@
 //! Parallel code is where silent nondeterminism creeps in, so these tests
 //! hold the engines to the strongest property available:
 //!
-//! * `Viewmap::build_threads(…, t)` must return a **bit-for-bit
+//! * `Viewmap::build_with_threads(…, t)` must return a **bit-for-bit
 //!   identical** viewmap (members, adjacency, trusted set, verification
 //!   scores) for every thread count `t`, across random populations,
 //!   densities, and degenerate shapes;
@@ -46,10 +46,10 @@ fn assert_identical(a: &Viewmap, b: &Viewmap, ctx: &str) {
 /// drift).
 fn check_all_thread_counts(vps: &[Arc<StoredVp>], site: Site, minute: MinuteId, ctx: &str) {
     let cfg = ViewmapConfig::default();
-    let sequential = Viewmap::build_threads(vps, site, minute, &cfg, 1);
+    let sequential = Viewmap::build_with_threads(vps, site, minute, &cfg, 1).0;
     let (sv, sids) = sequential.verify(&site, &cfg);
     for t in THREAD_COUNTS {
-        let parallel = Viewmap::build_threads(vps, site, minute, &cfg, t);
+        let parallel = Viewmap::build_with_threads(vps, site, minute, &cfg, t).0;
         assert_identical(&sequential, &parallel, &format!("{ctx} threads={t}"));
         let (pv, pids) = parallel.verify(&site, &cfg);
         assert_eq!(sv.scores, pv.scores, "{ctx} threads={t}: scores");
@@ -110,13 +110,14 @@ fn parallel_build_identical_on_degenerate_shapes() {
     // Empty minute: the population belongs to minute 0, the build asks
     // for minute 5.
     let w = SynthWorld::generate(50, 41);
-    let empty = Viewmap::build_threads(
+    let empty = Viewmap::build_with_threads(
         &arcs(&w.vps),
         w.site,
         MinuteId(5),
         &ViewmapConfig::default(),
         8,
-    );
+    )
+    .0;
     assert!(empty.is_empty(), "minute-5 viewmap from minute-0 VPs");
     check_all_thread_counts(&arcs(&w.vps), w.site, MinuteId(5), "empty minute");
 
@@ -137,8 +138,8 @@ fn parallel_build_identical_on_degenerate_shapes() {
     // More threads than members.
     let tiny = &w.vps[..3];
     let cfg = ViewmapConfig::default();
-    let a = Viewmap::build_threads(&arcs(tiny), w.site, w.minute, &cfg, 1);
-    let b = Viewmap::build_threads(&arcs(tiny), w.site, w.minute, &cfg, 16);
+    let a = Viewmap::build_with_threads(&arcs(tiny), w.site, w.minute, &cfg, 1).0;
+    let b = Viewmap::build_with_threads(&arcs(tiny), w.site, w.minute, &cfg, 16).0;
     assert_identical(&a, &b, "threads > members");
 }
 
@@ -163,7 +164,7 @@ fn parallel_build_identical_with_time_gapped_vds() {
     check_all_thread_counts(&arcs(&w.vps), w.site, w.minute, "time-gapped");
 
     let cfg = ViewmapConfig::default();
-    let vm = Viewmap::build_threads(&arcs(&w.vps), w.site, w.minute, &cfg, 4);
+    let vm = Viewmap::build_with_threads(&arcs(&w.vps), w.site, w.minute, &cfg, 4).0;
     for i in 0..vm.len() {
         for j in (i + 1)..vm.len() {
             let close = vm.vps[i]
@@ -200,7 +201,7 @@ fn outlier_trajectories_stay_exact_and_off_grid() {
     check_all_thread_counts(&arcs(&w.vps), w.site, w.minute, "outliers");
 
     let cfg = ViewmapConfig::default();
-    let vm = Viewmap::build_threads(&arcs(&w.vps), w.site, w.minute, &cfg, 4);
+    let vm = Viewmap::build_with_threads(&arcs(&w.vps), w.site, w.minute, &cfg, 4).0;
     for i in 0..vm.len() {
         for j in (i + 1)..vm.len() {
             let close = vm.vps[i]
@@ -223,7 +224,7 @@ fn parallel_build_matches_exhaustive_oracle() {
     // Bloom linkage.
     let w = SynthWorld::generate(250, 53);
     let cfg = ViewmapConfig::default();
-    let vm = Viewmap::build_threads(&arcs(&w.vps), w.site, w.minute, &cfg, 8);
+    let vm = Viewmap::build_with_threads(&arcs(&w.vps), w.site, w.minute, &cfg, 8).0;
     assert_eq!(vm.len(), w.vps.len());
     for i in 0..vm.len() {
         for j in (i + 1)..vm.len() {
@@ -344,40 +345,6 @@ fn interleaved_concurrent_batches_and_singles_from_scoped_threads() {
     for vp in &w.vps {
         let stored = srv.lookup_vp(vp.id).expect("reachable through index");
         assert_eq!(stored.id, vp.id);
-    }
-}
-
-// ── Scratch reuse (arena recycling) vs fresh allocation ────────────────
-
-#[test]
-fn scratch_reuse_identical_across_populations_and_thread_counts() {
-    // One BuildScratch carried across every population/thread-count
-    // combination (including a degenerate empty minute in the middle)
-    // must reproduce the fresh-allocation build bit for bit — arena
-    // reuse is an allocation-lifetime optimization, never a state leak.
-    use viewmap_core::viewmap::BuildScratch;
-    let cfg = ViewmapConfig::default();
-    let mut scratch = BuildScratch::new();
-    let worlds: Vec<SynthWorld> = [(120usize, 301u64), (500, 303), (90, 305)]
-        .into_iter()
-        .map(|(n, seed)| SynthWorld::generate(n, seed))
-        .collect();
-    for (wi, w) in worlds.iter().enumerate() {
-        let vps = arcs(&w.vps);
-        for t in [1usize, 2, 5, 8] {
-            let fresh = Viewmap::build_threads(&vps, w.site, w.minute, &cfg, t);
-            let (reused, _) =
-                Viewmap::build_with_scratch(&vps, w.site, w.minute, &cfg, t, &mut scratch);
-            assert_identical(&fresh, &reused, &format!("world {wi} threads={t} scratch"));
-            let (sv, _) = fresh.verify(&w.site, &cfg);
-            let (rv, _) = reused.verify(&w.site, &cfg);
-            assert_eq!(sv.scores, rv.scores, "world {wi} threads={t}: scores");
-        }
-        // Poison-check: an empty minute build on the used scratch, then
-        // keep going with the same scratch.
-        let (empty, _) =
-            Viewmap::build_with_scratch(&vps, w.site, MinuteId(9), &cfg, 4, &mut scratch);
-        assert!(empty.is_empty(), "world {wi}: minute-9 build");
     }
 }
 

@@ -8,95 +8,23 @@
 
 use std::process::ExitCode;
 use vm_scenario::{run_seed, Scenario};
-
-fn usage() -> ! {
-    eprintln!(
-        "usage: vm-scenario [--scenario NAME|all] [--seed N] [--seeds N] [--start N] [--list]\n\
-         \n\
-         --scenario NAME   one scenario by name, or `all` (default: all)\n\
-         --seed N          run exactly seed N\n\
-         --seeds N         run N consecutive seeds (default: 1)\n\
-         --start N         first seed for --seeds (default: 0)\n\
-         --list            print the catalog and exit"
-    );
-    std::process::exit(2);
-}
+use vm_vopr::rig::{parse_args, sweep};
 
 fn main() -> ExitCode {
-    let mut scenario_arg = String::from("all");
-    let mut seed: Option<u64> = None;
-    let mut seeds: u64 = 1;
-    let mut start: u64 = 0;
-
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut value = |name: &str| args.next().unwrap_or_else(|| usage_for(name));
-        match arg.as_str() {
-            "--scenario" => scenario_arg = value("--scenario"),
-            "--seed" => seed = Some(parse(&value("--seed"))),
-            "--seeds" => seeds = parse(&value("--seeds")),
-            "--start" => start = parse(&value("--start")),
-            "--list" => {
-                for s in Scenario::all() {
-                    println!("{:<18} {}", s.name(), s.description());
-                }
-                return ExitCode::SUCCESS;
-            }
-            _ => usage(),
+    let names = Scenario::all().map(|s| s.name());
+    let args = parse_args("vm-scenario", &names, 1, "--list");
+    if args.switch {
+        for s in Scenario::all() {
+            println!("{:<22} {}", s.name(), s.description());
         }
+        return ExitCode::SUCCESS;
     }
-
-    let selected: Vec<Scenario> = if scenario_arg == "all" {
-        Scenario::all().to_vec()
-    } else {
-        match Scenario::from_name(&scenario_arg) {
-            Some(s) => vec![s],
-            None => {
-                eprintln!("unknown scenario `{scenario_arg}` (try --list)");
-                return ExitCode::from(2);
-            }
-        }
-    };
-    let seed_range: Vec<u64> = match seed {
-        Some(s) => vec![s],
-        None => (start..start + seeds).collect(),
-    };
-
-    let mut failures = 0usize;
-    for scenario in &selected {
-        for &seed in &seed_range {
-            match run_seed(*scenario, seed) {
-                Ok(report) => println!(
-                    "ok   {:<18} seed={:<4} ops={:<5} retries={:<3} vps={:<4} {}",
-                    report.scenario.name(),
-                    report.seed,
-                    report.ops,
-                    report.retries,
-                    report.final_vps,
-                    report.note
-                ),
-                Err(e) => {
-                    failures += 1;
-                    eprintln!("FAIL {e}");
-                }
-            }
-        }
-    }
-    if failures > 0 {
-        eprintln!("{failures} scenario run(s) failed");
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
-}
-
-fn parse(s: &str) -> u64 {
-    s.parse().unwrap_or_else(|_| {
-        eprintln!("not a number: {s}");
-        std::process::exit(2);
+    sweep(&names, &args, true, |s, seed| {
+        run_seed(Scenario::all()[s], seed).map(|report| {
+            format!(
+                "ops={:<5} retries={:<3} vps={:<4} {}",
+                report.ops, report.retries, report.final_vps, report.note
+            )
+        })
     })
-}
-
-fn usage_for(name: &str) -> ! {
-    eprintln!("{name} needs a value");
-    usage()
 }

@@ -1,4 +1,9 @@
-//! The scenario catalog: every named workload the generator can drive.
+//! The scenario catalog: every named workload the generator can drive,
+//! as rows of world × fault profile (the assertion set per row lives in
+//! [`crate::harness`]).
+
+use vm_vopr::rig::{FaultProfile, REWARD_KEY_BITS};
+use vm_vopr::{Scenario as Fault, WireFaults};
 
 /// A named end-to-end workload. Each scenario composes the simulation
 /// stack differently and carries its own assertion matrix; all of them
@@ -12,7 +17,7 @@ pub enum Scenario {
     /// wire: linkage starvation and guard-node behavior.
     RuralSparse,
     /// Multi-minute ingest against progressive `evict_minutes_before`
-    /// sweeps: retention exactness and maintained-viewmap equivalence.
+    /// sweeps: retention exactness and memo-vs-cold equivalence.
     RetentionChurn,
     /// Several colluding attackers each launching fake-VP rays at the
     /// investigation site: TrustRank resilience within `lemma2_bound`.
@@ -23,31 +28,69 @@ pub enum Scenario {
     /// Many concurrent reward sessions racing blind-sign and redeem:
     /// exactly-once issuance and double-spend defense under contention.
     RedemptionStorm,
+    /// The rush-hour world under vm-vopr's `crash-loop` profile: the
+    /// platoon's edge blowup must survive several crash/recover
+    /// generations with dropped WAL tails.
+    RushHourCrashLoop,
+    /// The sybil-flood world across vm-vopr's `failover` profile: the
+    /// Lemma 2 bound must hold on the promoted follower.
+    SybilFloodFailover,
 }
+
+/// The catalog, in declaration order: CLI name and one-line description
+/// per row.
+const CATALOG: [(Scenario, &str, &str); 8] = [
+    (
+        Scenario::RushHour,
+        "rush-hour",
+        "dense downtown platoon: viewmap edge blowup + oracle equivalence",
+    ),
+    (
+        Scenario::RuralSparse,
+        "rural-sparse",
+        "sparse rural traffic over a degraded link: linkage starvation + guards",
+    ),
+    (
+        Scenario::RetentionChurn,
+        "retention-churn",
+        "multi-minute ingest vs eviction sweeps: memo-vs-cold equivalence",
+    ),
+    (
+        Scenario::SybilFlood,
+        "sybil-flood",
+        "colluding Sybil attackers: fake trust bounded by lemma 2",
+    ),
+    (
+        Scenario::ForgedTrajectory,
+        "forged-trajectory",
+        "one forged trajectory through the site: bounded + honest top",
+    ),
+    (
+        Scenario::RedemptionStorm,
+        "redemption-storm",
+        "concurrent blind-sign/redeem sessions: exactly-once cash",
+    ),
+    (
+        Scenario::RushHourCrashLoop,
+        "rush-hour-crash-loop",
+        "the rush-hour world through crash/recover generations",
+    ),
+    (
+        Scenario::SybilFloodFailover,
+        "sybil-flood-failover",
+        "the sybil-flood world across a failover: lemma 2 on the promoted follower",
+    ),
+];
 
 impl Scenario {
     /// Every scenario, in catalog order.
-    pub fn all() -> [Scenario; 6] {
-        [
-            Scenario::RushHour,
-            Scenario::RuralSparse,
-            Scenario::RetentionChurn,
-            Scenario::SybilFlood,
-            Scenario::ForgedTrajectory,
-            Scenario::RedemptionStorm,
-        ]
+    pub fn all() -> [Scenario; 8] {
+        CATALOG.map(|(scenario, ..)| scenario)
     }
 
     /// The CLI name (`--scenario <name>`).
     pub fn name(&self) -> &'static str {
-        match self {
-            Scenario::RushHour => "rush-hour",
-            Scenario::RuralSparse => "rural-sparse",
-            Scenario::RetentionChurn => "retention-churn",
-            Scenario::SybilFlood => "sybil-flood",
-            Scenario::ForgedTrajectory => "forged-trajectory",
-            Scenario::RedemptionStorm => "redemption-storm",
-        }
+        CATALOG[*self as usize].1
     }
 
     /// Parse a CLI name.
@@ -55,23 +98,33 @@ impl Scenario {
         Self::all().into_iter().find(|s| s.name() == name)
     }
 
-    /// One-line description for `--help` and reports.
+    /// One-line description for `--list` and reports.
     pub fn description(&self) -> &'static str {
+        CATALOG[*self as usize].2
+    }
+
+    /// The fault profile the scenario's world runs under. The crossed
+    /// cells borrow vm-vopr's catalog rows as they are.
+    pub fn profile(&self) -> FaultProfile {
         match self {
-            Scenario::RushHour => {
-                "dense downtown platoon: viewmap edge blowup + oracle equivalence"
-            }
-            Scenario::RuralSparse => {
-                "sparse rural traffic over a degraded link: linkage starvation + guards"
-            }
-            Scenario::RetentionChurn => {
-                "multi-minute ingest vs eviction sweeps: maintained-viewmap equivalence"
-            }
-            Scenario::SybilFlood => "colluding Sybil attackers: fake trust bounded by lemma 2",
-            Scenario::ForgedTrajectory => {
-                "one forged trajectory through the site: bounded + honest top"
-            }
-            Scenario::RedemptionStorm => "concurrent blind-sign/redeem sessions: exactly-once cash",
+            Scenario::RushHour
+            | Scenario::RetentionChurn
+            | Scenario::SybilFlood
+            | Scenario::ForgedTrajectory => FaultProfile::NONE,
+            Scenario::RuralSparse => FaultProfile {
+                wire: Some(WireFaults::rural_link()),
+                proxy_salt: 0xcafe,
+                ..FaultProfile::NONE
+            },
+            // One worker per racing session, and keys wide enough for
+            // real blind signatures.
+            Scenario::RedemptionStorm => FaultProfile {
+                key_bits: REWARD_KEY_BITS,
+                workers: 4,
+                ..FaultProfile::NONE
+            },
+            Scenario::RushHourCrashLoop => *Fault::CrashLoop.profile(),
+            Scenario::SybilFloodFailover => *Fault::Failover.profile(),
         }
     }
 }
@@ -88,7 +141,8 @@ mod tests {
 
     #[test]
     fn names_round_trip() {
-        for s in Scenario::all() {
+        for (i, s) in Scenario::all().into_iter().enumerate() {
+            assert_eq!(s as usize, i, "{s} sits off its discriminant");
             assert_eq!(Scenario::from_name(s.name()), Some(s));
         }
         assert_eq!(Scenario::from_name("nope"), None);
@@ -106,7 +160,9 @@ mod tests {
                 "retention-churn",
                 "sybil-flood",
                 "forged-trajectory",
-                "redemption-storm"
+                "redemption-storm",
+                "rush-hour-crash-loop",
+                "sybil-flood-failover"
             ]
         );
     }

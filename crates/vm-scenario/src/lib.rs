@@ -8,7 +8,10 @@
 //! the **real wire** (`VmClient` → `vm-service` → durable
 //! [`vm_store::PersistentServer`]), and checks a scenario-specific
 //! assertion matrix against an in-process oracle plus the `vm-obs`
-//! telemetry snapshot.
+//! telemetry snapshot. The cell, ledger, oracle and failure report are
+//! [`vm_vopr::rig`]'s — the same rig the fault simulator runs on — so a
+//! catalog row can put its world under any of `vm-vopr`'s fault
+//! profiles (`rush-hour-crash-loop`, `sybil-flood-failover`).
 //!
 //! Every failure prints a copy-pasteable repro line:
 //!
@@ -16,8 +19,9 @@
 //! cargo run --release -p vm-scenario -- --scenario sybil-flood --seed 17
 //! ```
 //!
-//! The catalog lives in [`catalog::Scenario`]; world generation in
-//! [`world`]; the driver and assertion matrix in [`harness`].
+//! The catalog (world × fault profile per row) lives in
+//! [`catalog::Scenario`]; world generation in [`world`]; the assertion
+//! sets in [`harness`].
 
 #![forbid(unsafe_code)]
 

@@ -11,7 +11,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashSet;
 use viewmap_core::bloom::BloomFilter;
-use viewmap_core::types::{GeoPos, VpId, SECONDS_PER_VP};
+use viewmap_core::types::{GeoPos, MinuteId, VpId, SECONDS_PER_VP};
 use viewmap_core::vd::ViewDigest;
 use viewmap_core::viewmap::Site;
 use viewmap_core::vp::{StoredVp, VpBuilder, VpKind};
@@ -19,6 +19,7 @@ use vm_geo::{CityParams, RoadNetwork};
 use vm_mobility::{MobilityConfig, SpeedScenario, TrafficSim};
 use vm_sim::{run_protocol_sim, SimConfig};
 use vm_vision::SyntheticScene;
+use vm_vopr::rig::World;
 
 /// Witnessing radius for the hand-wired attack worlds, metres. Below
 /// the 400 m DSRC radius so every Bloom-wired pair also passes the
@@ -45,6 +46,19 @@ pub struct SimWorld {
     pub site: Site,
     /// Fraction of uploads that were guard VPs.
     pub guard_share: f64,
+}
+
+impl SimWorld {
+    /// The rig's view of this world: sim minute `m` is `MinuteId(m)`.
+    pub fn world(&self) -> World {
+        let minutes = self.minutes.iter().enumerate();
+        World {
+            minutes: minutes
+                .map(|(m, mw)| (MinuteId(m as u64), mw.vps.clone()))
+                .collect(),
+            site: self.site,
+        }
+    }
 }
 
 /// Run the full protocol simulation (mobility + radio + guards +
@@ -117,6 +131,17 @@ pub struct AttackWorld {
     pub site: Site,
     /// A site covering everything (equivalence checks).
     pub wide_site: Site,
+}
+
+impl AttackWorld {
+    /// The rig's view of this world: one minute, investigated at the
+    /// wide site so every VP — fakes included — is a member.
+    pub fn world(&self) -> World {
+        World {
+            minutes: vec![(MinuteId(0), self.vps.clone())],
+            site: self.wide_site,
+        }
+    }
 }
 
 /// Drive `spec.vehicles` IDM vehicles over a synthetic city for one

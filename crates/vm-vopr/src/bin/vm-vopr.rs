@@ -5,113 +5,17 @@
 //! ```
 //!
 //! Any failing run prints its seed and a copy-pasteable reproduction
-//! command, and the process exits nonzero.
+//! command, and the process exits nonzero; `--verbose` also prints each
+//! passing run's report.
 
+use std::process::ExitCode;
+use vm_vopr::rig::{parse_args, sweep};
 use vm_vopr::{run_seed, Scenario};
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: vm-vopr [--scenario NAME|all] [--seed N | --seeds COUNT [--start N]] [--verbose]\n\
-         scenarios: {}",
-        Scenario::all()
-            .iter()
-            .map(|s| s.name())
-            .collect::<Vec<_>>()
-            .join(", ")
-    );
-    std::process::exit(2);
-}
-
-fn parse_u64(args: &mut std::slice::Iter<'_, String>, flag: &str) -> u64 {
-    match args.next().map(|v| v.parse::<u64>()) {
-        Some(Ok(v)) => v,
-        _ => {
-            eprintln!("{flag} needs an unsigned integer");
-            usage();
-        }
-    }
-}
-
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut scenarios: Vec<Scenario> = Scenario::all().to_vec();
-    let mut single_seed: Option<u64> = None;
-    let mut count: u64 = 20;
-    let mut start: u64 = 0;
-    let mut verbose = false;
-
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--scenario" => match it.next().map(String::as_str) {
-                Some("all") => scenarios = Scenario::all().to_vec(),
-                Some(name) => match Scenario::from_name(name) {
-                    Some(s) => scenarios = vec![s],
-                    None => {
-                        eprintln!("unknown scenario: {name}");
-                        usage();
-                    }
-                },
-                None => usage(),
-            },
-            "--seed" => single_seed = Some(parse_u64(&mut it, "--seed")),
-            "--seeds" => count = parse_u64(&mut it, "--seeds"),
-            "--start" => start = parse_u64(&mut it, "--start"),
-            "--verbose" => verbose = true,
-            "--help" | "-h" => usage(),
-            other => {
-                eprintln!("unknown argument: {other}");
-                usage();
-            }
-        }
-    }
-
-    let seeds: Vec<u64> = match single_seed {
-        Some(s) => vec![s],
-        None => (start..start + count).collect(),
-    };
-
-    let started = std::time::Instant::now();
-    let mut runs = 0usize;
-    let mut failures = 0usize;
-    for &scenario in &scenarios {
-        let mut ops = 0usize;
-        let mut retries = 0usize;
-        let mut crashes = 0usize;
-        let mut torn = 0usize;
-        for &seed in &seeds {
-            runs += 1;
-            match run_seed(scenario, seed) {
-                Ok(report) => {
-                    ops += report.ops;
-                    retries += report.retries;
-                    crashes += report.crashes;
-                    torn += report.torn_segments;
-                    if verbose {
-                        println!("ok   {report:?}");
-                    }
-                }
-                Err(e) => {
-                    failures += 1;
-                    eprintln!("FAILED {e}");
-                }
-            }
-        }
-        println!(
-            "{:<11} {:>4} seeds  {:>6} ops  {:>4} retries  {:>3} crashes  {:>3} torn tails",
-            scenario.name(),
-            seeds.len(),
-            ops,
-            retries,
-            crashes,
-            torn
-        );
-    }
-    println!(
-        "{runs} runs in {:.1}s, {failures} failures",
-        started.elapsed().as_secs_f64()
-    );
-    if failures > 0 {
-        std::process::exit(1);
-    }
+fn main() -> ExitCode {
+    let names = Scenario::all().map(Scenario::name);
+    let args = parse_args("vm-vopr", &names, 20, "--verbose");
+    sweep(&names, &args, args.switch, |s, seed| {
+        run_seed(Scenario::all()[s], seed).map(|report| format!("{report:?}"))
+    })
 }

@@ -39,14 +39,24 @@
 //! `vm-vopr --scenario <s> --seed <n>` replays the identical fault
 //! plan.
 //!
-//! The catalog lives in [`scenario::Scenario`]; the sweep driver is the
-//! `vm-vopr` binary (`cargo run -p vm-vopr -- --help`).
+//! The catalog lives in [`scenario::Scenario`] — each scenario is a row
+//! of fault parameters ([`rig::FaultProfile`]) — and the sweep driver is
+//! the `vm-vopr` binary (`cargo run -p vm-vopr -- --help`).
+//!
+//! The generic half of the harness — the durable cell and its
+//! crash/reopen life-cycle, the accepted-ops ledger, the oracle and its
+//! equivalence check, the failure report, the CLI sweep — is [`rig`],
+//! which `vm-scenario` builds its city workloads on too; [`harness`]
+//! keeps the fault choreography and can drive any [`rig::World`], so a
+//! workload crate gets "its world under this fault profile" by passing
+//! both to [`harness::run_world`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod harness;
 pub mod proxy;
+pub mod rig;
 pub mod scenario;
 
 pub use harness::{run_seed, RunReport};

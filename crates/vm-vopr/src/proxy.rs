@@ -53,22 +53,26 @@ pub struct WireFaults {
 
 impl Default for WireFaults {
     fn default() -> Self {
-        WireFaults {
-            delay_us: (0, 0),
-            max_chunk: 4096,
-            stall_prob: 0.0,
-            stall_ms: (0, 0),
-            corrupt_prob: 0.0,
-            cut_prob: 0.0,
-        }
+        WireFaults::NONE
     }
 }
 
 impl WireFaults {
+    /// Injects nothing: a transparent relay (a `const`, so catalog rows
+    /// can be `const` tables that override single fields).
+    pub const NONE: WireFaults = WireFaults {
+        delay_us: (0, 0),
+        max_chunk: 4096,
+        stall_prob: 0.0,
+        stall_ms: (0, 0),
+        corrupt_prob: 0.0,
+        cut_prob: 0.0,
+    };
+
     /// A long thin pipe: jittered latency, small fragments, brief
     /// stalls — degraded but loss-free, so every request eventually
     /// completes without retries. Models a rural cellular uplink.
-    pub fn rural_link() -> Self {
+    pub const fn rural_link() -> Self {
         WireFaults {
             delay_us: (50, 400),
             max_chunk: 256,

@@ -1,7 +1,10 @@
-//! The scenario catalog: named fault mixes the driver binary and the CI
-//! smoke sweep iterate over.
+//! The scenario catalog: named fault profiles the driver binary and the
+//! CI smoke sweep iterate over. A scenario is a row of fault parameters
+//! ([`FaultProfile`]), not a hand-written driver.
 
 use crate::proxy::WireFaults;
+use crate::rig::{FaultProfile, PairFault, REWARD_KEY_BITS};
+use std::time::Duration;
 
 /// A named fault mix. Each scenario fixes *which* fault classes are
 /// armed; *where* they strike is drawn from the run seed.
@@ -27,13 +30,13 @@ pub enum Scenario {
     /// idle-timeout-armed server reaping silent sessions, a
     /// read-deadline-armed client recovering via reconnect.
     Gray,
-    /// Churn: continuous ingest racing maintained-viewmap
-    /// investigations and a retention sweep under mild wire chaos,
-    /// across crash/recover generations. The oracle asserts the
-    /// incrementally maintained viewmap equals a cold build at probe
-    /// points mid-ingest, right after every recovery (the recovered
-    /// server must rebuild maintained state from scratch, never trust
-    /// it stale), and after an evicted minute is fully resubmitted.
+    /// Churn: continuous ingest racing memoised investigations and a
+    /// retention sweep under mild wire chaos, across crash/recover
+    /// generations. The oracle asserts the viewlink memo equals a cold
+    /// build at probe points mid-ingest, right after every recovery
+    /// (the recovered server must rebuild memo state from scratch,
+    /// never trust it stale), and after an evicted minute is fully
+    /// resubmitted.
     Churn,
     /// Replication under wire chaos: a primary ships its WAL to one
     /// follower through a chaotic proxy (delays, trickle, corruption,
@@ -58,35 +61,139 @@ pub enum Scenario {
     LaggingFollower,
 }
 
+/// The catalog, in `Scenario` declaration order: name (what
+/// `--scenario` accepts) and fault profile per row.
+static CATALOG: [(Scenario, &str, FaultProfile); 9] = [
+    (
+        Scenario::Baseline,
+        "baseline",
+        FaultProfile {
+            pipelined: true,
+            ..FaultProfile::NONE
+        },
+    ),
+    (
+        Scenario::WireChaos,
+        "wire-chaos",
+        FaultProfile {
+            wire: Some(WireFaults {
+                delay_us: (0, 300),
+                max_chunk: 256,
+                corrupt_prob: 0.002,
+                cut_prob: 0.004,
+                ..WireFaults::NONE
+            }),
+            ..FaultProfile::NONE
+        },
+    ),
+    (
+        Scenario::TornTail,
+        "torn-tail",
+        FaultProfile {
+            generations: (2, 2),
+            tears_mid_frame: true,
+            ..FaultProfile::NONE
+        },
+    ),
+    (
+        Scenario::CrashLoop,
+        "crash-loop",
+        FaultProfile {
+            generations: (3, 5),
+            ..FaultProfile::NONE
+        },
+    ),
+    (
+        Scenario::Gray,
+        "gray",
+        FaultProfile {
+            wire: Some(WireFaults {
+                max_chunk: 1,
+                stall_prob: 0.0003,
+                stall_ms: (40, 80),
+                ..WireFaults::NONE
+            }),
+            idle_timeout: Some(Duration::from_millis(30)),
+            ..FaultProfile::NONE
+        },
+    ),
+    (
+        Scenario::Churn,
+        "churn",
+        FaultProfile {
+            // Milder than wire-chaos: the point is the memo lifecycle
+            // under churn, so faults spice the ingest without drowning
+            // the run in retries.
+            wire: Some(WireFaults {
+                delay_us: (0, 200),
+                max_chunk: 512,
+                corrupt_prob: 0.001,
+                cut_prob: 0.003,
+                ..WireFaults::NONE
+            }),
+            generations: (2, 3),
+            memo_churn: true,
+            ..FaultProfile::NONE
+        },
+    ),
+    (
+        Scenario::Replica,
+        "replica",
+        FaultProfile {
+            // The replication stream is high-volume (whole segment
+            // frames), so per-chunk rates stay low: corruption kills
+            // the session at the envelope checksum and every cut
+            // forces a catch-up resync — the paths under test.
+            wire: Some(WireFaults {
+                delay_us: (0, 200),
+                max_chunk: 512,
+                corrupt_prob: 0.001,
+                cut_prob: 0.002,
+                ..WireFaults::NONE
+            }),
+            proxy_salt: 0x7265_706c,
+            pair: Some(PairFault::ChaoticLink),
+            key_bits: REWARD_KEY_BITS,
+            ..FaultProfile::NONE
+        },
+    ),
+    (
+        Scenario::Failover,
+        "failover",
+        FaultProfile {
+            // A clean link: the torture is the crash itself, and the
+            // synchronous acks a failover pair runs with must mean what
+            // they say.
+            pair: Some(PairFault::Failover),
+            key_bits: REWARD_KEY_BITS,
+            ..FaultProfile::NONE
+        },
+    ),
+    (
+        Scenario::LaggingFollower,
+        "lagging-follower",
+        FaultProfile {
+            // A transparent valve: no byte faults, just a listener the
+            // driver can sever and slam shut (`set_refusing`) to hold
+            // the follower partitioned across its redials.
+            wire: Some(WireFaults::NONE),
+            proxy_salt: 0x7265_706c,
+            pair: Some(PairFault::Partition),
+            key_bits: REWARD_KEY_BITS,
+            ..FaultProfile::NONE
+        },
+    ),
+];
+
 impl Scenario {
     /// Every scenario, in catalog order.
     pub fn all() -> [Scenario; 9] {
-        [
-            Scenario::Baseline,
-            Scenario::WireChaos,
-            Scenario::TornTail,
-            Scenario::CrashLoop,
-            Scenario::Gray,
-            Scenario::Churn,
-            Scenario::Replica,
-            Scenario::Failover,
-            Scenario::LaggingFollower,
-        ]
+        CATALOG.map(|(scenario, ..)| scenario)
     }
 
     /// The catalog name (what `--scenario` accepts).
     pub fn name(self) -> &'static str {
-        match self {
-            Scenario::Baseline => "baseline",
-            Scenario::WireChaos => "wire-chaos",
-            Scenario::TornTail => "torn-tail",
-            Scenario::CrashLoop => "crash-loop",
-            Scenario::Gray => "gray",
-            Scenario::Churn => "churn",
-            Scenario::Replica => "replica",
-            Scenario::Failover => "failover",
-            Scenario::LaggingFollower => "lagging-follower",
-        }
+        CATALOG[self as usize].1
     }
 
     /// Parse a catalog name.
@@ -94,92 +201,28 @@ impl Scenario {
         Scenario::all().into_iter().find(|s| s.name() == name)
     }
 
-    /// The wire fault mix, if this scenario routes traffic through a
-    /// [`crate::proxy::ChaosProxy`] (`None` = direct connection). For
-    /// the single-cell scenarios the proxy sits on the client↔service
-    /// link; for the replicated ones it sits on the primary↔follower
-    /// *replication* link.
-    pub(crate) fn wire_faults(self) -> Option<WireFaults> {
-        match self {
-            Scenario::Baseline
-            | Scenario::TornTail
-            | Scenario::CrashLoop
-            // Failover promotes on a clean link: the torture is the
-            // crash itself, and sync acks must mean what they say.
-            | Scenario::Failover => None,
-            Scenario::WireChaos => Some(WireFaults {
-                delay_us: (0, 300),
-                max_chunk: 256,
-                corrupt_prob: 0.002,
-                cut_prob: 0.004,
-                ..WireFaults::default()
-            }),
-            Scenario::Gray => Some(WireFaults {
-                max_chunk: 1,
-                stall_prob: 0.0003,
-                stall_ms: (40, 80),
-                ..WireFaults::default()
-            }),
-            // Milder than WireChaos: the scenario's point is the
-            // maintained-graph lifecycle under churn, so faults spice
-            // the ingest without drowning the run in retries.
-            Scenario::Churn => Some(WireFaults {
-                delay_us: (0, 200),
-                max_chunk: 512,
-                corrupt_prob: 0.001,
-                cut_prob: 0.003,
-                ..WireFaults::default()
-            }),
-            // The replication stream is high-volume (whole segment
-            // frames), so per-chunk rates stay low: corruption kills
-            // the session at the envelope checksum and every cut
-            // forces a catch-up resync — the paths under test.
-            Scenario::Replica => Some(WireFaults {
-                delay_us: (0, 200),
-                max_chunk: 512,
-                corrupt_prob: 0.001,
-                cut_prob: 0.002,
-                ..WireFaults::default()
-            }),
-            // A transparent valve: no byte faults, just a listener the
-            // driver can sever and slam shut (`set_refusing`) to hold
-            // the follower partitioned across its redials.
-            Scenario::LaggingFollower => Some(WireFaults::default()),
-        }
-    }
-
-    /// Crash/recover generations a run drives (1 = no injected crash).
-    /// Replicated scenarios don't use the crash-loop flow — their
-    /// lifecycle (partition, crash-and-promote) lives in the
-    /// replication driver.
-    pub(crate) fn generations(self, seed_rng: &mut impl rand::Rng) -> usize {
-        match self {
-            Scenario::Baseline | Scenario::WireChaos | Scenario::Gray => 1,
-            Scenario::TornTail => 2,
-            Scenario::CrashLoop => seed_rng.gen_range(3..=5),
-            Scenario::Churn => seed_rng.gen_range(2..=3),
-            Scenario::Replica | Scenario::Failover | Scenario::LaggingFollower => 1,
-        }
-    }
-
-    /// Whether this scenario drives a replicated pair (primary +
-    /// follower) instead of a single cell.
-    pub(crate) fn replicated(self) -> bool {
-        matches!(
-            self,
-            Scenario::Replica | Scenario::Failover | Scenario::LaggingFollower
-        )
-    }
-
-    /// Whether crashes injure the WAL tail mid-frame (vs clean
-    /// frame-boundary truncation).
-    pub(crate) fn tears_mid_frame(self) -> bool {
-        matches!(self, Scenario::TornTail)
+    /// The scenario's fault profile.
+    pub fn profile(self) -> &'static FaultProfile {
+        &CATALOG[self as usize].2
     }
 }
 
 impl std::fmt::Display for Scenario {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.name())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn catalog_rows_sit_at_their_discriminant() {
+        // `name`/`profile` index the table by discriminant.
+        for (i, (scenario, name, _)) in CATALOG.iter().enumerate() {
+            assert_eq!(*scenario as usize, i, "{name} is out of order");
+            assert_eq!(Scenario::from_name(name), Some(*scenario));
+        }
     }
 }

@@ -8,6 +8,7 @@
 //!
 //! Run with: `cargo run --release --example accident_investigation`
 
+use std::sync::Arc;
 use viewmap::core::types::{GeoPos, MinuteId};
 use viewmap::core::viewmap::{Site, Viewmap, ViewmapConfig};
 use viewmap::geo::CityParams;
@@ -74,7 +75,8 @@ fn main() {
     );
 
     let cfg_vm = ViewmapConfig::default();
-    let vm = Viewmap::build_owned(vps, site, MinuteId(minute as u64), &cfg_vm);
+    let arcs: Vec<Arc<_>> = vps.into_iter().map(Arc::new).collect();
+    let vm = Viewmap::build(&arcs, site, MinuteId(minute as u64), &cfg_vm);
     println!(
         "viewmap for minute {}: {} members, {} viewlinks, connectivity {:.0}%",
         minute,
