@@ -46,11 +46,10 @@
 //! the committing shard's lock), and its recovery path replays a
 //! directory of segments back into a state-equivalent server — see
 //! `vm-store`'s crate docs for the record format and crash-recovery
-//! invariants. The `vm-bench` crate's
-//! `bench_investigate` binary tracks these paths at 1k/10k/100k VPs
-//! against the retained naive baselines, and its `parallel_equivalence`
+//! invariants. The `vm-bench` crate keeps the naive reference engines
+//! these paths are compared against, and its `parallel_equivalence`
 //! suite is the determinism harness holding parallel/batch paths equal
-//! to their sequential counterparts.
+//! to their sequential counterparts; timings are `vm_perf`'s business.
 //!
 //! # Quick start
 //!

@@ -9,6 +9,7 @@
 //! double-spending ledger is keyed by the cash message itself.
 
 use rand::Rng;
+use vm_crypto::rsa::RsaError;
 use vm_crypto::{BigUint, BlindingSecret, RsaKeyPair, RsaPublicKey, Signature};
 
 /// One unit of virtual cash: an unblinded signature over a random message.
@@ -109,14 +110,15 @@ impl Wallet {
 
 /// The signer side (system `S`): signs blinded messages without seeing
 /// their contents. Thin wrapper used by the server.
+///
+/// The reply is positional — the wallet unblinds signature `i` with
+/// blinding secret `i` — so one value outside `[0, n)` fails the whole
+/// batch instead of shortening it.
 pub fn sign_blinded_batch(
     key: &RsaKeyPair,
     blinded: &[vm_crypto::BlindedMessage],
-) -> Vec<Signature> {
-    blinded
-        .iter()
-        .filter_map(|b| key.sign_blinded(b).ok())
-        .collect()
+) -> Result<Vec<Signature>, RsaError> {
+    blinded.iter().map(|b| key.sign_blinded(b)).collect()
 }
 
 #[cfg(test)]
@@ -136,7 +138,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let mut wallet = Wallet::new();
         let (pending, blinded) = wallet.prepare(&mut rng, key.public(), 5);
-        let signed = sign_blinded_batch(&key, &blinded);
+        let signed = sign_blinded_batch(&key, &blinded).unwrap();
         assert_eq!(signed.len(), 5);
         let added = wallet.accept_signed(key.public(), pending, &signed);
         assert_eq!(added, 5);
@@ -147,6 +149,19 @@ mod tests {
     }
 
     #[test]
+    fn one_out_of_range_blinded_value_fails_the_whole_batch() {
+        let key = keypair(12);
+        let mut rng = StdRng::seed_from_u64(13);
+        let (_, mut blinded) = Wallet::new().prepare(&mut rng, key.public(), 3);
+        blinded[1] = vm_crypto::BlindedMessage(key.public().modulus().clone());
+        assert_eq!(
+            sign_blinded_batch(&key, &blinded),
+            Err(RsaError::OutOfRange),
+            "a shortened reply would misalign every later signature"
+        );
+    }
+
+    #[test]
     fn cash_from_wrong_key_rejected() {
         let key = keypair(3);
         let other = keypair(4);
@@ -154,7 +169,7 @@ mod tests {
         let mut wallet = Wallet::new();
         let (pending, blinded) = wallet.prepare(&mut rng, key.public(), 2);
         // A forger signs with a different key.
-        let signed = sign_blinded_batch(&other, &blinded);
+        let signed = sign_blinded_batch(&other, &blinded).unwrap();
         let added = wallet.accept_signed(key.public(), pending, &signed);
         assert_eq!(added, 0, "wallet must reject badly signed cash");
     }
@@ -176,7 +191,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(9);
         let mut wallet = Wallet::new();
         let (pending, blinded) = wallet.prepare(&mut rng, key.public(), 8);
-        let signed = sign_blinded_batch(&key, &blinded);
+        let signed = sign_blinded_batch(&key, &blinded).unwrap();
         wallet.accept_signed(key.public(), pending, &signed);
         let keys: std::collections::HashSet<_> =
             wallet.cash.iter().map(|c| c.ledger_key()).collect();
@@ -189,7 +204,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(11);
         let mut wallet = Wallet::new();
         let (pending, blinded) = wallet.prepare(&mut rng, key.public(), 1);
-        let signed = sign_blinded_batch(&key, &blinded);
+        let signed = sign_blinded_batch(&key, &blinded).unwrap();
         wallet.accept_signed(key.public(), pending, &signed);
         let mut forged = wallet.cash[0].clone();
         forged.message[0] ^= 1;

@@ -151,6 +151,9 @@ pub enum RewardError {
     NotOnBoard,
     /// The presented secret does not hash to the VP id.
     BadOwnershipProof,
+    /// A blinded value that would be signed is not in `[0, n)`. Nothing
+    /// was signed and the reward is still on the board.
+    BlindedOutOfRange,
 }
 
 /// Why redeeming cash failed.
@@ -1026,6 +1029,11 @@ impl ViewMapServer {
     /// racing claimants for the same VP get exactly one set of
     /// signatures — the loser sees `NotOnBoard`. The expensive RSA
     /// signing happens outside every lock.
+    ///
+    /// The reply is positional (signature `i` answers `blinded[i]`), so
+    /// the values that would be signed are range-checked *before* the
+    /// entry is consumed: a malformed request is a typed error that
+    /// costs the owner nothing, never a short or misaligned reply.
     pub fn issue_blind_signatures(
         &self,
         vp_id: VpId,
@@ -1035,13 +1043,21 @@ impl ViewMapServer {
         // Validate first (read lock only) so the error priority matches
         // claim_reward: NotOnBoard before BadOwnershipProof.
         self.claim_reward(vp_id, secret)?;
-        // Atomically consume the entry; a race loser finds it gone.
-        let units = match self.reward_board.write().remove(&vp_id) {
-            Some(units) => units,
-            None => return Err(RewardError::NotOnBoard),
+        let take = {
+            // Check and consume under one write lock; a race loser
+            // finds the entry gone.
+            let mut board = self.reward_board.write();
+            let units = *board.get(&vp_id).ok_or(RewardError::NotOnBoard)?;
+            let take = blinded.len().min(units);
+            let n = self.key.public().modulus();
+            if blinded[..take].iter().any(|b| &b.0 >= n) {
+                return Err(RewardError::BlindedOutOfRange);
+            }
+            board.remove(&vp_id);
+            take
         };
-        let take = blinded.len().min(units);
-        let sigs = crate::reward::sign_blinded_batch(&self.key, &blinded[..take]);
+        let sigs = crate::reward::sign_blinded_batch(&self.key, &blinded[..take])
+            .map_err(|_| RewardError::BlindedOutOfRange)?;
         self.metrics.blind_signatures.add(sigs.len() as u64);
         Ok(sigs)
     }
@@ -1228,6 +1244,42 @@ mod tests {
             assert_eq!(srv.redeem(c), Ok(()));
         }
         assert_eq!(srv.redeem(&wallet.cash[0]), Err(RedeemError::DoubleSpend));
+    }
+
+    #[test]
+    fn out_of_range_blinded_value_is_typed_and_leaves_the_reward_claimable() {
+        let srv = server(13);
+        let mut rng = StdRng::seed_from_u64(14);
+        let (fin, _chunks) = record(15, 0.0);
+        let vp_id = fin.profile.id();
+        let secret = fin.secret;
+        srv.store(fin.profile.into_stored()).unwrap();
+        srv.post_reward(vp_id, 3);
+
+        let mut wallet = Wallet::new();
+        let (pending, blinded) = wallet.prepare(&mut rng, srv.public_key(), 3);
+        // Slot 1 is ≥ n: unsigned-able. Dropping it from the reply would
+        // pair signature 2 with blinding secret 1.
+        let mut bad = blinded.clone();
+        bad[1] = BlindedMessage(srv.public_key().modulus().clone());
+        assert_eq!(
+            srv.issue_blind_signatures(vp_id, &secret, &bad),
+            Err(RewardError::BlindedOutOfRange)
+        );
+        assert_eq!(srv.reward_board(), vec![(vp_id, 3)], "not consumed");
+
+        // Only the values that would be signed are checked: a bad value
+        // past the award is ignored along with the rest of the surplus.
+        let mut surplus = blinded.clone();
+        surplus.push(bad[1].clone());
+        let signed = srv
+            .issue_blind_signatures(vp_id, &secret, &surplus)
+            .unwrap();
+        assert_eq!(signed.len(), 3);
+        assert_eq!(wallet.accept_signed(srv.public_key(), pending, &signed), 3);
+        for c in &wallet.cash {
+            assert_eq!(srv.redeem(c), Ok(()));
+        }
     }
 
     #[test]

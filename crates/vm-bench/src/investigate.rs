@@ -1,14 +1,16 @@
-//! City-scale investigation benchmark support: synthetic VP populations
-//! with wired Bloom filters, and verbatim replicas of the pre-optimization
-//! ("naive") build/verify algorithms used as the speedup baseline by the
-//! `bench_investigate` binary.
+//! Synthetic city-scale worlds and the naive reference engines.
+//!
+//! [`SynthWorld`] is the seeded population the determinism suites and the
+//! 100k topology pin build on; [`naive_build`] and [`naive_verify`] are
+//! verbatim replicas of the pre-optimization build/verify algorithms,
+//! kept as the oracles the optimized engines are compared against.
 //!
 //! The synthetic generator produces [`StoredVp`]s that are *structurally*
 //! real — 60 VDs along a straight constant-speed trajectory, Bloom filters
 //! wired pairwise like a genuine DSRC exchange (first + last element VD of
-//! each neighbor) — but with fabricated cascade hashes, since investigation
-//! benchmarks never re-derive video chains. Density is held constant as
-//! the population scales (the area grows), matching how a city adds
+//! each neighbor) — but with fabricated cascade hashes, since
+//! investigations never re-derive video chains. Density is held constant
+//! as the population scales (the area grows), matching how a city adds
 //! traffic.
 
 use rand::rngs::StdRng;
@@ -116,9 +118,8 @@ impl SynthWorld {
     /// A seeded `+n` churn delta for the same minute and area: fresh
     /// untrusted VPs with ids disjoint from any [`generate`] population
     /// (high tag offset), wired pairwise among themselves exactly like
-    /// the base world. Used by the incremental-maintenance bench path
-    /// and the delta-pin test, so both grow the pinned 100k world by
-    /// the *same* deterministic batch.
+    /// the base world. The 100k topology pin grows the pinned world by
+    /// this batch.
     ///
     /// The delta is associated to the base only through `side_m` — the
     /// base population is untouched, so a world generated by
@@ -128,20 +129,10 @@ impl SynthWorld {
     ///
     /// [`generate`]: SynthWorld::generate
     pub fn delta(side_m: f64, n: usize, seed: u64) -> Vec<StoredVp> {
-        Self::delta_wave(side_m, n, seed, 0)
-    }
-
-    /// [`delta`](SynthWorld::delta) generalized to repeated churn: each
-    /// `wave` draws a disjoint tag range (so successive waves ingest as
-    /// distinct VPs instead of dedup-rejecting) and perturbs the RNG
-    /// stream. Wave 0 is bit-identical to [`delta`](SynthWorld::delta),
-    /// so the pinned +1k constants keep holding.
-    pub fn delta_wave(side_m: f64, n: usize, seed: u64, wave: u64) -> Vec<StoredVp> {
-        assert!(wave < 1 << 20, "wave tag range exhausted");
-        let mut rng = StdRng::seed_from_u64(seed ^ 0x00de_17a0 ^ (wave << 44));
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x00de_17a0);
         let mut vps: Vec<StoredVp> = (0..n as u64)
             .map(|i| {
-                let tag = (1u64 << 40) | (wave << 20) | i;
+                let tag = (1u64 << 40) | i;
                 let start = GeoPos::new(rng.gen_range(0.0..side_m), rng.gen_range(0.0..side_m));
                 let heading: f64 = rng.gen_range(0.0..std::f64::consts::TAU);
                 let speed: f64 = rng.gen_range(8.0..16.0);

@@ -1,28 +1,26 @@
-//! Experiment harness: regenerates every table and figure of the paper's
-//! evaluation, plus the scaling benchmarks and determinism suites the
-//! grown system is held to.
+//! The paper-reproduction library: the experiments behind every table and
+//! figure of the paper's evaluation, the synthetic worlds and naive
+//! reference engines the rest of the workspace tests against, and the
+//! determinism suites the grown system is held to. No timing code lives
+//! here — `vm_perf/` is the repository's one benchmark.
 //!
 //! # Paper artifacts
 //!
-//! Each binary in `src/bin/` prints a CSV (with `#`-prefixed header
-//! comments) for one table or figure (`fig8_hashing` …
-//! `table2_scenarios`); the heavy lifting lives here so the Criterion
-//! benches and the binaries share code. Experiments honor the
-//! `VM_SCALE` environment variable (default 1.0) as a multiplier on
-//! trial counts, so `VM_SCALE=0.1 cargo run --bin
-//! fig12_verification_position` gives a quick smoke pass and
-//! `VM_SCALE=10` approaches the paper's 1000-run cells.
+//! The `repro` binary (`src/bin/repro.rs`) is one table of 24
+//! experiments — `fig8_hashing` … `table2_scenarios`, the §6.1
+//! accounting, three ablations — each printing a CSV with `#`-prefixed
+//! comment lines; the heavy lifting lives in this library's modules.
+//! Experiments honor the `VM_SCALE` environment variable (default 1.0)
+//! as a multiplier on trial counts, so `VM_SCALE=0.1 cargo run -p
+//! vm-bench -- fig12_verification_position` gives a quick smoke pass
+//! and `VM_SCALE=10` approaches the paper's 1000-run cells.
+//! `tests/repro.rs` pins every seeded experiment's output.
 //!
-//! # Scaling benchmarks
+//! # Reference engines and worlds
 //!
-//! `bench_investigate` (see its binary docs) times the end-to-end
-//! investigation hot path at 1k/10k/100k VPs — single/batch/durable/
-//! networked ingest, sequential and parallel viewmap builds with a
-//! per-phase profile, TrustRank verify, upload lookup — against
-//! retained naive baselines, asserting all paths build identical
-//! viewmaps, and writes `BENCH_investigate.json` (committed at the
-//! repo root as the recorded performance trajectory; CI gates on its
-//! ratios).
+//! [`investigate`] holds [`investigate::SynthWorld`] and the retained
+//! naive build/verify algorithms; [`worlds`] the small linked worlds
+//! and the cold oracle shared with the crash, vopr and scenario rigs.
 //!
 //! # Determinism suites
 //!
@@ -30,7 +28,9 @@
 //! engines to their sequential semantics: any thread count, batch
 //! ingest vs sequential submits, exhaustive O(n²) oracles, and a
 //! fixed-seed 100k topology pin (edge count + checksum + sampled
-//! adjacency) that runs in release CI.
+//! adjacency) that runs in release CI. `tests/churn_equivalence.rs`
+//! holds the memoised investigation path to cold builds through random
+//! submit/evict/investigate histories.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -370,7 +370,7 @@ fn edge_checksum(vm: &Viewmap) -> u64 {
     ignore = "100k-tier build: minutes in debug, run under --release (CI threaded job)"
 )]
 fn hundred_k_tier_topology_pinned_to_seed_42() {
-    // The exact world the investigation benchmark uses. If this test
+    // The seeded city-scale world (`SynthWorld`, 100k VPs). If this test
     // fails after an engine change, the viewmap topology changed — that
     // is a correctness regression, not a tuning outcome; the constants
     // below were cross-checked against the pre-rewrite per-second-grid
@@ -396,9 +396,9 @@ fn hundred_k_tier_topology_pinned_to_seed_42() {
     // viewlink memo (batch-linked base, spliced delta) and pin the grown
     // topology too. The cold-build oracle above anchors the base; the
     // memo's equality to a cold build of the grown bucket is proven
-    // structurally by the churn-equivalence suite and re-asserted on
-    // every bench run, so this pin records the incremental result
-    // directly instead of rerunning the O(n·k) oracle on 101k members.
+    // structurally by the churn-equivalence suite, so this pin records
+    // the incremental result directly instead of rerunning the O(n·k)
+    // oracle on 101k members.
     // (The site admits every member, so each admission is the whole
     // bucket.)
     let mut bucket = arcs(&w.vps);

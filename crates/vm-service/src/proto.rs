@@ -294,6 +294,8 @@ pub enum ErrorCode {
     NotOnBoard = 20,
     /// [`viewmap_core::server::RewardError::BadOwnershipProof`].
     BadOwnershipProof = 21,
+    /// [`viewmap_core::server::RewardError::BlindedOutOfRange`].
+    BlindedOutOfRange = 22,
     /// [`viewmap_core::server::RedeemError::BadSignature`].
     BadSignature = 30,
     /// [`viewmap_core::server::RedeemError::DoubleSpend`].
@@ -322,6 +324,7 @@ impl ErrorCode {
             12 => ChainInvalid,
             20 => NotOnBoard,
             21 => BadOwnershipProof,
+            22 => BlindedOutOfRange,
             30 => BadSignature,
             31 => DoubleSpend,
             40 => BadRequest,
@@ -835,6 +838,7 @@ mod tests {
             ErrorCode::ChainInvalid,
             ErrorCode::NotOnBoard,
             ErrorCode::BadOwnershipProof,
+            ErrorCode::BlindedOutOfRange,
             ErrorCode::BadSignature,
             ErrorCode::DoubleSpend,
             ErrorCode::BadRequest,

@@ -609,5 +609,6 @@ fn reward_code(e: viewmap_core::server::RewardError) -> ErrorCode {
     match e {
         viewmap_core::server::RewardError::NotOnBoard => ErrorCode::NotOnBoard,
         viewmap_core::server::RewardError::BadOwnershipProof => ErrorCode::BadOwnershipProof,
+        viewmap_core::server::RewardError::BlindedOutOfRange => ErrorCode::BlindedOutOfRange,
     }
 }

@@ -352,6 +352,16 @@ fn reward_round_trips_over_the_wire_and_old_cash_survives_restart() {
     let mut wallet = viewmap_core::reward::Wallet::new();
     let mut wrng = StdRng::seed_from_u64(22);
     let (pending, blinded) = wallet.prepare(&mut wrng, &pk, units);
+    // One blinded value ≥ n is a typed rejection that leaves the reward
+    // on the board — not a shortened reply whose later signatures would
+    // unblind against the wrong secrets.
+    let mut bad = blinded.clone();
+    bad[0] = vm_crypto::BlindedMessage(pk.modulus().clone());
+    match client.blind_sign(vp_id, &secret, &bad) {
+        Err(vm_service::ClientError::Remote(ErrorCode::BlindedOutOfRange, _)) => {}
+        other => panic!("expected BlindedOutOfRange, got {other:?}"),
+    }
+    assert_eq!(srv.reward_board(), vec![(vp_id, 3)]);
     let signed = client.blind_sign(vp_id, &secret, &blinded).unwrap();
     assert_eq!(wallet.accept_signed(&pk, pending, &signed), 3);
     // Board entry consumed: a second issuance is NotOnBoard.
