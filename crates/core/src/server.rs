@@ -401,19 +401,6 @@ impl ViewMapServer {
         self.wal = Some(wal);
     }
 
-    /// Swap the attached log, returning the previous one (if any).
-    ///
-    /// Replication hook: a follower being promoted keeps appending to
-    /// the same durable store, but the layer *around* that store changes
-    /// — e.g. `vm-repl` wraps the plain `VpStore` log in a teeing
-    /// `ReplicatedWal` that ships every committed frame to the new
-    /// follower set. Same double-logging caveat as
-    /// [`attach_wal`](Self::attach_wal): the replacement must already
-    /// contain (or knowingly skip) everything replayed into this server.
-    pub fn replace_wal(&mut self, wal: Box<dyn VpWal>) -> Option<Box<dyn VpWal>> {
-        self.wal.replace(wal)
-    }
-
     /// Is a durable log attached?
     pub fn has_wal(&self) -> bool {
         self.wal.is_some()

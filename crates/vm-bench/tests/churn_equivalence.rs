@@ -24,8 +24,9 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 use viewmap_core::server::ViewMapServer;
 use viewmap_core::types::{GeoPos, MinuteId};
 use viewmap_core::upload::AnonymousSubmission;
@@ -360,7 +361,10 @@ fn two_writers_and_two_investigators_on_one_hot_minute() {
     // against a cold build of the prefix it saw (a whole-area site
     // admits its entire snapshot, and buckets are append-only, so the
     // answer's length names the prefix), and after the writers stop
-    // every site must equal the cold oracle again.
+    // every site must equal the cold oracle again. The overlap holds by
+    // construction: after its first batch each writer waits for a
+    // whole-area check to complete (on a 2-core host the writers could
+    // otherwise finish before the investigator's first loop).
     const PER_WRITER: usize = 120;
     let cfg = ViewmapConfig::default();
     let mut rng = StdRng::seed_from_u64(6);
@@ -371,6 +375,7 @@ fn two_writers_and_two_investigators_on_one_hot_minute() {
         .collect();
     let done = AtomicBool::new(false);
     let go = std::sync::Barrier::new(4);
+    let checks_done = AtomicUsize::new(0);
 
     let (mut sent, mut wide_checks) = (0usize, 0usize);
     std::thread::scope(|scope| {
@@ -378,13 +383,13 @@ fn two_writers_and_two_investigators_on_one_hot_minute() {
             .iter()
             .enumerate()
             .map(|(w, pool)| {
-                let (srv, go) = (&srv, &go);
+                let (srv, go, checks_done) = (&srv, &go, &checks_done);
                 scope.spawn(move || {
                     go.wait();
                     // The trusted anchor, then batches of five
                     // alternating with single submits.
                     let mut ok = srv.submit_trusted(pool[0].clone()).is_ok() as usize;
-                    for chunk in pool[1..].chunks(6) {
+                    for (k, chunk) in pool[1..].chunks(6).enumerate() {
                         let (batch, single) = chunk.split_at(chunk.len() - 1);
                         let subs = batch.iter().cloned().map(anon);
                         let r = if w == 0 {
@@ -393,6 +398,17 @@ fn two_writers_and_two_investigators_on_one_hot_minute() {
                             srv.submit_batch_warm(subs)
                         };
                         ok += r.iter().filter(|x| x.is_ok()).count();
+                        if k == 0 {
+                            // A dead investigator fails at its join, so
+                            // waiting is bounded rather than forever.
+                            let seen = checks_done.load(Ordering::SeqCst);
+                            let deadline = Instant::now() + Duration::from_secs(60);
+                            while checks_done.load(Ordering::SeqCst) == seen
+                                && Instant::now() < deadline
+                            {
+                                std::thread::yield_now();
+                            }
+                        }
                         ok += srv.submit(anon(single[0].clone())).is_ok() as usize;
                     }
                     ok
@@ -408,6 +424,7 @@ fn two_writers_and_two_investigators_on_one_hot_minute() {
                 let cold = Viewmap::build(&bucket[..got.len()], wide_site(), minute, &cfg);
                 assert_identical(&got, &cold, "whole-area answer mid-race");
                 checks += 1;
+                checks_done.store(checks, Ordering::SeqCst);
             }
             checks
         });

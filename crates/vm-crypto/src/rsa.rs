@@ -64,7 +64,8 @@ const PUBLIC_EXPONENT: u64 = 65537;
 impl RsaKeyPair {
     /// Generate a key pair with a modulus of roughly `bits` bits.
     ///
-    /// Tests use 512-bit keys for speed; the bench harness uses 1024.
+    /// Tests use 512-bit keys for speed; `vm_perf` uses 2048 (512 in its
+    /// smoke pass).
     pub fn generate<R: Rng + ?Sized>(rng: &mut R, bits: usize) -> Self {
         assert!(bits >= 64, "modulus too small");
         let half = bits / 2;

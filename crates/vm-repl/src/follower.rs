@@ -19,20 +19,23 @@
 //! investigation after a promotion hashes its keys lazily.)
 //!
 //! Application is pipelined: a reader thread drains the socket while
-//! the applier coalesces queued chunks of the same minute into one
-//! batch-sized validate + replay + log, acking the run's last op —
-//! the follower's version of group commit.
+//! the applier coalesces queued `FRAMES` of the same minute into one
+//! batch-sized scan (one run per worker thread when several are
+//! queued) + replay + log, acking the last op — the follower's version
+//! of group commit. The follower still re-encodes the records on its
+//! own append (its store frames them afresh).
 //!
 //! # Injuries never poison the store
 //!
-//! Every segment frame inside a `FRAMES` message is validated with the
-//! recovery rules ([`crate::wire::validate_segment_frames`]) *before*
-//! anything is applied. A torn or corrupted frame ends the message at
-//! the valid prefix: the prefix is applied (it is real committed
-//! data), the injury is counted, the connection is dropped, and the
-//! next dial's catch-up — positioned by the follower's own cursors —
-//! re-streams whatever was lost. Replay dedup makes the overlap
-//! harmless. The same path handles primaries that die mid-frame.
+//! Every `FRAMES` run is checked with the one rule recovery applies to
+//! a segment ([`vm_store::scan`]: magic, length, checksum, decodable
+//! body, minute) *before* anything is applied. A torn or corrupted
+//! frame ends the run at the committed prefix: the prefix is applied
+//! (it is real committed data), the injury is counted, the connection
+//! is dropped, and the next dial's catch-up — positioned by the
+//! follower's own cursors — re-streams whatever was lost. Replay dedup
+//! makes the overlap harmless. The same path handles primaries that
+//! die mid-frame.
 //!
 //! # Reconnect backoff
 //!
@@ -41,7 +44,7 @@
 //! by the same primary crash must not redial in lockstep, and a vopr
 //! run must be able to replay the exact jitter sequence from its seed.
 
-use crate::wire::{validate_segment_frames, ReplMsg};
+use crate::wire::ReplMsg;
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -87,11 +90,11 @@ impl Default for FollowerConfig {
 /// Counters the applier thread advances; readable at any time.
 #[derive(Debug, Default)]
 pub struct FollowerStats {
-    /// Ops fully applied (validated, replayed, acked).
+    /// Ops fully applied (scanned, replayed, acked).
     pub applied_ops: AtomicU64,
     /// Records accepted into the replica by replay.
     pub applied_records: AtomicU64,
-    /// Shipped frames that failed validation (torn, corrupted,
+    /// Shipped runs whose scan found an injury (torn, corrupted,
     /// wrong-minute); each one also forces a resync.
     pub wire_injuries: AtomicU64,
     /// Connections dropped and re-established (including injuries).
@@ -331,12 +334,12 @@ fn run_session(
 
     // Decouple reading from applying: the reader thread drains the
     // socket (envelope checksum and parse) while the applier coalesces
-    // whatever has queued up into one batch-sized validate + replay +
-    // log — the follower's version of group commit. A primary ships a
-    // large append as several bounded chunks; applying them one at a
-    // time would re-pay per-batch overheads (and fall under the
-    // parallel-encode thresholds) once per chunk, serializing the
-    // replica several chunk-latencies behind.
+    // whatever has queued up into one batch-sized scan + replay + log —
+    // the follower's version of group commit. A primary ships a large
+    // append as several bounded runs; applying them one at a time
+    // would re-pay per-batch overheads (and fall under the
+    // parallel-encode thresholds) once per run, serializing the
+    // replica several run-latencies behind.
     let (tx, rx) = std::sync::mpsc::sync_channel::<ReplMsg>(APPLY_QUEUE_MSGS);
     let reader_thread = std::thread::spawn(move || -> std::io::Result<()> {
         loop {
@@ -391,29 +394,46 @@ fn apply_stream(
                 _ => None,
             };
             if let Some(minute) = run_minute {
-                // Coalesce the run of queued FRAMES for this minute.
-                let mut run_frames: Vec<Vec<u8>> = Vec::new();
+                // Coalesce the queued FRAMES for this minute. Several
+                // queued runs (a catch-up burst) are scanned on worker
+                // threads, one run each; the records concatenate in op
+                // order up to the first injury.
+                let run: Vec<(u64, &[u8])> = queue[i..]
+                    .iter()
+                    .map_while(|msg| match msg {
+                        ReplMsg::Frames {
+                            op,
+                            minute: m,
+                            frames,
+                        } if MinuteId(*m) == minute => Some((*op, frames.as_slice())),
+                        _ => None,
+                    })
+                    .collect();
+                i += run.len();
+                let cuts = viewmap_core::par::even_cuts(
+                    run.len(),
+                    viewmap_core::par::auto_threads(run.len(), 2),
+                );
+                let scans = viewmap_core::par::map_ranges(&cuts, |_t, lo, hi| {
+                    run[lo..hi]
+                        .iter()
+                        .map(|(_, frames)| vm_store::scan(frames, minute))
+                        .collect::<Vec<_>>()
+                });
+                let mut records = Vec::new();
+                let mut injury = None;
                 let mut last_op = 0u64;
                 let mut ops = 0u64;
-                while i < queue.len() {
-                    let ReplMsg::Frames {
-                        op,
-                        minute: m,
-                        frames,
-                    } = &mut queue[i]
-                    else {
-                        break;
-                    };
-                    if MinuteId(*m) != minute {
-                        break;
-                    }
+                for ((op, _), scan) in run.iter().zip(scans.into_iter().flatten()) {
+                    records.extend(scan.records);
                     last_op = *op;
                     ops += 1;
-                    run_frames.append(frames);
-                    i += 1;
+                    if scan.injury.is_some() {
+                        injury = scan.injury;
+                        break;
+                    }
                 }
-                let (records, injury) = validate_segment_frames(&run_frames, minute);
-                // Apply the valid prefix either way: it is committed
+                // Apply the prefix either way: it is committed
                 // data, and catch-up after the drop re-streams the
                 // rest (dedup eats the overlap). The **cold** replay
                 // path skips the link-key warm: a standby logs and

@@ -9,17 +9,18 @@
 //! through the server's normal recovery path:
 //!
 //! * [`wire`] — the replication messages: vm-service frames (`0x20`
-//!   opcode range) whose `FRAMES` payloads carry raw `vm-store`
-//!   segment frames, so the disk codec doubles as the wire codec and
-//!   a follower validates shipped records exactly like recovered ones.
+//!   opcode range) whose `FRAMES` payloads carry one run of raw
+//!   `vm-store` segment frames back to back, so the disk codec doubles
+//!   as the wire codec and a follower checks shipped records with the
+//!   one rule recovery uses ([`vm_store::scan`]).
 //! * [`primary`] — [`primary::ReplHub`] (listener, follower sessions,
 //!   op numbering, ack watermark) and [`primary::ReplicatedWal`], the
-//!   `VpWal` decorator that ships every committed append after local
-//!   durability. [`primary::Primary`] bundles a durable server with a
-//!   hub.
+//!   store-backed `VpWal` that ships the bytes of every committed
+//!   append once they are written. [`primary::Primary`] bundles a
+//!   durable server with a hub.
 //! * [`follower`] — [`follower::Follower`]: a durable replica that
 //!   dials the primary, positions catch-up with per-minute cursors
-//!   from its own log, validates and applies the stream (injuries
+//!   from its own log, scans and applies the stream (injuries
 //!   quarantine the connection, never the store), acks applied ops,
 //!   and [`follower::Follower::promote`]s into a byte-equivalent
 //!   serving primary of the next epoch.
@@ -50,4 +51,4 @@ pub mod wire;
 
 pub use follower::{Follower, FollowerConfig, FollowerStats};
 pub use primary::{Primary, ReplHub, ReplicatedWal, ReplicationConfig};
-pub use wire::{validate_segment_frame, validate_segment_frames, ReplMsg, WireError};
+pub use wire::{ReplMsg, WireError};

@@ -1,13 +1,13 @@
 //! The primary side: a replication hub that ships committed WAL frames
-//! to connected followers, and the [`ReplicatedWal`] decorator that
-//! feeds it from the server's normal logging path.
+//! to connected followers, and the [`ReplicatedWal`] that feeds it the
+//! bytes the store just wrote, from the server's normal logging path.
 //!
 //! # Shipping order is the correctness backbone
 //!
 //! The server appends to its WAL under the committing minute's shard
 //! lock, so per-minute append order equals bucket order. The hub adds
 //! one global invariant on top: every shipped message — live append,
-//! catch-up chunk, eviction — is assigned its op number and written to
+//! catch-up run, eviction — is assigned its op number and written to
 //! follower sockets **under one stream mutex**. A follower therefore
 //! observes a single serialized message sequence whose per-minute
 //! record order equals the primary's bucket order, which is exactly
@@ -29,7 +29,7 @@
 //! Each follower session runs an ACK-reader thread that advances the
 //! session's acked-op cell. [`ReplHub::watermark`] is the smallest
 //! acked op across live sessions — the op up to which *every* live
-//! follower has validated, replayed, and locally logged the stream.
+//! follower has scanned, replayed, and locally logged the stream.
 //! With [`ReplicationConfig::sync_ack`] the shipping path blocks until
 //! the shipped op is acked everywhere (bounded by `ack_timeout`; a
 //! follower that can't keep up is detached, never waited on forever —
@@ -54,7 +54,7 @@ use viewmap_core::wal::VpWal;
 use vm_crypto::RsaKeyPair;
 use vm_obs::{Counter, Gauge, Histogram, Registry};
 use vm_store::segment::{parse_segment_file_name, segment_path};
-use vm_store::{tail_frames, RecoveryReport, StoreConfig, VpStore};
+use vm_store::{tail_frames, Frames, RecoveryReport, StoreConfig, VpStore};
 
 /// Replication policy for a primary.
 #[derive(Clone, Copy, Debug)]
@@ -132,7 +132,7 @@ struct HubMetrics {
     /// `sync_ack` wait per op (absent from async-shipping profiles).
     ack_wait_us: Arc<Histogram>,
     shipped_ops: Arc<Counter>,
-    /// High-water op number (catch-up chunks included).
+    /// High-water op number (catch-up runs included).
     next_op: Arc<Gauge>,
     /// Cumulative payload bytes assigned to ops.
     shipped_bytes: Arc<Gauge>,
@@ -430,8 +430,8 @@ impl ReplHub {
     }
 
     /// Stream every committed segment frame past the follower's
-    /// cursors, chunked, assigning ops from the shared counter. Called
-    /// with the stream mutex held.
+    /// cursors, assigning ops from the shared counter. Called with the
+    /// stream mutex held.
     fn catch_up(
         &self,
         state: &mut StreamState,
@@ -452,101 +452,47 @@ impl ReplHub {
             let path = segment_path(&self.dir, minute);
             // `None` marks a foreign file recovery would quarantine;
             // the store can't have written it, so there is nothing of
-            // ours to ship. `Some(empty)` covers a racing eviction.
+            // ours to ship. An empty run covers a racing eviction.
             let Some(frames) = tail_frames(&path, minute, skip)? else {
                 continue;
             };
-            let mut chunk: Vec<Vec<u8>> = Vec::new();
-            let mut chunk_bytes = 0usize;
-            for frame in frames {
-                if chunk_bytes + frame.len() > MAX_FRAMES_MSG_BYTES && !chunk.is_empty() {
-                    self.ship_chunk(state, writer, minute, std::mem::take(&mut chunk), sobs)?;
-                    chunk_bytes = 0;
+            for run in runs(&frames) {
+                state.next_op += 1;
+                if let Some(h) = self.obs.get() {
+                    h.catchup_bytes.add(run.len() as u64);
                 }
-                chunk_bytes += frame.len();
-                chunk.push(frame);
-            }
-            if !chunk.is_empty() {
-                self.ship_chunk(state, writer, minute, chunk, sobs)?;
+                self.note_ship(state, run.len() as u64, sobs);
+                ReplMsg::Frames {
+                    op: state.next_op,
+                    minute: minute.0,
+                    frames: run.to_vec(),
+                }
+                .write_to(writer)?;
             }
         }
         Ok(())
     }
 
-    fn ship_chunk(
-        &self,
-        state: &mut StreamState,
-        writer: &mut TcpStream,
-        minute: MinuteId,
-        frames: Vec<Vec<u8>>,
-        sobs: Option<&SessionObs>,
-    ) -> std::io::Result<()> {
-        state.next_op += 1;
-        let bytes: u64 = frames.iter().map(|f| f.len() as u64).sum();
-        if let Some(h) = self.obs.get() {
-            h.catchup_bytes.add(bytes);
-        }
-        self.note_ship(state, bytes, sobs);
-        ReplMsg::Frames {
-            op: state.next_op,
-            minute: minute.0,
-            frames,
-        }
-        .write_to(writer)
-    }
-
-    /// Ship one committed append to every live follower (called by
-    /// [`ReplicatedWal::append`] *after* local durability).
-    ///
-    /// Encoding runs on worker threads through the store's group-commit
-    /// framer ([`vm_store::frame_records`]) *before* the stream lock is
-    /// taken, and a large append ships as several
-    /// [`MAX_FRAMES_MSG_BYTES`]-bounded ops rather than one giant
-    /// message — so a follower starts validating and replaying the
-    /// first chunk while later chunks are still being written, and the
-    /// ack watermark advances incrementally instead of only at the end.
-    /// A follower admitted between the encode and the send sees these
-    /// records twice (once via catch-up, once shipped); its replay
-    /// dedup eats the overlap, as for any catch-up/stream overlap.
-    fn ship_append(&self, minute: MinuteId, vps: &[&StoredVp]) {
-        {
-            // Don't pay the encode with nobody listening.
-            let mut state = self.stream.lock();
-            self.prune_dead(&mut state);
-            if state.sessions.is_empty() {
-                return;
-            }
-        }
-        let frames = vm_store::frame_records(vps);
+    /// Ship one committed append — the exact bytes the store just wrote
+    /// — to every live follower (called by [`ReplicatedWal::append`]
+    /// *after* local durability, still under the minute's shard lock).
+    /// A large append ships as several [`MAX_FRAMES_MSG_BYTES`]-bounded
+    /// ops rather than one giant message, so a follower starts scanning
+    /// and replaying the first run while later ones are still on the
+    /// wire, and the ack watermark advances run by run.
+    fn ship_append(&self, minute: MinuteId, frames: &Frames) {
         let mut state = self.stream.lock();
         self.prune_dead(&mut state);
         if state.sessions.is_empty() {
             return;
         }
-        let mut chunk: Vec<Vec<u8>> = Vec::new();
-        let mut chunk_bytes = 0usize;
-        for frame in frames {
-            if chunk_bytes + frame.len() > MAX_FRAMES_MSG_BYTES && !chunk.is_empty() {
-                state.next_op += 1;
-                self.note_ship(&state, chunk_bytes as u64, None);
-                let msg = ReplMsg::Frames {
-                    op: state.next_op,
-                    minute: minute.0,
-                    frames: std::mem::take(&mut chunk),
-                };
-                self.broadcast(&mut state, &msg);
-                chunk_bytes = 0;
-            }
-            chunk_bytes += frame.len();
-            chunk.push(frame);
-        }
-        if !chunk.is_empty() {
+        for run in runs(frames) {
             state.next_op += 1;
-            self.note_ship(&state, chunk_bytes as u64, None);
+            self.note_ship(&state, run.len() as u64, None);
             let msg = ReplMsg::Frames {
                 op: state.next_op,
                 minute: minute.0,
-                frames: chunk,
+                frames: run.to_vec(),
             };
             self.broadcast(&mut state, &msg);
         }
@@ -627,6 +573,23 @@ impl ReplHub {
     }
 }
 
+/// Cut `frames` at frame boundaries into runs of at most
+/// [`MAX_FRAMES_MSG_BYTES`] (a lone larger frame is a run of its own):
+/// one `FRAMES` message each, for catch-up and live shipping alike.
+fn runs(frames: &Frames) -> impl Iterator<Item = &[u8]> {
+    let mut start = 0;
+    let ends = frames.ends();
+    ends.iter().enumerate().filter_map(move |(i, &end)| {
+        let next = ends.get(i + 1);
+        if next.is_some_and(|&next| next - start <= MAX_FRAMES_MSG_BYTES) {
+            return None;
+        }
+        let run = &frames.bytes()[start..end];
+        start = end;
+        Some(run)
+    })
+}
+
 impl Drop for ReplHub {
     fn drop(&mut self) {
         // Arc'd hubs shut down via the method; this is the last-resort
@@ -641,21 +604,21 @@ impl Drop for ReplHub {
     }
 }
 
-/// A [`VpWal`] decorator: local durability first, then log shipping.
+/// The primary's WAL: a [`VpStore`] whose every committed append also
+/// ships — local write (and fsync) first, then the very bytes written.
 ///
-/// Attach one to a server (`attach_wal` / `replace_wal`) and every
-/// committed append flows to the hub's followers; eviction sweeps ship
-/// too, so follower retention mirrors the primary's. `sync` is purely
-/// local — the remote equivalent is the ack watermark.
+/// Eviction sweeps ship too, so follower retention mirrors the
+/// primary's. `sync` is purely local — the remote equivalent is the ack
+/// watermark.
 pub struct ReplicatedWal {
-    inner: Box<dyn VpWal>,
+    store: VpStore,
     hub: Arc<ReplHub>,
 }
 
 impl ReplicatedWal {
-    /// Wrap `inner` so its committed appends also ship through `hub`.
-    pub fn new(inner: Box<dyn VpWal>, hub: Arc<ReplHub>) -> Self {
-        ReplicatedWal { inner, hub }
+    /// Wrap `store` so its committed appends also ship through `hub`.
+    pub fn new(store: VpStore, hub: Arc<ReplHub>) -> Self {
+        ReplicatedWal { store, hub }
     }
 
     /// The hub this WAL ships through.
@@ -666,24 +629,21 @@ impl ReplicatedWal {
 
 impl VpWal for ReplicatedWal {
     fn append(&self, vps: &[&StoredVp]) -> std::io::Result<()> {
-        let Some(first) = vps.first() else {
-            return Ok(());
-        };
         // Local first: a record is never on a follower before it is on
-        // the primary's own disk.
-        self.inner.append(vps)?;
-        self.hub.ship_append(first.minute(), vps);
-        Ok(())
+        // the primary's own disk — the store lends the bytes only once
+        // they are written.
+        self.store
+            .append_then(vps, |frames| self.hub.ship_append(vps[0].minute(), frames))
     }
 
     fn evict_minutes_before(&self, cutoff: MinuteId) -> std::io::Result<usize> {
-        let removed = self.inner.evict_minutes_before(cutoff)?;
+        let removed = self.store.evict_minutes_before(cutoff)?;
         self.hub.ship_evict(cutoff);
         Ok(removed)
     }
 
     fn sync(&self) -> std::io::Result<()> {
-        self.inner.sync()
+        self.store.sync()
     }
 }
 
@@ -699,7 +659,8 @@ impl Primary {
     /// signing `key`, start the replication listener on `listen_addr`,
     /// and wire the server's WAL through it.
     ///
-    /// The key rules are [`vm_store::PersistentServer::open_with_key`]'s: an
+    /// Recovery and the key rules are [`vm_store::open_unattached`]'s,
+    /// as for [`vm_store::PersistentServer::open_with_key`]: an
     /// existing keyfile must match (re-keying orphans outstanding
     /// cash); a missing one is persisted from `key`. The whole
     /// replication group shares one key — that is what lets a promoted
@@ -712,33 +673,14 @@ impl Primary {
         repl_cfg: ReplicationConfig,
         listen_addr: impl ToSocketAddrs,
     ) -> std::io::Result<(Primary, RecoveryReport)> {
-        let dir = dir.as_ref().to_path_buf();
-        // Assemble by hand instead of `open_with_key`: the store must
-        // end up *inside* a ReplicatedWal, not attached bare.
-        let (store, vps, mut report) = VpStore::open(&dir, store_cfg)?;
-        match vm_store::keyfile::load(store.dir())? {
-            Some(existing) if existing != key => {
-                return Err(std::io::Error::other(format!(
-                    "store {} already holds a different signing key — refusing to re-key",
-                    store.dir().display()
-                )));
-            }
-            Some(_) => {}
-            None => vm_store::keyfile::save(store.dir(), &key)?,
-        }
-        let mut srv = ViewMapServer::with_key(key, vmcfg);
-        let results = srv.submit_replay_batch(vps);
-        report.rejected = results.iter().filter(|r| r.is_err()).count();
-        // Bind store and hub telemetry into the server's registry so a
-        // single STATS snapshot covers the whole replicated cell. The
-        // store must bind before it moves into the ReplicatedWal.
-        store.bind_obs(srv.obs(), &report);
-        let hub = ReplHub::spawn(&dir, listen_addr, repl_cfg)?;
+        let (mut srv, store, report) =
+            vm_store::open_unattached(key, vmcfg, dir.as_ref(), store_cfg)?;
+        // Bind the hub's telemetry into the server's registry (the
+        // store's is bound already) so a single STATS snapshot covers
+        // the whole replicated cell.
+        let hub = ReplHub::spawn(dir, listen_addr, repl_cfg)?;
         hub.bind_obs(srv.obs());
-        srv.attach_wal(Box::new(ReplicatedWal::new(
-            Box::new(store),
-            Arc::clone(&hub),
-        )));
+        srv.attach_wal(Box::new(ReplicatedWal::new(store, Arc::clone(&hub))));
         Ok((
             Primary {
                 server: Arc::new(srv),

@@ -6,19 +6,20 @@
 //! length, checksum64, `request_id | opcode | payload`) with
 //! replication opcodes in the `0x20` range and `request_id` pinned to
 //! 0 — a replication link is a dedicated connection, not a pipelined
-//! session, so there is nothing to correlate. The records *inside* a
-//! [`ReplMsg::Frames`] payload are raw **segment frames** — the exact
-//! bytes [`vm_store`] appends to disk (`VMR1` header + delta-compressed
-//! body) — so the follower validates and decodes shipped records with
-//! the same rules recovery applies to its own log, and a shipped byte
-//! stream is bit-identical to the primary's segment tail.
+//! session, so there is nothing to correlate. A [`ReplMsg::Frames`]
+//! payload carries one run of raw **segment frames** back to back — the
+//! exact bytes [`vm_store`] wrote to disk (`VMR1` header +
+//! delta-compressed body each, self-delimiting by the header's length)
+//! — so the follower checks shipped records with the one rule recovery
+//! applies to its own log ([`vm_store::scan`]), and the runs shipped
+//! for a minute concatenate to the primary's segment bytes.
 //!
 //! # Messages
 //!
 //! | op | message | direction | payload |
 //! |---|---|---|---|
 //! | `0x20` | `HELLO` | follower → primary | `epoch u64`, `n u32`, n × (`minute u64`, `records u64`) |
-//! | `0x21` | `FRAMES` | primary → follower | `op u64`, `minute u64`, `n u32`, n × (`len u32`, segment frame) |
+//! | `0x21` | `FRAMES` | primary → follower | `op u64`, `minute u64`, segment frames back to back (the rest of the payload) |
 //! | `0x22` | `EVICT` | primary → follower | `op u64`, `cutoff u64` |
 //! | `0x23` | `ACK` | follower → primary | `op u64` |
 //! | `0x24` | `HELLO_OK` | primary → follower | `epoch u64` |
@@ -34,19 +35,16 @@
 //!
 //! `op` numbers are assigned by the primary, monotonically per hub
 //! lifetime, one per shipped message; `ACK` echoes the highest op the
-//! follower has fully applied (validated, replayed, logged). The
+//! follower has fully applied (scanned, replayed, logged). The
 //! primary's commit watermark is the smallest acked op across live
 //! followers.
 
 use std::io::{BufRead, Write};
-use viewmap_core::types::MinuteId;
-use viewmap_core::vp::StoredVp;
 use vm_service::proto::Frame;
-use vm_store::FRAME_HEADER_BYTES as SEGMENT_FRAME_HEADER_BYTES;
 
 /// Follower → primary: identify, prove epoch, describe what's held.
 pub const OP_REPL_HELLO: u8 = 0x20;
-/// Primary → follower: one op's worth of raw segment frames.
+/// Primary → follower: one op's run of raw segment frames.
 pub const OP_REPL_FRAMES: u8 = 0x21;
 /// Primary → follower: a retention sweep to mirror.
 pub const OP_REPL_EVICT: u8 = 0x22;
@@ -78,9 +76,9 @@ pub enum ReplMsg {
         op: u64,
         /// The minute every carried frame belongs to.
         minute: u64,
-        /// Raw segment frames (`VMR1` header + body), disk bytes
-        /// verbatim.
-        frames: Vec<Vec<u8>>,
+        /// Segment frames (`VMR1` header + body) back to back, disk
+        /// bytes verbatim.
+        frames: Vec<u8>,
     },
     /// Mirror `evict_minutes_before(cutoff)`.
     Evict {
@@ -161,11 +159,7 @@ impl ReplMsg {
             ReplMsg::Frames { op, minute, frames } => {
                 payload.extend_from_slice(&op.to_le_bytes());
                 payload.extend_from_slice(&minute.to_le_bytes());
-                payload.extend_from_slice(&(frames.len() as u32).to_le_bytes());
-                for f in frames {
-                    payload.extend_from_slice(&(f.len() as u32).to_le_bytes());
-                    payload.extend_from_slice(f);
-                }
+                payload.extend_from_slice(frames);
             }
             ReplMsg::Evict { op, cutoff } => {
                 payload.extend_from_slice(&op.to_le_bytes());
@@ -205,19 +199,8 @@ impl ReplMsg {
             OP_REPL_FRAMES => {
                 let op = take_u64(buf, &mut at)?;
                 let minute = take_u64(buf, &mut at)?;
-                let n = take_u32(buf, &mut at)? as usize;
-                if n > buf.len() / SEGMENT_FRAME_HEADER_BYTES + 1 {
-                    return Err(err(format!("frame count {n} exceeds payload")));
-                }
-                let mut frames = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let len = take_u32(buf, &mut at)? as usize;
-                    let bytes = buf
-                        .get(at..at + len)
-                        .ok_or_else(|| err("truncated segment frame"))?;
-                    at += len;
-                    frames.push(bytes.to_vec());
-                }
+                let frames = buf[at..].to_vec();
+                at = buf.len();
                 ReplMsg::Frames { op, minute, frames }
             }
             OP_REPL_EVICT => ReplMsg::Evict {
@@ -256,148 +239,20 @@ impl ReplMsg {
     }
 }
 
-/// Validate one shipped segment frame with exactly the rules recovery
-/// applies to a frame read off disk — magic, declared length, checksum,
-/// decodable body, minute agreement — and return the decoded record.
-///
-/// A frame that fails here is an **injury**, not a protocol state: the
-/// follower applies the valid prefix of the message, counts the injury,
-/// and drops the connection to resync via catch-up. It must never panic
-/// and must never let a corrupt record reach the follower's store.
-pub fn validate_segment_frame(bytes: &[u8], minute: MinuteId) -> Result<StoredVp, WireError> {
-    if bytes.len() < SEGMENT_FRAME_HEADER_BYTES {
-        return Err(err("segment frame shorter than its header"));
-    }
-    if bytes[..4] != vm_store::segment::FRAME_MAGIC {
-        return Err(err("bad segment frame magic"));
-    }
-    let body_len = u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes")) as usize;
-    if bytes.len() != SEGMENT_FRAME_HEADER_BYTES + body_len {
-        return Err(err(format!(
-            "declared body {body_len} B, carried {} B",
-            bytes.len() - SEGMENT_FRAME_HEADER_BYTES
-        )));
-    }
-    let declared = u64::from_le_bytes(bytes[8..16].try_into().expect("8 bytes"));
-    let body = &bytes[SEGMENT_FRAME_HEADER_BYTES..];
-    if vm_crypto::checksum64(body) != declared {
-        return Err(err("segment frame checksum mismatch"));
-    }
-    let vp = vm_store::decode_record(body).map_err(|e| err(format!("undecodable body: {e}")))?;
-    if vp.minute() != minute {
-        return Err(err(format!(
-            "record minute {} inside a minute-{} message",
-            vp.minute().0,
-            minute.0
-        )));
-    }
-    Ok(vp)
-}
-
-/// Validate a whole `FRAMES` payload with exactly
-/// [`validate_segment_frame`]'s rules, batched for the apply path's hot
-/// loop: structural header checks first, every body checksum through
-/// the multi-buffer engine ([`vm_crypto::checksum64_many`]), then the
-/// surviving bodies decoded on worker threads. Returns the decoded
-/// records and, if any frame is injured, the first injury — in which
-/// case the records are exactly the **valid prefix** before it, the
-/// same contract the serial validator gives the follower (apply the
-/// prefix, count the injury, drop the connection, resync).
-pub fn validate_segment_frames(
-    frames: &[Vec<u8>],
-    minute: MinuteId,
-) -> (Vec<StoredVp>, Option<WireError>) {
-    // Structural + checksum screen: find the first frame the serial
-    // validator would reject before decoding.
-    let mut structurally_ok = frames.len();
-    for (i, bytes) in frames.iter().enumerate() {
-        let ok = bytes.len() >= SEGMENT_FRAME_HEADER_BYTES
-            && bytes[..4] == vm_store::segment::FRAME_MAGIC
-            && bytes.len()
-                == SEGMENT_FRAME_HEADER_BYTES
-                    + u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes")) as usize;
-        if !ok {
-            structurally_ok = i;
-            break;
-        }
-    }
-    let bodies: Vec<&[u8]> = frames[..structurally_ok]
-        .iter()
-        .map(|b| &b[SEGMENT_FRAME_HEADER_BYTES..])
-        .collect();
-    let mut clean = structurally_ok;
-    for (i, sum) in vm_crypto::checksum64_many(&bodies).into_iter().enumerate() {
-        let declared = u64::from_le_bytes(
-            frames[i][8..SEGMENT_FRAME_HEADER_BYTES]
-                .try_into()
-                .expect("8 bytes"),
-        );
-        if sum != declared {
-            clean = i;
-            break;
-        }
-    }
-    // Decode the clean prefix in parallel; injuries past `clean` are
-    // re-diagnosed serially below for the exact per-frame error.
-    let decoded = if clean == 0 {
-        Vec::new()
-    } else {
-        let cuts = viewmap_core::par::even_cuts(
-            clean,
-            viewmap_core::par::auto_threads(clean, DECODE_PARALLEL_THRESHOLD),
-        );
-        viewmap_core::par::map_ranges(&cuts, |_t, lo, hi| {
-            frames[lo..hi]
-                .iter()
-                .map(|b| vm_store::decode_record(&b[SEGMENT_FRAME_HEADER_BYTES..]))
-                .collect::<Vec<_>>()
-        })
-    };
-    let mut records = Vec::with_capacity(clean);
-    for result in decoded.into_iter().flatten() {
-        match result {
-            Ok(vp) if vp.minute() == minute => records.push(vp),
-            Ok(vp) => {
-                return (
-                    records,
-                    Some(err(format!(
-                        "record minute {} inside a minute-{} message",
-                        vp.minute().0,
-                        minute.0
-                    ))),
-                );
-            }
-            Err(e) => return (records, Some(err(format!("undecodable body: {e}")))),
-        }
-    }
-    if clean < frames.len() {
-        // Re-run the serial validator on the injured frame for its
-        // precise diagnosis (and as the single source of truth).
-        let injury = validate_segment_frame(&frames[clean], minute)
-            .err()
-            .unwrap_or_else(|| err("batched validation disagrees with serial validator"));
-        return (records, Some(injury));
-    }
-    (records, None)
-}
-
-/// Batches below this decode on the caller's thread. Lower than the
-/// store's append threshold: decode is the apply path's biggest single
-/// cost, so even a few hundred records repay the spawn/join.
-const DECODE_PARALLEL_THRESHOLD: usize = 512;
-
-/// Ceiling on segment-frame bytes per `FRAMES` message: catch-up chunks
-/// a long segment tail rather than building one giant payload (the
-/// outer codec's `MAX_BODY_BYTES` is 64 MiB; staying far under it keeps
-/// per-message buffers cache-friendly on both ends).
+/// Ceiling on segment-frame bytes per `FRAMES` message (a lone larger
+/// frame travels alone): a long catch-up tail or a large append ships
+/// as several messages rather than one giant payload (the outer codec's
+/// `MAX_BODY_BYTES` is 64 MiB; staying far under it keeps per-message
+/// buffers cache-friendly on both ends).
 pub const MAX_FRAMES_MSG_BYTES: usize = 2 << 20;
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use viewmap_core::bloom::BloomFilter;
-    use viewmap_core::types::{GeoPos, VpId, SECONDS_PER_VP};
+    use viewmap_core::types::{GeoPos, MinuteId, VpId, SECONDS_PER_VP};
     use viewmap_core::vd::ViewDigest;
+    use viewmap_core::vp::StoredVp;
 
     fn vp(tag: u64, minute: u64) -> StoredVp {
         let mut id = [0u8; 16];
@@ -420,10 +275,10 @@ mod tests {
         StoredVp::new(vp_id, vds, BloomFilter::default(), false)
     }
 
-    fn segment_frame(tag: u64, minute: u64) -> Vec<u8> {
-        let mut buf = Vec::new();
-        vm_store::segment::append_frame(&mut buf, &vp(tag, minute));
-        buf
+    fn segment_frames(vps: &[StoredVp]) -> Vec<u8> {
+        let mut frames = vm_store::Frames::default();
+        frames.push(&vps.iter().collect::<Vec<_>>());
+        frames.bytes().to_vec()
     }
 
     #[test]
@@ -437,7 +292,7 @@ mod tests {
             ReplMsg::Frames {
                 op: 41,
                 minute: 9,
-                frames: vec![segment_frame(1, 9), segment_frame(2, 9)],
+                frames: segment_frames(&[vp(1, 9), vp(2, 9)]),
             },
             ReplMsg::Evict { op: 42, cutoff: 5 },
             ReplMsg::Ack { op: 41 },
@@ -452,33 +307,34 @@ mod tests {
     }
 
     #[test]
-    fn shipped_frames_are_disk_bytes_and_validate() {
-        let frame = segment_frame(3, 4);
-        let rec = validate_segment_frame(&frame, MinuteId(4)).unwrap();
-        let mut rebuilt = Vec::new();
-        vm_store::segment::append_frame(&mut rebuilt, &rec);
-        assert_eq!(rebuilt, frame, "validate→re-encode is bit-identical");
-        assert!(matches!(
-            validate_segment_frame(&frame, MinuteId(5)),
-            Err(WireError(e)) if e.contains("minute")
-        ));
-    }
-
-    #[test]
-    fn single_byte_corruption_never_validates_and_never_panics() {
-        let frame = segment_frame(8, 2);
-        for i in 0..frame.len() {
-            let mut hurt = frame.clone();
-            hurt[i] ^= 0x40;
-            assert!(
-                validate_segment_frame(&hurt, MinuteId(2)).is_err(),
-                "byte {i} flip passed validation"
-            );
-        }
-        // Torn at every boundary: shorter slices must also fail cleanly.
-        for cut in 0..frame.len() {
-            assert!(validate_segment_frame(&frame[..cut], MinuteId(2)).is_err());
-        }
+    fn shipped_frames_are_disk_bytes_and_scan_like_a_segment() {
+        let vps = [vp(3, 4), vp(5, 4)];
+        let bytes = segment_frames(&vps);
+        let msg = ReplMsg::Frames {
+            op: 1,
+            minute: 4,
+            frames: bytes.clone(),
+        };
+        let frame = msg.to_frame();
+        assert_eq!(
+            &frame.payload[16..],
+            &bytes[..],
+            "payload tail is disk bytes"
+        );
+        let ReplMsg::Frames { frames, .. } = ReplMsg::from_frame(&frame).unwrap() else {
+            panic!("FRAMES parses as FRAMES");
+        };
+        let scanned = vm_store::scan(&frames, MinuteId(4));
+        assert!(scanned.injury.is_none());
+        assert_eq!(
+            segment_frames(&scanned.records),
+            bytes,
+            "scan→re-frame is bit-identical"
+        );
+        assert_eq!(
+            vm_store::scan(&frames, MinuteId(5)).injury,
+            Some(vm_store::Injury::ForeignMinute(MinuteId(4)))
+        );
     }
 
     #[test]

@@ -111,7 +111,7 @@ fn live_shipping_catch_up_and_rejoin_converge_bytewise() {
         &ptmp.0,
         key.clone(),
         ViewmapConfig::default(),
-        StoreConfig::default(),
+        StoreConfig::from_env(),
         ReplicationConfig::default(),
         "127.0.0.1:0",
     )
@@ -126,7 +126,7 @@ fn live_shipping_catch_up_and_rejoin_converge_bytewise() {
         &ftmp.0,
         key.clone(),
         ViewmapConfig::default(),
-        StoreConfig::default(),
+        StoreConfig::from_env(),
         primary.repl_addr(),
         FollowerConfig {
             backoff_seed: 0x5eed,
@@ -159,7 +159,7 @@ fn live_shipping_catch_up_and_rejoin_converge_bytewise() {
         &ftmp.0,
         key.clone(),
         ViewmapConfig::default(),
-        StoreConfig::default(),
+        StoreConfig::from_env(),
         primary.repl_addr(),
         FollowerConfig {
             backoff_seed: 0x5eed + 1,
@@ -195,7 +195,7 @@ fn promotion_is_byte_equivalent_and_redeems_prefailover_cash() {
         &ptmp.0,
         key.clone(),
         ViewmapConfig::default(),
-        StoreConfig::default(),
+        StoreConfig::from_env(),
         ReplicationConfig {
             sync_ack: true,
             ..ReplicationConfig::default()
@@ -207,7 +207,7 @@ fn promotion_is_byte_equivalent_and_redeems_prefailover_cash() {
         &ftmp.0,
         key.clone(),
         ViewmapConfig::default(),
-        StoreConfig::default(),
+        StoreConfig::from_env(),
         primary.repl_addr(),
         FollowerConfig::default(),
     )
@@ -323,7 +323,7 @@ fn injured_wire_frames_quarantine_the_connection_not_the_store() {
         &ftmp.0,
         key,
         ViewmapConfig::default(),
-        StoreConfig::default(),
+        StoreConfig::from_env(),
         addr,
         FollowerConfig {
             backoff_seed: 7,
@@ -333,9 +333,9 @@ fn injured_wire_frames_quarantine_the_connection_not_the_store() {
     .unwrap();
 
     let frame = |tag: u64| {
-        let mut buf = Vec::new();
-        vm_store::segment::append_frame(&mut buf, &synthetic_vp(tag, 0));
-        buf
+        let mut frames = vm_store::Frames::default();
+        frames.push(&[&synthetic_vp(tag, 0)]);
+        frames.bytes().to_vec()
     };
 
     // Session 1: one good frame, then a corrupted one, then another
@@ -348,7 +348,7 @@ fn injured_wire_frames_quarantine_the_connection_not_the_store() {
         send(ReplMsg::Frames {
             op: 1,
             minute: 0,
-            frames: vec![frame(0), corrupt, frame(2)],
+            frames: [frame(0), corrupt, frame(2)].concat(),
         });
         Vec::new() // the injury drops the connection; no ack comes
     });
@@ -376,7 +376,7 @@ fn injured_wire_frames_quarantine_the_connection_not_the_store() {
         let msg = ReplMsg::Frames {
             op: 1,
             minute: 0,
-            frames: vec![frame(0), frame(1), frame(2)],
+            frames: [frame(0), frame(1), frame(2)].concat(),
         };
         send(msg.clone());
         vec![msg]
@@ -397,7 +397,7 @@ fn injured_wire_frames_quarantine_the_connection_not_the_store() {
         KEY_BITS,
         ViewmapConfig::default(),
         &ftmp.0,
-        StoreConfig::default(),
+        StoreConfig::from_env(),
     )
     .unwrap();
     assert_eq!(report.records, 3);
@@ -421,7 +421,7 @@ fn torn_and_corrupted_primary_segments_ship_only_the_committed_prefix() {
             key.clone(),
             ViewmapConfig::default(),
             &ptmp.0,
-            StoreConfig::default(),
+            StoreConfig::from_env(),
         )
         .unwrap();
         for t in 0..8 {
@@ -446,7 +446,7 @@ fn torn_and_corrupted_primary_segments_ship_only_the_committed_prefix() {
         &ptmp.0,
         key.clone(),
         ViewmapConfig::default(),
-        StoreConfig::default(),
+        StoreConfig::from_env(),
         ReplicationConfig::default(),
         "127.0.0.1:0",
     )
@@ -458,7 +458,7 @@ fn torn_and_corrupted_primary_segments_ship_only_the_committed_prefix() {
         &ftmp.0,
         key,
         ViewmapConfig::default(),
-        StoreConfig::default(),
+        StoreConfig::from_env(),
         primary.repl_addr(),
         FollowerConfig::default(),
     )
@@ -469,4 +469,112 @@ fn torn_and_corrupted_primary_segments_ship_only_the_committed_prefix() {
     assert_eq!(follower.server().total_vps(), 6);
     assert_eq!(follower.stats().wire_injuries.load(Ordering::Relaxed), 0);
     assert_state_equal(follower.server(), primary.server(), 2, "injured log");
+}
+
+#[test]
+fn shipped_runs_are_the_segment_bytes_with_consecutive_ops() {
+    // A raw-TCP fake follower (HELLO with empty cursors) on a real
+    // primary. Every FRAMES payload must be `op | minute | segment
+    // frames back to back`, the runs shipped for a minute must
+    // concatenate to that minute's segment file after its header, and
+    // ops must count 1, 2, 3, … — including the several ops one batch
+    // larger than a message spans.
+    use vm_repl::wire::{MAX_FRAMES_MSG_BYTES, OP_REPL_FRAMES};
+    use vm_service::proto::Frame;
+    use vm_store::segment::{segment_path, FRAME_MAGIC, SEGMENT_HEADER_BYTES};
+
+    let ptmp = TempDir::new("p_bytes");
+    let mut rng = StdRng::seed_from_u64(6);
+    let key = RsaKeyPair::generate(&mut rng, KEY_BITS);
+    let (primary, _) = Primary::open(
+        &ptmp.0,
+        key,
+        ViewmapConfig::default(),
+        StoreConfig::from_env(),
+        ReplicationConfig::default(),
+        "127.0.0.1:0",
+    )
+    .unwrap();
+
+    let stream = std::net::TcpStream::connect(primary.repl_addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    ReplMsg::Hello {
+        epoch: 1,
+        cursors: Vec::new(),
+    }
+    .write_to(&mut stream.try_clone().unwrap())
+    .unwrap();
+    assert_eq!(
+        ReplMsg::read_from(&mut reader).unwrap(),
+        Some(ReplMsg::HelloOk { epoch: 1 })
+    );
+    wait_until("fake follower admitted", Duration::from_secs(10), || {
+        primary.hub().follower_count() == 1
+    });
+    // Drain on a thread: a multi-MB append outruns the socket buffer.
+    let received = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
+    let sink = std::sync::Arc::clone(&received);
+    let drain = std::thread::spawn(move || {
+        while let Ok(Some(frame)) = Frame::read_from(&mut reader) {
+            sink.lock().unwrap().push(frame);
+        }
+    });
+
+    for t in 0..6 {
+        submit(primary.server(), synthetic_vp(t, t % 2));
+    }
+    let big: Vec<StoredVp> = (100..2200).map(|t| synthetic_vp(t, 0)).collect();
+    let big_bytes: usize = {
+        let mut frames = vm_store::Frames::default();
+        frames.push(&big.iter().collect::<Vec<_>>());
+        frames.bytes().len()
+    };
+    assert!(
+        big_bytes > MAX_FRAMES_MSG_BYTES,
+        "the batch spans several ops"
+    );
+    let acks = primary.server().submit_batch(
+        big.into_iter()
+            .map(|vp| AnonymousSubmission { session_id: 0, vp }),
+    );
+    assert!(acks.iter().all(|a| a.is_ok()));
+    for t in 6..10 {
+        submit(primary.server(), synthetic_vp(t, t % 2));
+    }
+    let shipped = primary.hub().shipped_ops();
+    assert!(
+        shipped >= 10 + 2,
+        "{shipped} ops for 10 singles and one big batch"
+    );
+    wait_until("every op received", Duration::from_secs(30), || {
+        received.lock().unwrap().len() as u64 == shipped
+    });
+    primary.server().sync_wal().unwrap();
+
+    let mut runs: std::collections::BTreeMap<u64, Vec<u8>> = Default::default();
+    for (i, frame) in received.lock().unwrap().iter().enumerate() {
+        assert_eq!(frame.opcode, OP_REPL_FRAMES);
+        let word = |at: usize| u64::from_le_bytes(frame.payload[at..at + 8].try_into().unwrap());
+        assert_eq!(word(0), i as u64 + 1, "ops are consecutive from 1");
+        let run = &frame.payload[16..];
+        assert_eq!(
+            run[..4],
+            FRAME_MAGIC,
+            "a FRAMES payload is op | minute | segment frames back to back"
+        );
+        runs.entry(word(8)).or_default().extend_from_slice(run);
+    }
+    assert_eq!(runs.len(), 2);
+    for (minute, shipped) in &runs {
+        let disk = std::fs::read(segment_path(&ptmp.0, MinuteId(*minute))).unwrap();
+        assert!(
+            shipped[..] == disk[SEGMENT_HEADER_BYTES..],
+            "minute {minute}: shipped bytes are not the segment's bytes"
+        );
+    }
+    drop(primary);
+    drain.join().unwrap();
 }

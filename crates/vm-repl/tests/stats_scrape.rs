@@ -92,7 +92,7 @@ fn stats_scrape_covers_the_stack_and_lag_drains() {
     let mut rng = StdRng::seed_from_u64(0x57a75);
     let key = RsaKeyPair::generate(&mut rng, KEY_BITS);
     let vmcfg = ViewmapConfig::default();
-    let scfg = StoreConfig::default();
+    let scfg = StoreConfig::from_env();
 
     let (primary, _) = Primary::open(
         &ptmp.0,

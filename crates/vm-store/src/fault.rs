@@ -19,7 +19,8 @@
 //! frame layout (magic, declared length, checksum — it never calls
 //! [`crate::codec::decode_record`]): the harness uses it both to pick
 //! injury offsets and as a cross-check that the segment writer actually
-//! produced the layout recovery expects.
+//! produced the layout recovery expects, and it is the oracle
+//! [`crate::segment::scan`]'s tests hold the one rule against.
 
 use crate::segment::{FRAME_HEADER_BYTES, FRAME_MAGIC, SEGMENT_HEADER_BYTES, SEGMENT_MAGIC};
 use std::fs::OpenOptions;
@@ -45,9 +46,11 @@ impl FrameSpan {
 
 /// Walk a segment file and return the span of every committed frame, in
 /// file order. The walk stops at the first frame whose magic, declared
-/// length, or checksum fails — exactly where recovery would truncate —
-/// and never decodes record bodies, so it stays an independent check on
-/// the on-disk layout. Errors only on I/O; a file that is not a segment
+/// length, or checksum fails — exactly where recovery would truncate a
+/// segment whose bodies all decode to its minute — and never decodes
+/// record bodies, so it stays an independent check on the on-disk
+/// layout (and the reference [`crate::segment::scan`] is tested
+/// against). Errors only on I/O; a file that is not a segment
 /// at all (short or wrong header magic) yields an empty list.
 pub fn segment_frames(path: &Path) -> std::io::Result<Vec<FrameSpan>> {
     let mut data = Vec::new();
@@ -118,7 +121,7 @@ pub fn corrupt_at(path: &Path, offset: u64) -> std::io::Result<u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::segment::{append_frame, recover_segment, segment_path, SegmentWriter};
+    use crate::segment::{recover_segment, segment_path, Frames, SegmentWriter};
     use std::path::PathBuf;
     use viewmap_core::types::{GeoPos, MinuteId, VpId, SECONDS_PER_VP};
     use viewmap_core::vd::ViewDigest;
@@ -163,11 +166,10 @@ mod tests {
 
     fn write_segment(dir: &Path, minute: MinuteId, n: u64) -> PathBuf {
         let mut w = SegmentWriter::open(dir, minute).unwrap();
-        let mut frames = Vec::new();
-        for tag in 0..n {
-            append_frame(&mut frames, &synthetic_vp(tag, minute.0));
-        }
-        w.append(&frames).unwrap();
+        let vps: Vec<StoredVp> = (0..n).map(|tag| synthetic_vp(tag, minute.0)).collect();
+        let mut frames = Frames::default();
+        frames.push(&vps.iter().collect::<Vec<_>>());
+        w.append(&frames.bytes).unwrap();
         w.sync().unwrap();
         segment_path(dir, minute)
     }

@@ -8,7 +8,7 @@
 //! batch, checksummed per record, and truncated back to the last fully
 //! committed record on open. [`VpStore`] implements the server's
 //! [`viewmap_core::wal::VpWal`] seam; [`PersistentServer`] adds the
-//! `ViewMapServer::open` / `ViewMapServer::persistent` constructors
+//! `ViewMapServer::open` / `ViewMapServer::open_with_key` constructors
 //! that replay a directory of segments through the normal batch-ingest
 //! machinery (including its parallel link-key warm) and then attach the
 //! store as the server's live WAL.
@@ -62,12 +62,17 @@
 //!
 //! # Recovery invariants
 //!
-//! 1. **Committed prefix.** On [`VpStore::open`], each segment is
-//!    scanned frame by frame; the first frame whose magic, length, or
-//!    checksum fails ends the valid prefix and the file is truncated
-//!    there. A crash mid-write (torn frame header, torn body, bit rot
-//!    in the tail) therefore recovers exactly the fully-committed
-//!    record prefix — never a partial VP, never a panic.
+//! 1. **Committed prefix.** A frame is committed iff five things hold:
+//!    its magic, its declared length (the body is all there), its
+//!    checksum, a body that decodes, and a record of the segment's own
+//!    minute. One function decides it, [`segment::scan`]; on
+//!    [`VpStore::open`] the first frame that fails ends the valid
+//!    prefix and the file is truncated there. A crash mid-write (torn
+//!    frame header, torn body, bit rot in the tail) therefore recovers
+//!    exactly the fully-committed record prefix — never a partial VP,
+//!    never another minute's record, never a panic. Replication
+//!    catch-up and a follower applying shipped frames ask the same
+//!    function.
 //! 2. **Order.** The server appends under the committing minute's shard
 //!    lock, so a segment's record order equals the in-memory bucket's
 //!    append order; replaying segments in minute order through
@@ -116,7 +121,9 @@ pub mod store;
 
 pub use codec::{decode_record, encode_record, CodecError};
 pub use fault::FrameSpan;
-pub use segment::{tail_frames, SegmentMeta, FRAME_HEADER_BYTES, SEGMENT_HEADER_BYTES};
+pub use segment::{
+    scan, tail_frames, Frames, Injury, Scan, SegmentMeta, FRAME_HEADER_BYTES, SEGMENT_HEADER_BYTES,
+};
 pub use store::{
-    frame_records, Fsync, PersistentServer, RecoveryReport, RecoveryWarning, StoreConfig, VpStore,
+    open_unattached, Fsync, PersistentServer, RecoveryReport, RecoveryWarning, StoreConfig, VpStore,
 };

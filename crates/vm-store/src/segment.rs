@@ -1,22 +1,23 @@
 //! Minute-bucketed append-only segment files: framing, the append-side
-//! writer, and the torn-tail recovery scan.
+//! writer, and [`scan`] — the one rule for which frames are committed.
 //!
 //! A segment holds every logged VP of one minute, in bucket order. Its
 //! name carries the minute (`minute-000000000042.vmseg`) so retention
 //! can sweep by filename and recovery can replay in minute order
 //! without opening anything twice. Framing and the recovery invariant
-//! are described in the crate docs; the short version: a frame is only
-//! considered committed if its magic, declared length, checksum, and
-//! body decode all hold, and the first frame that fails ends the
-//! segment — [`recover_segment`] truncates the file right there.
+//! are described in the crate docs; the short version: a frame is
+//! committed only if its magic, declared length, checksum, decodable
+//! body and minute all hold, and the first frame that fails ends the
+//! committed prefix. Recovery ([`recover_segment`]), replication
+//! catch-up ([`tail_frames`]) and a follower applying shipped frames
+//! all ask [`scan`].
 
-use crate::codec::{decode_record, encode_record};
+use crate::codec::{decode_record, encode_record, encoded_size_hint, CodecError};
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 use viewmap_core::types::MinuteId;
 use viewmap_core::vp::StoredVp;
-use vm_crypto::checksum64;
 
 /// Segment file magic (8 bytes, versioned).
 pub const SEGMENT_MAGIC: [u8; 8] = *b"VMSEG001";
@@ -51,41 +52,200 @@ pub fn segment_path(dir: &Path, minute: MinuteId) -> PathBuf {
     dir.join(segment_file_name(minute))
 }
 
-/// Append one framed record (header + checksummed body) for `vp` to
-/// `out`. The body is encoded in place and the header backpatched, so a
-/// group commit encodes a whole batch into a single buffer with no
-/// intermediate copies.
-pub fn append_frame(out: &mut Vec<u8>, vp: &StoredVp) {
-    let header_at = out.len();
-    out.extend_from_slice(&[0u8; FRAME_HEADER_BYTES]);
-    let body_at = out.len();
-    encode_record(vp, out);
-    let body_len = out.len() - body_at;
-    let checksum = checksum64(&out[body_at..]);
-    patch_frame_header(&mut out[header_at..], body_len, checksum);
+/// Segment frames back to back, and where each one ends: what the
+/// framer builds and the store writes, what catch-up reads back, and
+/// what the replication hub cuts into messages at frame boundaries.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct Frames {
+    pub(crate) bytes: Vec<u8>,
+    /// Ascending; the last one is `bytes.len()`.
+    pub(crate) ends: Vec<usize>,
 }
 
-/// Write a frame header (magic, body length, checksum) into the first
-/// [`FRAME_HEADER_BYTES`] of `frame`. Split out from [`append_frame`]
-/// so the store's group-commit path can encode every body first, batch
-/// the checksums through the multi-buffer hash engine, and patch all
-/// headers afterwards.
-pub fn patch_frame_header(frame: &mut [u8], body_len: usize, checksum: u64) {
-    assert!(body_len <= u32::MAX as usize, "record body exceeds u32");
-    frame[..4].copy_from_slice(&FRAME_MAGIC);
-    frame[4..8].copy_from_slice(&(body_len as u32).to_le_bytes());
-    frame[8..16].copy_from_slice(&checksum.to_le_bytes());
+impl Frames {
+    /// The frames (`VMR1` header + checksummed body each), disk bytes
+    /// verbatim.
+    pub fn bytes(&self) -> &[u8] {
+        &self.bytes
+    }
+
+    /// Offset one past each frame in [`bytes`](Self::bytes), ascending.
+    pub fn ends(&self) -> &[usize] {
+        &self.ends
+    }
+
+    /// Frame `vps` onto the end — the store's one framer. Bodies are
+    /// encoded in place behind zeroed headers, checksummed together
+    /// through the multi-buffer engine ([`vm_crypto::checksum64_many`]),
+    /// and the headers backpatched.
+    pub fn push(&mut self, vps: &[&StoredVp]) {
+        let first = self.ends.len();
+        self.bytes.reserve(
+            vps.iter()
+                .map(|vp| FRAME_HEADER_BYTES + encoded_size_hint(vp))
+                .sum(),
+        );
+        for vp in vps {
+            self.bytes.resize(self.bytes.len() + FRAME_HEADER_BYTES, 0);
+            encode_record(vp, &mut self.bytes);
+            self.ends.push(self.bytes.len());
+        }
+        let sums = {
+            let bodies: Vec<&[u8]> = (first..self.ends.len())
+                .map(|i| &self.bytes[self.start(i) + FRAME_HEADER_BYTES..self.ends[i]])
+                .collect();
+            vm_crypto::checksum64_many(&bodies)
+        };
+        for (i, sum) in (first..).zip(sums) {
+            let at = self.start(i);
+            let body_len = self.ends[i] - at - FRAME_HEADER_BYTES;
+            assert!(body_len <= u32::MAX as usize, "record body exceeds u32");
+            let header = &mut self.bytes[at..at + FRAME_HEADER_BYTES];
+            header[..4].copy_from_slice(&FRAME_MAGIC);
+            header[4..8].copy_from_slice(&(body_len as u32).to_le_bytes());
+            header[8..].copy_from_slice(&sum.to_le_bytes());
+        }
+    }
+
+    /// Copy `other`'s frames onto the end, in order.
+    pub fn append(&mut self, other: &Frames) {
+        let base = self.bytes.len();
+        self.bytes.extend_from_slice(&other.bytes);
+        self.ends.extend(other.ends.iter().map(|end| base + end));
+    }
+
+    /// Drop every frame, keeping the allocations.
+    pub fn clear(&mut self) {
+        self.bytes.clear();
+        self.ends.clear();
+    }
+
+    fn start(&self, i: usize) -> usize {
+        i.checked_sub(1).map_or(0, |j| self.ends[j])
+    }
 }
 
-/// Shape of one recovered (or about-to-be-written) segment.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct SegmentMeta {
-    /// The minute the segment buckets.
-    pub minute: MinuteId,
-    /// Committed records recovered from it.
-    pub records: usize,
-    /// Bytes cut off the tail (0 for a clean segment).
-    pub truncated_bytes: u64,
+/// Why the frame after a committed prefix is not committed: the first
+/// part of the rule it broke.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Injury {
+    /// The bytes end inside the frame's header or declared body.
+    Torn,
+    /// The header does not start with [`FRAME_MAGIC`].
+    BadMagic,
+    /// The body's checksum disagrees with the header's.
+    Checksum,
+    /// A checksum-valid body that does not decode.
+    Undecodable(CodecError),
+    /// A record of this other minute among the scanned minute's frames.
+    ForeignMinute(MinuteId),
+}
+
+impl std::fmt::Display for Injury {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Injury::Torn => write!(f, "torn segment frame"),
+            Injury::BadMagic => write!(f, "bad segment frame magic"),
+            Injury::Checksum => write!(f, "segment frame checksum mismatch"),
+            Injury::Undecodable(e) => write!(f, "undecodable body: {e}"),
+            Injury::ForeignMinute(m) => write!(f, "record of minute {} in another minute", m.0),
+        }
+    }
+}
+
+/// What [`scan`] found: the longest committed prefix and why it ends.
+#[derive(Clone, Debug)]
+pub struct Scan<T = StoredVp> {
+    /// The prefix's records, in frame order.
+    pub records: Vec<T>,
+    /// Offset one past each of the prefix's frames.
+    pub ends: Vec<usize>,
+    /// The first injury, `None` when the prefix is all of the bytes.
+    pub injury: Option<Injury>,
+}
+
+impl<T> Scan<T> {
+    /// Byte length of the committed prefix.
+    pub fn committed_len(&self) -> usize {
+        self.ends.last().copied().unwrap_or(0)
+    }
+}
+
+/// Decide which of `bytes` — segment frames back to back, as a segment
+/// holds them after its header and as a `FRAMES` message carries them —
+/// are committed frames of `minute`. A frame is committed iff its magic,
+/// declared length, checksum, decodable body and minute all hold; the
+/// first frame that fails ends the prefix, and nothing past it is
+/// returned.
+///
+/// Batched for the hot paths (recovery, catch-up, follower apply): one
+/// structural pass over the headers, every body checksum through the
+/// multi-buffer engine, then the checksum-clean prefix decoded in order
+/// on the caller's thread. (Decoding on worker threads allocates every
+/// record in their malloc arenas, and a warm reopen then page-faults it
+/// all afresh: measured slower on `vm_perf`'s `recover_s`.) Total: never
+/// panics on any input.
+pub fn scan(bytes: &[u8], minute: MinuteId) -> Scan {
+    scan_keeping(bytes, minute, |vp| vp)
+}
+
+/// [`scan`], handing each committed record to `keep` as it is decoded:
+/// catch-up keeps nothing, so its records are dropped while still hot
+/// instead of piling up until the scan ends.
+fn scan_keeping<T>(bytes: &[u8], minute: MinuteId, keep: impl Fn(StoredVp) -> T) -> Scan<T> {
+    let mut ends = Vec::new();
+    let mut injury = None;
+    let mut off = 0usize;
+    while off < bytes.len() {
+        let Some(header) = bytes.get(off..off + FRAME_HEADER_BYTES) else {
+            injury = Some(Injury::Torn);
+            break;
+        };
+        if header[..4] != FRAME_MAGIC {
+            injury = Some(Injury::BadMagic);
+            break;
+        }
+        let body_len = u32::from_le_bytes(header[4..8].try_into().expect("4 bytes")) as usize;
+        if bytes.len() - off - FRAME_HEADER_BYTES < body_len {
+            injury = Some(Injury::Torn);
+            break;
+        }
+        off += FRAME_HEADER_BYTES + body_len;
+        ends.push(off);
+    }
+    let start = |i: usize| i.checked_sub(1).map_or(0, |j| ends[j]);
+    let body = |i: usize| &bytes[start(i) + FRAME_HEADER_BYTES..ends[i]];
+    let sums = vm_crypto::checksum64_many(&(0..ends.len()).map(body).collect::<Vec<_>>());
+    let declared = |i: usize| {
+        let at = start(i) + 8;
+        u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8 bytes"))
+    };
+    let clean = (0..ends.len())
+        .position(|i| sums[i] != declared(i))
+        .unwrap_or(ends.len());
+    if clean < ends.len() {
+        injury = Some(Injury::Checksum);
+    }
+    let mut records = Vec::with_capacity(clean);
+    for i in 0..clean {
+        match decode_record(body(i)) {
+            Ok(vp) if vp.minute() == minute => records.push(keep(vp)),
+            Ok(vp) => {
+                injury = Some(Injury::ForeignMinute(vp.minute()));
+                break;
+            }
+            Err(e) => {
+                injury = Some(Injury::Undecodable(e));
+                break;
+            }
+        }
+    }
+    ends.truncate(records.len());
+    Scan {
+        records,
+        ends,
+        injury,
+    }
 }
 
 /// Append-side handle on one segment file. Creation writes the header;
@@ -123,10 +283,32 @@ impl SegmentWriter {
     }
 }
 
+/// Shape of one recovered (or about-to-be-written) segment.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct SegmentMeta {
+    /// The minute the segment buckets.
+    pub minute: MinuteId,
+    /// Committed records recovered from it.
+    pub records: usize,
+    /// Bytes cut off the tail (0 for a clean segment).
+    pub truncated_bytes: u64,
+}
+
+/// Read a segment file whose header names `expected`; `Ok(None)` when
+/// the header is short, carries the wrong magic, or names another
+/// minute — a file this store did not write under that name.
+fn read_segment(path: &Path, expected: MinuteId) -> std::io::Result<Option<Vec<u8>>> {
+    let mut data = Vec::new();
+    File::open(path)?.read_to_end(&mut data)?;
+    let ours = data.len() >= SEGMENT_HEADER_BYTES
+        && data[..8] == SEGMENT_MAGIC
+        && data[8..16] == expected.0.to_le_bytes();
+    Ok(ours.then_some(data))
+}
+
 /// Recover one segment file: validate the header against the minute
-/// the file's name claims, scan frames to the last fully-committed
-/// record, truncate any torn tail in place, and decode the committed
-/// prefix.
+/// the file's name claims, [`scan`] its frames, truncate everything
+/// past the committed prefix in place, and return the prefix's records.
 ///
 /// Returns `Ok(None)` — with the file **untouched** — when the header
 /// is short, carries the wrong magic, or names a different minute than
@@ -139,129 +321,70 @@ pub fn recover_segment(
     path: &Path,
     expected: MinuteId,
 ) -> std::io::Result<Option<(SegmentMeta, Vec<StoredVp>)>> {
-    let mut data = Vec::new();
-    File::open(path)?.read_to_end(&mut data)?;
-    if data.len() < SEGMENT_HEADER_BYTES || data[..8] != SEGMENT_MAGIC {
+    let Some(data) = read_segment(path, expected)? else {
         return Ok(None);
-    }
-    let minute = MinuteId(u64::from_le_bytes(data[8..16].try_into().expect("8 bytes")));
-    if minute != expected {
-        return Ok(None);
-    }
-
-    let mut vps = Vec::new();
-    let mut off = SEGMENT_HEADER_BYTES;
-    // A frame is committed iff every one of these checks passes; the
-    // first failure ends the valid prefix. No partial state escapes:
-    // `vps` only ever grows by fully-decoded records.
-    while off < data.len() {
-        let Some(header) = data.get(off..off + FRAME_HEADER_BYTES) else {
-            break; // torn frame header
-        };
-        if header[..4] != FRAME_MAGIC {
-            break;
-        }
-        let body_len = u32::from_le_bytes(header[4..8].try_into().expect("4 bytes")) as usize;
-        let checksum = u64::from_le_bytes(header[8..16].try_into().expect("8 bytes"));
-        let body_at = off + FRAME_HEADER_BYTES;
-        let Some(body) = data.get(body_at..body_at + body_len) else {
-            break; // torn body
-        };
-        if checksum64(body) != checksum {
-            break; // bit rot or torn write inside the body
-        }
-        let Ok(vp) = decode_record(body) else {
-            break; // checksum-valid but undecodable: treat as torn
-        };
-        vps.push(vp);
-        off = body_at + body_len;
-    }
-
-    let truncated_bytes = (data.len() - off) as u64;
+    };
+    let scan = scan(&data[SEGMENT_HEADER_BYTES..], expected);
+    let committed = SEGMENT_HEADER_BYTES + scan.committed_len();
+    let truncated_bytes = (data.len() - committed) as u64;
     if truncated_bytes > 0 {
         // Cut the torn tail off so the next append starts at a clean
         // frame boundary (appending after garbage would orphan every
         // later record behind an invalid frame).
         let file = OpenOptions::new().write(true).open(path)?;
-        file.set_len(off as u64)?;
+        file.set_len(committed as u64)?;
         file.sync_data()?;
     }
     Ok(Some((
         SegmentMeta {
-            minute,
-            records: vps.len(),
+            minute: expected,
+            records: scan.records.len(),
             truncated_bytes,
         },
-        vps,
+        scan.records,
     )))
 }
 
-/// Stream the committed frames of a segment for replication catch-up:
-/// validate exactly as [`recover_segment`] does (magic, length,
-/// checksum, decode), skip the first `skip` committed frames, and
-/// return the **raw frame bytes** (header + body) of the rest — the
-/// disk codec doubles as the wire codec, so these go on the
-/// replication link unchanged and the follower re-validates them
-/// frame by frame.
+/// The committed frames of a segment past its first `skip`, for
+/// replication catch-up: the bytes a [`scan`] vouches for, as one run
+/// the hub ships unchanged (the follower scans them again on arrival).
 ///
 /// Returns `Ok(None)` for a file that is not a segment this store
 /// wrote under that name (same contract as [`recover_segment`]), and
-/// never mutates the file — a torn tail simply ends the stream, and
-/// the store's own recovery owns truncation.
+/// never mutates the file — an injured tail simply ends the run, and
+/// the store's own recovery owns truncation. A segment that vanished
+/// (raced an eviction sweep) is an empty run.
 pub fn tail_frames(
     path: &Path,
     expected: MinuteId,
     skip: usize,
-) -> std::io::Result<Option<Vec<Vec<u8>>>> {
-    let mut data = Vec::new();
-    match File::open(path) {
-        Ok(mut f) => f.read_to_end(&mut data)?,
-        // Raced an eviction sweep: the minute is gone, nothing to ship.
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Some(Vec::new())),
-        Err(e) => return Err(e),
+) -> std::io::Result<Option<Frames>> {
+    let data = match read_segment(path, expected) {
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Some(Frames::default())),
+        other => other?,
     };
-    if data.len() < SEGMENT_HEADER_BYTES || data[..8] != SEGMENT_MAGIC {
+    let Some(data) = data else {
         return Ok(None);
-    }
-    let minute = MinuteId(u64::from_le_bytes(data[8..16].try_into().expect("8 bytes")));
-    if minute != expected {
-        return Ok(None);
-    }
-
-    let mut out = Vec::new();
-    let mut seen = 0usize;
-    let mut off = SEGMENT_HEADER_BYTES;
-    while off < data.len() {
-        let Some(header) = data.get(off..off + FRAME_HEADER_BYTES) else {
-            break;
-        };
-        if header[..4] != FRAME_MAGIC {
-            break;
-        }
-        let body_len = u32::from_le_bytes(header[4..8].try_into().expect("4 bytes")) as usize;
-        let checksum = u64::from_le_bytes(header[8..16].try_into().expect("8 bytes"));
-        let body_at = off + FRAME_HEADER_BYTES;
-        let Some(body) = data.get(body_at..body_at + body_len) else {
-            break;
-        };
-        if checksum64(body) != checksum || decode_record(body).is_err() {
-            break;
-        }
-        if seen >= skip {
-            out.push(data[off..body_at + body_len].to_vec());
-        }
-        seen += 1;
-        off = body_at + body_len;
-    }
-    Ok(Some(out))
+    };
+    let scan = scan_keeping(&data[SEGMENT_HEADER_BYTES..], expected, drop);
+    let skip = skip.min(scan.ends.len());
+    let from = skip.checked_sub(1).map_or(0, |j| scan.ends[j]);
+    let at = SEGMENT_HEADER_BYTES;
+    Ok(Some(Frames {
+        bytes: data[at + from..at + scan.committed_len()].to_vec(),
+        ends: scan.ends[skip..].iter().map(|end| end - from).collect(),
+    }))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::segment_frames;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use viewmap_core::types::GeoPos;
+    use viewmap_core::bloom::BloomFilter;
+    use viewmap_core::types::{GeoPos, VpId, SECONDS_PER_VP};
+    use viewmap_core::vd::ViewDigest;
 
     struct TempDir(PathBuf);
     impl TempDir {
@@ -290,6 +413,78 @@ mod tests {
         fa.profile.into_stored()
     }
 
+    /// A small record (four VDs, an 8-byte Bloom filter) of `minute`, so
+    /// every-offset sweeps stay cheap.
+    fn small_vp(tag: u64, minute: u64) -> StoredVp {
+        let mut id = [0u8; 16];
+        id[..8].copy_from_slice(&tag.to_le_bytes());
+        id[8..].copy_from_slice(&minute.to_le_bytes());
+        let vp_id = VpId(vm_crypto::Digest16(id));
+        let vds = (1..=4u16)
+            .map(|seq| ViewDigest {
+                seq,
+                flags: 0,
+                time: minute * SECONDS_PER_VP + seq as u64,
+                loc: GeoPos::new(tag as f64 + seq as f64 * 8.0, minute as f64),
+                file_size: seq as u64 * 64,
+                initial_loc: GeoPos::new(tag as f64, 0.0),
+                vp_id,
+                hash: vm_crypto::Digest16(id),
+            })
+            .collect();
+        StoredVp::new(vp_id, vds, BloomFilter::new(64, 2), false)
+    }
+
+    fn frames_of(vps: &[StoredVp]) -> Frames {
+        let mut frames = Frames::default();
+        frames.push(&vps.iter().collect::<Vec<_>>());
+        frames
+    }
+
+    fn write_raw_segment(dir: &Path, minute: MinuteId, frames: &[u8]) -> PathBuf {
+        let path = segment_path(dir, minute);
+        let mut file = SEGMENT_MAGIC.to_vec();
+        file.extend_from_slice(&minute.0.to_le_bytes());
+        file.extend_from_slice(frames);
+        std::fs::write(&path, file).unwrap();
+        path
+    }
+
+    /// The oracle: on `frames` written as a segment, [`scan`]'s prefix
+    /// ends where the independent reference walker's last span ends,
+    /// `tail_frames(.., 0)` returns exactly those bytes, and recovery
+    /// truncates exactly there.
+    fn assert_one_rule(dir: &Path, minute: MinuteId, frames: &[u8], ctx: &str) {
+        let path = write_raw_segment(dir, minute, frames);
+        let reference = segment_frames(&path)
+            .unwrap()
+            .last()
+            .map_or(0, |span| span.end() as usize - SEGMENT_HEADER_BYTES);
+        let scanned = scan(frames, minute);
+        assert_eq!(scanned.committed_len(), reference, "{ctx}: scan vs walker");
+        assert_eq!(scanned.records.len(), scanned.ends.len(), "{ctx}");
+        assert_eq!(
+            scanned.injury.is_none(),
+            reference == frames.len(),
+            "{ctx}: an injury iff bytes are left over"
+        );
+        let tail = tail_frames(&path, minute, 0).unwrap().unwrap();
+        assert_eq!(tail.bytes, &frames[..reference], "{ctx}: tail bytes");
+        assert_eq!(tail.ends, scanned.ends, "{ctx}: tail ends");
+        let (meta, records) = recover_segment(&path, minute).unwrap().unwrap();
+        assert_eq!(records.len(), scanned.records.len(), "{ctx}: recovered");
+        assert_eq!(
+            meta.truncated_bytes as usize,
+            frames.len() - reference,
+            "{ctx}"
+        );
+        assert_eq!(
+            std::fs::metadata(&path).unwrap().len() as usize,
+            SEGMENT_HEADER_BYTES + reference,
+            "{ctx}: recovery truncates at the prefix"
+        );
+    }
+
     #[test]
     fn file_names_roundtrip_and_reject_foreign_files() {
         for m in [0u64, 1, 42, 999_999_999_999] {
@@ -316,11 +511,7 @@ mod tests {
         let vps: Vec<StoredVp> = (0..5).map(vp).collect();
         // Two group commits: 3 records, then 2.
         for group in [&vps[..3], &vps[3..]] {
-            let mut frames = Vec::new();
-            for vp in group {
-                append_frame(&mut frames, vp);
-            }
-            w.append(&frames).unwrap();
+            w.append(&frames_of(group).bytes).unwrap();
         }
         w.sync().unwrap();
         drop(w);
@@ -338,14 +529,27 @@ mod tests {
 
         // Reopening for append does not disturb the contents.
         let mut w = SegmentWriter::open(&tmp.0, minute).unwrap();
-        let mut frames = Vec::new();
-        append_frame(&mut frames, &vp(9));
-        w.append(&frames).unwrap();
+        w.append(&frames_of(&[vp(9)]).bytes).unwrap();
         drop(w);
         let (meta, back) = recover_segment(&segment_path(&tmp.0, minute), minute)
             .unwrap()
             .unwrap();
         assert_eq!((meta.records, back.len()), (6, 6));
+    }
+
+    #[test]
+    fn framing_in_pieces_is_framing_at_once() {
+        // The store frames large appends in parallel pieces and
+        // concatenates them: that must be the same bytes and ends.
+        let vps: Vec<StoredVp> = (0..7).map(|t| small_vp(t, 2)).collect();
+        let whole = frames_of(&vps);
+        let mut pieces = frames_of(&vps[..3]);
+        pieces.append(&frames_of(&vps[3..]));
+        assert_eq!(pieces, whole);
+        assert_eq!(whole.ends.len(), 7);
+        assert_eq!(*whole.ends.last().unwrap(), whole.bytes.len());
+        pieces.clear();
+        assert_eq!(pieces, Frames::default());
     }
 
     #[test]
@@ -371,6 +575,10 @@ mod tests {
                 recover_segment(&path, MinuteId(3)).unwrap().is_none(),
                 "{tag}"
             );
+            assert!(
+                tail_frames(&path, MinuteId(3), 0).unwrap().is_none(),
+                "{tag}"
+            );
             assert_eq!(
                 std::fs::read(&path).unwrap(),
                 bytes,
@@ -380,42 +588,40 @@ mod tests {
     }
 
     #[test]
-    fn tail_frames_skips_and_returns_raw_reusable_frames() {
+    fn tail_frames_skips_and_returns_the_committed_bytes() {
         let tmp = TempDir::new("tail");
         let minute = MinuteId(4);
+        let vps: Vec<StoredVp> = (0..4).map(|t| small_vp(t, 4)).collect();
+        let frames = frames_of(&vps);
         let mut w = SegmentWriter::open(&tmp.0, minute).unwrap();
-        let vps: Vec<StoredVp> = (0..4).map(vp).collect();
-        let mut frames = Vec::new();
-        for vp in &vps {
-            append_frame(&mut frames, vp);
-        }
-        w.append(&frames).unwrap();
+        w.append(&frames.bytes).unwrap();
         drop(w);
 
         let path = segment_path(&tmp.0, minute);
+        // The whole tail is exactly the on-disk stream, and it scans
+        // back to the records it framed — the property replication
+        // relies on (ship bytes, replay records).
         let all = tail_frames(&path, minute, 0).unwrap().unwrap();
-        assert_eq!(all.len(), 4);
-        // Raw frames concatenate back into exactly the on-disk stream.
-        assert_eq!(all.concat(), frames);
-        // Each raw frame's body decodes to the record it framed — the
-        // property replication relies on (ship bytes, replay records).
-        for (raw, vp) in all.iter().zip(&vps) {
-            let back = decode_record(&raw[FRAME_HEADER_BYTES..]).unwrap();
-            crate::codec::assert_vp_bit_identical(vp, &back, "tail frame");
+        assert_eq!(all, frames);
+        for (back, vp) in scan(&all.bytes, minute).records.iter().zip(&vps) {
+            crate::codec::assert_vp_bit_identical(vp, back, "tail frame");
         }
         // Skip positions a catch-up cursor mid-segment.
         let tail = tail_frames(&path, minute, 3).unwrap().unwrap();
-        assert_eq!(tail.len(), 1);
-        assert_eq!(tail[0], all[3]);
-        assert!(tail_frames(&path, minute, 9).unwrap().unwrap().is_empty());
+        assert_eq!(tail.bytes, &frames.bytes[frames.ends[2]..]);
+        assert_eq!(tail.ends, vec![tail.bytes.len()]);
+        assert_eq!(
+            tail_frames(&path, minute, 9).unwrap().unwrap(),
+            Frames::default()
+        );
         // Foreign minute: same None contract as recovery.
         assert!(tail_frames(&path, MinuteId(5), 0).unwrap().is_none());
-        // A vanished segment (eviction race) is an empty stream.
-        assert!(
+        // A vanished segment (eviction race) is an empty run.
+        assert_eq!(
             tail_frames(&tmp.0.join("minute-000000000099.vmseg"), MinuteId(99), 0)
                 .unwrap()
-                .unwrap()
-                .is_empty()
+                .unwrap(),
+            Frames::default()
         );
     }
 
@@ -425,28 +631,23 @@ mod tests {
         // record 1, truncates at record 2's frame, and a re-scan of the
         // truncated file is clean.
         let tmp = TempDir::new("corrupt");
-        let minute = MinuteId(3);
+        let minute = MinuteId(0);
+        let vps: Vec<StoredVp> = (1..=3).map(vp).collect();
+        let frames = frames_of(&vps);
         let mut w = SegmentWriter::open(&tmp.0, minute).unwrap();
-        let mut frames = Vec::new();
-        let r1_len = {
-            append_frame(&mut frames, &vp(1));
-            frames.len()
-        };
-        append_frame(&mut frames, &vp(2));
-        append_frame(&mut frames, &vp(3));
-        w.append(&frames).unwrap();
+        w.append(&frames.bytes).unwrap();
         drop(w);
 
         let path = segment_path(&tmp.0, minute);
         let mut bytes = std::fs::read(&path).unwrap();
-        let flip_at = SEGMENT_HEADER_BYTES + r1_len + FRAME_HEADER_BYTES + 40;
-        bytes[flip_at] ^= 0xff;
+        let r1_len = frames.ends[0];
+        bytes[SEGMENT_HEADER_BYTES + r1_len + FRAME_HEADER_BYTES + 40] ^= 0xff;
         std::fs::write(&path, &bytes).unwrap();
 
         let (meta, back) = recover_segment(&path, minute).unwrap().unwrap();
         assert_eq!(meta.records, 1, "only the record before the flip survives");
         assert!(meta.truncated_bytes > 0);
-        crate::codec::assert_vp_bit_identical(&vp(1), &back[0], "survivor");
+        crate::codec::assert_vp_bit_identical(&vps[0], &back[0], "survivor");
         assert_eq!(
             std::fs::metadata(&path).unwrap().len(),
             (SEGMENT_HEADER_BYTES + r1_len) as u64,
@@ -455,5 +656,108 @@ mod tests {
         let (meta2, _) = recover_segment(&path, minute).unwrap().unwrap();
         assert_eq!(meta2.truncated_bytes, 0, "second scan is clean");
         assert_eq!(meta2.records, 1);
+    }
+
+    #[test]
+    fn every_cut_and_every_flip_agree_with_the_reference_walker() {
+        let tmp = TempDir::new("oracle");
+        let minute = MinuteId(6);
+        let frames = frames_of(&(0..3).map(|t| small_vp(t, 6)).collect::<Vec<_>>());
+        let bytes = &frames.bytes;
+        for cut in 0..=bytes.len() {
+            assert_one_rule(&tmp.0, minute, &bytes[..cut], &format!("cut {cut}"));
+        }
+        for at in 0..bytes.len() {
+            let mut hurt = bytes.clone();
+            hurt[at] ^= 0x40;
+            assert_one_rule(&tmp.0, minute, &hurt, &format!("flip {at}"));
+            assert!(
+                scan(&hurt, minute).injury.is_some(),
+                "flip {at} scanned clean"
+            );
+        }
+    }
+
+    #[test]
+    fn cuts_and_flips_in_a_long_run() {
+        // Hundreds of frames: the batched checksum pass must still draw
+        // the line at the first injury wherever it falls, early or late.
+        let tmp = TempDir::new("oracle_long");
+        let minute = MinuteId(7);
+        let n = 515;
+        let frames = frames_of(&(0..n as u64).map(|t| small_vp(t, 7)).collect::<Vec<_>>());
+        let bytes = &frames.bytes;
+        assert_one_rule(&tmp.0, minute, bytes, "whole");
+        for i in [0, 1, 255, 256, 511, 512, n - 1] {
+            let start = frames.start(i);
+            let end = frames.ends[i];
+            for cut in [
+                start + 1,
+                start + FRAME_HEADER_BYTES,
+                (start + end) / 2,
+                end,
+            ] {
+                assert_one_rule(
+                    &tmp.0,
+                    minute,
+                    &bytes[..cut],
+                    &format!("frame {i} cut {cut}"),
+                );
+            }
+            for at in [
+                start,
+                start + 5,
+                start + 9,
+                start + FRAME_HEADER_BYTES + 3,
+                end - 1,
+            ] {
+                let mut hurt = bytes.clone();
+                hurt[at] ^= 0x01;
+                assert_one_rule(&tmp.0, minute, &hurt, &format!("frame {i} flip {at}"));
+            }
+        }
+    }
+
+    #[test]
+    fn each_part_of_the_rule_names_its_injury() {
+        let minute = MinuteId(1);
+        let good = frames_of(&[small_vp(1, 1)]);
+        let with = |tail: &[u8]| [&good.bytes[..], tail].concat();
+        let verdict = |bytes: &[u8]| {
+            let s = scan(bytes, minute);
+            assert_eq!(
+                s.committed_len(),
+                good.bytes.len(),
+                "prefix is the good frame"
+            );
+            s.injury
+        };
+        assert_eq!(verdict(&good.bytes), None);
+        assert_eq!(verdict(&with(&good.bytes[..7])), Some(Injury::Torn));
+        assert_eq!(
+            verdict(&with(&good.bytes[..good.bytes.len() - 1])),
+            Some(Injury::Torn)
+        );
+        let mut magic = good.bytes.clone();
+        magic[0] = b'X';
+        assert_eq!(verdict(&with(&magic)), Some(Injury::BadMagic));
+        let mut sum = good.bytes.clone();
+        sum[8] ^= 1;
+        assert_eq!(verdict(&with(&sum)), Some(Injury::Checksum));
+        // A checksum-valid body the codec refuses.
+        let junk = b"not a record";
+        let mut undecodable = FRAME_MAGIC.to_vec();
+        undecodable.extend_from_slice(&(junk.len() as u32).to_le_bytes());
+        undecodable.extend_from_slice(&vm_crypto::checksum64(junk).to_le_bytes());
+        undecodable.extend_from_slice(junk);
+        assert!(matches!(
+            verdict(&with(&undecodable)),
+            Some(Injury::Undecodable(_))
+        ));
+        let foreign = frames_of(&[small_vp(2, 5)]);
+        assert_eq!(
+            verdict(&with(&foreign.bytes)),
+            Some(Injury::ForeignMinute(MinuteId(5)))
+        );
     }
 }

@@ -3,7 +3,9 @@
 //! a recovered [`ViewMapServer`] on top of it.
 
 use crate::keyfile;
-use crate::segment::{self, parse_segment_file_name, recover_segment, segment_path, SegmentWriter};
+use crate::segment::{
+    parse_segment_file_name, recover_segment, segment_path, Frames, SegmentWriter,
+};
 use parking_lot::Mutex;
 use rand::Rng;
 use std::path::{Path, PathBuf};
@@ -159,120 +161,6 @@ const MAX_OPEN_SEGMENTS: usize = 8;
 /// overhead beats the fan-out).
 const APPEND_PARALLEL_THRESHOLD: usize = 2048;
 
-/// Per-worker byte budget of one commit chunk. A group commit streams
-/// the batch through encode→checksum→write in runs of roughly this many
-/// bytes instead of materializing the whole batch in one buffer: a
-/// city-scale batch (100k records ≈ 150 MB framed) otherwise spills
-/// every stage out of cache and pays a cold first touch on ~40k fresh
-/// pages — measured at ~10× the per-byte cost of the 10k tier, the
-/// `wal_append_ms` regression the bench gate now watches at every tier.
-/// Chunking keeps each run cache-resident end to end and bounds the
-/// retained encode scratch at a few MB instead of the largest batch
-/// ever seen. Commit semantics are unchanged: the records of one
-/// `append` still land contiguously, in order, with at most one fsync —
-/// a crash between chunk writes truncates to a record boundary exactly
-/// as a torn single write would.
-const COMMIT_CHUNK_BYTES: usize = 4 << 20;
-
-/// End index of the byte-budgeted chunk starting at `lo` (always at
-/// least one record, conservative via [`crate::codec::encoded_size_hint`]).
-fn chunk_end(vps: &[&StoredVp], lo: usize, budget: usize) -> usize {
-    let mut hi = lo;
-    let mut bytes = 0usize;
-    while hi < vps.len() && bytes < budget {
-        bytes += segment::FRAME_HEADER_BYTES + crate::codec::encoded_size_hint(vps[hi]);
-        hi += 1;
-    }
-    hi
-}
-
-/// Frame a run of records — header placeholders, delta-encoded bodies,
-/// one multi-buffer checksum pass, headers backpatched — into one
-/// buffer. The group-commit unit of work, chunked across workers for
-/// large batches.
-fn frame_batch(vps: &[&StoredVp]) -> Vec<u8> {
-    let mut frames = Vec::new();
-    frame_batch_into(vps, &mut frames);
-    frames
-}
-
-/// As [`frame_batch`], appending into a caller-retained buffer — the
-/// single-worker path frames straight into the store's scratch so a
-/// group commit touches each byte once (encode, hash, write) with no
-/// intermediate allocation.
-fn frame_batch_into(vps: &[&StoredVp], frames: &mut Vec<u8>) {
-    let base = frames.len();
-    frames.reserve(
-        vps.iter()
-            .map(|vp| segment::FRAME_HEADER_BYTES + crate::codec::encoded_size_hint(vp))
-            .sum(),
-    );
-    let mut spans: Vec<(usize, usize)> = Vec::with_capacity(vps.len());
-    for vp in vps {
-        let header_at = frames.len();
-        frames.resize(header_at + segment::FRAME_HEADER_BYTES, 0);
-        let body_at = frames.len();
-        crate::codec::encode_record(vp, frames);
-        spans.push((header_at, frames.len() - body_at));
-    }
-    debug_assert!(spans.iter().all(|&(h, _)| h >= base));
-    let sums = {
-        let bodies: Vec<&[u8]> = spans
-            .iter()
-            .map(|&(h, l)| {
-                &frames[h + segment::FRAME_HEADER_BYTES..h + segment::FRAME_HEADER_BYTES + l]
-            })
-            .collect();
-        vm_crypto::checksum64_many(&bodies)
-    };
-    for (&(h, l), sum) in spans.iter().zip(sums) {
-        segment::patch_frame_header(&mut frames[h..], l, sum);
-    }
-}
-
-/// Frame each record as its own standalone segment frame (`VMR1`
-/// header + checksummed body), encoding on worker threads and stamping
-/// checksums through the multi-buffer engine. This is the log-shipping
-/// encoder: a replication hub frames a committed append once more for
-/// the wire at the group-commit path's throughput, and each returned
-/// buffer is one `FRAMES` payload entry verbatim.
-pub fn frame_records(vps: &[&StoredVp]) -> Vec<Vec<u8>> {
-    fn frame_each(vps: &[&StoredVp]) -> Vec<Vec<u8>> {
-        let mut frames: Vec<Vec<u8>> = vps
-            .iter()
-            .map(|vp| {
-                let mut buf = Vec::with_capacity(
-                    segment::FRAME_HEADER_BYTES + crate::codec::encoded_size_hint(vp),
-                );
-                buf.resize(segment::FRAME_HEADER_BYTES, 0);
-                crate::codec::encode_record(vp, &mut buf);
-                buf
-            })
-            .collect();
-        let sums = {
-            let bodies: Vec<&[u8]> = frames
-                .iter()
-                .map(|f| &f[segment::FRAME_HEADER_BYTES..])
-                .collect();
-            vm_crypto::checksum64_many(&bodies)
-        };
-        for (frame, sum) in frames.iter_mut().zip(sums) {
-            let body_len = frame.len() - segment::FRAME_HEADER_BYTES;
-            segment::patch_frame_header(frame, body_len, sum);
-        }
-        frames
-    }
-    let threads = viewmap_core::par::auto_threads(vps.len(), APPEND_PARALLEL_THRESHOLD);
-    if threads <= 1 {
-        return frame_each(vps);
-    }
-    let cuts = viewmap_core::par::even_cuts(vps.len(), threads);
-    viewmap_core::par::map_ranges(&cuts, |_t, lo, hi| frame_each(&vps[lo..hi]))
-        .into_iter()
-        .flatten()
-        .collect()
-}
-
 struct WriterCache {
     /// `(minute, writer)`, most recently used last.
     open: Vec<(u64, SegmentWriter)>,
@@ -383,9 +271,12 @@ pub struct VpStore {
     dir: PathBuf,
     fsync: Fsync,
     writers: Mutex<WriterCache>,
-    /// Encode scratch: group commits borrow one buffer instead of
-    /// allocating a fresh multi-KB Vec per batch.
-    scratch: Mutex<Vec<u8>>,
+    /// Framing scratch: group commits borrow one warm buffer instead of
+    /// allocating (and page-faulting) a fresh one per batch. It keeps
+    /// the largest commit's allocation — for served traffic at most one
+    /// 64 MiB wire frame's worth of records, or a follower's coalesced
+    /// runs.
+    scratch: Mutex<Frames>,
     /// Telemetry, bound once by [`VpStore::bind_obs`] (the durable
     /// constructors bind the owning server's registry). Unbound stores
     /// — unit tests, bare `VpStore::open` callers — pay one
@@ -471,7 +362,7 @@ impl VpStore {
                 dir,
                 fsync: cfg.fsync,
                 writers: Mutex::new(WriterCache { open: Vec::new() }),
-                scratch: Mutex::new(Vec::new()),
+                scratch: Mutex::new(Frames::default()),
                 obs: OnceLock::new(),
                 _lock: lock,
             },
@@ -568,10 +459,19 @@ impl VpStore {
         }
         result
     }
-}
 
-impl VpWal for VpStore {
-    fn append(&self, vps: &[&StoredVp]) -> std::io::Result<()> {
+    /// One group commit: frame `vps` (accepted records of one minute)
+    /// into one contiguous run with the store's framer, write it, fsync
+    /// it under [`Fsync::Always`], and only then lend the exact bytes
+    /// written to `written` — the replication hub ships them as they
+    /// are, so a primary encodes each record once. `written` runs only
+    /// after a successful, non-empty append; [`VpWal::append`] is this
+    /// with nobody to lend the bytes to.
+    pub fn append_then(
+        &self,
+        vps: &[&StoredVp],
+        written: impl FnOnce(&Frames),
+    ) -> std::io::Result<()> {
         let Some(first) = vps.first() else {
             return Ok(());
         };
@@ -580,75 +480,64 @@ impl VpWal for VpStore {
             vps.iter().all(|vp| vp.minute() == minute),
             "one append call spans one minute"
         );
-        // Group commit: stream the batch through encode→checksum→write
-        // in cache-resident chunks ([`COMMIT_CHUNK_BYTES`] per worker),
-        // at most one fsync at the end. Within each chunk the bodies
-        // are encoded first and checksummed together through the
-        // multi-buffer engine (`checksum64_many` — interleaved SHA
-        // streams), then the frame headers are backpatched; large
-        // chunks fan out over scoped workers whose buffers are written
-        // in chunk order, so the on-disk record order is exactly `vps`
-        // order on any thread count. Chunking (rather than one
-        // batch-sized buffer) is what keeps the per-byte cost flat from
-        // the 10k to the 100k tier — see [`COMMIT_CHUNK_BYTES`].
         let threads = viewmap_core::par::auto_threads(vps.len(), APPEND_PARALLEL_THRESHOLD);
-        // Borrow the retained scratch allocation by *taking* it — the
-        // scratch mutex is held only for the swap, never across framing
-        // or I/O, so appends of different minutes overlap their encode
-        // and fsync work (a concurrent taker simply starts with a fresh
-        // buffer; the larger allocation wins the slot back below).
-        let mut frames = {
-            let mut scratch = self.scratch.lock();
-            std::mem::take(&mut *scratch)
-        };
         let metrics = self.obs.get();
-        let commit = |frames: &mut Vec<u8>| {
-            self.with_writer(minute, |w| {
-                let mut lo = 0usize;
-                while lo < vps.len() {
-                    let hi = chunk_end(vps, lo, COMMIT_CHUNK_BYTES * threads);
-                    if threads <= 1 {
-                        frames.clear();
-                        frame_batch_into(&vps[lo..hi], frames);
-                        w.append(frames)?;
-                    } else {
-                        let cuts = viewmap_core::par::even_cuts(hi - lo, threads);
-                        let chunks = viewmap_core::par::map_ranges(&cuts, |_t, a, b| {
-                            frame_batch(&vps[lo + a..lo + b])
-                        });
-                        for chunk in &chunks {
-                            w.append(chunk)?;
-                        }
-                    }
-                    lo = hi;
+        let commit = || {
+            // Frame into the retained scratch, *taken* so its mutex is
+            // held only for the swap, never across framing or I/O (a
+            // concurrent taker starts with a fresh buffer; the larger
+            // allocation wins the slot back below). Large batches frame
+            // on workers whose runs are concatenated in order: the same
+            // bytes on any thread count.
+            let mut frames = std::mem::take(&mut *self.scratch.lock());
+            frames.clear();
+            if threads <= 1 {
+                frames.push(vps);
+            } else {
+                let cuts = viewmap_core::par::even_cuts(vps.len(), threads);
+                let parts = viewmap_core::par::map_ranges(&cuts, |_t, lo, hi| {
+                    let mut part = Frames::default();
+                    part.push(&vps[lo..hi]);
+                    part
+                });
+                for part in &parts {
+                    frames.append(part);
                 }
-                if self.fsync == Fsync::Always {
-                    match metrics {
-                        Some(m) => m.fsync_us.time(|| w.sync())?,
-                        None => w.sync()?,
-                    }
+            }
+            let result = self.with_writer(minute, |w| {
+                w.append(&frames.bytes)?;
+                match (self.fsync, metrics) {
+                    (Fsync::Never, _) => Ok(()),
+                    (Fsync::Always, Some(m)) => m.fsync_us.time(|| w.sync()),
+                    (Fsync::Always, None) => w.sync(),
                 }
-                Ok(())
-            })
+            });
+            (frames, result)
         };
         // `Histogram::time` skips the clock entirely when telemetry is
-        // disabled, so the unbound/disabled path is the pre-telemetry
-        // code shape plus one `OnceLock::get`.
-        let result = match metrics {
-            Some(m) => m.append_us.time(|| commit(&mut frames)),
-            None => commit(&mut frames),
+        // disabled, so the unbound/disabled path pays one `OnceLock::get`.
+        let (frames, result) = match metrics {
+            Some(m) => m.append_us.time(commit),
+            None => commit(),
         };
-        let mut scratch = self.scratch.lock();
-        if scratch.capacity() < frames.capacity() {
-            *scratch = frames;
-        }
-        if let Some(m) = metrics {
-            if result.is_ok() {
+        if result.is_ok() {
+            written(&frames);
+            if let Some(m) = metrics {
                 m.batch_records.record(vps.len() as u64);
                 m.appended_records.add(vps.len() as u64);
             }
         }
+        let mut scratch = self.scratch.lock();
+        if scratch.bytes.capacity() < frames.bytes.capacity() {
+            *scratch = frames;
+        }
         result
+    }
+}
+
+impl VpWal for VpStore {
+    fn append(&self, vps: &[&StoredVp]) -> std::io::Result<()> {
+        self.append_then(vps, |_| {})
     }
 
     fn evict_minutes_before(&self, cutoff: MinuteId) -> std::io::Result<usize> {
@@ -681,8 +570,8 @@ impl VpWal for VpStore {
 }
 
 /// The durable constructors for [`ViewMapServer`] — `use` this trait
-/// and `ViewMapServer::open(…)` / `ViewMapServer::persistent(…)` read
-/// like inherent constructors. (They live on a trait because the
+/// and `ViewMapServer::open(…)` / `ViewMapServer::open_with_key(…)`
+/// read like inherent constructors. (They live on a trait because the
 /// server crate cannot depend back on this one.)
 pub trait PersistentServer: Sized {
     /// Stand up a server backed by the append log in `dir`: recover the
@@ -709,51 +598,66 @@ pub trait PersistentServer: Sized {
     /// As [`open`](Self::open), but around an **operator-supplied**
     /// signing key — the constructor replication uses so a follower
     /// shares its primary's key and a promoted follower keeps redeeming
-    /// cash minted before the failover.
-    ///
-    /// If `dir` already holds a keyfile it must match `key`; a mismatch
-    /// is an error (silently re-keying a store orphans outstanding
-    /// cash). A missing keyfile is persisted from `key`, so later
-    /// [`open`](Self::open) calls recover the same identity.
+    /// cash minted before the failover. The key rules are
+    /// [`open_unattached`]'s.
     fn open_with_key(
         key: RsaKeyPair,
         cfg: ViewmapConfig,
         dir: impl AsRef<Path>,
         store_cfg: StoreConfig,
     ) -> std::io::Result<(Self, RecoveryReport)>;
-
-    /// As [`open`](Self::open), discarding the report — the one-liner
-    /// for "give me a durable server at this path, fresh or recovered".
-    fn persistent<R: Rng + ?Sized>(
-        rng: &mut R,
-        key_bits: usize,
-        cfg: ViewmapConfig,
-        dir: impl AsRef<Path>,
-        store_cfg: StoreConfig,
-    ) -> std::io::Result<Self> {
-        Self::open(rng, key_bits, cfg, dir, store_cfg).map(|(srv, _)| srv)
-    }
 }
 
-/// Shared tail of the durable constructors: replay the recovered
-/// records, count rejects, attach the store as the live WAL.
-fn finish_open(
+/// The one durable-open sequence under an operator-supplied `key`:
+/// recover the store in `dir`, check the keyfile, replay the committed
+/// records into a fresh server, count rejects, and bind the store's
+/// telemetry to the server's registry. The server comes back with
+/// **nothing attached** — replay precedes attach, since an attached WAL
+/// would double-log records already on disk — so the caller attaches
+/// the store bare ([`PersistentServer::open_with_key`]) or wrapped (a
+/// replicating primary).
+///
+/// If `dir` already holds a keyfile it must match `key`; a mismatch is
+/// an error (silently re-keying a store orphans outstanding cash). A
+/// missing keyfile is persisted from `key`, so later
+/// [`PersistentServer::open`] calls recover the same identity.
+pub fn open_unattached(
     key: RsaKeyPair,
     cfg: ViewmapConfig,
-    store: VpStore,
+    dir: impl AsRef<Path>,
+    store_cfg: StoreConfig,
+) -> std::io::Result<(ViewMapServer, VpStore, RecoveryReport)> {
+    let (store, vps, report) = VpStore::open(dir, store_cfg)?;
+    match keyfile::load(store.dir())? {
+        Some(existing) if existing != key => {
+            return Err(std::io::Error::other(format!(
+                "store {} already holds a different signing key — refusing to re-key \
+                 (outstanding cash would be orphaned); delete {} only if that is intended",
+                store.dir().display(),
+                keyfile::keyfile_path(store.dir()).display(),
+            )));
+        }
+        Some(_) => {}
+        None => keyfile::save(store.dir(), &key)?,
+    }
+    let (srv, report) = replay(key, cfg, &store, vps, report);
+    Ok((srv, store, report))
+}
+
+/// Replay recovered records into a fresh server, count rejects, and
+/// publish the recovery outcome (counters plus journal events for every
+/// warning) on the server's registry, so one snapshot covers the stack.
+fn replay(
+    key: RsaKeyPair,
+    cfg: ViewmapConfig,
+    store: &VpStore,
     vps: Vec<StoredVp>,
     mut report: RecoveryReport,
 ) -> (ViewMapServer, RecoveryReport) {
-    let mut srv = ViewMapServer::with_key(key, cfg);
-    // Replay precedes attach: the records being replayed are already
-    // on disk, and an attached WAL would double-log them.
+    let srv = ViewMapServer::with_key(key, cfg);
     let results = srv.submit_replay_batch(vps);
     report.rejected = results.iter().filter(|r| r.is_err()).count();
-    // Bind the store's telemetry to the server's registry (one
-    // snapshot covers the whole stack) and publish the recovery
-    // outcome — counters plus journal events for every warning.
     store.bind_obs(srv.obs(), &report);
-    srv.attach_wal(Box::new(store));
     (srv, report)
 }
 
@@ -779,7 +683,9 @@ impl PersistentServer for ViewMapServer {
                 key
             }
         };
-        Ok(finish_open(key, cfg, store, vps, report))
+        let (mut srv, report) = replay(key, cfg, &store, vps, report);
+        srv.attach_wal(Box::new(store));
+        Ok((srv, report))
     }
 
     fn open_with_key(
@@ -788,20 +694,9 @@ impl PersistentServer for ViewMapServer {
         dir: impl AsRef<Path>,
         store_cfg: StoreConfig,
     ) -> std::io::Result<(ViewMapServer, RecoveryReport)> {
-        let (store, vps, report) = VpStore::open(dir, store_cfg)?;
-        match keyfile::load(store.dir())? {
-            Some(existing) if existing != key => {
-                return Err(std::io::Error::other(format!(
-                    "store {} already holds a different signing key — refusing to re-key \
-                     (outstanding cash would be orphaned); delete {} only if that is intended",
-                    store.dir().display(),
-                    keyfile::keyfile_path(store.dir()).display(),
-                )));
-            }
-            Some(_) => {}
-            None => keyfile::save(store.dir(), &key)?,
-        }
-        Ok(finish_open(key, cfg, store, vps, report))
+        let (mut srv, store, report) = open_unattached(key, cfg, dir, store_cfg)?;
+        srv.attach_wal(Box::new(store));
+        Ok((srv, report))
     }
 }
 
@@ -899,6 +794,9 @@ mod tests {
         let tmp = TempDir::new("noop");
         let (store, _, _) = VpStore::open(&tmp.0, cfg()).unwrap();
         store.append(&[]).unwrap();
+        store
+            .append_then(&[], |_| panic!("nothing written, nothing lent"))
+            .unwrap();
         std::fs::write(tmp.0.join("README.txt"), b"not a segment").unwrap();
         drop(store);
         let (_, vps, report) = VpStore::open(&tmp.0, cfg()).unwrap();
@@ -1005,23 +903,28 @@ mod tests {
     #[test]
     fn parallel_framing_is_byte_identical_to_serial() {
         // Above APPEND_PARALLEL_THRESHOLD the append frames on worker
-        // threads; the on-disk bytes must equal the single-chunk serial
-        // framing exactly (chunk-order merge, deterministic encode).
+        // threads; the bytes written and lent must equal one serial
+        // framing exactly (in-order concatenation, deterministic encode).
         let tmp = TempDir::new("parframe");
         let n = APPEND_PARALLEL_THRESHOLD + 513;
         let group: Vec<StoredVp> = (0..n as u64).map(|t| synthetic_vp(t, 0)).collect();
         let refs: Vec<&StoredVp> = group.iter().collect();
         let (store, _, _) = VpStore::open(&tmp.0, cfg()).unwrap();
-        store.append(&refs).unwrap();
+        let mut lent = Frames::default();
+        store
+            .append_then(&refs, |frames| lent = frames.clone())
+            .unwrap();
         store.sync().unwrap();
         drop(store);
 
         let disk = std::fs::read(crate::segment::segment_path(&tmp.0, MinuteId(0))).unwrap();
-        let serial = frame_batch(&refs);
+        let mut serial = Frames::default();
+        serial.push(&refs);
+        assert_eq!(lent, serial, "parallel framing changed the byte stream");
         assert_eq!(
             &disk[crate::segment::SEGMENT_HEADER_BYTES..],
-            &serial[..],
-            "parallel framing changed the byte stream"
+            &serial.bytes[..],
+            "the bytes lent are the bytes written"
         );
         let (_, vps, report) = VpStore::open(&tmp.0, cfg()).unwrap();
         assert_eq!(report.records, n);
@@ -1117,7 +1020,7 @@ mod tests {
     }
 
     #[test]
-    fn persistent_server_round_trips_state() {
+    fn durable_server_round_trips_state() {
         let tmp = TempDir::new("server");
         let mut rng = StdRng::seed_from_u64(1);
         let vmcfg = ViewmapConfig::default();

@@ -273,6 +273,51 @@ fn torn_tail_recovery_feeds_an_equivalent_server() {
     assert_state_equivalent(&live, &recovered, 0..1, &ids, "torn-tail server");
 }
 
+#[test]
+fn a_foreign_minute_record_ends_recoverys_committed_prefix() {
+    // A checksum-valid record of minute 1 framed inside minute 0's
+    // segment (a mis-spliced or hand-edited log) is not a committed
+    // frame of minute 0: recovery ends the prefix there and truncates,
+    // instead of replaying it into minute 1's bucket — and the good
+    // minute-0 record behind it goes with it, as behind any injury.
+    let tmp = TempDir::new("foreign_minute");
+    let mut rng = StdRng::seed_from_u64(31);
+    let vmcfg = ViewmapConfig::default();
+    let (minute0, minute1) = (linked_world(3, 0, 31), linked_world(2, 1, 31));
+    {
+        let (srv, _) = ViewMapServer::open(&mut rng, 512, vmcfg, &tmp.0, cfg()).unwrap();
+        for world in [&minute0, &minute1] {
+            let acks = srv.submit_batch(world.iter().cloned().map(submission));
+            assert!(acks.iter().all(|a| a.is_ok()));
+        }
+        srv.sync_wal().unwrap();
+    }
+    let seg0 = segment::segment_path(&tmp.0, MinuteId(0));
+    let clean_len = std::fs::metadata(&seg0).unwrap().len();
+    let stray = linked_world(3, 1, 32).remove(2);
+    let behind = linked_world(4, 0, 32).remove(3);
+    let mut frames = segment::Frames::default();
+    frames.push(&[&stray, &behind]);
+    let mut w = segment::SegmentWriter::open(&tmp.0, MinuteId(0)).unwrap();
+    w.append(frames.bytes()).unwrap();
+    w.sync().unwrap();
+    drop(w);
+
+    let (srv, report) = ViewMapServer::open(&mut rng, 512, vmcfg, &tmp.0, cfg()).unwrap();
+    assert_eq!(report.records, 5, "only the records each minute wrote");
+    assert_eq!(report.torn_segments, 1);
+    assert_eq!(report.truncated_bytes, frames.bytes().len() as u64);
+    assert_eq!(srv.vp_count(MinuteId(0)), 3);
+    assert_eq!(
+        srv.vp_count(MinuteId(1)),
+        2,
+        "nothing replayed into minute 1"
+    );
+    assert!(srv.lookup_vp(stray.id).is_none());
+    assert!(srv.lookup_vp(behind.id).is_none());
+    assert_eq!(std::fs::metadata(&seg0).unwrap().len(), clean_len);
+}
+
 // ── Satellite: persisted-vs-live equivalence under random traffic ──────
 
 /// One random traffic history applied twice — to a RAM-only server and
