@@ -20,8 +20,8 @@
 //!
 //! Application is pipelined: a reader thread drains the socket while
 //! the applier coalesces queued `FRAMES` of the same minute into one
-//! batch-sized scan (one run per worker thread when several are
-//! queued) + replay + log, acking the last op — the follower's version
+//! batch-sized scan (catch-up bursts on worker threads, a run or more
+//! each) + replay + log, acking the last op — the follower's version
 //! of group commit. The follower still re-encodes the records on its
 //! own append (its store frames them afresh).
 //!
@@ -44,7 +44,7 @@
 //! by the same primary crash must not redial in lockstep, and a vopr
 //! run must be able to replay the exact jitter sequence from its seed.
 
-use crate::wire::ReplMsg;
+use crate::wire::{ReplMsg, MAX_FRAMES_MSG_BYTES};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -394,10 +394,13 @@ fn apply_stream(
                 _ => None,
             };
             if let Some(minute) = run_minute {
-                // Coalesce the queued FRAMES for this minute. Several
-                // queued runs (a catch-up burst) are scanned on worker
-                // threads, one run each; the records concatenate in op
-                // order up to the first injury.
+                // Coalesce the queued FRAMES for this minute and scan
+                // each run; the records concatenate in op order up to
+                // the first injury. Runs queued by catch-up (together at
+                // least one full message) scan on worker threads, a run
+                // or more each; live 60-VP runs (≈ 90 KB, at most
+                // APPLY_QUEUE_MSGS + 1 queued) stay below it and scan
+                // inline.
                 let run: Vec<(u64, &[u8])> = queue[i..]
                     .iter()
                     .map_while(|msg| match msg {
@@ -410,10 +413,13 @@ fn apply_stream(
                     })
                     .collect();
                 i += run.len();
-                let cuts = viewmap_core::par::even_cuts(
-                    run.len(),
-                    viewmap_core::par::auto_threads(run.len(), 2),
-                );
+                let bytes: usize = run.iter().map(|(_, frames)| frames.len()).sum();
+                let threads = if bytes >= MAX_FRAMES_MSG_BYTES {
+                    viewmap_core::par::auto_threads(run.len(), 1)
+                } else {
+                    1
+                };
+                let cuts = viewmap_core::par::even_cuts(run.len(), threads);
                 let scans = viewmap_core::par::map_ranges(&cuts, |_t, lo, hi| {
                     run[lo..hi]
                         .iter()

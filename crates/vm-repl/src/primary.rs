@@ -473,10 +473,11 @@ impl ReplHub {
         Ok(())
     }
 
-    /// Ship one committed append — the exact bytes the store just wrote
-    /// — to every live follower (called by [`ReplicatedWal::append`]
-    /// *after* local durability, still under the minute's shard lock).
-    /// A large append ships as several [`MAX_FRAMES_MSG_BYTES`]-bounded
+    /// Ship committed frames — the exact bytes the store just wrote, one
+    /// lent part of an append — to every live follower (called by
+    /// [`ReplicatedWal::append`] *after* local durability, still under
+    /// the minute's shard lock).
+    /// A large part ships as several [`MAX_FRAMES_MSG_BYTES`]-bounded
     /// ops rather than one giant message, so a follower starts scanning
     /// and replaying the first run while later ones are still on the
     /// wire, and the ack watermark advances run by run.
@@ -619,11 +620,6 @@ impl ReplicatedWal {
     /// Wrap `store` so its committed appends also ship through `hub`.
     pub fn new(store: VpStore, hub: Arc<ReplHub>) -> Self {
         ReplicatedWal { store, hub }
-    }
-
-    /// The hub this WAL ships through.
-    pub fn hub(&self) -> &Arc<ReplHub> {
-        &self.hub
     }
 }
 

@@ -107,13 +107,6 @@ impl Frames {
         }
     }
 
-    /// Copy `other`'s frames onto the end, in order.
-    pub fn append(&mut self, other: &Frames) {
-        let base = self.bytes.len();
-        self.bytes.extend_from_slice(&other.bytes);
-        self.ends.extend(other.ends.iter().map(|end| base + end));
-    }
-
     /// Drop every frame, keeping the allocations.
     pub fn clear(&mut self) {
         self.bytes.clear();
@@ -539,12 +532,12 @@ mod tests {
 
     #[test]
     fn framing_in_pieces_is_framing_at_once() {
-        // The store frames large appends in parallel pieces and
-        // concatenates them: that must be the same bytes and ends.
+        // Pushing onto frames already held continues the run: the same
+        // bytes and ends as one push of every record.
         let vps: Vec<StoredVp> = (0..7).map(|t| small_vp(t, 2)).collect();
         let whole = frames_of(&vps);
         let mut pieces = frames_of(&vps[..3]);
-        pieces.append(&frames_of(&vps[3..]));
+        pieces.push(&vps[3..].iter().collect::<Vec<_>>());
         assert_eq!(pieces, whole);
         assert_eq!(whole.ends.len(), 7);
         assert_eq!(*whole.ends.last().unwrap(), whole.bytes.len());

@@ -156,9 +156,9 @@ impl RecoveryReport {
 /// file already exists and `open` is append-mode).
 const MAX_OPEN_SEGMENTS: usize = 8;
 
-/// Batches at or above this size frame on worker threads (mirroring the
-/// server's batch-ingest threshold economics: below it, spawn/join
-/// overhead beats the fan-out).
+/// Batches at or above this size frame on worker threads, in parts of at
+/// most this many records (mirroring the server's batch-ingest threshold
+/// economics: below it, spawn/join overhead beats the fan-out).
 const APPEND_PARALLEL_THRESHOLD: usize = 2048;
 
 struct WriterCache {
@@ -271,11 +271,11 @@ pub struct VpStore {
     dir: PathBuf,
     fsync: Fsync,
     writers: Mutex<WriterCache>,
-    /// Framing scratch: group commits borrow one warm buffer instead of
-    /// allocating (and page-faulting) a fresh one per batch. It keeps
-    /// the largest commit's allocation — for served traffic at most one
-    /// 64 MiB wire frame's worth of records, or a follower's coalesced
-    /// runs.
+    /// Framing scratch: appends below `APPEND_PARALLEL_THRESHOLD`
+    /// records — every served group commit — borrow one warm buffer
+    /// instead of allocating (and page-faulting) a fresh one per batch.
+    /// Larger appends never touch it, so it stays below one threshold's
+    /// worth of records (as does every part a large append frames).
     scratch: Mutex<Frames>,
     /// Telemetry, bound once by [`VpStore::bind_obs`] (the durable
     /// constructors bind the owning server's registry). Unbound stores
@@ -461,16 +461,16 @@ impl VpStore {
     }
 
     /// One group commit: frame `vps` (accepted records of one minute)
-    /// into one contiguous run with the store's framer, write it, fsync
-    /// it under [`Fsync::Always`], and only then lend the exact bytes
-    /// written to `written` — the replication hub ships them as they
-    /// are, so a primary encodes each record once. `written` runs only
-    /// after a successful, non-empty append; [`VpWal::append`] is this
-    /// with nobody to lend the bytes to.
+    /// with the store's framer, write the frames, fsync them under
+    /// [`Fsync::Always`], and only then lend the exact bytes written to
+    /// `written`, part by part in write order — the replication hub
+    /// ships them as they are, so a primary encodes each record once.
+    /// `written` runs only after a successful, non-empty append;
+    /// [`VpWal::append`] is this with nobody to lend the bytes to.
     pub fn append_then(
         &self,
         vps: &[&StoredVp],
-        written: impl FnOnce(&Frames),
+        written: impl FnMut(&Frames),
     ) -> std::io::Result<()> {
         let Some(first) = vps.first() else {
             return Ok(());
@@ -480,56 +480,69 @@ impl VpStore {
             vps.iter().all(|vp| vp.minute() == minute),
             "one append call spans one minute"
         );
-        let threads = viewmap_core::par::auto_threads(vps.len(), APPEND_PARALLEL_THRESHOLD);
+        let small = vps.len() < APPEND_PARALLEL_THRESHOLD;
         let metrics = self.obs.get();
         let commit = || {
-            // Frame into the retained scratch, *taken* so its mutex is
-            // held only for the swap, never across framing or I/O (a
-            // concurrent taker starts with a fresh buffer; the larger
-            // allocation wins the slot back below). Large batches frame
-            // on workers whose runs are concatenated in order: the same
-            // bytes on any thread count.
-            let mut frames = std::mem::take(&mut *self.scratch.lock());
-            frames.clear();
-            if threads <= 1 {
+            // A small append frames into the retained scratch, *taken* so
+            // its mutex is held only for the swap, never across framing
+            // or I/O (a concurrent taker starts with a fresh buffer; the
+            // larger allocation wins the slot back below). A large one —
+            // a giant batch, a follower's coalesced catch-up runs —
+            // frames on workers into parts of at most
+            // APPEND_PARALLEL_THRESHOLD records, written and lent in
+            // order, never concatenated and never retained: the same
+            // bytes on any thread count, held once, only for the commit,
+            // and no framing buffer larger than the scratch's bound.
+            let parts = if small {
+                let mut frames = std::mem::take(&mut *self.scratch.lock());
+                frames.clear();
                 frames.push(vps);
+                vec![frames]
             } else {
+                let threads = viewmap_core::par::auto_threads(vps.len(), APPEND_PARALLEL_THRESHOLD);
                 let cuts = viewmap_core::par::even_cuts(vps.len(), threads);
-                let parts = viewmap_core::par::map_ranges(&cuts, |_t, lo, hi| {
-                    let mut part = Frames::default();
-                    part.push(&vps[lo..hi]);
-                    part
+                let per_worker = viewmap_core::par::map_ranges(&cuts, |_t, lo, hi| {
+                    vps[lo..hi]
+                        .chunks(APPEND_PARALLEL_THRESHOLD)
+                        .map(|chunk| {
+                            let mut part = Frames::default();
+                            part.push(chunk);
+                            part
+                        })
+                        .collect::<Vec<_>>()
                 });
-                for part in &parts {
-                    frames.append(part);
-                }
-            }
+                per_worker.into_iter().flatten().collect()
+            };
             let result = self.with_writer(minute, |w| {
-                w.append(&frames.bytes)?;
+                for part in &parts {
+                    w.append(&part.bytes)?;
+                }
                 match (self.fsync, metrics) {
                     (Fsync::Never, _) => Ok(()),
                     (Fsync::Always, Some(m)) => m.fsync_us.time(|| w.sync()),
                     (Fsync::Always, None) => w.sync(),
                 }
             });
-            (frames, result)
+            (parts, result)
         };
         // `Histogram::time` skips the clock entirely when telemetry is
         // disabled, so the unbound/disabled path pays one `OnceLock::get`.
-        let (frames, result) = match metrics {
+        let (mut parts, result) = match metrics {
             Some(m) => m.append_us.time(commit),
             None => commit(),
         };
         if result.is_ok() {
-            written(&frames);
+            parts.iter().for_each(written);
             if let Some(m) = metrics {
                 m.batch_records.record(vps.len() as u64);
                 m.appended_records.add(vps.len() as u64);
             }
         }
-        let mut scratch = self.scratch.lock();
-        if scratch.bytes.capacity() < frames.bytes.capacity() {
-            *scratch = frames;
+        if let (true, Some(frames)) = (small, parts.pop()) {
+            let mut scratch = self.scratch.lock();
+            if scratch.bytes.capacity() < frames.bytes.capacity() {
+                *scratch = frames;
+            }
         }
         result
     }
@@ -902,9 +915,9 @@ mod tests {
 
     #[test]
     fn parallel_framing_is_byte_identical_to_serial() {
-        // Above APPEND_PARALLEL_THRESHOLD the append frames on worker
-        // threads; the bytes written and lent must equal one serial
-        // framing exactly (in-order concatenation, deterministic encode).
+        // At APPEND_PARALLEL_THRESHOLD and above the append frames on
+        // worker threads and lends the parts in order; their bytes, and
+        // their ends rebased, must equal one serial framing exactly.
         let tmp = TempDir::new("parframe");
         let n = APPEND_PARALLEL_THRESHOLD + 513;
         let group: Vec<StoredVp> = (0..n as u64).map(|t| synthetic_vp(t, 0)).collect();
@@ -912,7 +925,12 @@ mod tests {
         let (store, _, _) = VpStore::open(&tmp.0, cfg()).unwrap();
         let mut lent = Frames::default();
         store
-            .append_then(&refs, |frames| lent = frames.clone())
+            .append_then(&refs, |part| {
+                assert!(part.ends.len() <= APPEND_PARALLEL_THRESHOLD);
+                let base = lent.bytes.len();
+                lent.bytes.extend_from_slice(&part.bytes);
+                lent.ends.extend(part.ends.iter().map(|end| base + end));
+            })
             .unwrap();
         store.sync().unwrap();
         drop(store);
