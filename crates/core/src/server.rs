@@ -36,15 +36,26 @@
 //! the stripe and shard acquisitions are short (no validation, hashing,
 //! or linking happens under them), and a memo lock is only ever taken
 //! with no shard lock held — an investigation blocks ingest for its
-//! minute's stripe only while it scans the admission table. Single
-//! submission takes one id stripe then the shard; batch
-//! submission ([`ViewMapServer::submit_batch`]) takes every stripe its
-//! minute group needs in ascending order, then the shard — one
-//! acquisition per (minute, batch) instead of per VP, which is where the
-//! batch path's throughput comes from. The `submit_batch_warm` variant
-//! additionally pre-hashes each VP's viewlink keys before committing, so
+//! minute's stripe only while it scans the admission table.
+//!
+//! # One commit path
+//!
+//! Every `submit*` entry point is a one-line call into one private
+//! commit function, which takes every id stripe a minute group needs in
+//! ascending order, then the shard — one acquisition per (minute, batch)
+//! instead of per VP, which is where batch throughput comes from. A
+//! single submission is a batch of one. The warm variants additionally
+//! pre-hash each VP's viewlink keys before committing, so
 //! investigations of freshly ingested minutes start with a warm key
 //! cache.
+//!
+//! The same function decides trust, from the channel a VP arrived on
+//! and never from the record: anonymous submissions are stored
+//! untrusted whatever their `trusted` flag says, the authority entry
+//! points ([`ViewMapServer::submit_trusted`],
+//! [`ViewMapServer::submit_trusted_batch`]) store trust seeds, and only
+//! log replay (recovery and replication) keeps each record's own flag.
+//! A network peer therefore cannot mint a TrustRank seed.
 //!
 //! # Durability seam
 //!
@@ -119,7 +130,7 @@ pub enum SubmitError {
     SuspiciousBloom,
 }
 
-/// Lock-free admission screen shared by the single and batch paths.
+/// Lock-free admission screen, run on every VP before any lock.
 /// An accepted VP comes back with its row for the minute's admission
 /// table — gathered in the same pass over the 60 VDs that checks their
 /// time order — so nothing about it is computed under a lock.
@@ -142,6 +153,23 @@ fn screen(vp: &StoredVp) -> Result<VdBounds, SubmitError> {
         return Err(SubmitError::SuspiciousBloom);
     }
     Ok(bounds)
+}
+
+/// Where a committed VP's `trusted` flag comes from: the channel it
+/// arrived on, never the record alone.
+#[derive(Clone, Copy)]
+enum Trust {
+    /// Public upload: stored untrusted whatever the record says.
+    Anonymous,
+    /// Authority channel: stored as a trust seed.
+    Authority,
+    /// Log replay (recovery, replication): the record's own flag, which
+    /// one of the other two set when it was first committed.
+    AsRecorded,
+}
+
+fn anonymous(subs: impl IntoIterator<Item = AnonymousSubmission>) -> Vec<StoredVp> {
+    subs.into_iter().map(|s| s.vp).collect()
 }
 
 /// Why a reward request was rejected.
@@ -225,14 +253,15 @@ fn ledger_stripe(key: &[u8; 32]) -> usize {
 /// every call into a relaxed load.
 struct CoreMetrics {
     /// `vm_core_vps_stored_total` — VPs committed to the database
-    /// (submit, trusted, batch, and recovery replay alike).
+    /// (every entry point, recovery replay included).
     vps_stored: Arc<Counter>,
     /// `vm_core_vps_rejected_total` — screened-out or duplicate VPs.
     vps_rejected: Arc<Counter>,
     /// `vm_core_vps_evicted_total` / `vm_core_eviction_sweeps_total`.
     vps_evicted: Arc<Counter>,
     eviction_sweeps: Arc<Counter>,
-    /// `vm_core_batch_accepted_vps` — accepted VPs per batch-ingest call.
+    /// `vm_core_batch_accepted_vps` — accepted VPs per ingest call (a
+    /// single submit is a batch of one).
     batch_accepted: Arc<Histogram>,
     /// `vm_core_investigate_us` — full investigation pipeline latency.
     investigate_us: Arc<Histogram>,
@@ -387,12 +416,6 @@ impl ViewMapServer {
         &self.obs
     }
 
-    /// The full signing key pair, for persistence (vm-store's keyfile)
-    /// and for handing an identical key to a replica.
-    pub fn signing_key(&self) -> &RsaKeyPair {
-        &self.key
-    }
-
     /// Attach a durable append log. From this point on every accepted VP
     /// is mirrored into it; the caller (normally the `vm-store` recovery
     /// path) must finish replaying any existing log contents **before**
@@ -420,15 +443,15 @@ impl ViewMapServer {
         self.key.public()
     }
 
-    /// Accept one anonymized VP submission into the database.
+    /// Accept one anonymized VP submission into the database, stored
+    /// untrusted.
     pub fn submit(&self, sub: AnonymousSubmission) -> Result<(), SubmitError> {
-        self.store(sub.vp)
+        self.store_one(sub.vp, Trust::Anonymous)
     }
 
     /// Accept a trusted VP through the authority channel.
-    pub fn submit_trusted(&self, mut vp: StoredVp) -> Result<(), SubmitError> {
-        vp.trusted = true;
-        self.store(vp)
+    pub fn submit_trusted(&self, vp: StoredVp) -> Result<(), SubmitError> {
+        self.store_one(vp, Trust::Authority)
     }
 
     /// Accept a batch of anonymized submissions in one call.
@@ -442,8 +465,8 @@ impl ViewMapServer {
     /// * validation and Bloom screening run before any lock is taken;
     /// * each id stripe and each minute shard is locked **once per
     ///   (minute, batch)** instead of once per VP (stripes in ascending
-    ///   order, then the shard — the same global order the single-submit
-    ///   path follows, so batches, singles, and readers never deadlock).
+    ///   order, then the shard — the global order every path follows, so
+    ///   concurrent ingest and readers never deadlock).
     ///
     /// A `VpId` that appears twice *within* the batch is first-wins: the
     /// first occurrence (if otherwise valid) is stored, later ones get
@@ -455,12 +478,12 @@ impl ViewMapServer {
     /// stays a pure locking/screening amortization (most minutes are
     /// never investigated). Use
     /// [`submit_batch_warm`](Self::submit_batch_warm) for minutes that
-    /// are about to be.
+    /// are about to be. Every VP is stored untrusted.
     pub fn submit_batch(
         &self,
         subs: impl IntoIterator<Item = AnonymousSubmission>,
     ) -> Vec<Result<(), SubmitError>> {
-        self.store_batch(subs.into_iter().map(|s| s.vp).collect(), false)
+        self.store_batch(anonymous(subs), Trust::Anonymous, false)
     }
 
     /// As [`submit_batch`](Self::submit_batch), additionally precomputing
@@ -472,12 +495,13 @@ impl ViewMapServer {
     /// ingested minutes then skip their Bloom-key hashing phase — the
     /// right trade when a minute is investigation-bound (an incident was
     /// just reported) and worth ~1 KB of cached digests per VP. The
-    /// stored state is identical either way.
+    /// stored state is identical either way. This is the wire's ingest
+    /// call; every VP is stored untrusted.
     pub fn submit_batch_warm(
         &self,
         subs: impl IntoIterator<Item = AnonymousSubmission>,
     ) -> Vec<Result<(), SubmitError>> {
-        self.store_batch(subs.into_iter().map(|s| s.vp).collect(), true)
+        self.store_batch(anonymous(subs), Trust::Anonymous, true)
     }
 
     /// Batch counterpart of [`submit_trusted`](Self::submit_trusted):
@@ -485,15 +509,7 @@ impl ViewMapServer {
     /// [`submit_batch_warm`](Self::submit_batch_warm) (authority VPs
     /// anchor viewmaps, so they are always investigation-bound).
     pub fn submit_trusted_batch(&self, vps: Vec<StoredVp>) -> Vec<Result<(), SubmitError>> {
-        self.store_batch(
-            vps.into_iter()
-                .map(|mut vp| {
-                    vp.trusted = true;
-                    vp
-                })
-                .collect(),
-            true,
-        )
+        self.store_batch(vps, Trust::Authority, true)
     }
 
     /// Recovery entry for the persistence layer: ingest VPs decoded from
@@ -505,7 +521,7 @@ impl ViewMapServer {
     /// force-sets it). Call this *before* [`attach_wal`](Self::attach_wal)
     /// so the replayed records are not appended to the log a second time.
     pub fn submit_replay_batch(&self, vps: Vec<StoredVp>) -> Vec<Result<(), SubmitError>> {
-        self.store_batch(vps, true)
+        self.store_batch(vps, Trust::AsRecorded, true)
     }
 
     /// As [`submit_replay_batch`](Self::submit_replay_batch) but
@@ -516,7 +532,7 @@ impl ViewMapServer {
     /// promotion pays the key phase the warm would have prepaid — the
     /// stored state is identical either way.
     pub fn submit_replay_batch_cold(&self, vps: Vec<StoredVp>) -> Vec<Result<(), SubmitError>> {
-        self.store_batch(vps, false)
+        self.store_batch(vps, Trust::AsRecorded, false)
     }
 
     /// Bounded-retention sweep: drop every stored minute strictly before
@@ -577,7 +593,19 @@ impl ViewMapServer {
         evicted
     }
 
-    fn store_batch(&self, vps: Vec<StoredVp>, warm_keys: bool) -> Vec<Result<(), SubmitError>> {
+    fn store_one(&self, vp: StoredVp, trust: Trust) -> Result<(), SubmitError> {
+        self.store_batch(vec![vp], trust, false)[0]
+    }
+
+    /// The one commit path. Sets every VP's `trusted` flag from `trust`
+    /// — the only place ingest decides trust — then screens, dedups,
+    /// optionally warms link keys, and commits per (minute, batch).
+    fn store_batch(
+        &self,
+        vps: Vec<StoredVp>,
+        trust: Trust,
+        warm_keys: bool,
+    ) -> Vec<Result<(), SubmitError>> {
         let total = vps.len();
         let mut results = vec![Ok(()); total];
         // Screen without locks: shape validation, Bloom poisoning, and
@@ -585,7 +613,12 @@ impl ViewMapServer {
         let mut seen: HashSet<VpId> = HashSet::with_capacity(total);
         let mut groups: HashMap<MinuteId, Vec<(usize, StoredVp, VdBounds)>> = HashMap::new();
         let mut accepted = 0usize;
-        for (idx, vp) in vps.into_iter().enumerate() {
+        for (idx, mut vp) in vps.into_iter().enumerate() {
+            match trust {
+                Trust::Anonymous => vp.trusted = false,
+                Trust::Authority => vp.trusted = true,
+                Trust::AsRecorded => {}
+            }
             let bounds = match screen(&vp) {
                 Ok(bounds) => bounds,
                 Err(e) => {
@@ -638,9 +671,8 @@ impl ViewMapServer {
 
         // Commit one minute group at a time: every id stripe the group
         // touches, write-locked in ascending order, then the minute
-        // shard. Consistent with the single-submit lock order (one id
-        // stripe, then the shard), so concurrent batches and singles
-        // cannot deadlock; the index entry and the shard append still
+        // shard — the global lock order, so concurrent commits and
+        // sweeps cannot deadlock; the index entry and the shard append
         // commit under the same critical section.
         for (minute, group) in groups {
             let mut stripes: Vec<usize> =
@@ -686,15 +718,6 @@ impl ViewMapServer {
         results
     }
 
-    fn store(&self, vp: StoredVp) -> Result<(), SubmitError> {
-        let result = self.store_inner(vp);
-        match result {
-            Ok(()) => self.metrics.vps_stored.inc(),
-            Err(_) => self.metrics.vps_rejected.inc(),
-        }
-        result
-    }
-
     /// The minute's bucket under the shard's write guard, created (with
     /// its empty memo) on the minute's first accepted VP.
     fn bucket_mut<'a>(&self, shard: &'a mut DbShard, minute: MinuteId) -> &'a mut MinuteBucket {
@@ -710,30 +733,6 @@ impl ViewMapServer {
                     Arc::clone(&self.memo_totals),
                 )),
             })
-    }
-
-    fn store_inner(&self, vp: StoredVp) -> Result<(), SubmitError> {
-        let bounds = screen(&vp)?;
-        let id = vp.id;
-        let minute = vp.minute();
-        // Lock order: id stripe, then minute shard. The index entry and
-        // the shard append commit together so readers through the index
-        // never observe a dangling slot.
-        let mut ids = self.id_index[id_stripe(&id)].write();
-        if ids.contains_key(&id) {
-            return Err(SubmitError::Duplicate);
-        }
-        let mut shard = self.db[minute_stripe(minute)].write();
-        let bucket = self.bucket_mut(&mut shard, minute);
-        let pos = bucket.push(vp, bounds);
-        ids.insert(id, VpSlot { minute, pos });
-        // Mirror the accepted VP into the log before the shard lock is
-        // released, so log order equals bucket order within the minute.
-        if let Some(wal) = &self.wal {
-            wal.append(&[bucket.vps[pos as usize].as_ref()])
-                .expect("WAL append failed; durable state would diverge");
-        }
-        Ok(())
     }
 
     /// Fetch a VP by identifier: one id-stripe probe for the slot, one
@@ -1081,6 +1080,11 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    /// Commit one VP with its own `trusted` flag (the replay channel).
+    fn store(srv: &ViewMapServer, vp: StoredVp) -> Result<(), SubmitError> {
+        srv.store_one(vp, Trust::AsRecorded)
+    }
+
     fn server(seed: u64) -> ViewMapServer {
         let mut rng = StdRng::seed_from_u64(seed);
         ViewMapServer::new(&mut rng, 512, ViewmapConfig::default())
@@ -1147,7 +1151,7 @@ mod tests {
         let (fin, _) = record(5, 0.0);
         let mut vp = fin.profile.into_stored();
         vp.vds.truncate(10);
-        assert_eq!(srv.store(vp), Err(SubmitError::MalformedVds));
+        assert_eq!(store(&srv, vp), Err(SubmitError::MalformedVds));
     }
 
     #[test]
@@ -1158,7 +1162,7 @@ mod tests {
         let srv = server(40);
         let mut dup = synthetic_vp(1, 0);
         dup.vds[5].time = dup.vds[4].time;
-        assert_eq!(srv.store(dup.clone()), Err(SubmitError::MalformedVds));
+        assert_eq!(store(&srv, dup.clone()), Err(SubmitError::MalformedVds));
         let mut reordered = synthetic_vp(2, 0);
         reordered.vds.swap(10, 11);
         let results = srv.submit_batch(vec![submission(reordered), submission(dup)]);
@@ -1178,7 +1182,7 @@ mod tests {
         let (fin, _) = record(7, 0.0);
         let mut vp = fin.profile.into_stored();
         vp.bloom = crate::bloom::BloomFilter::from_bytes(vec![0xff; 256], 8);
-        assert_eq!(srv.store(vp), Err(SubmitError::SuspiciousBloom));
+        assert_eq!(store(&srv, vp), Err(SubmitError::SuspiciousBloom));
     }
 
     #[test]
@@ -1186,7 +1190,7 @@ mod tests {
         let srv = server(8);
         let (fin, chunks) = record(9, 0.0);
         let id = fin.profile.id();
-        srv.store(fin.profile.into_stored()).unwrap();
+        store(&srv, fin.profile.into_stored()).unwrap();
         let upload = VideoUpload { vp_id: id, chunks };
         assert_eq!(srv.upload_video(&upload), Err(UploadError::NotSolicited));
     }
@@ -1198,7 +1202,7 @@ mod tests {
         let (fin, _chunks) = record(12, 0.0);
         let vp_id = fin.profile.id();
         let secret = fin.secret;
-        srv.store(fin.profile.into_stored()).unwrap();
+        store(&srv, fin.profile.into_stored()).unwrap();
 
         // Human review done: award 3 units.
         srv.post_reward(vp_id, 3);
@@ -1240,7 +1244,7 @@ mod tests {
         let (fin, _chunks) = record(15, 0.0);
         let vp_id = fin.profile.id();
         let secret = fin.secret;
-        srv.store(fin.profile.into_stored()).unwrap();
+        store(&srv, fin.profile.into_stored()).unwrap();
         srv.post_reward(vp_id, 3);
 
         let mut wallet = Wallet::new();
@@ -1277,7 +1281,7 @@ mod tests {
         let (fin, _chunks) = record(51, 0.0);
         let vp_id = fin.profile.id();
         let secret = fin.secret;
-        srv.store(fin.profile.into_stored()).unwrap();
+        store(&srv, fin.profile.into_stored()).unwrap();
         srv.post_reward(vp_id, 2);
 
         // Race T sessions claiming the same board entry: exactly one
@@ -1390,7 +1394,7 @@ mod tests {
             let (fin, chunks) = record_at(100 + m, m as f64, m * SECONDS_PER_VP);
             let id = fin.profile.id();
             assert_eq!(fin.profile.clone().into_stored().minute(), MinuteId(m));
-            srv.store(fin.profile.into_stored()).unwrap();
+            store(&srv, fin.profile.into_stored()).unwrap();
             uploads.push(VideoUpload { vp_id: id, chunks });
         }
         assert_eq!(srv.total_vps(), 24);
@@ -1415,13 +1419,13 @@ mod tests {
         let (fin, chunks) = record(18, 0.0);
         let id = fin.profile.id();
         let first = fin.profile.clone().into_stored();
-        srv.store(first).unwrap();
+        store(&srv, first).unwrap();
 
         // A forged resubmission under the same id (different content) is
         // rejected and must not disturb the index entry.
         let mut forged = fin.profile.into_stored();
         forged.vds[0].loc.x += 999.0;
-        assert_eq!(srv.store(forged), Err(SubmitError::Duplicate));
+        assert_eq!(store(&srv, forged), Err(SubmitError::Duplicate));
         assert_eq!(srv.total_vps(), 1);
 
         let stored = srv.lookup_vp(id).expect("still indexed");
@@ -1445,7 +1449,7 @@ mod tests {
         let n: u64 = 10_500;
         for tag in 0..n {
             let minute = tag % 350;
-            srv.store(synthetic_vp(tag, minute)).unwrap();
+            store(&srv, synthetic_vp(tag, minute)).unwrap();
         }
         assert_eq!(srv.total_vps(), n as usize);
         assert_eq!(srv.vp_count(MinuteId(0)), 30);
@@ -1506,8 +1510,8 @@ mod tests {
         let bat = server(30);
         // One VP pre-stored on both, so the batch hits a server-level dup.
         let pre = synthetic_vp(999, 2);
-        seq.store(pre.clone()).unwrap();
-        bat.store(pre.clone()).unwrap();
+        store(&seq, pre.clone()).unwrap();
+        store(&bat, pre.clone()).unwrap();
 
         let mut batch: Vec<StoredVp> = Vec::new();
         for tag in 0..40u64 {
@@ -1565,6 +1569,66 @@ mod tests {
         assert!(results.iter().all(|r| r.is_ok()));
         for vp in srv.minute_vps(MinuteId(0)) {
             assert!(vp.trusted);
+        }
+    }
+
+    #[test]
+    fn trust_is_set_by_the_entry_point_never_by_the_record() {
+        // Seven entry points × the record's own flag. Anonymous ones
+        // store untrusted, authority ones a seed, replay what the record
+        // says; the digest agrees with a server holding that flag.
+        type Entry = fn(&ViewMapServer, StoredVp) -> Result<(), SubmitError>;
+        let entries: [(&str, Entry, Option<bool>); 7] = [
+            ("submit", |s, vp| s.submit(submission(vp)), Some(false)),
+            (
+                "submit_batch",
+                |s, vp| s.submit_batch([submission(vp)])[0],
+                Some(false),
+            ),
+            (
+                "submit_batch_warm",
+                |s, vp| s.submit_batch_warm([submission(vp)])[0],
+                Some(false),
+            ),
+            ("submit_trusted", |s, vp| s.submit_trusted(vp), Some(true)),
+            (
+                "submit_trusted_batch",
+                |s, vp| s.submit_trusted_batch(vec![vp])[0],
+                Some(true),
+            ),
+            (
+                "submit_replay_batch",
+                |s, vp| s.submit_replay_batch(vec![vp])[0],
+                None,
+            ),
+            (
+                "submit_replay_batch_cold",
+                |s, vp| s.submit_replay_batch_cold(vec![vp])[0],
+                None,
+            ),
+        ];
+        let key = RsaKeyPair::generate(&mut StdRng::seed_from_u64(90), 512);
+        let fresh = || ViewMapServer::with_key(key.clone(), ViewmapConfig::default());
+        let digest_with = |trusted: bool| {
+            let srv = fresh();
+            let mut vp = synthetic_vp(1, 0);
+            vp.trusted = trusted;
+            assert_eq!(srv.submit_replay_batch(vec![vp]), vec![Ok(())]);
+            srv.state_digest()
+        };
+        let digests = [digest_with(false), digest_with(true)];
+        assert_ne!(digests[0], digests[1]);
+        for (name, entry, forced) in entries {
+            for recorded in [false, true] {
+                let mut vp = synthetic_vp(1, 0);
+                vp.trusted = recorded;
+                let srv = fresh();
+                assert_eq!(entry(&srv, vp.clone()), Ok(()), "{name}");
+                let want = forced.unwrap_or(recorded);
+                let ctx = format!("{name} with the record's flag {recorded}");
+                assert_eq!(srv.lookup_vp(vp.id).unwrap().trusted, want, "{ctx}");
+                assert_eq!(srv.state_digest(), digests[want as usize], "{ctx}");
+            }
         }
     }
 
@@ -1640,7 +1704,7 @@ mod tests {
         let srv = server(50);
         for m in 0..6u64 {
             for tag in 0..4u64 {
-                srv.store(synthetic_vp(m * 10 + tag, m)).unwrap();
+                store(&srv, synthetic_vp(m * 10 + tag, m)).unwrap();
             }
         }
         assert_eq!(srv.total_vps(), 24);
@@ -1660,9 +1724,12 @@ mod tests {
 
         // Evicted ids are forgotten: the same id submits again (bounded
         // retention is exactly the operation that forgets ids)...
-        srv.store(synthetic_vp(0, 0)).unwrap();
+        store(&srv, synthetic_vp(0, 0)).unwrap();
         // ...while retained ids still dedup.
-        assert_eq!(srv.store(synthetic_vp(43, 4)), Err(SubmitError::Duplicate));
+        assert_eq!(
+            store(&srv, synthetic_vp(43, 4)),
+            Err(SubmitError::Duplicate)
+        );
         // Idempotent: nothing left below the cutoff.
         assert_eq!(srv.evict_minutes_before(MinuteId(0)), 0);
     }
@@ -1725,8 +1792,8 @@ mod tests {
         ];
         let results = srv.submit_batch(batch.iter().cloned().map(submission));
         assert_eq!(results.iter().filter(|r| r.is_ok()).count(), 3);
-        srv.store(synthetic_vp(4, 0)).unwrap();
-        assert_eq!(srv.store(synthetic_vp(4, 0)), Err(SubmitError::Duplicate));
+        store(&srv, synthetic_vp(4, 0)).unwrap();
+        assert_eq!(store(&srv, synthetic_vp(4, 0)), Err(SubmitError::Duplicate));
 
         let log = wal.appended.lock().clone();
         assert_eq!(log.len(), 4, "exactly the accepted VPs are logged");
@@ -1755,8 +1822,8 @@ mod tests {
         let b = server(61);
         for m in 0..3u64 {
             for t in 0..4u64 {
-                a.store(synthetic_vp(m * 10 + t, m)).unwrap();
-                b.store(synthetic_vp(m * 10 + t, m)).unwrap();
+                store(&a, synthetic_vp(m * 10 + t, m)).unwrap();
+                store(&b, synthetic_vp(m * 10 + t, m)).unwrap();
             }
         }
         assert_eq!(
@@ -1773,7 +1840,7 @@ mod tests {
         let c = server(62);
         for m in 0..3u64 {
             for t in (0..4u64).rev() {
-                c.store(synthetic_vp(m * 10 + t, m)).unwrap();
+                store(&c, synthetic_vp(m * 10 + t, m)).unwrap();
             }
         }
         assert_ne!(
@@ -1786,7 +1853,7 @@ mod tests {
         let d = server(63);
         for m in 0..2u64 {
             for t in 0..4u64 {
-                d.store(synthetic_vp(m * 10 + t, m)).unwrap();
+                store(&d, synthetic_vp(m * 10 + t, m)).unwrap();
             }
         }
         assert_ne!(
@@ -1803,7 +1870,7 @@ mod tests {
                 if m == 1 && t == 2 {
                     vp.trusted = true;
                 }
-                e.store(vp).unwrap();
+                store(&e, vp).unwrap();
             }
         }
         assert_ne!(
@@ -1826,7 +1893,7 @@ mod tests {
         let srv = server(20);
         let (fin, _) = record(21, 0.0);
         let id = fin.profile.id();
-        srv.store(fin.profile.into_stored()).unwrap();
+        store(&srv, fin.profile.into_stored()).unwrap();
         let vm = srv.build_viewmap(
             MinuteId(0),
             Site {

@@ -11,11 +11,29 @@
 //! accounting, and fits in a DSRC beacon.
 
 use crate::types::{GeoPos, VpId};
-use bytes::{Buf, BufMut};
 use vm_crypto::{Digest16, Sha256};
 
 /// Wire size of one VD message (Section 6.1).
 pub const VD_WIRE_BYTES: usize = 72;
+
+/// Write `bytes` at the front of `buf` and advance past them.
+fn put(buf: &mut &mut [u8], bytes: &[u8]) {
+    let (head, rest) = std::mem::take(buf).split_at_mut(bytes.len());
+    head.copy_from_slice(bytes);
+    *buf = rest;
+}
+
+/// Read `N` bytes from the front of `buf` and advance past them. The
+/// callers check the total length first.
+fn take<const N: usize>(buf: &mut &[u8]) -> [u8; N] {
+    let (head, rest) = buf.split_at(N);
+    *buf = rest;
+    head.try_into().expect("N bytes")
+}
+
+fn take_u64(buf: &mut &[u8]) -> u64 {
+    u64::from_le_bytes(take(buf))
+}
 
 /// A single view digest.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -58,15 +76,15 @@ impl ViewDigest {
     pub fn encode(&self) -> [u8; VD_WIRE_BYTES] {
         let mut out = [0u8; VD_WIRE_BYTES];
         let mut buf = &mut out[..];
-        buf.put_u16_le(self.seq);
-        buf.put_u16_le(self.flags);
-        buf.put_u32_le(0); // reserved
-        buf.put_u64_le(self.time);
-        buf.put_slice(&self.loc.encode());
-        buf.put_u64_le(self.file_size);
-        buf.put_slice(&self.initial_loc.encode());
-        buf.put_slice(self.vp_id.0.as_bytes());
-        buf.put_slice(self.hash.as_bytes());
+        put(&mut buf, &self.seq.to_le_bytes());
+        put(&mut buf, &self.flags.to_le_bytes());
+        put(&mut buf, &0u32.to_le_bytes()); // reserved
+        put(&mut buf, &self.time.to_le_bytes());
+        put(&mut buf, &self.loc.encode());
+        put(&mut buf, &self.file_size.to_le_bytes());
+        put(&mut buf, &self.initial_loc.encode());
+        put(&mut buf, self.vp_id.0.as_bytes());
+        put(&mut buf, self.hash.as_bytes());
         debug_assert!(buf.is_empty());
         out
     }
@@ -77,21 +95,15 @@ impl ViewDigest {
             return None;
         }
         let mut buf = bytes;
-        let seq = buf.get_u16_le();
-        let flags = buf.get_u16_le();
-        let _reserved = buf.get_u32_le();
-        let time = buf.get_u64_le();
-        let mut loc8 = [0u8; 8];
-        buf.copy_to_slice(&mut loc8);
-        let loc = GeoPos::decode(&loc8);
-        let file_size = buf.get_u64_le();
-        let mut init8 = [0u8; 8];
-        buf.copy_to_slice(&mut init8);
-        let initial_loc = GeoPos::decode(&init8);
-        let mut id16 = [0u8; 16];
-        buf.copy_to_slice(&mut id16);
-        let mut h16 = [0u8; 16];
-        buf.copy_to_slice(&mut h16);
+        let seq = u16::from_le_bytes(take(&mut buf));
+        let flags = u16::from_le_bytes(take(&mut buf));
+        let _reserved: [u8; 4] = take(&mut buf);
+        let time = take_u64(&mut buf);
+        let loc = GeoPos::decode(&take(&mut buf));
+        let file_size = take_u64(&mut buf);
+        let initial_loc = GeoPos::decode(&take(&mut buf));
+        let id16 = take(&mut buf);
+        let h16 = take(&mut buf);
         if !(1..=crate::types::SECONDS_PER_VP as u16).contains(&seq) {
             return None;
         }
@@ -122,16 +134,16 @@ impl ViewDigest {
     pub fn encode_store(&self) -> [u8; VD_STORE_BYTES] {
         let mut out = [0u8; VD_STORE_BYTES];
         let mut buf = &mut out[..];
-        buf.put_u16_le(self.seq);
-        buf.put_u16_le(self.flags);
-        buf.put_u64_le(self.time);
-        buf.put_u64_le(self.loc.x.to_bits());
-        buf.put_u64_le(self.loc.y.to_bits());
-        buf.put_u64_le(self.file_size);
-        buf.put_u64_le(self.initial_loc.x.to_bits());
-        buf.put_u64_le(self.initial_loc.y.to_bits());
-        buf.put_slice(self.vp_id.0.as_bytes());
-        buf.put_slice(self.hash.as_bytes());
+        put(&mut buf, &self.seq.to_le_bytes());
+        put(&mut buf, &self.flags.to_le_bytes());
+        put(&mut buf, &self.time.to_le_bytes());
+        put(&mut buf, &self.loc.x.to_le_bytes());
+        put(&mut buf, &self.loc.y.to_le_bytes());
+        put(&mut buf, &self.file_size.to_le_bytes());
+        put(&mut buf, &self.initial_loc.x.to_le_bytes());
+        put(&mut buf, &self.initial_loc.y.to_le_bytes());
+        put(&mut buf, self.vp_id.0.as_bytes());
+        put(&mut buf, self.hash.as_bytes());
         debug_assert!(buf.is_empty());
         out
     }
@@ -147,22 +159,20 @@ impl ViewDigest {
             return None;
         }
         let mut buf = bytes;
-        let seq = buf.get_u16_le();
-        let flags = buf.get_u16_le();
-        let time = buf.get_u64_le();
+        let seq = u16::from_le_bytes(take(&mut buf));
+        let flags = u16::from_le_bytes(take(&mut buf));
+        let time = take_u64(&mut buf);
         let loc = GeoPos::new(
-            f64::from_bits(buf.get_u64_le()),
-            f64::from_bits(buf.get_u64_le()),
+            f64::from_le_bytes(take(&mut buf)),
+            f64::from_le_bytes(take(&mut buf)),
         );
-        let file_size = buf.get_u64_le();
+        let file_size = take_u64(&mut buf);
         let initial_loc = GeoPos::new(
-            f64::from_bits(buf.get_u64_le()),
-            f64::from_bits(buf.get_u64_le()),
+            f64::from_le_bytes(take(&mut buf)),
+            f64::from_le_bytes(take(&mut buf)),
         );
-        let mut id16 = [0u8; 16];
-        buf.copy_to_slice(&mut id16);
-        let mut h16 = [0u8; 16];
-        buf.copy_to_slice(&mut h16);
+        let id16 = take(&mut buf);
+        let h16 = take(&mut buf);
         Some(ViewDigest {
             seq,
             flags,

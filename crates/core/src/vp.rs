@@ -111,11 +111,6 @@ impl StoredVp {
         MinuteId::of_second(self.start_time())
     }
 
-    /// Claimed position at 1-based second `i` of the minute, if present.
-    pub fn loc_at(&self, seq: u16) -> Option<GeoPos> {
-        self.vds.iter().find(|vd| vd.seq == seq).map(|vd| vd.loc)
-    }
-
     /// First claimed position.
     pub fn start_loc(&self) -> GeoPos {
         self.vds
@@ -185,37 +180,6 @@ impl StoredVp {
             }
         }
         best
-    }
-
-    /// Did the two trajectories come within `radius` of each other at any
-    /// shared second? Equivalent to `min_aligned_distance(other) <= radius`
-    /// but cheap in the common cases: disjoint time ranges and separated
-    /// bounding boxes return immediately, and the aligned scan exits at
-    /// the first second inside `radius` instead of finishing the minute.
-    pub fn within_aligned_distance(&self, other: &StoredVp, radius: f64) -> bool {
-        if !self.time_ranges_overlap(other) {
-            return false;
-        }
-        let a = self.bounding_box();
-        let b = other.bounding_box();
-        let dx = (b.0 - a.2).max(a.0 - b.2).max(0.0);
-        let dy = (b.1 - a.3).max(a.1 - b.3).max(0.0);
-        if dx * dx + dy * dy > radius * radius {
-            return false;
-        }
-        let mut j = 0usize;
-        for vd in &self.vds {
-            while j < other.vds.len() && other.vds[j].time < vd.time {
-                j += 1;
-            }
-            if j < other.vds.len()
-                && other.vds[j].time == vd.time
-                && vd.loc.distance(&other.vds[j].loc) <= radius
-            {
-                return true;
-            }
-        }
-        false
     }
 
     /// The Bloom keys of this VP's element VDs, computed once. Viewmap

@@ -255,18 +255,21 @@ fn batch_ingested_server_state_and_viewmap_match_singles() {
     let singles = ViewMapServer::new(&mut rng, 512, cfg);
     let batched = ViewMapServer::new(&mut rng, 512, cfg);
 
-    // Sequential path, with a duplicate resend sprinkled in.
-    let mut seq_results = Vec::new();
-    for vp in &w.vps {
+    // Sequential path, with a duplicate resend sprinkled in; the
+    // trusted seed (VP 0) goes through the authority channel.
+    assert!(w.vps[0].trusted);
+    let mut seq_results = vec![singles.submit_trusted(w.vps[0].clone())];
+    for vp in &w.vps[1..] {
         seq_results.push(singles.submit(submission(vp.clone())));
     }
     seq_results.push(singles.submit(submission(w.vps[17].clone())));
 
-    // Batch path: same stream, split into three uneven batches.
+    // Batch path: the seed as an authority batch, then the same stream
+    // split into three uneven anonymous batches.
     let mut stream: Vec<StoredVp> = w.vps.clone();
     stream.push(w.vps[17].clone());
-    let mut bat_results = Vec::new();
-    for chunk in [&stream[..120], &stream[120..121], &stream[121..]] {
+    let mut bat_results = batched.submit_trusted_batch(stream[..1].to_vec());
+    for chunk in [&stream[1..120], &stream[120..121], &stream[121..]] {
         bat_results.extend(batched.submit_batch(chunk.iter().cloned().map(submission)));
     }
     assert_eq!(seq_results, bat_results, "per-VP outcomes");

@@ -43,11 +43,6 @@ impl Point {
     pub fn cross(&self, other: &Point) -> f64 {
         self.x * other.y - self.y * other.x
     }
-
-    /// Dot product.
-    pub fn dot(&self, other: &Point) -> f64 {
-        self.x * other.x + self.y * other.y
-    }
 }
 
 impl std::ops::Add for Point {

@@ -127,18 +127,6 @@ impl Channel {
             + fast
     }
 
-    /// Sample an RSSI with freshly drawn slow shadowing (convenience for
-    /// one-off transmissions).
-    pub fn sample_rssi<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-        distance_m: f64,
-        blockage: Blockage,
-    ) -> f64 {
-        let slow = self.sample_slow_shadow(rng, blockage);
-        self.sample_rssi_with_shadow(rng, distance_m, blockage, slow)
-    }
-
     /// Packet delivery ratio for an RSSI value (logistic transition).
     pub fn pdr(&self, rssi_dbm: f64) -> f64 {
         let x = (rssi_dbm - self.params.pdr_midpoint_dbm) / self.params.pdr_width_db;
@@ -174,24 +162,6 @@ impl Channel {
     ) -> Option<f64> {
         let slow = self.sample_slow_shadow(rng, blockage);
         self.try_deliver_with_shadow(rng, distance_m, blockage, slow)
-    }
-
-    /// Empirical delivery probability over `trials` independent beacons
-    /// (fresh slow shadowing each time; for calibration tests and Fig. 16).
-    pub fn empirical_pdr<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-        distance_m: f64,
-        blockage: Blockage,
-        trials: usize,
-    ) -> f64 {
-        let mut ok = 0usize;
-        for _ in 0..trials {
-            if self.try_deliver(rng, distance_m, blockage).is_some() {
-                ok += 1;
-            }
-        }
-        ok as f64 / trials as f64
     }
 
     /// Probability that a full 1-minute, two-way VP linkage succeeds for a

@@ -700,13 +700,6 @@ impl Primary {
     pub fn repl_addr(&self) -> SocketAddr {
         self.hub.addr()
     }
-
-    /// Kill the replication side (listener, sessions) without touching
-    /// the local server — the "primary crashed" half of a failover.
-    /// Dropping the `Primary` does the same.
-    pub fn shutdown_replication(&self) {
-        self.hub.shutdown();
-    }
 }
 
 impl Drop for Primary {

@@ -295,47 +295,6 @@ impl VmClient {
         Ok(outcomes)
     }
 
-    /// Submit many VPs in one `SUBMIT_BATCH` frame. Returns per-VP
-    /// outcomes aligned with the input. The whole batch must fit one
-    /// frame ([`crate::proto::MAX_BODY_BYTES`], ~45k typical records) —
-    /// an oversized batch is a [`ClientError::Protocol`], not a panic;
-    /// for unbounded streams use
-    /// [`submit_pipelined`](Self::submit_pipelined).
-    pub fn submit_batch(
-        &mut self,
-        vps: Vec<StoredVp>,
-    ) -> Result<Vec<Result<(), ErrorCode>>, ClientError> {
-        let req = Request::SubmitBatch(vps);
-        let opcode = req.opcode();
-        let payload = req.encode_payload();
-        if crate::proto::BODY_PREFIX_BYTES + payload.len() > crate::proto::MAX_BODY_BYTES {
-            return Err(ClientError::Protocol(format!(
-                "batch encodes to {} bytes, over the {} frame cap — \
-                 split it or use submit_pipelined",
-                payload.len(),
-                crate::proto::MAX_BODY_BYTES
-            )));
-        }
-        let id = self.send(opcode, payload)?;
-        self.writer.flush()?;
-        let reply = match self.recv(id, opcode)? {
-            Reply::Err(code, detail) => return Err(ClientError::Remote(code, detail)),
-            reply => reply,
-        };
-        match reply {
-            Reply::BatchResults(rs) => Ok(rs
-                .into_iter()
-                .map(|r| match r {
-                    None => Ok(()),
-                    Some(code) => Err(code),
-                })
-                .collect()),
-            other => Err(ClientError::Protocol(format!(
-                "expected batch results, got {other:?}"
-            ))),
-        }
-    }
-
     /// Run an investigation; returns the verified VP ids the server
     /// posted on its solicitation board.
     pub fn investigate(&mut self, minute: MinuteId, site: Site) -> Result<Vec<VpId>, ClientError> {

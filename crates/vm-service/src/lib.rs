@@ -17,14 +17,14 @@
 //! * [`server`] — [`server::VmService`]: a `std::net::TcpListener`
 //!   accept loop plus a bounded worker pool fanned out through the
 //!   workspace's shared [`viewmap_core::par`] scoped-thread helpers.
-//!   Pipelined submits on one session are coalesced into
-//!   `submit_batch_warm` calls, so the network path rides the
-//!   per-(minute, batch) stripe locking and parallel link-key
-//!   precompute instead of paying per-frame locking.
+//!   Every VP arrives as one `SUBMIT` frame; pipelined submits on one
+//!   session are coalesced into one `submit_batch_warm` call, so the
+//!   network path rides the per-(minute, batch) stripe locking and
+//!   parallel link-key precompute instead of paying per-frame locking.
+//!   That coalesced run is the service's only way into server ingest.
 //! * [`client`] — [`client::VmClient`]: a blocking client with
-//!   windowed pipelining, used by the `service_session` example, the
-//!   multi-client integration suite, and `vm-bench`'s `service_rt_ms`
-//!   tier.
+//!   windowed pipelining, used by the examples, the multi-client
+//!   integration suite, the fault and scenario rigs, and `vm_perf`.
 //! * [`role`] — replication role/epoch state ([`role::RoleCell`]).
 //!   A front-end spawned over a **follower** replica
 //!   ([`server::VmService::spawn_with_role`]) serves reads —
@@ -35,7 +35,8 @@
 //!
 //! The front-end serves **anonymous public traffic** only: there is no
 //! wire operation for trusted (authority) VPs and none for posting
-//! rewards — both stay on the in-process authority surface. A
+//! rewards — both stay on the in-process authority surface. A wire VP
+//! is committed untrusted whatever its record's `trusted` byte says. A
 //! recovered-from-disk server (`ViewMapServer::open` from `vm-store`)
 //! drops in unchanged: the service holds an `Arc<ViewMapServer>` and
 //! never cares where the state came from.

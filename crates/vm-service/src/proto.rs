@@ -28,7 +28,7 @@
 //! | op | request | payload |
 //! |---|---|---|
 //! | `0x01` | `SUBMIT` | one VP record ([`vm_store::codec`] bytes) |
-//! | `0x02` | `SUBMIT_BATCH` | `u32 n`, then n × (`u32 len`, record) |
+//! | `0x02` | *retired* | answered [`ErrorCode::UnknownOpcode`]; never reused |
 //! | `0x03` | `INVESTIGATE` | `u64 minute`, `f64 x`, `f64 y`, `f64 radius_m` |
 //! | `0x04` | `SOLICIT` | 16 B VP id |
 //! | `0x05` | `UPLOAD_VIDEO` | 16 B VP id, `u32 n`, n × (`u32 len`, chunk) |
@@ -56,7 +56,9 @@
 //! VPs: those enter through the in-process authority channel
 //! ([`viewmap_core::server::ViewMapServer::submit_trusted_batch`]), not
 //! the anonymous public front-end — a network peer must never be able
-//! to mint trust anchors.
+//! to mint trust anchors. The record's own `trusted` byte does not
+//! change that: the server commits every wire `SUBMIT` as anonymous and
+//! clears the flag whatever the byte says.
 
 use std::io::{BufRead, Write};
 use viewmap_core::reward::Cash;
@@ -76,19 +78,17 @@ pub const FRAME_HEADER_BYTES: usize = 16;
 /// Body bytes before the payload: request id + opcode.
 pub const BODY_PREFIX_BYTES: usize = 5;
 
-/// Hard cap on one frame's body. Large enough for a several-thousand-VP
-/// explicit batch (~1.5 KB per record), small enough that a corrupted
-/// or hostile length field cannot make the peer allocate gigabytes.
-/// Clients moving more than this pipeline multiple frames instead
-/// ([`crate::client::VmClient::submit_pipelined`] windows internally).
+/// Hard cap on one frame's body. Large enough for a long video upload
+/// (`UPLOAD_VIDEO`) or a big blind-signing request (`BLIND_SIGN`), small
+/// enough that a corrupted or hostile length field cannot make the peer
+/// allocate gigabytes. A VP travels one per `SUBMIT` frame (~1.5 KB), so
+/// ingest never comes near it.
 pub const MAX_BODY_BYTES: usize = 64 << 20;
 
 // ── request opcodes ────────────────────────────────────────────────────
 
 /// Submit one anonymized VP.
 pub const OP_SUBMIT: u8 = 0x01;
-/// Submit a batch of anonymized VPs in one frame.
-pub const OP_SUBMIT_BATCH: u8 = 0x02;
 /// Build + verify the viewmap for a minute around a site.
 pub const OP_INVESTIGATE: u8 = 0x03;
 /// Post a solicitation for a VP id.
@@ -368,8 +368,6 @@ impl From<&UploadError> for ErrorCode {
 pub enum Request {
     /// Submit one anonymized VP.
     Submit(StoredVp),
-    /// Submit many anonymized VPs in one frame.
-    SubmitBatch(Vec<StoredVp>),
     /// Investigate a minute around a site.
     Investigate {
         /// The minute under investigation.
@@ -413,7 +411,6 @@ impl Request {
     pub fn opcode(&self) -> u8 {
         match self {
             Request::Submit(_) => OP_SUBMIT,
-            Request::SubmitBatch(_) => OP_SUBMIT_BATCH,
             Request::Investigate { .. } => OP_INVESTIGATE,
             Request::Solicit(_) => OP_SOLICIT,
             Request::UploadVideo(_) => OP_UPLOAD_VIDEO,
@@ -431,16 +428,6 @@ impl Request {
         let mut out = Vec::new();
         match self {
             Request::Submit(vp) => vm_store::codec::encode_record(vp, &mut out),
-            Request::SubmitBatch(vps) => {
-                put_u32(&mut out, vps.len() as u32);
-                let mut record = Vec::new();
-                for vp in vps {
-                    record.clear();
-                    vm_store::codec::encode_record(vp, &mut record);
-                    put_u32(&mut out, record.len() as u32);
-                    out.extend_from_slice(&record);
-                }
-            }
             Request::Investigate { minute, site } => {
                 out.extend_from_slice(&minute.0.to_le_bytes());
                 out.extend_from_slice(&site.center.x.to_le_bytes());
@@ -488,16 +475,6 @@ impl Request {
         let mut buf = payload;
         let req = match opcode {
             OP_SUBMIT => Request::Submit(decode_vp(payload)?),
-            OP_SUBMIT_BATCH => {
-                let n = get_u32(&mut buf)? as usize;
-                let mut vps = Vec::with_capacity(n.min(4096));
-                for _ in 0..n {
-                    let len = get_u32(&mut buf)? as usize;
-                    vps.push(decode_vp(take(&mut buf, len)?)?);
-                }
-                expect_empty(buf)?;
-                Request::SubmitBatch(vps)
-            }
             OP_INVESTIGATE => {
                 let minute = MinuteId(get_u64(&mut buf)?);
                 let x = get_f64(&mut buf)?;
@@ -582,8 +559,6 @@ impl Request {
 pub enum Reply {
     /// Success with no payload (submit / solicit / upload / redeem).
     Ok,
-    /// Per-item outcome of a `SUBMIT_BATCH` (`None` = accepted).
-    BatchResults(Vec<Option<ErrorCode>>),
     /// Verified VP ids from an investigation.
     VpIds(Vec<VpId>),
     /// Award amount from a reward claim.
@@ -619,13 +594,6 @@ impl Reply {
         let mut out = Vec::new();
         match self {
             Reply::Ok => {}
-            Reply::BatchResults(rs) => {
-                put_u32(&mut out, rs.len() as u32);
-                for r in rs {
-                    let code = r.map_or(0u16, |c| c as u16);
-                    out.extend_from_slice(&code.to_le_bytes());
-                }
-            }
             Reply::VpIds(ids) => {
                 put_u32(&mut out, ids.len() as u32);
                 for id in ids {
@@ -669,20 +637,6 @@ impl Reply {
         }
         let reply = match request_opcode {
             OP_SUBMIT | OP_SOLICIT | OP_UPLOAD_VIDEO | OP_REDEEM => Reply::Ok,
-            OP_SUBMIT_BATCH => {
-                let n = get_u32(&mut buf).ok()? as usize;
-                let mut rs = Vec::with_capacity(n.min(4096));
-                for _ in 0..n {
-                    let code =
-                        u16::from_le_bytes(take(&mut buf, 2).ok()?.try_into().expect("2 bytes"));
-                    rs.push(if code == 0 {
-                        None
-                    } else {
-                        Some(ErrorCode::from_u16(code)?)
-                    });
-                }
-                Reply::BatchResults(rs)
-            }
             OP_INVESTIGATE => {
                 let n = get_u32(&mut buf).ok()? as usize;
                 let mut ids = Vec::with_capacity(n.min(65536));

@@ -27,7 +27,9 @@
 //! link-key precompute the in-process batch API gets, while each frame
 //! still receives its own per-item reply in order. State is
 //! indistinguishable from sequential submits (the batch-equivalence
-//! property the core suite pins).
+//! property the core suite pins). A run is the only way a session
+//! reaches server ingest, and it is anonymous: the server clears every
+//! VP's `trusted` flag, whatever the record carried.
 //!
 //! # Shutdown
 //!
@@ -93,10 +95,11 @@ impl Default for ServiceConfig {
 }
 
 /// Human-readable `op` label for each request opcode, indexed by
-/// `opcode - 1` (opcodes are assigned densely from `0x01`).
+/// `opcode - 1` (opcodes are assigned densely from `0x01`). The retired
+/// `0x02` has no label and so no histogram.
 const OPCODE_LABELS: [&str; OP_STATS as usize] = [
     "submit",
-    "submit_batch",
+    "",
     "investigate",
     "solicit",
     "upload_video",
@@ -119,7 +122,7 @@ struct ServiceMetrics {
     accept_sheds: Arc<Counter>,
     /// Per-opcode server-side request latency (decode + engine work;
     /// socket I/O excluded), indexed by `opcode - 1`.
-    request_us: Vec<Arc<Histogram>>,
+    request_us: Vec<Option<Arc<Histogram>>>,
 }
 
 impl ServiceMetrics {
@@ -133,13 +136,18 @@ impl ServiceMetrics {
             accept_sheds: obs.counter("vm_service_accept_sheds_total"),
             request_us: OPCODE_LABELS
                 .iter()
-                .map(|op| obs.histogram_with("vm_service_request_us", &[("op", op)]))
+                .map(|op| {
+                    (!op.is_empty())
+                        .then(|| obs.histogram_with("vm_service_request_us", &[("op", op)]))
+                })
                 .collect(),
         }
     }
 
     fn request_hist(&self, opcode: u8) -> Option<&Arc<Histogram>> {
-        self.request_us.get((opcode as usize).checked_sub(1)?)
+        self.request_us
+            .get((opcode as usize).checked_sub(1)?)?
+            .as_ref()
     }
 }
 
@@ -408,8 +416,8 @@ fn serve_session(shared: &Shared, session_id: u64, conn: TcpStream) -> std::io::
             handle_submit_run(shared, session_id, &run, &mut writer)?;
         } else {
             let reply = match shared.metrics.request_hist(frame.opcode) {
-                Some(h) => h.time(|| dispatch(shared, session_id, &frame)),
-                None => dispatch(shared, session_id, &frame),
+                Some(h) => h.time(|| dispatch(shared, &frame)),
+                None => dispatch(shared, &frame),
             };
             note_reply(shared, &reply);
             write_reply(&mut writer, frame.request_id, &reply)?;
@@ -432,8 +440,6 @@ fn read_next(
     Frame::read_from(reader)
 }
 
-/// Commit one coalesced run of `SUBMIT` frames through
-/// `submit_batch_warm` and reply to each frame in arrival order.
 /// The `NotPrimary` rejection for this node, if mutations are currently
 /// gated off (the role cell says follower). Checked per frame, so a
 /// promotion takes effect on live sessions' next request.
@@ -461,6 +467,8 @@ fn note_reply(shared: &Shared, reply: &Reply) {
     }
 }
 
+/// Commit one coalesced run of `SUBMIT` frames through
+/// `submit_batch_warm` and reply to each frame in arrival order.
 fn handle_submit_run(
     shared: &Shared,
     session_id: u64,
@@ -527,7 +535,7 @@ fn write_reply(
 }
 
 /// Execute one non-submit request against the shared server.
-fn dispatch(shared: &Shared, session_id: u64, frame: &Frame) -> Reply {
+fn dispatch(shared: &Shared, frame: &Frame) -> Reply {
     let req = match Request::decode(frame.opcode, &frame.payload) {
         Ok(req) => req,
         Err(code) => return Reply::Err(code, format!("opcode {:#04x}", frame.opcode)),
@@ -551,18 +559,6 @@ fn dispatch(shared: &Shared, session_id: u64, frame: &Frame) -> Reply {
         // coalesce path (`pending` only ever holds non-submit frames),
         // so a Submit can never reach this dispatcher.
         Request::Submit(_) => unreachable!("OP_SUBMIT frames take the coalesced path"),
-        Request::SubmitBatch(vps) => {
-            let subs: Vec<AnonymousSubmission> = vps
-                .into_iter()
-                .map(|vp| AnonymousSubmission { session_id, vp })
-                .collect();
-            Reply::BatchResults(
-                srv.submit_batch_warm(subs)
-                    .into_iter()
-                    .map(|r| r.err().map(ErrorCode::from))
-                    .collect(),
-            )
-        }
         Request::Investigate { minute, site } => Reply::VpIds(srv.investigate(minute, site)),
         Request::Solicit(id) => {
             srv.solicit(id);

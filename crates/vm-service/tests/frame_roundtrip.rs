@@ -147,15 +147,11 @@ fn replies_roundtrip() {
     use viewmap_core::types::VpId;
     use vm_crypto::{BigUint, Digest16, Signature};
     use vm_service::proto::{
-        ErrorCode, OP_BLIND_SIGN, OP_CLAIM_REWARD, OP_PUBLIC_KEY, OP_SUBMIT_BATCH, OP_TOTAL_VPS,
+        ErrorCode, OP_BLIND_SIGN, OP_CLAIM_REWARD, OP_PUBLIC_KEY, OP_TOTAL_VPS,
     };
 
     let cases: Vec<(u8, Reply)> = vec![
         (OP_SUBMIT, Reply::Ok),
-        (
-            OP_SUBMIT_BATCH,
-            Reply::BatchResults(vec![None, Some(ErrorCode::Duplicate), None]),
-        ),
         (
             OP_INVESTIGATE,
             Reply::VpIds(vec![VpId(Digest16([7; 16])), VpId(Digest16([9; 16]))]),
@@ -177,10 +173,76 @@ fn replies_roundtrip() {
             OP_SUBMIT,
             Reply::Err(ErrorCode::SuspiciousBloom, "nope".into()),
         ),
+        (
+            RETIRED_SUBMIT_BATCH,
+            Reply::Err(ErrorCode::UnknownOpcode, "opcode 0x02".into()),
+        ),
     ];
     for (req_op, reply) in cases {
         let back = Reply::decode(req_op, reply.opcode(), &reply.encode_payload())
             .unwrap_or_else(|| panic!("reply for {req_op:#04x} decodes"));
         assert_eq!(back, reply);
+    }
+    // The retired opcode has no request and no OK reply shape.
+    assert_eq!(
+        Request::decode(RETIRED_SUBMIT_BATCH, &[0; 4]).err(),
+        Some(ErrorCode::UnknownOpcode)
+    );
+    assert_eq!(
+        Reply::decode(RETIRED_SUBMIT_BATCH, Reply::Ok.opcode(), &[]),
+        None
+    );
+}
+
+/// The opcode the removed batch-submit request used. Retired, never
+/// reused.
+const RETIRED_SUBMIT_BATCH: u8 = 0x02;
+
+/// A live session answers a retired-opcode frame with a typed
+/// `UnknownOpcode` error and keeps serving the frames after it.
+#[test]
+fn retired_opcode_is_typed_and_the_session_survives() {
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+    use std::io::{BufReader, Write};
+    use std::sync::Arc;
+    use viewmap_core::server::ViewMapServer;
+    use viewmap_core::viewmap::ViewmapConfig;
+    use vm_service::proto::{ErrorCode, OP_TOTAL_VPS};
+    use vm_service::{ServiceConfig, VmService};
+
+    let mut rng = StdRng::seed_from_u64(2);
+    let server = Arc::new(ViewMapServer::new(&mut rng, 512, ViewmapConfig::default()));
+    let svc = VmService::spawn(server, "127.0.0.1:0", ServiceConfig::default()).expect("spawn");
+    let mut conn = std::net::TcpStream::connect(svc.addr()).expect("connect");
+    let mut reader = BufReader::new(conn.try_clone().expect("clone"));
+    // Both frames go out before either reply is read: one pipelined run.
+    let frames = [
+        Frame {
+            request_id: 1,
+            opcode: RETIRED_SUBMIT_BATCH,
+            payload: vec![0; 4],
+        },
+        Frame {
+            request_id: 2,
+            opcode: OP_TOTAL_VPS,
+            payload: Vec::new(),
+        },
+    ];
+    for f in &frames {
+        conn.write_all(&encode(f)).expect("write");
+    }
+    for f in &frames {
+        let reply = Frame::read_from(&mut reader)
+            .expect("read")
+            .expect("reply frame");
+        assert_eq!(reply.request_id, f.request_id);
+        let decoded = Reply::decode(f.opcode, reply.opcode, &reply.payload).expect("decodes");
+        match f.opcode {
+            RETIRED_SUBMIT_BATCH => {
+                assert!(matches!(decoded, Reply::Err(ErrorCode::UnknownOpcode, _)))
+            }
+            _ => assert_eq!(decoded, Reply::Count(0)),
+        }
     }
 }

@@ -13,7 +13,6 @@ use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
 use viewmap_core::guard::{create_guards, GuardConfig};
 use viewmap_core::tracker::MinuteVps;
-use viewmap_core::types::GeoPos;
 use viewmap_core::upload::AnonymousChannel;
 use viewmap_core::vp::{StoredVp, VpBuilder, VpKind};
 use vm_geo::{BuildingIndex, CityParams, Rect, RoadNetwork, Router};
@@ -373,14 +372,6 @@ impl SimOutput {
             .map(|m| m.tracker.len() as f64)
             .sum::<f64>()
             / self.minutes.len() as f64
-    }
-
-    /// Ground-truth GeoPos chain of one vehicle's actual VP starts.
-    pub fn vehicle_chain(&self, vehicle: usize) -> Vec<GeoPos> {
-        self.minutes
-            .iter()
-            .map(|m| m.tracker.starts[m.actual_idx[vehicle]])
-            .collect()
     }
 }
 

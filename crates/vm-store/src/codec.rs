@@ -37,8 +37,9 @@ pub enum CodecError {
     /// consumed exactly — anything else is framing corruption).
     Trailing,
     /// A field carried a value the encoder can never produce (empty
-    /// Bloom filter, zero hash functions) — foreign or hand-edited
-    /// bytes, rejected rather than guessed at.
+    /// Bloom filter, zero hash functions, a `trusted` byte other than 0
+    /// or 1) — foreign or hand-edited bytes, rejected rather than
+    /// guessed at.
     Malformed,
 }
 
@@ -280,7 +281,11 @@ pub fn decode_record(body: &[u8]) -> Result<StoredVp, CodecError> {
     let mut id16 = [0u8; 16];
     id16.copy_from_slice(take(&mut buf, 16)?);
     let id = VpId(Digest16(id16));
-    let trusted = take(&mut buf, 1)?[0] != 0;
+    let trusted = match take(&mut buf, 1)?[0] {
+        0 => false,
+        1 => true,
+        _ => return Err(CodecError::Malformed),
+    };
     let n_vds = u16::from_le_bytes(take(&mut buf, 2)?.try_into().expect("2 bytes")) as usize;
     let bloom_k = take(&mut buf, 1)?[0] as usize;
     let bloom_len = u16::from_le_bytes(take(&mut buf, 2)?.try_into().expect("2 bytes")) as usize;
@@ -486,6 +491,20 @@ mod tests {
             Some(CodecError::Malformed)
         );
         assert!(decode_record(&make(8, 4)).is_ok());
+    }
+
+    #[test]
+    fn trusted_byte_is_a_bool() {
+        // The encoder writes 0 or 1; any other byte is foreign.
+        let mut body = Vec::new();
+        encode_record(&realistic_vp(3), &mut body);
+        for (byte, trusted) in [(0u8, Some(false)), (1, Some(true)), (2, None), (0xff, None)] {
+            body[16] = byte;
+            match trusted {
+                Some(t) => assert_eq!(decode_record(&body).unwrap().trusted, t),
+                None => assert_eq!(decode_record(&body).err(), Some(CodecError::Malformed)),
+            }
+        }
     }
 
     #[test]

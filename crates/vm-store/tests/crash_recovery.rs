@@ -21,7 +21,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::path::PathBuf;
 use viewmap_core::bloom::BloomFilter;
-use viewmap_core::server::ViewMapServer;
+use viewmap_core::server::{SubmitError, ViewMapServer};
 use viewmap_core::types::{GeoPos, MinuteId, VpId, SECONDS_PER_VP};
 use viewmap_core::upload::AnonymousSubmission;
 use viewmap_core::vd::ViewDigest;
@@ -123,6 +123,16 @@ fn viewmap_checksum(vm: &Viewmap) -> u64 {
 
 fn submission(vp: StoredVp) -> AnonymousSubmission {
     AnonymousSubmission { session_id: 0, vp }
+}
+
+/// Submit a slice of a linked world in order, each VP through the
+/// channel its flag names: the leading trusted seed (if the slice holds
+/// it) through the authority batch, the rest as one anonymous batch.
+fn submit_world(srv: &ViewMapServer, vps: &[StoredVp]) -> Vec<Result<(), SubmitError>> {
+    let seeds = vps.iter().take_while(|vp| vp.trusted).count();
+    let mut acks = srv.submit_trusted_batch(vps[..seeds].to_vec());
+    acks.extend(srv.submit_batch(vps[seeds..].iter().cloned().map(submission)));
+    acks
 }
 
 /// Full observable-state equality between two servers over the given
@@ -287,7 +297,7 @@ fn a_foreign_minute_record_ends_recoverys_committed_prefix() {
     {
         let (srv, _) = ViewMapServer::open(&mut rng, 512, vmcfg, &tmp.0, cfg()).unwrap();
         for world in [&minute0, &minute1] {
-            let acks = srv.submit_batch(world.iter().cloned().map(submission));
+            let acks = submit_world(&srv, world);
             assert!(acks.iter().all(|a| a.is_ok()));
         }
         srv.sync_wal().unwrap();
@@ -346,9 +356,18 @@ fn run_random_history(case: u64) {
             0 => {
                 let m = rng.gen_range(0..minutes) as usize;
                 let i = rng.gen_range(0..per_minute);
-                let vp = pool[m][i].clone();
-                let a = live.submit(submission(vp.clone()));
-                let b = durable.submit(submission(vp));
+                let vp = &pool[m][i];
+                let (a, b) = if vp.trusted {
+                    (
+                        live.submit_trusted(vp.clone()),
+                        durable.submit_trusted(vp.clone()),
+                    )
+                } else {
+                    (
+                        live.submit(submission(vp.clone())),
+                        durable.submit(submission(vp.clone())),
+                    )
+                };
                 assert_eq!(a, b, "case {case}: single submit outcome");
             }
             // Plain batch of a random slice (may span replays).
@@ -356,10 +375,8 @@ fn run_random_history(case: u64) {
                 let m = rng.gen_range(0..minutes) as usize;
                 let lo = rng.gen_range(0..per_minute);
                 let hi = rng.gen_range(lo..=per_minute);
-                let batch: Vec<AnonymousSubmission> =
-                    pool[m][lo..hi].iter().cloned().map(submission).collect();
-                let a = live.submit_batch(batch.clone());
-                let b = durable.submit_batch(batch);
+                let a = submit_world(&live, &pool[m][lo..hi]);
+                let b = submit_world(&durable, &pool[m][lo..hi]);
                 assert_eq!(a, b, "case {case}: batch outcomes");
             }
             // Trusted batch (key-warm path).
@@ -426,7 +443,7 @@ fn eviction_drops_segments_and_memory_together() {
     let (srv, _) = ViewMapServer::open(&mut rng, 512, vmcfg, &tmp.0, cfg()).unwrap();
     for m in 0..4u64 {
         let world = linked_world(3, m, 77);
-        let results = srv.submit_batch(world.into_iter().map(submission));
+        let results = submit_world(&srv, &world);
         assert!(results.iter().all(|r| r.is_ok()));
     }
     assert_eq!(srv.total_vps(), 12);
@@ -467,7 +484,7 @@ fn recovered_server_is_key_warm_and_investigates_identically() {
     let before;
     {
         let (srv, _) = ViewMapServer::open(&mut rng, 512, vmcfg, &tmp.0, cfg()).unwrap();
-        let results = srv.submit_batch(world.iter().cloned().map(submission));
+        let results = submit_world(&srv, &world);
         assert!(results.iter().all(|r| r.is_ok()));
         before = viewmap_checksum(&srv.build_viewmap(MinuteId(0), site()));
         srv.sync_wal().unwrap();

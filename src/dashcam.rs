@@ -87,11 +87,6 @@ impl Dashcam {
         &self.store
     }
 
-    /// Mutable access to the store (for evidence holds).
-    pub fn storage_mut(&mut self) -> &mut SegmentStore {
-        &mut self.store
-    }
-
     /// Record one second: blur the raw camera frame, store the anonymized
     /// bytes, extend the cascaded chain, and return the VD to broadcast.
     ///
@@ -136,11 +131,6 @@ impl Dashcam {
             Some(b) => b.accept_neighbor_vd(vd, now, my_loc),
             None => Accept::Rejected(viewmap_core::neighbor::RejectReason::StaleTime),
         }
-    }
-
-    /// Seconds recorded in the current minute.
-    pub fn seconds_recorded(&self) -> u16 {
-        self.builder.as_ref().map_or(0, |b| b.seconds())
     }
 
     /// Finish the minute: finalize the VP, fabricate guard VPs, and file

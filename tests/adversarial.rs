@@ -8,10 +8,11 @@ use viewmap::core::bloom::BloomFilter;
 use viewmap::core::guard::{create_guards, GuardConfig, StraightLine};
 use viewmap::core::server::{SubmitError, ViewMapServer};
 use viewmap::core::solicit::{UploadError, VideoUpload};
-use viewmap::core::types::{GeoPos, SECONDS_PER_VP};
+use viewmap::core::types::{GeoPos, MinuteId, SECONDS_PER_VP};
 use viewmap::core::upload::AnonymousSubmission;
-use viewmap::core::viewmap::ViewmapConfig;
-use viewmap::core::vp::{exchange_minute, VpBuilder, VpKind};
+use viewmap::core::viewmap::{Site, ViewmapConfig};
+use viewmap::core::vp::{exchange_minute, StoredVp, VpBuilder, VpKind};
+use viewmap::service::{ServiceConfig, VmClient, VmService};
 
 fn server(seed: u64) -> ViewMapServer {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -251,4 +252,90 @@ fn dos_flood_of_malformed_vps_cannot_fill_the_database() {
     }
     assert_eq!(accepted, 0, "malformed flood must be fully rejected");
     assert_eq!(srv.total_vps(), 0);
+}
+
+/// One minute of `n` vehicles of `kind` driving east in a line from
+/// `(x0, y)`, 100 m apart, each hearing every other every second — and
+/// nobody else (a colluding convoy exchanges only among itself).
+fn convoy(n: usize, x0: f64, y: f64, kind: VpKind, seed: u64) -> Vec<StoredVp> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let at = |i: usize, s: u64| GeoPos::new(x0 + i as f64 * 100.0 + s as f64 * 10.0, y);
+    let mut builders: Vec<VpBuilder> = (0..n)
+        .map(|i| VpBuilder::new(&mut rng, 0, at(i, 0), kind))
+        .collect();
+    for s in 0..SECONDS_PER_VP {
+        let vds: Vec<_> = builders
+            .iter_mut()
+            .enumerate()
+            .map(|(i, b)| b.record_second(&[seed as u8, i as u8, s as u8], at(i, s)))
+            .collect();
+        for (i, b) in builders.iter_mut().enumerate() {
+            for (j, vd) in vds.iter().enumerate() {
+                if i != j {
+                    b.accept_neighbor_vd(*vd, s + 1, at(i, s));
+                }
+            }
+        }
+    }
+    builders
+        .into_iter()
+        .map(|b| b.finalize().profile.into_stored())
+        .collect()
+}
+
+#[test]
+fn a_network_peer_cannot_mint_trust_anchors() {
+    // Lemma 2 bounds Sybil trust only if seeds come from authorities.
+    // An attacker convoy uploads its VPs over the public wire with the
+    // record's `trusted` byte set; the service must store them as the
+    // anonymous uploads they are.
+    let mut honest = convoy(5, 0.0, 0.0, VpKind::Actual, 30);
+    let police = honest.remove(0);
+    let fakes = convoy(4, 50.0, 60.0, VpKind::Trusted, 31);
+    assert!(
+        fakes.iter().all(|vp| vp.trusted),
+        "the byte is set on the wire"
+    );
+
+    let mut rng = StdRng::seed_from_u64(32);
+    let server = std::sync::Arc::new(ViewMapServer::new(&mut rng, 512, ViewmapConfig::default()));
+    let service = VmService::spawn(
+        std::sync::Arc::clone(&server),
+        "127.0.0.1:0",
+        ServiceConfig::default(),
+    )
+    .expect("spawn service");
+    let mut client = VmClient::connect(service.addr()).expect("connect");
+    server
+        .submit_trusted(police.clone())
+        .expect("authority upload");
+    let acks = client.submit_pipelined(&honest).expect("honest uploads");
+    assert!(acks.iter().all(|a| a.is_ok()));
+    for fake in &fakes {
+        client.submit(fake).expect("fake upload");
+        let stored = server.lookup_vp(fake.id).expect("stored");
+        assert!(!stored.trusted, "a wire VP was stored as a trust seed");
+    }
+
+    let site = Site {
+        center: GeoPos::new(500.0, 30.0),
+        radius_m: 1500.0,
+    };
+    let vm = server.build_viewmap(MinuteId(0), site);
+    let seeds: Vec<_> = vm.trusted.iter().map(|&i| vm.vps[i].id).collect();
+    assert_eq!(seeds, vec![police.id], "only the authority VP seeds trust");
+    assert_eq!(
+        vm.len(),
+        1 + honest.len() + fakes.len(),
+        "everyone is a member"
+    );
+
+    let solicited = client.investigate(MinuteId(0), site).expect("investigate");
+    assert!(
+        honest.iter().any(|vp| solicited.contains(&vp.id)),
+        "the honest convoy is verified"
+    );
+    for fake in &fakes {
+        assert!(!solicited.contains(&fake.id), "a fake was solicited");
+    }
 }

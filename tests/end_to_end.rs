@@ -344,7 +344,7 @@ fn wire_investigations_equal_the_cold_oracle_through_a_minutes_life() {
 
     // Resubmission (eviction forgot the ids) starts from none.
     server.submit_trusted(police).expect("trusted again");
-    let acks = client.submit_batch(vps.clone()).expect("resubmission");
+    let acks = client.submit_pipelined(&vps).expect("resubmission");
     assert!(acks.iter().all(|a| a.is_ok()));
     let back = check(&mut client, site(600.0, 200.0), "resubmitted");
     assert_eq!(back, again, "same stored state, same answer");
