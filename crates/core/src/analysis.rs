@@ -41,12 +41,6 @@ pub fn storage_overhead_ratio(video_bytes: u64) -> f64 {
 /// Re-export of the Bloom false-linkage closed form (Fig. 14).
 pub use crate::bloom::{false_linkage_rate, optimal_k};
 
-/// Lemma 1: the total trust score beyond `l` links from the seed set is at
-/// most `δ^l`.
-pub fn lemma1_bound(damping: f64, l: u32) -> f64 {
-    damping.powi(l as i32)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -95,11 +89,5 @@ mod tests {
     fn storage_overhead_below_one_hundredth_percent() {
         let ratio = storage_overhead_ratio(50 * 1024 * 1024);
         assert!(ratio < 1e-4, "ratio {ratio}");
-    }
-
-    #[test]
-    fn lemma1_decays_geometrically() {
-        assert!((lemma1_bound(0.8, 1) - 0.8).abs() < 1e-12);
-        assert!((lemma1_bound(0.8, 10) - 0.8f64.powi(10)).abs() < 1e-12);
     }
 }

@@ -424,11 +424,6 @@ impl ViewMapServer {
         self.wal = Some(wal);
     }
 
-    /// Is a durable log attached?
-    pub fn has_wal(&self) -> bool {
-        self.wal.is_some()
-    }
-
     /// Flush the attached log (no-op without one). Graceful-shutdown
     /// helper; a correct log backend is already consistent without it.
     pub fn sync_wal(&self) -> std::io::Result<()> {
@@ -1778,7 +1773,6 @@ mod tests {
         let wal = Arc::new(RecordingWal::default());
         let mut srv = server(52);
         srv.attach_wal(Box::new(Arc::clone(&wal)));
-        assert!(srv.has_wal());
 
         // Batch with an in-batch dup and a malformed VP: only accepts log.
         let mut bad = synthetic_vp(9, 1);

@@ -26,10 +26,9 @@
 //! disjoint slice of the output vector; per-node summation order is
 //! identical to the serial pass, so parallel scores are bit-for-bit equal.
 //!
-//! The pre-CSR adjacency-list implementation is retained as
-//! [`trust_scores_reference`] — it is the oracle for the property tests
-//! and the naive baseline the `vm-bench` investigation benchmark measures
-//! speedups against.
+//! The pre-CSR scatter implementation the engine is checked against
+//! lives with the workspace's other reference oracles, in
+//! `vm_bench::oracle`.
 
 /// Damping factor δ (the paper sets 0.8 empirically).
 pub const DAMPING: f64 = 0.8;
@@ -281,48 +280,6 @@ fn gather_parallel(
     deltas.into_iter().sum()
 }
 
-/// The pre-CSR scatter implementation over adjacency lists, retained
-/// verbatim as the correctness oracle for property tests and the naive
-/// baseline for the investigation benchmarks. Semantically identical to
-/// [`trust_scores_iter`] up to floating-point summation order.
-pub fn trust_scores_reference(
-    adj: &[Vec<usize>],
-    seeds: &[usize],
-    damping: f64,
-    eps: f64,
-    max_iter: usize,
-) -> (Vec<f64>, usize) {
-    let n = adj.len();
-    assert!((0.0..1.0).contains(&damping), "damping in [0,1)");
-    let d = seed_distribution(n, seeds);
-    let mut p = d.clone();
-    let mut next = vec![0.0; n];
-    for it in 0..max_iter {
-        for v in next.iter_mut() {
-            *v = 0.0;
-        }
-        for (v, nbrs) in adj.iter().enumerate() {
-            if nbrs.is_empty() {
-                continue;
-            }
-            let share = p[v] / nbrs.len() as f64;
-            for &u in nbrs {
-                next[u] += share;
-            }
-        }
-        let mut delta = 0.0;
-        for v in 0..n {
-            let nv = damping * next[v] + (1.0 - damping) * d[v];
-            delta += (nv - p[v]).abs();
-            p[v] = nv;
-        }
-        if delta < eps {
-            return (p, it + 1);
-        }
-    }
-    (p, max_iter)
-}
-
 /// Result of Algorithm 1 on an investigation site.
 #[derive(Clone, Debug)]
 pub struct Verification {
@@ -405,8 +362,6 @@ pub fn verify_site_csr_iter(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
 
     /// Path graph 0-1-2-3-4.
     fn path(n: usize) -> Vec<Vec<usize>> {
@@ -544,86 +499,6 @@ mod tests {
         assert_eq!(g.neighbors(3), &[] as &[u32]);
         assert_eq!(g.degree(0), 2);
         assert_eq!(g.degree(3), 0);
-    }
-
-    /// Random symmetric graph with expected degree `mean_deg`, possibly
-    /// split into disconnected halves.
-    fn random_graph(
-        rng: &mut StdRng,
-        n: usize,
-        mean_deg: f64,
-        disconnect: bool,
-    ) -> Vec<Vec<usize>> {
-        let mut adj = vec![Vec::new(); n];
-        let p = (mean_deg / n as f64).min(1.0);
-        let cut = if disconnect { n / 2 } else { n };
-        for a in 0..n {
-            for b in (a + 1)..n {
-                let crosses = a < cut && b >= cut;
-                if !crosses && rng.gen_bool(p) {
-                    adj[a].push(b);
-                    adj[b].push(a);
-                }
-            }
-        }
-        adj
-    }
-
-    fn max_abs_diff(a: &[f64], b: &[f64]) -> f64 {
-        a.iter()
-            .zip(b)
-            .map(|(x, y)| (x - y).abs())
-            .fold(0.0, f64::max)
-    }
-
-    #[test]
-    fn csr_matches_reference_on_random_graphs() {
-        // Property: the CSR gather engine agrees with the retained
-        // scatter reference to 1e-12 across densities, seed sets, and
-        // disconnected components.
-        for seed in 0..12u64 {
-            let mut rng = StdRng::seed_from_u64(1000 + seed);
-            let n = rng.gen_range(2usize..120);
-            let mean_deg = rng.gen_range(0.5f64..12.0);
-            let disconnect = rng.gen_bool(0.3);
-            let adj = random_graph(&mut rng, n, mean_deg, disconnect);
-            let n_seeds = rng.gen_range(1usize..4.min(n + 1).max(2));
-            let seeds: Vec<usize> = (0..n_seeds).map(|_| rng.gen_range(0..n)).collect();
-            let damping = rng.gen_range(0.5f64..0.95);
-
-            let (reference, it_ref) = trust_scores_reference(&adj, &seeds, damping, 1e-13, 1000);
-            let (csr, it_csr) = trust_scores_iter(&adj, &seeds, damping, 1e-13, 1000);
-            assert_eq!(reference.len(), csr.len());
-            let diff = max_abs_diff(&reference, &csr);
-            assert!(
-                diff < 1e-12,
-                "seed {seed}: CSR diverged from reference by {diff} \
-                 (n={n}, iters {it_ref}/{it_csr})"
-            );
-        }
-    }
-
-    #[test]
-    fn parallel_matches_serial_bit_for_bit() {
-        for seed in 0..6u64 {
-            let mut rng = StdRng::seed_from_u64(2000 + seed);
-            let n = rng.gen_range(10usize..300);
-            let adj = random_graph(&mut rng, n, 6.0, seed % 2 == 0);
-            let g = CsrGraph::from_adj(&adj);
-            let seeds = [0usize];
-            let (serial, _) = trust_scores_csr_threads(&g, &seeds, DAMPING, 1e-13, 1000, 1);
-            for threads in [2, 3, 4, 7] {
-                let (par, _) = trust_scores_csr_threads(&g, &seeds, DAMPING, 1e-13, 1000, threads);
-                // Per-node gather order is identical, so scores must agree
-                // exactly; only the early-exit delta is reassembled from
-                // partials, which can shift the stop iteration within eps.
-                let diff = max_abs_diff(&serial, &par);
-                assert!(
-                    diff <= 1e-13,
-                    "threads={threads}: parallel diverged by {diff}"
-                );
-            }
-        }
     }
 
     #[test]

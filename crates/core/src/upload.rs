@@ -43,11 +43,6 @@ impl AnonymousChannel {
         self.pending.push(vp.into_stored());
     }
 
-    /// Number of queued VPs.
-    pub fn queued(&self) -> usize {
-        self.pending.len()
-    }
-
     /// Flush the queue: shuffle submission order and stamp each VP with a
     /// fresh random session id.
     pub fn flush<R: Rng + ?Sized>(&mut self, rng: &mut R) -> Vec<AnonymousSubmission> {
@@ -97,11 +92,9 @@ mod tests {
         for p in some_profiles(5, 1) {
             ch.enqueue(p);
         }
-        assert_eq!(ch.queued(), 5);
         let mut rng = StdRng::seed_from_u64(2);
-        let batch = ch.flush(&mut rng);
-        assert_eq!(batch.len(), 5);
-        assert_eq!(ch.queued(), 0);
+        assert_eq!(ch.flush(&mut rng).len(), 5);
+        assert!(ch.flush(&mut rng).is_empty(), "a flush empties the queue");
     }
 
     #[test]

@@ -127,25 +127,6 @@ impl StoredVp {
             .unwrap_or(GeoPos::new(0.0, 0.0))
     }
 
-    /// Axis-aligned bounding box of the claimed trajectory:
-    /// `(min_x, min_y, max_x, max_y)`. Used as an O(1) prefilter before
-    /// the O(60) aligned-distance scans.
-    pub fn bounding_box(&self) -> (f64, f64, f64, f64) {
-        let mut bb = (
-            f64::INFINITY,
-            f64::INFINITY,
-            f64::NEG_INFINITY,
-            f64::NEG_INFINITY,
-        );
-        for vd in &self.vds {
-            bb.0 = bb.0.min(vd.loc.x);
-            bb.1 = bb.1.min(vd.loc.y);
-            bb.2 = bb.2.max(vd.loc.x);
-            bb.3 = bb.3.max(vd.loc.y);
-        }
-        bb
-    }
-
     /// Do the recorded time ranges of the two VPs overlap at all? O(1);
     /// false means [`min_aligned_distance`](Self::min_aligned_distance)
     /// is `None`.

@@ -1,7 +1,7 @@
 //! The paper-reproduction library: the experiments behind every table and
-//! figure of the paper's evaluation, the synthetic worlds and naive
-//! reference engines the rest of the workspace tests against, and the
-//! determinism suites the grown system is held to. No timing code lives
+//! figure of the paper's evaluation, the test worlds and reference
+//! oracles the rest of the workspace tests against, and the determinism
+//! suites the grown system is held to. No timing code lives
 //! here — `vm_perf/` is the repository's one benchmark.
 //!
 //! # Paper artifacts
@@ -16,11 +16,16 @@
 //! and `VM_SCALE=10` approaches the paper's 1000-run cells.
 //! `tests/repro.rs` pins every seeded experiment's output.
 //!
-//! # Reference engines and worlds
+//! # Oracles and worlds
 //!
-//! [`investigate`] holds [`investigate::SynthWorld`] and the retained
-//! naive build/verify algorithms; [`worlds`] the small linked worlds
-//! and the cold oracle shared with the crash, vopr and scenario rigs.
+//! [`oracle`] is the one place every "what should the system answer"
+//! reference lives: the naive build/verify engines, the scatter
+//! TrustRank, the cold viewmap oracle with its checksums, and the replay
+//! oracle the fault-simulation rig holds every run to. [`worlds`] holds
+//! the seeded populations fed to the system — linked minutes, synthetic
+//! VPs, city-scale [`worlds::SynthWorld`]s — which the durability,
+//! replication, service, equivalence and fault suites import instead of
+//! keeping copies.
 //!
 //! # Determinism suites
 //!
@@ -35,8 +40,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod investigate;
 pub mod misc;
+pub mod oracle;
 pub mod privacy_exp;
 pub mod traffic;
 pub mod verification;

@@ -32,7 +32,8 @@ use viewmap_core::types::{GeoPos, MinuteId};
 use viewmap_core::upload::AnonymousSubmission;
 use viewmap_core::viewmap::{Site, Viewmap, ViewmapConfig};
 use viewmap_core::vp::StoredVp;
-use vm_bench::worlds::{cold_oracle, linked_minute, LINKED_SPACING_M};
+use vm_bench::oracle::cold_oracle;
+use vm_bench::worlds::{linked_minute, LINKED_SPACING_M};
 
 /// Minutes the random histories spread their traffic across.
 const MINUTES: u64 = 3;

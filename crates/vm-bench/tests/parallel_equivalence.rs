@@ -17,15 +17,17 @@
 //!   city-scale viewmap topology.
 
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 use viewmap_core::maintained::{Admitted, MaintainedViewmap};
 use viewmap_core::server::ViewMapServer;
+use viewmap_core::trustrank::{trust_scores_csr_threads, CsrGraph, DAMPING};
 use viewmap_core::types::{GeoPos, MinuteId};
 use viewmap_core::upload::AnonymousSubmission;
 use viewmap_core::viewmap::{Site, Viewmap, ViewmapConfig};
 use viewmap_core::vp::StoredVp;
-use vm_bench::investigate::SynthWorld;
+use vm_bench::oracle::edge_checksum;
+use vm_bench::worlds::{random_graph, SynthWorld};
 
 const THREAD_COUNTS: [usize; 4] = [2, 3, 5, 8];
 
@@ -241,6 +243,35 @@ fn parallel_build_matches_exhaustive_oracle() {
     }
 }
 
+// ── Parallel TrustRank ────────────────────────────────────────────────
+
+#[test]
+fn parallel_trust_scores_match_serial_bit_for_bit() {
+    for seed in 0..6u64 {
+        let mut rng = StdRng::seed_from_u64(2000 + seed);
+        let n = rng.gen_range(10usize..300);
+        let adj = random_graph(&mut rng, n, 6.0, seed % 2 == 0);
+        let g = CsrGraph::from_adj(&adj);
+        let seeds = [0usize];
+        let (serial, _) = trust_scores_csr_threads(&g, &seeds, DAMPING, 1e-13, 1000, 1);
+        for threads in [2, 3, 4, 7] {
+            let (par, _) = trust_scores_csr_threads(&g, &seeds, DAMPING, 1e-13, 1000, threads);
+            // Per-node gather order is identical, so scores must agree
+            // exactly; only the early-exit delta is reassembled from
+            // partials, which can shift the stop iteration within eps.
+            let diff = serial
+                .iter()
+                .zip(&par)
+                .map(|(x, y)| (x - y).abs())
+                .fold(0.0, f64::max);
+            assert!(
+                diff <= 1e-13,
+                "threads={threads}: parallel diverged by {diff}"
+            );
+        }
+    }
+}
+
 // ── Batch ingest vs sequential submits ─────────────────────────────────
 
 fn submission(vp: StoredVp) -> AnonymousSubmission {
@@ -352,20 +383,6 @@ fn interleaved_concurrent_batches_and_singles_from_scoped_threads() {
 }
 
 // ── 100k-tier topology pin ─────────────────────────────────────────────
-
-/// Stable fingerprint of the full edge set (order-independent per edge,
-/// order of edges irrelevant to the sum).
-fn edge_checksum(vm: &Viewmap) -> u64 {
-    let mut sum = 0u64;
-    for (i, nbrs) in vm.adj.iter().enumerate() {
-        for &j in nbrs {
-            if j > i {
-                sum = sum.wrapping_add((i as u64).wrapping_mul(1_000_003) ^ (j as u64));
-            }
-        }
-    }
-    sum
-}
 
 #[test]
 #[cfg_attr(

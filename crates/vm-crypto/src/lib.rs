@@ -69,18 +69,6 @@ impl Digest16 {
             .collect()
     }
 
-    /// Hash the concatenation of several byte slices (domain-order matters).
-    pub fn hash_parts(parts: &[&[u8]]) -> Self {
-        let mut h = Sha256::new();
-        for p in parts {
-            h.update(p);
-        }
-        let d = h.finalize();
-        let mut out = [0u8; 16];
-        out.copy_from_slice(&d.0[..16]);
-        Digest16(out)
-    }
-
     /// Raw bytes of the digest.
     pub fn as_bytes(&self) -> &[u8; 16] {
         &self.0
@@ -151,13 +139,6 @@ mod tests {
         let full = sha256(b"viewmap");
         let short = Digest16::hash(b"viewmap");
         assert_eq!(&full.0[..16], short.as_bytes());
-    }
-
-    #[test]
-    fn digest16_parts_equals_concat() {
-        let a = Digest16::hash_parts(&[b"ab", b"cd"]);
-        let b = Digest16::hash(b"abcd");
-        assert_eq!(a, b);
     }
 
     #[test]

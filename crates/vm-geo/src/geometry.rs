@@ -192,22 +192,6 @@ impl Rect {
         }
         false
     }
-
-    /// True iff two rects overlap (including touching).
-    pub fn intersects_rect(&self, other: &Rect) -> bool {
-        self.min.x <= other.max.x
-            && self.max.x >= other.min.x
-            && self.min.y <= other.max.y
-            && self.max.y >= other.min.y
-    }
-
-    /// Grow the rect by `margin` on every side.
-    pub fn expanded(&self, margin: f64) -> Rect {
-        Rect {
-            min: Point::new(self.min.x - margin, self.min.y - margin),
-            max: Point::new(self.max.x + margin, self.max.y + margin),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -268,16 +252,6 @@ mod tests {
         // Segment fully inside.
         let s3 = Segment::new(Point::new(1.0, 1.0), Point::new(2.0, 2.0));
         assert!(r.intersects_segment(&s3));
-    }
-
-    #[test]
-    fn rect_rect_intersection() {
-        let a = Rect::new(Point::new(0.0, 0.0), Point::new(10.0, 10.0));
-        let b = Rect::new(Point::new(5.0, 5.0), Point::new(15.0, 15.0));
-        let c = Rect::new(Point::new(11.0, 11.0), Point::new(12.0, 12.0));
-        assert!(a.intersects_rect(&b));
-        assert!(!a.intersects_rect(&c));
-        assert!(a.expanded(1.5).intersects_rect(&c));
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Property tests for the IDM law and the traffic simulation.
 //!
-//! The scenario harness (`vm-scenario`) leans on three behaviors the
+//! The city rows of the `vm-vopr` simulator lean on three behaviors the
 //! unit suite only spot-checks: the IDM never produces unbounded or
 //! non-finite accelerations, a seeded simulation is bit-deterministic
 //! no matter where it runs (the whole seeded-repro story depends on

@@ -81,12 +81,6 @@ impl Gauge {
         self.add(1);
     }
 
-    /// Subtract 1.
-    #[inline]
-    pub fn dec(&self) {
-        self.add(-1);
-    }
-
     /// The current value.
     pub fn get(&self) -> i64 {
         self.value.load(Ordering::Relaxed)
@@ -119,8 +113,7 @@ mod tests {
         g.set(10);
         g.add(-3);
         g.inc();
-        g.dec();
-        assert_eq!(g.get(), 7);
+        assert_eq!(g.get(), 8);
     }
 
     #[test]

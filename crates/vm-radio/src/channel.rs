@@ -152,52 +152,6 @@ impl Channel {
             None
         }
     }
-
-    /// Attempt to deliver one beacon with fresh slow shadowing.
-    pub fn try_deliver<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-        distance_m: f64,
-        blockage: Blockage,
-    ) -> Option<f64> {
-        let slow = self.sample_slow_shadow(rng, blockage);
-        self.try_deliver_with_shadow(rng, distance_m, blockage, slow)
-    }
-
-    /// Probability that a full 1-minute, two-way VP linkage succeeds for a
-    /// stationary pair at `distance_m` in `blockage` state: both vehicles
-    /// must receive at least one of the other's 60 beacons, under one shared
-    /// slow-shadow draw.
-    pub fn minute_linkage<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-        distance_m: f64,
-        blockage: Blockage,
-    ) -> bool {
-        let slow = self.sample_slow_shadow(rng, blockage);
-        let mut a_received = false;
-        let mut b_received = false;
-        for _ in 0..60 {
-            if !a_received
-                && self
-                    .try_deliver_with_shadow(rng, distance_m, blockage, slow)
-                    .is_some()
-            {
-                a_received = true;
-            }
-            if !b_received
-                && self
-                    .try_deliver_with_shadow(rng, distance_m, blockage, slow)
-                    .is_some()
-            {
-                b_received = true;
-            }
-            if a_received && b_received {
-                return true;
-            }
-        }
-        false
-    }
 }
 
 /// Standard normal sample (Box–Muller).
@@ -213,10 +167,32 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    /// Does a full 1-minute, two-way VP linkage succeed for a stationary
+    /// pair at `distance_m` in `blockage` state? Both vehicles must
+    /// receive at least one of the other's 60 beacons, under one shared
+    /// slow-shadow draw (the same per-beacon rule the mobility sims
+    /// apply along moving trajectories).
+    fn minute_linkage(ch: &Channel, rng: &mut StdRng, distance_m: f64, blockage: Blockage) -> bool {
+        let slow = ch.sample_slow_shadow(rng, blockage);
+        let mut deliver = || {
+            ch.try_deliver_with_shadow(rng, distance_m, blockage, slow)
+                .is_some()
+        };
+        let (mut a_received, mut b_received) = (false, false);
+        for _ in 0..60 {
+            a_received = a_received || deliver();
+            b_received = b_received || deliver();
+            if a_received && b_received {
+                return true;
+            }
+        }
+        false
+    }
+
     fn minute_linkage_rate(ch: &Channel, d: f64, b: Blockage, trials: usize, seed: u64) -> f64 {
         let mut rng = StdRng::seed_from_u64(seed);
         let ok = (0..trials)
-            .filter(|_| ch.minute_linkage(&mut rng, d, b))
+            .filter(|_| minute_linkage(ch, &mut rng, d, b))
             .count();
         ok as f64 / trials as f64
     }
@@ -256,7 +232,10 @@ mod tests {
         let ch = Channel::default();
         let mut rng = StdRng::seed_from_u64(1);
         for _ in 0..100 {
-            assert!(ch.try_deliver(&mut rng, 401.0, Blockage::Los).is_none());
+            let slow = ch.sample_slow_shadow(&mut rng, Blockage::Los);
+            assert!(ch
+                .try_deliver_with_shadow(&mut rng, 401.0, Blockage::Los, slow)
+                .is_none());
         }
     }
 

@@ -51,7 +51,7 @@ use rand::{Rng, SeedableRng};
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpStream};
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 use viewmap_core::server::ViewMapServer;
@@ -70,48 +70,43 @@ pub struct FollowerConfig {
     pub epoch: u64,
     /// Seed for the reconnect jitter stream.
     pub backoff_seed: u64,
-    /// First redial delay (doubles per consecutive failure).
-    pub backoff_base: Duration,
-    /// Redial delay ceiling.
-    pub backoff_cap: Duration,
 }
+
+/// First redial delay (doubles per consecutive failure).
+const BACKOFF_BASE: Duration = Duration::from_millis(10);
+
+/// Redial delay ceiling.
+const BACKOFF_CAP: Duration = Duration::from_millis(500);
 
 impl Default for FollowerConfig {
     fn default() -> Self {
         FollowerConfig {
             epoch: 1,
             backoff_seed: 0,
-            backoff_base: Duration::from_millis(10),
-            backoff_cap: Duration::from_millis(500),
         }
     }
 }
 
-/// Counters the applier thread advances; readable at any time.
-#[derive(Debug, Default)]
-pub struct FollowerStats {
-    /// Ops fully applied (scanned, replayed, acked).
-    pub applied_ops: AtomicU64,
-    /// Records accepted into the replica by replay.
-    pub applied_records: AtomicU64,
-    /// Shipped runs whose scan found an injury (torn, corrupted,
-    /// wrong-minute); each one also forces a resync.
-    pub wire_injuries: AtomicU64,
-    /// Connections dropped and re-established (including injuries).
-    pub resyncs: AtomicU64,
-    /// Successful handshakes.
-    pub connects: AtomicU64,
-}
-
-/// Registry mirrors of [`FollowerStats`], plus the journal handle —
-/// registered on the replica server's registry so its `STATS` snapshot
-/// (served even while fenced) carries the applier's progress.
+/// The applier's counters, plus the journal handle — registered on the
+/// replica server's registry, so its `STATS` snapshot (served even while
+/// fenced) carries the applier's progress and tests read them from
+/// `follower.server().obs()`.
 struct FollowerObs {
     registry: Arc<Registry>,
+    /// `vm_repl_applied_ops_total`: ops fully applied (scanned,
+    /// replayed, acked).
     applied_ops: Arc<Counter>,
+    /// `vm_repl_applied_records_total`: records accepted into the
+    /// replica by replay.
     applied_records: Arc<Counter>,
+    /// `vm_repl_wire_injuries_total`: shipped runs whose scan found an
+    /// injury (torn, corrupted, wrong-minute); each one also forces a
+    /// resync.
     wire_injuries: Arc<Counter>,
+    /// `vm_repl_resyncs_total`: connections dropped and re-established
+    /// (including injuries).
     resyncs: Arc<Counter>,
+    /// `vm_repl_connects_total`: successful handshakes.
     connects: Arc<Counter>,
 }
 
@@ -130,7 +125,6 @@ impl FollowerObs {
 
 struct ApplierShared {
     server: Arc<ViewMapServer>,
-    stats: Arc<FollowerStats>,
     obs: FollowerObs,
     stop: AtomicBool,
     /// Current socket, kept so `stop` can shut the blocking read down.
@@ -166,7 +160,6 @@ impl Follower {
         let obs = FollowerObs::register(server.obs());
         let shared = Arc::new(ApplierShared {
             server,
-            stats: Arc::new(FollowerStats::default()),
             obs,
             stop: AtomicBool::new(false),
             conn: Mutex::new(None),
@@ -195,11 +188,6 @@ impl Follower {
     /// until promotion flips it.
     pub fn role(&self) -> &Arc<RoleCell> {
         &self.role
-    }
-
-    /// Live applier counters.
-    pub fn stats(&self) -> &Arc<FollowerStats> {
-        &self.shared.stats
     }
 
     /// Stop replicating and become the serving primary of `epoch + 1`:
@@ -251,17 +239,16 @@ fn cursors(server: &ViewMapServer) -> Vec<(u64, u64)> {
 
 fn applier_loop(shared: Arc<ApplierShared>, primary_addr: SocketAddr, cfg: FollowerConfig) {
     let mut rng = StdRng::seed_from_u64(cfg.backoff_seed);
-    let mut backoff = cfg.backoff_base;
+    let mut backoff = BACKOFF_BASE;
     while !shared.stop.load(Ordering::Acquire) {
         match run_session(&shared, primary_addr, cfg.epoch) {
             Ok(()) => {
                 // Clean session end (primary EOF). Redial from base.
-                backoff = cfg.backoff_base;
+                backoff = BACKOFF_BASE;
             }
             Err(_) if shared.stop.load(Ordering::Acquire) => return,
             Err(_) => {}
         }
-        shared.stats.resyncs.fetch_add(1, Ordering::Relaxed);
         shared.obs.resyncs.inc();
         if shared.stop.load(Ordering::Acquire) {
             return;
@@ -274,11 +261,11 @@ fn applier_loop(shared: Arc<ApplierShared>, primary_addr: SocketAddr, cfg: Follo
             "repl_redial",
             format!(
                 "session to {primary_addr} ended; redial in {:?}",
-                jittered.min(cfg.backoff_cap)
+                jittered.min(BACKOFF_CAP)
             ),
         );
-        std::thread::sleep(jittered.min(cfg.backoff_cap));
-        backoff = backoff.saturating_mul(2).min(cfg.backoff_cap);
+        std::thread::sleep(jittered.min(BACKOFF_CAP));
+        backoff = backoff.saturating_mul(2).min(BACKOFF_CAP);
     }
 }
 
@@ -324,7 +311,6 @@ fn run_session(
         }
         _ => return Err(std::io::Error::other("no HELLO_OK")),
     }
-    shared.stats.connects.fetch_add(1, Ordering::Relaxed);
     shared.obs.connects.inc();
     shared
         .obs
@@ -447,13 +433,8 @@ fn apply_stream(
                 // after a promotion pays the key phase lazily instead.
                 let results = shared.server.submit_replay_batch_cold(records);
                 let accepted = results.iter().filter(|r| r.is_ok()).count() as u64;
-                shared
-                    .stats
-                    .applied_records
-                    .fetch_add(accepted, Ordering::Relaxed);
                 shared.obs.applied_records.add(accepted);
                 if let Some(e) = injury {
-                    shared.stats.wire_injuries.fetch_add(1, Ordering::Relaxed);
                     shared.obs.wire_injuries.inc();
                     shared.obs.registry.journal().record(
                         "repl_injury",
@@ -464,13 +445,11 @@ fn apply_stream(
                         format!("injured frame in op {last_op}: {e}"),
                     ));
                 }
-                shared.stats.applied_ops.fetch_add(ops, Ordering::Relaxed);
                 shared.obs.applied_ops.add(ops);
                 ReplMsg::Ack { op: last_op }.write_to(writer)?;
             } else if let ReplMsg::Evict { op, cutoff } = &queue[i] {
                 let (op, cutoff) = (*op, *cutoff);
                 shared.server.evict_minutes_before(MinuteId(cutoff));
-                shared.stats.applied_ops.fetch_add(1, Ordering::Relaxed);
                 shared.obs.applied_ops.inc();
                 ReplMsg::Ack { op }.write_to(writer)?;
                 i += 1;

@@ -49,6 +49,6 @@ pub mod follower;
 pub mod primary;
 pub mod wire;
 
-pub use follower::{Follower, FollowerConfig, FollowerStats};
+pub use follower::{Follower, FollowerConfig};
 pub use primary::{Primary, ReplHub, ReplicatedWal, ReplicationConfig};
 pub use wire::{ReplMsg, WireError};

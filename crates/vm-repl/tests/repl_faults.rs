@@ -9,15 +9,13 @@ use rand::SeedableRng;
 use std::io::BufReader;
 use std::net::TcpListener;
 use std::path::PathBuf;
-use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
-use viewmap_core::bloom::BloomFilter;
 use viewmap_core::server::ViewMapServer;
-use viewmap_core::types::{GeoPos, MinuteId, VpId, SECONDS_PER_VP};
+use viewmap_core::types::{MinuteId, VpId};
 use viewmap_core::upload::AnonymousSubmission;
-use viewmap_core::vd::ViewDigest;
 use viewmap_core::viewmap::ViewmapConfig;
 use viewmap_core::vp::StoredVp;
+use vm_bench::worlds::synthetic_vp;
 use vm_crypto::RsaKeyPair;
 use vm_repl::{Follower, FollowerConfig, Primary, ReplMsg, ReplicationConfig};
 use vm_store::StoreConfig;
@@ -38,25 +36,14 @@ impl Drop for TempDir {
     }
 }
 
-fn synthetic_vp(tag: u64, minute: u64) -> StoredVp {
-    let mut id_bytes = [0u8; 16];
-    id_bytes[..8].copy_from_slice(&tag.to_le_bytes());
-    id_bytes[8..].copy_from_slice(&minute.to_le_bytes());
-    let id = VpId(vm_crypto::Digest16(id_bytes));
-    let start = minute * SECONDS_PER_VP;
-    let vds: Vec<ViewDigest> = (1..=SECONDS_PER_VP as u16)
-        .map(|seq| ViewDigest {
-            seq,
-            flags: 0,
-            time: start + seq as u64,
-            loc: GeoPos::new(tag as f64 % 400.0 + seq as f64 * 8.0, (tag % 37) as f64),
-            file_size: seq as u64 * 64,
-            initial_loc: GeoPos::new(tag as f64 % 400.0, 0.0),
-            vp_id: id,
-            hash: vm_crypto::Digest16(id_bytes),
-        })
-        .collect();
-    StoredVp::new(id, vds, BloomFilter::default(), false)
+/// A follower applier counter, read from the replica's registry.
+fn applier_count(follower: &Follower, name: &str) -> u64 {
+    follower
+        .server()
+        .obs()
+        .snapshot()
+        .counter(name)
+        .unwrap_or(0)
 }
 
 fn submit(srv: &ViewMapServer, vp: StoredVp) {
@@ -146,7 +133,7 @@ fn live_shipping_catch_up_and_rejoin_converge_bytewise() {
         follower.server().state_digest() == primary.server().state_digest()
     });
     assert_state_equal(follower.server(), primary.server(), 2, "live");
-    assert!(follower.stats().wire_injuries.load(Ordering::Relaxed) == 0);
+    assert!(applier_count(&follower, "vm_repl_wire_injuries_total") == 0);
 
     // Disconnect (drop the follower entirely), keep writing, rejoin on
     // the same directory: cursors position catch-up at the stale tail.
@@ -356,7 +343,7 @@ fn injured_wire_frames_quarantine_the_connection_not_the_store() {
     wait_until("valid prefix applied", Duration::from_secs(10), || {
         follower.server().total_vps() == 1
     });
-    assert_eq!(follower.stats().wire_injuries.load(Ordering::Relaxed), 1);
+    assert_eq!(applier_count(&follower, "vm_repl_wire_injuries_total"), 1);
     assert!(
         follower.server().lookup_vp(synthetic_vp(0, 0).id).is_some(),
         "the frame before the injury is committed data"
@@ -385,8 +372,8 @@ fn injured_wire_frames_quarantine_the_connection_not_the_store() {
     wait_until("resync converged", Duration::from_secs(10), || {
         follower.server().total_vps() == 3
     });
-    assert_eq!(follower.stats().wire_injuries.load(Ordering::Relaxed), 1);
-    assert!(follower.stats().resyncs.load(Ordering::Relaxed) >= 1);
+    assert_eq!(applier_count(&follower, "vm_repl_wire_injuries_total"), 1);
+    assert!(applier_count(&follower, "vm_repl_resyncs_total") >= 1);
 
     // The store took only valid records: reopen it clean.
     follower.server().sync_wal().unwrap();
@@ -467,7 +454,7 @@ fn torn_and_corrupted_primary_segments_ship_only_the_committed_prefix() {
         follower.server().state_digest() == primary.server().state_digest()
     });
     assert_eq!(follower.server().total_vps(), 6);
-    assert_eq!(follower.stats().wire_injuries.load(Ordering::Relaxed), 0);
+    assert_eq!(applier_count(&follower, "vm_repl_wire_injuries_total"), 0);
     assert_state_equal(follower.server(), primary.server(), 2, "injured log");
 }
 

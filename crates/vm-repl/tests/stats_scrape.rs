@@ -12,11 +12,9 @@ use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use viewmap_core::bloom::BloomFilter;
-use viewmap_core::types::{GeoPos, VpId, SECONDS_PER_VP};
-use viewmap_core::vd::ViewDigest;
+use viewmap_core::types::GeoPos;
 use viewmap_core::viewmap::ViewmapConfig;
-use viewmap_core::vp::StoredVp;
+use vm_bench::worlds::synthetic_vp;
 use vm_crypto::RsaKeyPair;
 use vm_repl::{Follower, FollowerConfig, Primary, ReplicationConfig};
 use vm_service::proto::ErrorCode;
@@ -37,27 +35,6 @@ impl Drop for TempDir {
     fn drop(&mut self) {
         let _ = std::fs::remove_dir_all(&self.0);
     }
-}
-
-fn synthetic_vp(tag: u64, minute: u64) -> StoredVp {
-    let mut id_bytes = [0u8; 16];
-    id_bytes[..8].copy_from_slice(&tag.to_le_bytes());
-    id_bytes[8..].copy_from_slice(&minute.to_le_bytes());
-    let id = VpId(vm_crypto::Digest16(id_bytes));
-    let start = minute * SECONDS_PER_VP;
-    let vds: Vec<ViewDigest> = (1..=SECONDS_PER_VP as u16)
-        .map(|seq| ViewDigest {
-            seq,
-            flags: 0,
-            time: start + seq as u64,
-            loc: GeoPos::new(tag as f64 % 400.0 + seq as f64 * 8.0, (tag % 37) as f64),
-            file_size: seq as u64 * 64,
-            initial_loc: GeoPos::new(tag as f64 % 400.0, 0.0),
-            vp_id: id,
-            hash: vm_crypto::Digest16(id_bytes),
-        })
-        .collect();
-    StoredVp::new(id, vds, BloomFilter::default(), false)
 }
 
 fn wait_until(what: &str, timeout: Duration, mut f: impl FnMut() -> bool) {

@@ -20,7 +20,7 @@
 //! Uploader vehicles pipeline: they write many `SUBMIT` frames before
 //! reading any reply. The session loop exploits that — after decoding a
 //! `SUBMIT` it keeps draining frames as long as more bytes are already
-//! buffered (up to [`ServiceConfig::max_coalesce`]), and commits every
+//! buffered (up to 1024 frames), and commits every
 //! consecutive submit in one
 //! [`ViewMapServer::submit_batch_warm`] call. The network path thus
 //! rides the same per-(minute, batch) stripe locking and parallel
@@ -64,14 +64,6 @@ pub struct ServiceConfig {
     /// Session worker threads (= maximum simultaneously-served
     /// connections). Default 8.
     pub workers: usize,
-    /// Maximum pipelined `SUBMIT` frames coalesced into one
-    /// `submit_batch_warm` call. Default 1024.
-    pub max_coalesce: usize,
-    /// Maximum accepted-but-unclaimed connections. Beyond it the
-    /// acceptor closes new connections immediately (a clean reset the
-    /// client can retry) instead of letting a flood grow the queue —
-    /// and the process's open-fd count — without bound. Default 1024.
-    pub max_backlog: usize,
     /// Reap a session whose socket delivers no bytes for this long.
     /// Sessions are worker-bound, so a leaked keep-alive connection
     /// pins a pool worker forever without a deadline; with one, the
@@ -87,12 +79,20 @@ impl Default for ServiceConfig {
     fn default() -> Self {
         ServiceConfig {
             workers: 8,
-            max_coalesce: 1024,
-            max_backlog: 1024,
             idle_timeout: None,
         }
     }
 }
+
+/// Maximum pipelined `SUBMIT` frames coalesced into one
+/// `submit_batch_warm` call.
+const MAX_COALESCE: usize = 1024;
+
+/// Maximum accepted-but-unclaimed connections. Beyond it the acceptor
+/// closes new connections immediately (a clean reset the client can
+/// retry) instead of letting a flood grow the queue — and the process's
+/// open-fd count — without bound.
+const MAX_BACKLOG: usize = 1024;
 
 /// Human-readable `op` label for each request opcode, indexed by
 /// `opcode - 1` (opcodes are assigned densely from `0x01`). The retired
@@ -161,7 +161,7 @@ struct Shared {
     role: Option<Arc<RoleCell>>,
     shutdown: AtomicBool,
     /// Accepted, not-yet-claimed connections (capped at
-    /// [`ServiceConfig::max_backlog`] by the acceptor).
+    /// `MAX_BACKLOG` by the acceptor).
     queue: Mutex<VecDeque<TcpStream>>,
     queue_cv: Condvar,
     /// `(session token, socket clone)` for every live session, so
@@ -207,7 +207,6 @@ impl VmService {
         role: Option<Arc<RoleCell>>,
     ) -> std::io::Result<ServiceHandle> {
         assert!(cfg.workers >= 1, "a service needs at least one worker");
-        assert!(cfg.max_coalesce >= 1, "coalescing window must be nonzero");
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
         let shared = Arc::new(Shared {
@@ -298,7 +297,7 @@ fn accept_loop(shared: &Shared, listener: &TcpListener) {
             return; // the wake-up connect, or a late client — drop it
         }
         let mut queue = shared.queue.lock().expect("queue lock");
-        if queue.len() >= shared.cfg.max_backlog {
+        if queue.len() >= MAX_BACKLOG {
             drop(conn); // shed load: close instead of growing without bound
             shared.metrics.accept_sheds.inc();
             continue;
@@ -403,7 +402,7 @@ fn serve_session(shared: &Shared, session_id: u64, conn: TcpStream) -> std::io::
             // bytes are already buffered (never block holding unflushed
             // replies), stop at the first non-submit or the window cap.
             let mut run = vec![frame];
-            while run.len() < shared.cfg.max_coalesce && !reader.buffer().is_empty() {
+            while run.len() < MAX_COALESCE && !reader.buffer().is_empty() {
                 match Frame::read_from(&mut reader)? {
                     Some(f) if f.opcode == OP_SUBMIT => run.push(f),
                     Some(f) => {

@@ -14,9 +14,10 @@ use rand::SeedableRng;
 use std::path::PathBuf;
 use std::sync::Arc;
 use viewmap_core::server::ViewMapServer;
-use viewmap_core::types::{GeoPos, MinuteId, VpId, SECONDS_PER_VP};
+use viewmap_core::types::{GeoPos, MinuteId};
 use viewmap_core::viewmap::{Site, ViewmapConfig};
 use viewmap_core::vp::StoredVp;
+use vm_bench::worlds::synthetic_vp;
 use vm_service::{ServiceConfig, VmClient, VmService};
 use vm_store::{PersistentServer, StoreConfig};
 
@@ -36,28 +37,6 @@ impl Drop for TempDir {
     fn drop(&mut self) {
         let _ = std::fs::remove_dir_all(&self.0);
     }
-}
-
-fn synthetic_vp(tag: u64, minute: u64) -> StoredVp {
-    use viewmap_core::vd::ViewDigest;
-    let mut id_bytes = [0u8; 16];
-    id_bytes[..8].copy_from_slice(&tag.to_le_bytes());
-    id_bytes[8..].copy_from_slice(&minute.to_le_bytes());
-    let id = VpId(vm_crypto::Digest16(id_bytes));
-    let start = minute * SECONDS_PER_VP;
-    let vds: Vec<ViewDigest> = (1..=SECONDS_PER_VP as u16)
-        .map(|seq| ViewDigest {
-            seq,
-            flags: 0,
-            time: start + seq as u64,
-            loc: GeoPos::new(tag as f64 % 400.0 + seq as f64 * 8.0, (tag % 37) as f64),
-            file_size: seq as u64 * 64,
-            initial_loc: GeoPos::new(tag as f64 % 400.0, 0.0),
-            vp_id: id,
-            hash: vm_crypto::Digest16(id_bytes),
-        })
-        .collect();
-    StoredVp::new(id, vds, viewmap_core::bloom::BloomFilter::default(), false)
 }
 
 /// Minutes that still have a `.vmseg` segment on disk.

@@ -133,7 +133,6 @@ fn idle_sessions_are_reaped_but_active_ones_survive() {
         ServiceConfig {
             workers: 2,
             idle_timeout: Some(Duration::from_millis(100)),
-            ..ServiceConfig::default()
         },
     )
     .unwrap();
@@ -214,7 +213,6 @@ fn reconnect_with_backoff_replaces_a_poisoned_session() {
         ServiceConfig {
             workers: 2,
             idle_timeout: Some(Duration::from_millis(80)),
-            ..ServiceConfig::default()
         },
     )
     .unwrap();

@@ -20,13 +20,13 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::path::PathBuf;
-use viewmap_core::bloom::BloomFilter;
 use viewmap_core::server::{SubmitError, ViewMapServer};
-use viewmap_core::types::{GeoPos, MinuteId, VpId, SECONDS_PER_VP};
+use viewmap_core::types::{GeoPos, MinuteId, VpId};
 use viewmap_core::upload::AnonymousSubmission;
-use viewmap_core::vd::ViewDigest;
-use viewmap_core::viewmap::{Site, Viewmap, ViewmapConfig};
+use viewmap_core::viewmap::{Site, ViewmapConfig};
 use viewmap_core::vp::StoredVp;
+use vm_bench::oracle::viewmap_checksum;
+use vm_bench::worlds::linked_minute;
 use vm_store::{segment, PersistentServer, StoreConfig, VpStore};
 
 struct TempDir(PathBuf);
@@ -56,69 +56,11 @@ fn cfg() -> StoreConfig {
     StoreConfig::from_env()
 }
 
-/// A minute of `n` vehicles on a line, Bloom-wired pairwise within DSRC
-/// range so viewmaps built from them have real edges; vehicle 0 is the
-/// trusted seed. Deterministic in `(n, minute, seed)`.
-fn linked_world(n: usize, minute: u64, seed: u64) -> Vec<StoredVp> {
-    const SPACING_M: f64 = 150.0;
-    let start = minute * SECONDS_PER_VP;
-    let mut rng = StdRng::seed_from_u64(seed ^ (minute << 32) ^ n as u64);
-    let ids: Vec<VpId> = (0..n)
-        .map(|_| VpId(vm_crypto::Digest16(rng.gen())))
-        .collect();
-    let trajectories: Vec<Vec<ViewDigest>> = (0..n)
-        .map(|i| {
-            let y = minute as f64 * 10.0;
-            (1..=SECONDS_PER_VP as u16)
-                .map(|seq| ViewDigest {
-                    seq,
-                    flags: 0,
-                    time: start + seq as u64,
-                    loc: GeoPos::new(i as f64 * SPACING_M + seq as f64 * 7.5, y),
-                    file_size: seq as u64 * 1024,
-                    initial_loc: GeoPos::new(i as f64 * SPACING_M, y),
-                    vp_id: ids[i],
-                    hash: vm_crypto::Digest16(rng.gen()),
-                })
-                .collect()
-        })
-        .collect();
-    (0..n)
-        .map(|i| {
-            let mut bloom = BloomFilter::default();
-            for (j, traj) in trajectories.iter().enumerate() {
-                if i != j && (i as f64 - j as f64).abs() * SPACING_M <= 400.0 {
-                    bloom.insert(&traj[0].bloom_key());
-                    bloom.insert(&traj[SECONDS_PER_VP as usize - 1].bloom_key());
-                }
-            }
-            StoredVp::new(ids[i], trajectories[i].clone(), bloom, i == 0)
-        })
-        .collect()
-}
-
 fn site() -> Site {
     Site {
         center: GeoPos::new(400.0, 0.0),
         radius_m: 100_000.0,
     }
-}
-
-/// Order-independent fingerprint of a viewmap's full edge set plus its
-/// member identities — the "same investigation outcome" oracle.
-fn viewmap_checksum(vm: &Viewmap) -> u64 {
-    let mut sum = vm.len() as u64;
-    for (i, vp) in vm.vps.iter().enumerate() {
-        sum = sum.wrapping_add(vp.id.0.low_u64().rotate_left((i % 61) as u32));
-    }
-    for (i, nbrs) in vm.adj.iter().enumerate() {
-        for &j in nbrs {
-            if j > i {
-                sum = sum.wrapping_add((i as u64).wrapping_mul(1_000_003) ^ (j as u64));
-            }
-        }
-    }
-    sum
 }
 
 fn submission(vp: StoredVp) -> AnonymousSubmission {
@@ -185,7 +127,7 @@ fn assert_state_equivalent(
 fn torn_tail_at_every_byte_offset_recovers_the_committed_prefix() {
     let tmp = TempDir::new("torn_tail");
     let minute = MinuteId(0);
-    let world = linked_world(4, 0, 11);
+    let world = linked_minute(4, 0, 11);
 
     // Write 3 records, note the clean length, then the tail record.
     let (store, _, _) = VpStore::open(&tmp.0, cfg()).unwrap();
@@ -250,7 +192,7 @@ fn torn_tail_recovery_feeds_an_equivalent_server() {
     // End to end: a server recovered from a torn log equals a live
     // server that only ever saw the committed prefix.
     let tmp = TempDir::new("torn_server");
-    let world = linked_world(6, 0, 13);
+    let world = linked_minute(6, 0, 13);
     let mut rng = StdRng::seed_from_u64(1);
     {
         let (srv, _) =
@@ -293,7 +235,7 @@ fn a_foreign_minute_record_ends_recoverys_committed_prefix() {
     let tmp = TempDir::new("foreign_minute");
     let mut rng = StdRng::seed_from_u64(31);
     let vmcfg = ViewmapConfig::default();
-    let (minute0, minute1) = (linked_world(3, 0, 31), linked_world(2, 1, 31));
+    let (minute0, minute1) = (linked_minute(3, 0, 31), linked_minute(2, 1, 31));
     {
         let (srv, _) = ViewMapServer::open(&mut rng, 512, vmcfg, &tmp.0, cfg()).unwrap();
         for world in [&minute0, &minute1] {
@@ -304,8 +246,8 @@ fn a_foreign_minute_record_ends_recoverys_committed_prefix() {
     }
     let seg0 = segment::segment_path(&tmp.0, MinuteId(0));
     let clean_len = std::fs::metadata(&seg0).unwrap().len();
-    let stray = linked_world(3, 1, 32).remove(2);
-    let behind = linked_world(4, 0, 32).remove(3);
+    let stray = linked_minute(3, 1, 32).remove(2);
+    let behind = linked_minute(4, 0, 32).remove(3);
     let mut frames = segment::Frames::default();
     frames.push(&[&stray, &behind]);
     let mut w = segment::SegmentWriter::open(&tmp.0, MinuteId(0)).unwrap();
@@ -342,7 +284,7 @@ fn run_random_history(case: u64) {
 
     // The VP pool: a linked world per minute (index 0 trusted).
     let pool: Vec<Vec<StoredVp>> = (0..minutes)
-        .map(|m| linked_world(per_minute, m, 1000 + case))
+        .map(|m| linked_minute(per_minute, m, 1000 + case))
         .collect();
     let ids: Vec<VpId> = pool.iter().flatten().map(|vp| vp.id).collect();
 
@@ -442,7 +384,7 @@ fn eviction_drops_segments_and_memory_together() {
     let vmcfg = ViewmapConfig::default();
     let (srv, _) = ViewMapServer::open(&mut rng, 512, vmcfg, &tmp.0, cfg()).unwrap();
     for m in 0..4u64 {
-        let world = linked_world(3, m, 77);
+        let world = linked_minute(3, m, 77);
         let results = submit_world(&srv, &world);
         assert!(results.iter().all(|r| r.is_ok()));
     }
@@ -467,7 +409,7 @@ fn eviction_drops_segments_and_memory_together() {
         assert_eq!(reopened.vp_count(MinuteId(m)), 0, "minute {m} stays gone");
     }
     // Evicted ids are submittable again — on both layers.
-    let world = linked_world(3, 0, 77);
+    let world = linked_minute(3, 0, 77);
     reopened.submit(submission(world[1].clone())).unwrap();
     assert_eq!(reopened.vp_count(MinuteId(0)), 1);
 }
@@ -480,7 +422,7 @@ fn recovered_server_is_key_warm_and_investigates_identically() {
     let tmp = TempDir::new("warm");
     let mut rng = StdRng::seed_from_u64(9);
     let vmcfg = ViewmapConfig::default();
-    let world = linked_world(10, 0, 21);
+    let world = linked_minute(10, 0, 21);
     let before;
     {
         let (srv, _) = ViewMapServer::open(&mut rng, 512, vmcfg, &tmp.0, cfg()).unwrap();

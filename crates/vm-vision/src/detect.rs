@@ -19,20 +19,6 @@ pub struct Region {
 }
 
 impl Region {
-    /// Intersection-over-union with another region.
-    pub fn iou(&self, other: &Region) -> f64 {
-        let x0 = self.x.max(other.x);
-        let y0 = self.y.max(other.y);
-        let x1 = (self.x + self.w).min(other.x + other.w);
-        let y1 = (self.y + self.h).min(other.y + other.h);
-        if x1 <= x0 || y1 <= y0 {
-            return 0.0;
-        }
-        let inter = ((x1 - x0) * (y1 - y0)) as f64;
-        let union = (self.w * self.h + other.w * other.h) as f64 - inter;
-        inter / union
-    }
-
     /// Grow by `margin` pixels on each side, clamped to frame bounds.
     pub fn expanded(&self, margin: usize, width: usize, height: usize) -> Region {
         let x = self.x.saturating_sub(margin);
@@ -149,6 +135,21 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    /// Intersection-over-union of two regions: how a detection is scored
+    /// against a ground-truth plate.
+    fn iou(a: &Region, b: &Region) -> f64 {
+        let x0 = a.x.max(b.x);
+        let y0 = a.y.max(b.y);
+        let x1 = (a.x + a.w).min(b.x + b.w);
+        let y1 = (a.y + a.h).min(b.y + b.h);
+        if x1 <= x0 || y1 <= y0 {
+            return 0.0;
+        }
+        let inter = ((x1 - x0) * (y1 - y0)) as f64;
+        let union = (a.w * a.h + b.w * b.h) as f64 - inter;
+        inter / union
+    }
+
     #[test]
     fn detects_embedded_plates() {
         let rng = StdRng::seed_from_u64(1);
@@ -166,7 +167,7 @@ mod tests {
                     w: p.w,
                     h: p.h,
                 };
-                if regions.iter().any(|r| r.iou(&gt) > 0.5) {
+                if regions.iter().any(|r| iou(r, &gt) > 0.5) {
                     found_total += 1;
                 }
             }
@@ -226,16 +227,14 @@ mod tests {
             w: 10,
             h: 10,
         };
-        assert!((a.iou(&b) - 50.0 / 150.0).abs() < 1e-12);
-        assert_eq!(
-            a.iou(&Region {
-                x: 50,
-                y: 50,
-                w: 5,
-                h: 5
-            }),
-            0.0
-        );
+        assert!((iou(&a, &b) - 50.0 / 150.0).abs() < 1e-12);
+        let far = Region {
+            x: 50,
+            y: 50,
+            w: 5,
+            h: 5,
+        };
+        assert_eq!(iou(&a, &far), 0.0);
         let e = a.expanded(3, 100, 100);
         assert_eq!((e.x, e.y, e.w, e.h), (0, 0, 13, 13));
     }

@@ -27,4 +27,4 @@ pub use blur::box_blur_region;
 pub use detect::{detect_plates, DetectParams, Region};
 pub use frame::{Frame, PlateSpec, SyntheticScene};
 pub use pipeline::{BlurPipeline, PlatformProfile, StageTimings};
-pub use storage::{MotionDetector, Segment, SegmentStore};
+pub use storage::{Segment, SegmentStore};

@@ -5,9 +5,7 @@
 //! is full, the oldest segment will be deleted and recorded over."
 //! ViewMap adds one wrinkle: a solicited video must survive until it has
 //! been uploaded, so segments can be *protected* against eviction.
-//! Parking mode records only when a motion detector triggers.
 
-use crate::frame::Frame;
 use std::collections::VecDeque;
 
 /// One recorded 1-minute segment: 60 one-second chunks of video bytes.
@@ -108,56 +106,9 @@ impl SegmentStore {
         }
     }
 
-    /// Release an evidence hold (after successful upload).
-    pub fn unprotect(&mut self, minute: u64) -> bool {
-        match self.segments.iter_mut().find(|s| s.minute == minute) {
-            Some(s) => {
-                s.protected = false;
-                true
-            }
-            None => false,
-        }
-    }
-
     /// Oldest stored minute, if any.
     pub fn oldest_minute(&self) -> Option<u64> {
         self.segments.iter().map(|s| s.minute).min()
-    }
-}
-
-/// Parking-mode motion detector (paper §2: "videos can be recorded when
-/// the motion detector is triggered, even if a vehicle is turned off").
-#[derive(Clone, Copy, Debug)]
-pub struct MotionDetector {
-    /// Mean-absolute-difference threshold (0..255 intensity units).
-    pub threshold: f64,
-}
-
-impl Default for MotionDetector {
-    fn default() -> Self {
-        MotionDetector { threshold: 8.0 }
-    }
-}
-
-impl MotionDetector {
-    /// Mean absolute per-pixel difference between two frames.
-    pub fn motion_score(a: &Frame, b: &Frame) -> f64 {
-        assert_eq!(a.data.len(), b.data.len(), "frame size mismatch");
-        if a.data.is_empty() {
-            return 0.0;
-        }
-        let sum: u64 = a
-            .data
-            .iter()
-            .zip(&b.data)
-            .map(|(&x, &y)| x.abs_diff(y) as u64)
-            .sum();
-        sum as f64 / a.data.len() as f64
-    }
-
-    /// Should parking-mode recording trigger for this frame pair?
-    pub fn triggered(&self, prev: &Frame, cur: &Frame) -> bool {
-        Self::motion_score(prev, cur) >= self.threshold
     }
 }
 
@@ -218,34 +169,6 @@ mod tests {
         let mut store = SegmentStore::new(1000);
         assert!(store.insert(seg(0, 100)).is_err()); // 6000 > 1000
         assert!(store.is_empty());
-    }
-
-    #[test]
-    fn unprotect_restores_evictability() {
-        let mut store = SegmentStore::new(2 * 6000);
-        store.insert(seg(0, 100)).unwrap();
-        store.insert(seg(1, 100)).unwrap();
-        store.protect(0);
-        store.unprotect(0);
-        assert_eq!(store.insert(seg(2, 100)).unwrap(), vec![0]);
-    }
-
-    #[test]
-    fn motion_detector_triggers_on_change() {
-        let mut a = Frame::new(32, 32);
-        let mut b = Frame::new(32, 32);
-        for i in 0..32 * 32 {
-            a.data[i] = 100;
-            b.data[i] = 100;
-        }
-        let det = MotionDetector::default();
-        assert!(!det.triggered(&a, &b));
-        // A "pedestrian" walks through a quarter of the frame.
-        for i in 0..(32 * 32) / 4 {
-            b.data[i] = 180;
-        }
-        assert!(det.triggered(&a, &b));
-        assert!(MotionDetector::motion_score(&a, &b) > 8.0);
     }
 
     #[test]

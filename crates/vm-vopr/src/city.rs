@@ -1,12 +1,14 @@
-//! The scenario driver: one seeded run of a named workload over the
-//! real wire (`VmClient` → `vm-service` → durable `ViewMapServer`),
-//! checked against an in-process oracle and the telemetry snapshot.
+//! The city rows: one seeded run of a named workload over the real
+//! wire (`VmClient` → `vm-service` → durable `ViewMapServer`), checked
+//! against an in-process oracle and the telemetry snapshot.
 //!
-//! The cell, the ledger, the oracle and the failure report are
-//! [`vm_vopr::rig`]'s; this module keeps what is specific to the city
-//! workloads — which world each scenario generates and the assertion
-//! set it holds the served system to (edge blowup, linkage starvation,
-//! retention exactness, the Lemma 2 bound, one-winner reward races).
+//! The cell, the ledger and the failure report are [`crate::rig`]'s,
+//! the oracle [`vm_bench::oracle`]'s, and the fault choreography
+//! [`crate::harness`]'s; this module keeps what is specific to the city
+//! workloads — which world ([`crate::world`]) each row generates and the
+//! assertion set it holds the served system to (edge blowup, linkage
+//! starvation, retention exactness, the Lemma 2 bound, one-winner reward
+//! races).
 //!
 //! # Determinism
 //!
@@ -18,7 +20,9 @@
 //! [`ViewMapServer`] fed exactly the accepted operations — must then
 //! match the served system bit for bit.
 
-use crate::catalog::Scenario;
+use crate::ensure;
+use crate::harness::{run_world, RunReport};
+use crate::rig::{anchor, check_equivalence, Assertions, Cell, FaultProfile, Ledger, Rig, World};
 use crate::world::{attack_world, reward_world, sim_world, AttackSpec, AttackWorld, SimWorld};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -32,45 +36,10 @@ use viewmap_core::solicit::VideoUpload;
 use viewmap_core::trustrank;
 use viewmap_core::types::{GeoPos, MinuteId};
 use viewmap_core::viewmap::{Site, ViewmapConfig};
+use vm_bench::oracle::{memo_equals_cold, replay};
 use vm_service::proto::ErrorCode;
 use vm_service::{ClientConfig, ClientError, VmClient};
 use vm_sim::SimConfig;
-use vm_vopr::ensure;
-use vm_vopr::harness::run_world;
-use vm_vopr::rig::{
-    anchor, build_oracle, check_equivalence, memo_equals_cold, run_reported, Assertions, Cell,
-    FaultProfile, Ledger, Rig, World,
-};
-
-/// What one seeded run did — counters for reporting, not assertions.
-#[derive(Clone, Debug)]
-pub struct RunReport {
-    /// Wire ops settled.
-    pub ops: usize,
-    /// Reconnect-and-retry cycles forced by the wire.
-    pub retries: usize,
-    /// VPs resident at the end of the run.
-    pub final_vps: usize,
-    /// Scenario-specific highlight (edges, bound, cash …).
-    pub note: String,
-}
-
-/// Run one `(scenario, seed)` workload end to end. `Err` carries a
-/// human-readable reason, a copy-pasteable repro line and the metrics
-/// snapshot (see [`run_reported`]).
-pub fn run_seed(scenario: Scenario, seed: u64) -> Result<RunReport, String> {
-    run_reported("vm-scenario", scenario.name(), seed, |rig| {
-        let profile = &scenario.profile();
-        match scenario {
-            Scenario::RushHour | Scenario::RushHourCrashLoop => run_rush_hour(rig, profile),
-            Scenario::RuralSparse => run_rural_sparse(rig, profile),
-            Scenario::RetentionChurn => run_retention_churn(rig, profile),
-            Scenario::SybilFlood | Scenario::SybilFloodFailover => run_sybil(rig, profile, false),
-            Scenario::ForgedTrajectory => run_sybil(rig, profile, true),
-            Scenario::RedemptionStorm => run_redemption_storm(rig, profile),
-        }
-    })
-}
 
 /// Run `world` under `profile` through the vopr fault driver — a single
 /// cell across its crash generations (one, for a fault-free profile) or
@@ -90,12 +59,20 @@ fn run_checked(
         note = check(srv)?;
         Ok(())
     })?;
-    Ok(RunReport {
-        ops: run.ops,
-        retries: run.retries,
-        final_vps: run.final_vps,
+    Ok(RunReport { note, ..run })
+}
+
+/// The report of a single fault-free generation served by
+/// [`serve_world`].
+fn served_report(ledger: &Ledger, srv: &ViewMapServer, note: String) -> RunReport {
+    RunReport {
+        generations: 1,
+        ops: ledger.ops,
+        retries: ledger.retries,
+        final_vps: srv.total_vps(),
         note,
-    })
+        ..RunReport::default()
+    }
 }
 
 /// Serve a fresh cell and ingest the whole world through it: anchors
@@ -134,7 +111,7 @@ fn check_stored_counter(srv: &ViewMapServer, world: &World) -> Result<(), String
 
 /// Dense downtown platoon: the viewmap must blow up with edges, and the
 /// served system must equal the oracle.
-fn run_rush_hour(rig: &mut Rig, profile: &FaultProfile) -> Result<RunReport, String> {
+pub(crate) fn rush_hour(rig: &mut Rig, profile: &FaultProfile) -> Result<RunReport, String> {
     let sim = sim_world(&SimConfig::rush_hour(28, 2), rig.seed);
     let world = sim.world();
     run_checked(rig, profile, &world, |srv| edge_blowup(srv, &sim, &world))
@@ -177,7 +154,7 @@ fn edge_blowup(srv: &ViewMapServer, sim: &SimWorld, world: &World) -> Result<Str
 /// A handful of vehicles on country blocks behind a degraded link:
 /// linkage starves, guards carry the anonymity set, and the wire chaos
 /// must not perturb the final state.
-fn run_rural_sparse(rig: &mut Rig, profile: &FaultProfile) -> Result<RunReport, String> {
+pub(crate) fn rural_sparse(rig: &mut Rig, profile: &FaultProfile) -> Result<RunReport, String> {
     let cfg = SimConfig::rural_sparse(8, 2);
     let sim = sim_world(&cfg, rig.seed);
     let world = sim.world();
@@ -228,7 +205,7 @@ fn run_rural_sparse(rig: &mut Rig, profile: &FaultProfile) -> Result<RunReport, 
 /// Multi-minute ingest against progressive eviction sweeps: retention
 /// is exact, viewlink memos die with their minute, and survivors keep
 /// memo-vs-cold checksum equality throughout.
-fn run_retention_churn(rig: &mut Rig, profile: &FaultProfile) -> Result<RunReport, String> {
+pub(crate) fn retention_churn(rig: &mut Rig, profile: &FaultProfile) -> Result<RunReport, String> {
     let cfg = SimConfig {
         keep_vps: true,
         ..SimConfig::small(8, 4)
@@ -238,7 +215,7 @@ fn run_retention_churn(rig: &mut Rig, profile: &FaultProfile) -> Result<RunRepor
     let full = Assertions::full(world.site);
     let (mut cell, mut ledger) = serve_world(rig, profile, &world)?;
 
-    let oracle = build_oracle(&world.minutes)?;
+    let oracle = replay(&world.minutes)?;
     ledger.check_wire_investigations(&mut cell.front().client, &oracle, &world)?;
     let srv = cell.srv();
     check_equivalence(srv, &oracle, &minutes, full, "pre-churn")?;
@@ -284,7 +261,7 @@ fn run_retention_churn(rig: &mut Rig, profile: &FaultProfile) -> Result<RunRepor
         // investigations (which populate the solicitation board), and
         // the same eviction — so every observable converges, board
         // included.
-        let sweep_oracle = build_oracle(&world.minutes)?;
+        let sweep_oracle = replay(&world.minutes)?;
         for &minute in &minutes {
             sweep_oracle.investigate(minute, world.site);
         }
@@ -303,15 +280,11 @@ fn run_retention_churn(rig: &mut Rig, profile: &FaultProfile) -> Result<RunRepor
         evicted == Some(evicted_total as u64),
         "evicted counter {evicted:?} != {evicted_total} swept"
     );
-    Ok(RunReport {
-        ops: ledger.ops,
-        retries: ledger.retries,
-        final_vps: srv.total_vps(),
-        note: format!(
-            "{evicted_total} VPs evicted over {} sweeps",
-            minutes.len() - 1
-        ),
-    })
+    let note = format!(
+        "{evicted_total} VPs evicted over {} sweeps",
+        minutes.len() - 1
+    );
+    Ok(served_report(&ledger, srv, note))
 }
 
 // ── sybil-flood / forged-trajectory ──────────────────────────────────
@@ -320,7 +293,11 @@ fn run_retention_churn(rig: &mut Rig, profile: &FaultProfile) -> Result<RunRepor
 /// Lemma 2: total fake trust is bounded by what flows through the
 /// attackers' legitimate VPs. Everything — honest, attacker, and fake
 /// VPs — is uploaded like any anonymous VP.
-fn run_sybil(rig: &mut Rig, profile: &FaultProfile, aimed: bool) -> Result<RunReport, String> {
+pub(crate) fn sybil(
+    rig: &mut Rig,
+    profile: &FaultProfile,
+    aimed: bool,
+) -> Result<RunReport, String> {
     let spec = if aimed {
         AttackSpec {
             vehicles: 24,
@@ -460,7 +437,7 @@ fn race<T: Send>(
 /// the same cash over the wire: exactly one blind-sign winner per VP,
 /// exactly one redemption per unit, and telemetry that accounts for
 /// every race loser.
-fn run_redemption_storm(rig: &mut Rig, profile: &FaultProfile) -> Result<RunReport, String> {
+pub(crate) fn redemption_storm(rig: &mut Rig, profile: &FaultProfile) -> Result<RunReport, String> {
     const UNITS: usize = 2;
     let (seed, sessions) = (rig.seed, profile.workers);
     let recordings = reward_world(5, seed);
@@ -581,17 +558,13 @@ fn run_redemption_storm(rig: &mut Rig, profile: &FaultProfile) -> Result<RunRepo
         investigate_at: None,
         board: Some(&[sample.vp.id]),
     };
-    let oracle = build_oracle(&world.minutes)?;
+    let oracle = replay(&world.minutes)?;
     check_equivalence(srv, &oracle, &world.minute_ids(), asserts, "storm")?;
 
-    Ok(RunReport {
-        ops: ledger.ops,
-        retries: ledger.retries,
-        final_vps: srv.total_vps(),
-        note: format!(
-            "{} rewards, {} cash units, {bounced} double-spends bounced",
-            recordings.len(),
-            all_cash.len()
-        ),
-    })
+    let note = format!(
+        "{} rewards, {} cash units, {bounced} double-spends bounced",
+        recordings.len(),
+        all_cash.len()
+    );
+    Ok(served_report(&ledger, srv, note))
 }

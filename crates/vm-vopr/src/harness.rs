@@ -1,10 +1,11 @@
-//! The vopr driver: one seeded run of a [`World`] under a
+//! The vopr harness: [`run_seed`] dispatches a catalog row to its world
+//! and assertions, and [`run_world`] runs one seeded [`World`] under a
 //! [`FaultProfile`]'s fault choreography, checked against an in-process
 //! oracle. Everything generic — the cell life-cycle, the accepted-ops
-//! ledger, the oracle and the failure report — is [`crate::rig`]; what
-//! lives here is what only fault injection needs: crash generations
-//! with torn-tail bookkeeping, and the replicated pair's partition and
-//! crash-and-promote choreography.
+//! ledger and the failure report — is [`crate::rig`], and the oracle is
+//! [`vm_bench::oracle`]; what lives here is what only fault injection
+//! needs: crash generations with torn-tail bookkeeping, and the
+//! replicated pair's partition and crash-and-promote choreography.
 //!
 //! # Determinism
 //!
@@ -20,17 +21,17 @@
 //! and the oracle — an in-process [`ViewMapServer`] fed exactly the
 //! accepted operations — must match bit for bit.
 
+use crate::city;
 use crate::ensure;
 use crate::proxy::ChaosProxy;
 use crate::rig::{
-    anchor, build_oracle, check_equivalence, counted_vps, memo_equals_cold, run_reported,
-    Assertions, Cell, FaultProfile, Front, Ledger, PairFault, Rig, World,
+    anchor, check_equivalence, counted_vps, registry_counter, run_reported, Assertions, Cell,
+    FaultProfile, Front, Ledger, PairFault, Rig, World,
 };
 use crate::scenario::Scenario;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::path::Path;
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use viewmap_core::server::ViewMapServer;
@@ -38,6 +39,7 @@ use viewmap_core::types::{GeoPos, MinuteId, VpId};
 use viewmap_core::upload::AnonymousSubmission;
 use viewmap_core::viewmap::{Site, ViewmapConfig};
 use viewmap_core::vp::StoredVp;
+use vm_bench::oracle::{memo_equals_cold, replay};
 use vm_bench::worlds::linked_minute;
 use vm_crypto::RsaKeyPair;
 use vm_repl::{Follower, FollowerConfig, Primary, ReplicationConfig};
@@ -68,6 +70,9 @@ pub struct RunReport {
     pub truncated_bytes: u64,
     /// VPs in the final recovered server (== the oracle's).
     pub final_vps: usize,
+    /// A city row's highlight (edges, bound, cash …); empty for fault
+    /// rows.
+    pub note: String,
 }
 
 /// A check the calling harness runs against the run's final recovered
@@ -75,31 +80,51 @@ pub struct RunReport {
 /// store) once it has passed oracle equivalence.
 pub type Finale<'a> = &'a mut dyn FnMut(&ViewMapServer) -> Result<(), String>;
 
-/// Run one `(scenario, seed)` simulation end to end over the catalog's
-/// own world: 2–3 minutes of 5–9 Bloom-linked vehicles each. `Err`
-/// carries the repro line and telemetry (see [`run_reported`]).
+/// Run one `(scenario, seed)` end to end: a fault row over the linked
+/// world, a city row over its own world and assertions. `Err` carries
+/// the repro line and telemetry (see [`run_reported`]).
 pub fn run_seed(scenario: Scenario, seed: u64) -> Result<RunReport, String> {
-    run_reported("vm-vopr", scenario.name(), seed, |rig| {
-        let mut plan_rng = StdRng::seed_from_u64(seed);
-        let minutes = plan_rng.gen_range(2..=3u64);
-        let world = World {
-            minutes: (0..minutes)
-                .map(|m| {
-                    let vps = linked_minute(plan_rng.gen_range(5..=9), m, seed);
-                    (MinuteId(m), vps)
-                })
-                .collect(),
-            // Covers the whole linked world (vehicles sit at
-            // `x < ~2.5 km`, `y = 10·minute`).
-            site: Site {
-                center: GeoPos::new(400.0, 15.0),
-                radius_m: 100_000.0,
-            },
-        };
-        run_world(rig, scenario.profile(), &world, &mut plan_rng, &mut |_| {
-            Ok(())
-        })
+    let profile = scenario.profile();
+    run_reported(scenario.name(), seed, |rig| match scenario {
+        Scenario::Baseline
+        | Scenario::WireChaos
+        | Scenario::TornTail
+        | Scenario::CrashLoop
+        | Scenario::Gray
+        | Scenario::Churn
+        | Scenario::Replica
+        | Scenario::Failover
+        | Scenario::LaggingFollower => run_linked(rig, profile),
+        Scenario::RushHour | Scenario::RushHourCrashLoop => city::rush_hour(rig, profile),
+        Scenario::RuralSparse => city::rural_sparse(rig, profile),
+        Scenario::RetentionChurn => city::retention_churn(rig, profile),
+        Scenario::SybilFlood | Scenario::SybilFloodFailover => city::sybil(rig, profile, false),
+        Scenario::ForgedTrajectory => city::sybil(rig, profile, true),
+        Scenario::RedemptionStorm => city::redemption_storm(rig, profile),
     })
+}
+
+/// A fault row's run: 2–3 minutes of 5–9 Bloom-linked vehicles each,
+/// drawn from the run seed, under `profile`.
+fn run_linked(rig: &mut Rig, profile: &FaultProfile) -> Result<RunReport, String> {
+    let seed = rig.seed;
+    let mut plan_rng = StdRng::seed_from_u64(seed);
+    let minutes = plan_rng.gen_range(2..=3u64);
+    let world = World {
+        minutes: (0..minutes)
+            .map(|m| {
+                let vps = linked_minute(plan_rng.gen_range(5..=9), m, seed);
+                (MinuteId(m), vps)
+            })
+            .collect(),
+        // Covers the whole linked world (vehicles sit at `x < ~2.5 km`,
+        // `y = 10·minute`).
+        site: Site {
+            center: GeoPos::new(400.0, 15.0),
+            radius_m: 100_000.0,
+        },
+    };
+    run_world(rig, profile, &world, &mut plan_rng, &mut |_| Ok(()))
 }
 
 /// Drive any `world` under `profile`: a single cell through its crash
@@ -269,7 +294,7 @@ fn run_cell(
         if gen > 0 {
             let label = format!("post-crash gen {gen}");
             ledger.check_buckets(cell.srv(), world, &label)?;
-            let oracle = build_oracle(&ledger.history(world))?;
+            let oracle = replay(&ledger.history(world))?;
             if profile.memo_churn {
                 // Recovery must never trust memo state stale: a
                 // reopened server starts with no viewlink memos (they
@@ -367,7 +392,7 @@ fn run_cell(
 
         // ── Final generation: wire investigations vs the oracle, then
         //    graceful shutdown, reopen, and full equivalence. ──────────
-        let oracle = build_oracle(&ledger.history(world))?;
+        let oracle = replay(&ledger.history(world))?;
         ledger.check_wire_investigations(&mut cell.front().client, &oracle, world)?;
         cell.stop()?;
         same_as(&oracle, cell.srv(), "final live")?;
@@ -463,7 +488,7 @@ fn close_pair(
     primary: Primary,
     proxy: Option<ChaosProxy>,
 ) -> Result<usize, String> {
-    let resyncs = follower.stats().resyncs.load(Ordering::Relaxed) as usize;
+    let resyncs = registry_counter(follower.server(), "vm_repl_resyncs_total") as usize;
     follower
         .server()
         .sync_wal()
@@ -546,7 +571,6 @@ fn run_pair(
     let follower_cfg = FollowerConfig {
         epoch: 1,
         backoff_seed: seed ^ 0x00f0_1105,
-        ..FollowerConfig::default()
     };
     let (follower, frep) = Follower::open(&fdir, key, vmcfg, store_cfg, dial, follower_cfg)
         .map_err(|e| format!("open follower: {e}"))?;
@@ -568,7 +592,7 @@ fn run_pair(
         PairFault::ChaoticLink => {
             drive_in_process(primary.server(), world, &schedule, &mut ledger)?;
             wait_converged("follower convergence under chaos", &primary, &follower)?;
-            let oracle = build_oracle(&ledger.history(world))?;
+            let oracle = replay(&ledger.history(world))?;
             same_as(&oracle, follower.server(), "converged follower")?;
             let mut front = serve_follower(&follower)?;
             expect_not_primary(&mut front.client, &world.minutes[0].1[1], &mut ledger)?;
@@ -589,7 +613,8 @@ fn run_pair(
                 .ok_or("a partition needs the replication link routed through a valve")?;
             let stale_total = follower.server().total_vps();
             let stale_digest = follower.server().state_digest();
-            let connects_before = follower.stats().connects.load(Ordering::Relaxed);
+            let connects = || registry_counter(follower.server(), "vm_repl_connects_total");
+            let connects_before = connects();
             // Close the valve *before* severing: the follower only
             // redials once its session dies, so every redial meets a
             // refusing listener.
@@ -608,7 +633,7 @@ fn run_pair(
                 "partitioned follower moved past its stale prefix"
             );
             ensure!(
-                follower.stats().connects.load(Ordering::Relaxed) == connects_before,
+                connects() == connects_before,
                 "follower completed a handshake through a closed valve"
             );
 
@@ -616,14 +641,14 @@ fn run_pair(
             drive_in_process(primary.server(), world, &schedule[t2..], &mut ledger)?;
             wait_converged("post-heal catch-up", &primary, &follower)?;
             ensure!(
-                follower.stats().resyncs.load(Ordering::Relaxed) >= 1,
+                registry_counter(follower.server(), "vm_repl_resyncs_total") >= 1,
                 "partition healed without a single resync"
             );
             ensure!(
-                follower.stats().wire_injuries.load(Ordering::Relaxed) == 0,
+                registry_counter(follower.server(), "vm_repl_wire_injuries_total") == 0,
                 "transparent link produced wire injuries"
             );
-            let oracle = build_oracle(&ledger.history(world))?;
+            let oracle = replay(&ledger.history(world))?;
             same_as(&oracle, follower.server(), "healed follower")?;
 
             // Retention sweep over the live link: the eviction must
@@ -679,7 +704,6 @@ fn run_pair(
             drop(primary); // abrupt: no sync, no handover
             drop(proxy);
 
-            let stats = Arc::clone(follower.stats());
             let mut front = serve_follower(&follower)?;
             let (m0, i0) = schedule[half];
             expect_not_primary(&mut front.client, &world.minutes[m0].1[i0], &mut ledger)?;
@@ -696,7 +720,7 @@ fn run_pair(
             for &(m, i) in &schedule[half..] {
                 ledger.submit(&mut front.client, world, m, i)?;
             }
-            let oracle = build_oracle(&ledger.history(world))?;
+            let oracle = replay(&ledger.history(world))?;
             ledger.check_wire_investigations(&mut front.client, &oracle, world)?;
             drop(front);
             same_as(&oracle, &srv2, "promoted live")?;
@@ -719,8 +743,10 @@ fn run_pair(
                 "promoted primary rejected the second cash unit"
             );
             srv2.sync_wal().map_err(|e| format!("promoted sync: {e}"))?;
+            // The promoted server is the replica's, registry included.
+            let resyncs = registry_counter(&srv2, "vm_repl_resyncs_total") as usize;
             drop(srv2); // last reference: releases the dir lock
-            (oracle, stats.resyncs.load(Ordering::Relaxed) as usize)
+            (oracle, resyncs)
         }
     };
 

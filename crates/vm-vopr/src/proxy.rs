@@ -27,7 +27,7 @@ use std::time::Duration;
 
 /// Per-chunk fault probabilities and magnitudes for one proxy.
 ///
-/// The default injects nothing — a transparent relay. All probabilities
+/// [`WireFaults::NONE`] injects nothing — a transparent relay. All probabilities
 /// are per forwarded chunk, so the effective per-session rates scale
 /// with traffic volume; keep them small (the vopr scenarios use cut
 /// probabilities around 1%) or most sessions die before finishing a
@@ -51,12 +51,6 @@ pub struct WireFaults {
     pub cut_prob: f64,
 }
 
-impl Default for WireFaults {
-    fn default() -> Self {
-        WireFaults::NONE
-    }
-}
-
 impl WireFaults {
     /// Injects nothing: a transparent relay (a `const`, so catalog rows
     /// can be `const` tables that override single fields).
@@ -68,20 +62,6 @@ impl WireFaults {
         corrupt_prob: 0.0,
         cut_prob: 0.0,
     };
-
-    /// A long thin pipe: jittered latency, small fragments, brief
-    /// stalls — degraded but loss-free, so every request eventually
-    /// completes without retries. Models a rural cellular uplink.
-    pub const fn rural_link() -> Self {
-        WireFaults {
-            delay_us: (50, 400),
-            max_chunk: 256,
-            stall_prob: 0.02,
-            stall_ms: (1, 5),
-            corrupt_prob: 0.0,
-            cut_prob: 0.0,
-        }
-    }
 }
 
 /// A loopback TCP proxy that forwards every accepted connection to one

@@ -1,6 +1,7 @@
 //! The one test rig: everything a seeded full-system run needs that is
-//! not specific to a fault choreography or a workload. `vm-vopr`'s
-//! harness and `vm-scenario`'s harness are both written on top of it.
+//! not specific to a fault choreography or a workload. The fault harness
+//! ([`crate::harness`]) and the city workloads (`city`) are
+//! both written on top of it.
 //!
 //! A run is the product of three plain values:
 //!
@@ -25,12 +26,11 @@
 //!   driver is one synchronous client, per-minute accepted order equals
 //!   issue order however the wire behaves, so an oracle fed
 //!   [`Ledger::history`] must match the served system bit for bit.
-//! * **oracle** — [`build_oracle`] replays a history into a fresh
-//!   in-process server; [`check_equivalence`] holds a server to it.
+//! * **equivalence** — [`check_equivalence`] holds a server to an
+//!   oracle ([`vm_bench::oracle::replay`] of the ledger's history).
 //! * **failure report** — [`run_reported`] wraps a run so any `Err`
 //!   carries the copy-pasteable repro line, the last opened server's
-//!   metrics snapshot and its journal tail; [`sweep`] is the CLI driver
-//!   both binaries call.
+//!   metrics snapshot and its journal tail.
 
 use crate::proxy::{ChaosProxy, WireFaults};
 use rand::rngs::StdRng;
@@ -38,15 +38,14 @@ use rand::{Rng, SeedableRng};
 use std::fmt::Display;
 use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
-use std::process::ExitCode;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 use viewmap_core::server::ViewMapServer;
 use viewmap_core::types::{MinuteId, VpId};
 use viewmap_core::viewmap::{Site, ViewmapConfig};
 use viewmap_core::vp::StoredVp;
-use vm_bench::worlds::{cold_oracle, viewmap_checksum};
+use vm_bench::oracle::memo_equals_cold;
 use vm_obs::Registry;
 use vm_service::proto::ErrorCode;
 use vm_service::{
@@ -282,11 +281,10 @@ impl Rig {
 }
 
 /// Run `run` inside a fresh [`Rig`]; an `Err` comes back prefixed with
-/// the scenario and seed and suffixed with a copy-pasteable repro line
-/// for `krate`'s sweep binary, the metrics snapshot and the journal
-/// tail, so any failure is reproducible from the message alone.
+/// the scenario and seed and suffixed with a copy-pasteable repro line,
+/// the metrics snapshot and the journal tail, so any failure is
+/// reproducible from the message alone.
 pub fn run_reported<T>(
-    krate: &str,
     scenario: &str,
     seed: u64,
     run: impl FnOnce(&mut Rig) -> Result<T, String>,
@@ -299,7 +297,7 @@ pub fn run_reported<T>(
     run(&mut rig).map_err(|e| {
         format!(
             "[scenario={scenario} seed={seed}] {e} — reproduce: \
-             cargo run --release -p {krate} -- --scenario {scenario} --seed {seed}{}",
+             cargo run --release -p vm-vopr -- --scenario {scenario} --seed {seed}{}",
             rig.failure_telemetry()
         )
     })
@@ -335,7 +333,6 @@ impl Front {
         let cfg = ServiceConfig {
             workers: profile.workers,
             idle_timeout: profile.idle_timeout,
-            ..ServiceConfig::default()
         };
         let handle = VmService::spawn_with_role(Arc::clone(srv), "127.0.0.1:0", cfg, role)
             .map_err(|e| format!("spawn service gen {gen}: {e}"))?;
@@ -564,7 +561,7 @@ impl Ledger {
     }
 
     /// The accepted history in [`World::minutes`] shape: what
-    /// [`build_oracle`] replays.
+    /// [`vm_bench::oracle::replay`] replays.
     pub fn history(&self, world: &World) -> Vec<(MinuteId, Vec<StoredVp>)> {
         world
             .minutes
@@ -678,39 +675,13 @@ impl Ledger {
     }
 }
 
-// ── Oracle ───────────────────────────────────────────────────────────
+// ── Equivalence ──────────────────────────────────────────────────────
 
-/// A fresh in-process oracle holding exactly `history`, each minute
-/// replayed in the given order with trusted flags preserved.
-pub fn build_oracle(history: &[(MinuteId, Vec<StoredVp>)]) -> Result<ViewMapServer, String> {
-    let mut rng = StdRng::seed_from_u64(0xACE5);
-    let oracle = ViewMapServer::new(&mut rng, KEY_BITS, ViewmapConfig::default());
-    for (minute, vps) in history {
-        let results = oracle.submit_replay_batch(vps.clone());
-        ensure!(
-            results.iter().all(|r| r.is_ok()),
-            "oracle replay rejected a VP in {minute:?}: {results:?}"
-        );
-    }
-    Ok(oracle)
-}
-
-/// Checksum of the cold oracle over `srv`'s stored bucket — what
-/// `build_viewmap` (the memoised investigation path) must reproduce.
-pub fn cold_checksum(srv: &ViewMapServer, minute: MinuteId, site: Site) -> u64 {
-    viewmap_checksum(&cold_oracle(srv, minute, site, &ViewmapConfig::default()))
-}
-
-/// Does `srv`'s memoised investigation path reproduce the cold oracle
-/// over `reference`'s stored bucket? Pass `srv` itself as the reference
-/// to probe the memo against its own bucket mid-run.
-pub fn memo_equals_cold(
-    srv: &ViewMapServer,
-    reference: &ViewMapServer,
-    minute: MinuteId,
-    site: Site,
-) -> bool {
-    viewmap_checksum(&srv.build_viewmap(minute, site)) == cold_checksum(reference, minute, site)
+/// The value of registry counter `name` on `srv` (0 if never
+/// registered) — how the rig reads the core's and a follower applier's
+/// counts.
+pub(crate) fn registry_counter(srv: &ViewMapServer, name: &str) -> u64 {
+    srv.obs().snapshot().counter(name).unwrap_or(0)
 }
 
 /// VPs the telemetry says are resident: stored minus evicted. Ingest
@@ -718,9 +689,8 @@ pub fn memo_equals_cold(
 /// racing a live writer (a follower's applier) can see it lag the
 /// bucket briefly; it must equal `total_vps()` once ingest is quiet.
 pub fn counted_vps(srv: &ViewMapServer) -> i64 {
-    let snap = srv.obs().snapshot();
-    let count = |name| snap.counter(name).unwrap_or(0) as i64;
-    count("vm_core_vps_stored_total") - count("vm_core_vps_evicted_total")
+    registry_counter(srv, "vm_core_vps_stored_total") as i64
+        - registry_counter(srv, "vm_core_vps_evicted_total") as i64
 }
 
 /// Which parts of [`check_equivalence`] apply to a comparison.
@@ -837,106 +807,4 @@ pub fn check_equivalence(
         counted[1]
     );
     Ok(())
-}
-
-// ── Sweep driver ─────────────────────────────────────────────────────
-
-/// The parsed command line of a sweep binary.
-pub struct SweepArgs {
-    /// Catalog indices to run, in catalog order.
-    pub scenarios: Vec<usize>,
-    /// Seeds to run each scenario at.
-    pub seeds: Vec<u64>,
-    /// Whether the binary's own boolean switch was given.
-    pub switch: bool,
-}
-
-/// Parse `[--scenario NAME|all] [--seed N | --seeds COUNT [--start N]]`
-/// plus the binary's own boolean `switch`; anything else prints the
-/// usage and exits 2.
-pub fn parse_args(bin: &str, names: &[&str], default_seeds: u64, switch: &str) -> SweepArgs {
-    let usage = |problem: &str| -> ! {
-        eprintln!(
-            "{problem}\nusage: {bin} [--scenario NAME|all] \
-             [--seed N | --seeds COUNT [--start N]] [{switch}]\nscenarios: {}",
-            names.join(", ")
-        );
-        std::process::exit(2);
-    };
-    let mut args = SweepArgs {
-        scenarios: (0..names.len()).collect(),
-        seeds: Vec::new(),
-        switch: false,
-    };
-    let (mut single, mut count, mut start) = (None, default_seeds, 0u64);
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        let mut number = || match it.next().map(|v| v.parse::<u64>()) {
-            Some(Ok(v)) => v,
-            _ => usage(&format!("{arg} needs an unsigned integer")),
-        };
-        match arg.as_str() {
-            "--seed" => single = Some(number()),
-            "--seeds" => count = number(),
-            "--start" => start = number(),
-            "--scenario" => match it.next() {
-                Some(name) if name == "all" => args.scenarios = (0..names.len()).collect(),
-                Some(name) => match names.iter().position(|n| *n == name) {
-                    Some(i) => args.scenarios = vec![i],
-                    None => usage(&format!("unknown scenario: {name}")),
-                },
-                None => usage("--scenario needs a name"),
-            },
-            s if s == switch => args.switch = true,
-            other => usage(&format!("unknown argument: {other}")),
-        }
-    }
-    args.seeds = match single {
-        Some(seed) => vec![seed],
-        None => (start..start + count).collect(),
-    };
-    args
-}
-
-/// Run every selected `(scenario, seed)` through `run`, which returns
-/// the run's one-line report. Prints each failure (its message carries
-/// the repro line), each pass when `per_run`, one summary line per
-/// scenario and a closing total. Nonzero exit iff any run failed.
-pub fn sweep(
-    names: &[&str],
-    args: &SweepArgs,
-    per_run: bool,
-    mut run: impl FnMut(usize, u64) -> Result<String, String>,
-) -> ExitCode {
-    let started = Instant::now();
-    let (mut runs, mut failures) = (0usize, 0usize);
-    for &s in &args.scenarios {
-        let mut failed = 0usize;
-        for &seed in &args.seeds {
-            runs += 1;
-            match run(s, seed) {
-                Ok(line) if per_run => println!("ok   {:<22} seed={seed:<5} {line}", names[s]),
-                Ok(_) => {}
-                Err(e) => {
-                    failed += 1;
-                    eprintln!("FAILED {e}");
-                }
-            }
-        }
-        println!(
-            "{:<22} {:>4} seeds  {failed:>3} failed",
-            names[s],
-            args.seeds.len()
-        );
-        failures += failed;
-    }
-    println!(
-        "{runs} runs in {:.1}s, {failures} failures",
-        started.elapsed().as_secs_f64()
-    );
-    if failures > 0 {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
 }

@@ -1,12 +1,13 @@
-//! Deterministic world generators: materialize the simulation stack
+//! The city rows' world generators: materialize the simulation stack
 //! (IDM traffic over synthetic road networks, radio witnessing,
-//! adversary injection) into stored VPs a harness can drive over the
-//! real wire protocol.
+//! adversary injection) into stored VPs the rig drives over the real
+//! wire protocol.
 //!
 //! Every generator is a pure function of its `(config, seed)` inputs —
 //! the same pair always yields bit-identical VPs, which is what lets a
 //! failing run be replayed from nothing but the printed repro line.
 
+use crate::rig::World;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashSet;
@@ -19,7 +20,6 @@ use vm_geo::{CityParams, RoadNetwork};
 use vm_mobility::{MobilityConfig, SpeedScenario, TrafficSim};
 use vm_sim::{run_protocol_sim, SimConfig};
 use vm_vision::SyntheticScene;
-use vm_vopr::rig::World;
 
 /// Witnessing radius for the hand-wired attack worlds, metres. Below
 /// the 400 m DSRC radius so every Bloom-wired pair also passes the

@@ -9,13 +9,13 @@
 
 use viewmap_core::types::MinuteId;
 use viewmap_core::viewmap::{Viewmap, ViewmapConfig};
-use vm_bench::worlds::viewmap_checksum;
-use vm_scenario::world::sim_world;
+use vm_bench::oracle::viewmap_checksum;
 use vm_sim::SimConfig;
+use vm_vopr::world::sim_world;
 
 /// Pinned from a release run of `sim_world(rush_hour(12, 1), 42)`.
 /// If a deliberate sim/engine change moves these, re-pin with:
-/// `cargo test --release -p vm-scenario --test golden_rush_hour -- --nocapture`
+/// `cargo test --release -p vm-vopr --test golden_rush_hour -- --nocapture`
 const GOLDEN_MEMBERS: usize = 22;
 const GOLDEN_EDGES: usize = 25;
 const GOLDEN_CHECKSUM: u64 = 0x177f_08e5_022b_ccee;

@@ -7,9 +7,10 @@ use std::sync::Barrier;
 use viewmap_core::server::ViewMapServer;
 use viewmap_core::types::{GeoPos, MinuteId};
 use viewmap_core::viewmap::Site;
+use vm_bench::oracle::replay;
 use vm_bench::worlds::linked_minute;
 use vm_vopr::rig::{
-    anchor, build_oracle, check_equivalence, run_reported, Assertions, Cell, FaultProfile, World,
+    anchor, check_equivalence, run_reported, Assertions, Cell, FaultProfile, World,
 };
 
 fn world() -> World {
@@ -28,10 +29,10 @@ fn world() -> World {
 /// `world` after `mutate`.
 fn check_against(mutate: impl FnOnce(&mut World)) -> Result<(), String> {
     let world = world();
-    let srv: ViewMapServer = build_oracle(&world.minutes)?;
+    let srv: ViewMapServer = replay(&world.minutes)?;
     let mut skewed = world.clone();
     mutate(&mut skewed);
-    let oracle = build_oracle(&skewed.minutes)?;
+    let oracle = replay(&skewed.minutes)?;
     let asserts = Assertions::full(world.site);
     check_equivalence(&srv, &oracle, &world.minute_ids(), asserts, "probe")
 }
@@ -68,7 +69,7 @@ fn a_flipped_trusted_flag_fails_on_the_state_digest() {
 
 #[test]
 fn failure_report_carries_repro_line_and_snapshot() {
-    let err = run_reported("vm-vopr", "crash-loop", 7, |rig| -> Result<(), String> {
+    let err = run_reported("crash-loop", 7, |rig| -> Result<(), String> {
         let cell = Cell::start(rig, &FaultProfile::NONE)?;
         anchor(cell.srv(), &world(), true)?;
         Err("boom".into())
@@ -102,7 +103,7 @@ fn same_scenario_and_seed_run_concurrently_in_one_process() {
     // have the second `remove_dir_all` the first one's live WAL.
     let line = Barrier::new(2);
     let run = || {
-        run_reported("vm-vopr", "baseline", 3, |rig| {
+        run_reported("baseline", 3, |rig| {
             // Reach both lines even on failure, or the other rig hangs.
             let started = Cell::start(rig, &FaultProfile::NONE).and_then(|cell| {
                 anchor(cell.srv(), &world(), true)?;

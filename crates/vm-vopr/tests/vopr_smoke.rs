@@ -1,61 +1,20 @@
-//! Debug-profile smoke: a few seeds per scenario (CI sweeps hundreds in
-//! release through the binary), plus the determinism pin for a
-//! direct-connection scenario, whose whole fault plan — not just the
-//! injection schedule — must replay bit-identically from the seed.
+//! Debug-profile smoke: every catalog row at a few seeds (CI sweeps
+//! hundreds per row in release through the binary), plus the
+//! determinism pin for a direct-connection row, whose whole fault plan
+//! — not just the injection schedule — must replay bit-identically from
+//! the seed.
 
 use vm_vopr::{run_seed, Scenario};
 
-fn sweep(scenario: Scenario) {
-    for seed in 0..3u64 {
-        if let Err(e) = run_seed(scenario, seed) {
-            panic!("{e}");
+#[test]
+fn every_catalog_row_passes_three_seeds() {
+    for scenario in Scenario::all() {
+        for seed in 0..3u64 {
+            if let Err(e) = run_seed(scenario, seed) {
+                panic!("{e}");
+            }
         }
     }
-}
-
-#[test]
-fn baseline_smoke() {
-    sweep(Scenario::Baseline);
-}
-
-#[test]
-fn wire_chaos_smoke() {
-    sweep(Scenario::WireChaos);
-}
-
-#[test]
-fn torn_tail_smoke() {
-    sweep(Scenario::TornTail);
-}
-
-#[test]
-fn crash_loop_smoke() {
-    sweep(Scenario::CrashLoop);
-}
-
-#[test]
-fn gray_smoke() {
-    sweep(Scenario::Gray);
-}
-
-#[test]
-fn churn_smoke() {
-    sweep(Scenario::Churn);
-}
-
-#[test]
-fn replica_smoke() {
-    sweep(Scenario::Replica);
-}
-
-#[test]
-fn failover_smoke() {
-    sweep(Scenario::Failover);
-}
-
-#[test]
-fn lagging_follower_smoke() {
-    sweep(Scenario::LaggingFollower);
 }
 
 /// Direct-connection scenarios have no wire nondeterminism at all: the
