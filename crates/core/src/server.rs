@@ -88,6 +88,7 @@ use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
+use vm_crypto::rsa::RsaError;
 use vm_crypto::{BlindedMessage, RsaKeyPair, RsaPublicKey, Signature};
 use vm_obs::{Counter, Histogram, Registry};
 
@@ -182,6 +183,10 @@ pub enum RewardError {
     /// A blinded value that would be signed is not in `[0, n)`. Nothing
     /// was signed and the reward is still on the board.
     BlindedOutOfRange,
+    /// A signature failed its check after signing (a computation fault).
+    /// No signature was released and the reward was put back on the
+    /// board, so the owner can claim again.
+    SigningFault,
 }
 
 /// Why redeeming cash failed.
@@ -1014,7 +1019,10 @@ impl ViewMapServer {
     /// The reply is positional (signature `i` answers `blinded[i]`), so
     /// the values that would be signed are range-checked *before* the
     /// entry is consumed: a malformed request is a typed error that
-    /// costs the owner nothing, never a short or misaligned reply.
+    /// costs the owner nothing, never a short or misaligned reply. A
+    /// signature that fails its check after signing
+    /// ([`RewardError::SigningFault`]) releases nothing and re-posts the
+    /// consumed entry.
     pub fn issue_blind_signatures(
         &self,
         vp_id: VpId,
@@ -1024,7 +1032,7 @@ impl ViewMapServer {
         // Validate first (read lock only) so the error priority matches
         // claim_reward: NotOnBoard before BadOwnershipProof.
         self.claim_reward(vp_id, secret)?;
-        let take = {
+        let (units, take) = {
             // Check and consume under one write lock; a race loser
             // finds the entry gone.
             let mut board = self.reward_board.write();
@@ -1035,10 +1043,17 @@ impl ViewMapServer {
                 return Err(RewardError::BlindedOutOfRange);
             }
             board.remove(&vp_id);
-            take
+            (units, take)
         };
-        let sigs = crate::reward::sign_blinded_batch(&self.key, &blinded[..take])
-            .map_err(|_| RewardError::BlindedOutOfRange)?;
+        let sigs = crate::reward::sign_blinded_batch(&self.key, &blinded[..take]).map_err(|e| {
+            // Nothing is released, so the reward goes back on the board
+            // (unless a newer posting took its place meanwhile).
+            self.reward_board.write().entry(vp_id).or_insert(units);
+            match e {
+                RsaError::OutOfRange => RewardError::BlindedOutOfRange,
+                RsaError::Fault | RsaError::InvalidKey => RewardError::SigningFault,
+            }
+        })?;
         self.metrics.blind_signatures.add(sigs.len() as u64);
         Ok(sigs)
     }

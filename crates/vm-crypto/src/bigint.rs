@@ -2,12 +2,27 @@
 //!
 //! This is the arithmetic substrate for the RSA blind signatures used by
 //! ViewMap's untraceable rewarding (Section 5.3 / Appendix A). Limbs are
-//! little-endian `u64`; division is Knuth's Algorithm D, so modular
-//! exponentiation for 1024–2048-bit moduli is practical even in debug
-//! builds.
+//! little-endian `u64`; division is Knuth's Algorithm D.
 //!
-//! The implementation is deliberately straightforward (no Montgomery form,
-//! no constant-time guarantees): correctness and reviewability over speed.
+//! Modular exponentiation — the server's cost per unit of cash, and key
+//! generation's Miller–Rabin rounds — runs in Montgomery form: values
+//! are kept as `x·R mod m` with `R = 2^(64·k)` for a `k`-limb modulus,
+//! and each multiplication reduces with CIOS (coarsely integrated
+//! operand scanning) on fixed-length limb slices instead of a division.
+//! One exponentiation allocates its scratch buffers once and no step
+//! allocates after that. Long exponents take a fixed 5-bit window;
+//! short ones (`e = 65537`) go bit by bit, because a 32-entry window
+//! table costs more than it saves on 17 bits.
+//!
+//! Montgomery reduction needs `m` odd, so [`BigUint::modpow`]'s contract
+//! is an **odd modulus**, enforced by an assert. Every caller meets it:
+//! RSA's `n`, `p` and `q`, and Miller–Rabin candidates (odd by the time
+//! they are exponentiated). The plain square-and-multiply over
+//! [`BigUint::mulmod`] survives only as the test oracle the Montgomery
+//! path is checked against.
+//!
+//! No constant-time guarantees: correctness and reviewability over side
+//! channels.
 
 use rand::Rng;
 
@@ -362,23 +377,60 @@ impl BigUint {
         self.mul(other).rem(m)
     }
 
-    /// Modular exponentiation `self^exp mod m` (square-and-multiply).
+    /// Modular exponentiation `self^exp mod m` for an **odd** modulus
+    /// (Montgomery form; see the module docs). Panics if `m` is even.
     pub fn modpow(&self, exp: &BigUint, m: &BigUint) -> BigUint {
-        assert!(!m.is_zero(), "modpow modulus must be nonzero");
+        assert!(!m.is_even(), "modpow modulus must be odd");
         if m.is_one() {
             return BigUint::zero();
         }
-        let mut base = self.rem(m);
-        let mut result = BigUint::one();
-        for i in 0..exp.bit_len() {
-            if exp.bit(i) {
-                result = result.mulmod(&base, m);
+        let k = m.limbs.len();
+        let mut mont = Montgomery::new(&m.limbs);
+        // One (R mod m) and the base, both in Montgomery form.
+        let to_mont = |x: &BigUint| {
+            let mut limbs = x.shl(64 * k).rem(m).limbs;
+            limbs.resize(k, 0);
+            limbs
+        };
+        let one = to_mont(&BigUint::one());
+        let base = to_mont(&self.rem(m));
+        let bits = exp.bit_len();
+        let mut acc = one.clone();
+        if bits < WINDOW_MIN_BITS {
+            for i in (0..bits).rev() {
+                mont.square(&mut acc);
+                if exp.bit(i) {
+                    mont.mul(&mut acc, &base);
+                }
             }
-            if i + 1 < exp.bit_len() {
-                base = base.mulmod(&base, m);
+        } else {
+            // table[w] = base^w, w in [0, 32).
+            let mut table = vec![0u64; (1 << WINDOW) * k];
+            table[..k].copy_from_slice(&one);
+            table[k..2 * k].copy_from_slice(&base);
+            for w in 2..1 << WINDOW {
+                let (done, next) = table.split_at_mut(w * k);
+                next[..k].copy_from_slice(&done[(w - 1) * k..]);
+                mont.mul(&mut next[..k], &base);
+            }
+            for top in (0..bits.div_ceil(WINDOW)).rev() {
+                let mut w = 0usize;
+                for i in (top * WINDOW..(top + 1) * WINDOW).rev() {
+                    mont.square(&mut acc);
+                    w = (w << 1) | exp.bit(i) as usize;
+                }
+                if w != 0 {
+                    mont.mul(&mut acc, &table[w * k..(w + 1) * k]);
+                }
             }
         }
-        result
+        // Leave Montgomery form: multiply by plain 1.
+        let mut plain_one = vec![0u64; k];
+        plain_one[0] = 1;
+        mont.mul(&mut acc, &plain_one);
+        let mut out = BigUint { limbs: acc };
+        out.normalize();
+        out
     }
 
     /// Greatest common divisor (binary-free Euclid via div_rem).
@@ -470,10 +522,6 @@ impl BigUint {
     /// Miller–Rabin probabilistic primality test with `rounds` random bases
     /// (plus trial division by small primes).
     pub fn is_probable_prime<R: Rng + ?Sized>(&self, rng: &mut R, rounds: usize) -> bool {
-        const SMALL_PRIMES: [u64; 25] = [
-            2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83,
-            89, 97,
-        ];
         if self.limbs.len() == 1 {
             let v = self.limbs[0];
             if v < 2 {
@@ -534,6 +582,125 @@ impl BigUint {
                 return candidate;
             }
         }
+    }
+}
+
+/// The primes below 100: Miller–Rabin's trial divisors, and the fixed
+/// bases `RsaKeyPair::from_parts` factors a modulus with.
+pub(crate) const SMALL_PRIMES: [u64; 25] = [
+    2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97,
+];
+
+/// Window width of [`BigUint::modpow`]'s fixed-window path.
+const WINDOW: usize = 5;
+
+/// Exponents shorter than this go bit by bit. Bit by bit costs about
+/// `b/2` multiplications beyond the `b` squarings; the window costs
+/// `b/5` plus 30 to fill its table, so the window pays from ~100 bits.
+const WINDOW_MIN_BITS: usize = 128;
+
+/// CIOS Montgomery multiplication modulo one odd `k`-limb modulus, with
+/// its `k + 1`-limb scratch row reused by every product.
+struct Montgomery<'a> {
+    m: &'a [u64],
+    /// `-m^-1 mod 2^64`.
+    m_neg_inv: u64,
+    t: Vec<u64>,
+}
+
+impl<'a> Montgomery<'a> {
+    fn new(m: &'a [u64]) -> Self {
+        // Newton's iteration doubles the correct low bits of m^-1 each
+        // step; m itself is correct to 3 bits for odd m (m·m ≡ 1 mod 8).
+        let mut inv = m[0];
+        for _ in 0..5 {
+            inv = inv.wrapping_mul(2u64.wrapping_sub(m[0].wrapping_mul(inv)));
+        }
+        Montgomery {
+            m,
+            m_neg_inv: inv.wrapping_neg(),
+            t: vec![0; m.len() + 1],
+        }
+    }
+
+    /// `acc = acc · b · R^-1 mod m`, for `acc, b < m`.
+    fn mul(&mut self, acc: &mut [u64], b: &[u64]) {
+        self.product(acc, b);
+        acc.copy_from_slice(&self.t[..self.m.len()]);
+    }
+
+    /// `acc = acc² · R^-1 mod m`, for `acc < m`.
+    fn square(&mut self, acc: &mut [u64]) {
+        self.product(&*acc, &*acc);
+        acc.copy_from_slice(&self.t[..self.m.len()]);
+    }
+
+    /// Leave `a · b · R^-1 mod m` in `t[..k]`: per limb of `a`, add
+    /// `a_i · b` and `q · m` in one pass, where `q` makes the low limb
+    /// vanish so the sum shifts down one limb.
+    fn product(&mut self, a: &[u64], b: &[u64]) {
+        let k = self.m.len();
+        let (m, b, t) = (&self.m[..k], &b[..k], &mut self.t[..k + 1]);
+        t.fill(0);
+        for &ai in a {
+            let s = t[0] as u128 + ai as u128 * b[0] as u128;
+            let q = (s as u64).wrapping_mul(self.m_neg_inv);
+            let mut c1 = (s >> 64) as u64;
+            let mut c2 = ((s as u64 as u128 + q as u128 * m[0] as u128) >> 64) as u64;
+            for j in 1..k {
+                let s = t[j] as u128 + ai as u128 * b[j] as u128 + c1 as u128;
+                c1 = (s >> 64) as u64;
+                let r = s as u64 as u128 + q as u128 * m[j] as u128 + c2 as u128;
+                t[j - 1] = r as u64;
+                c2 = (r >> 64) as u64;
+            }
+            let s = t[k] as u128 + c1 as u128 + c2 as u128;
+            t[k - 1] = s as u64;
+            t[k] = (s >> 64) as u64;
+        }
+        // t < 2m: one conditional subtraction brings it below m.
+        if t[k] != 0 || !limbs_less(&t[..k], m) {
+            let mut borrow = false;
+            for (tj, &mj) in t.iter_mut().zip(m) {
+                let (d1, b1) = tj.overflowing_sub(mj);
+                let (d2, b2) = d1.overflowing_sub(borrow as u64);
+                *tj = d2;
+                borrow = b1 || b2;
+            }
+        }
+    }
+}
+
+/// `a < b` for equal-length little-endian limb slices.
+fn limbs_less(a: &[u64], b: &[u64]) -> bool {
+    for (x, y) in a.iter().rev().zip(b.iter().rev()) {
+        if x != y {
+            return x < y;
+        }
+    }
+    false
+}
+
+#[cfg(test)]
+impl BigUint {
+    /// The test oracle for [`BigUint::modpow`]: plain square-and-multiply
+    /// over [`BigUint::mulmod`], for any nonzero modulus.
+    pub(crate) fn modpow_oracle(&self, exp: &BigUint, m: &BigUint) -> BigUint {
+        assert!(!m.is_zero(), "modpow modulus must be nonzero");
+        if m.is_one() {
+            return BigUint::zero();
+        }
+        let mut base = self.rem(m);
+        let mut result = BigUint::one();
+        for i in 0..exp.bit_len() {
+            if exp.bit(i) {
+                result = result.mulmod(&base, m);
+            }
+            if i + 1 < exp.bit_len() {
+                base = base.mulmod(&base, m);
+            }
+        }
+        result
     }
 }
 
@@ -696,13 +863,94 @@ mod tests {
 
     #[test]
     fn modpow_known() {
-        // 2^10 mod 1000 = 24
-        let r = BigUint::from_u64(2).modpow(&BigUint::from_u64(10), &BigUint::from_u64(1000));
-        assert_eq!(r, BigUint::from_u64(24));
         // Fermat: a^(p-1) mod p = 1 for prime p
         let p = BigUint::from_u64(1_000_000_007);
         let a = BigUint::from_u64(123_456_789);
         assert_eq!(a.modpow(&p.sub(&BigUint::one()), &p), BigUint::one());
+        // 3^5 mod 7 = 5 (bit by bit).
+        let seven = BigUint::from_u64(7);
+        assert_eq!(
+            BigUint::from_u64(3).modpow(&BigUint::from_u64(5), &seven),
+            BigUint::from_u64(5)
+        );
+        let long = BigUint::one().shl(200).add(&BigUint::from_u64(5));
+        // Through the window: 3 has order 6 mod 7 and 2^200 ≡ 4 (mod 6),
+        // so 3^(2^200+5) ≡ 3^9 ≡ 6.
+        assert_eq!(
+            BigUint::from_u64(3).modpow(&long, &seven),
+            BigUint::from_u64(6)
+        );
+    }
+
+    #[test]
+    fn oracle_known() {
+        // 2^10 mod 1000 = 24: the oracle takes even moduli too.
+        let r =
+            BigUint::from_u64(2).modpow_oracle(&BigUint::from_u64(10), &BigUint::from_u64(1000));
+        assert_eq!(r, BigUint::from_u64(24));
+    }
+
+    #[test]
+    #[should_panic(expected = "modulus must be odd")]
+    fn modpow_rejects_even_modulus() {
+        let _ = BigUint::from_u64(2).modpow(&BigUint::from_u64(10), &BigUint::from_u64(1000));
+    }
+
+    /// A random odd modulus of exactly `limbs` limbs.
+    fn odd_modulus(rng: &mut StdRng, limbs: usize) -> BigUint {
+        let mut m = BigUint::random_exact_bits(rng, 64 * limbs);
+        m.limbs[0] |= 1;
+        m
+    }
+
+    #[test]
+    fn modpow_matches_oracle() {
+        let mut rng = StdRng::seed_from_u64(30);
+        for limbs in [1, 2, 3, 16, 32] {
+            // Keep the debug build quick: the oracle's full-length
+            // exponents at 32 limbs are the slow part.
+            let rounds = if limbs >= 16 && cfg!(debug_assertions) {
+                1
+            } else {
+                3
+            };
+            for _ in 0..rounds {
+                let m = odd_modulus(&mut rng, limbs);
+                let one = BigUint::one();
+                let mut bases = vec![
+                    BigUint::zero(),
+                    one.clone(),
+                    m.sub(&one),
+                    m.clone(),
+                    m.add(&one),
+                ];
+                for _ in 0..2 {
+                    bases.push(m.add(&BigUint::random_bits(&mut rng, 64 * limbs + 40)));
+                }
+                let mut exps: Vec<BigUint> = [0u64, 1, 2, 65537]
+                    .iter()
+                    .map(|&e| BigUint::from_u64(e))
+                    .collect();
+                exps.push(BigUint::random_exact_bits(&mut rng, 64 * limbs));
+                for b in &bases {
+                    for e in &exps {
+                        assert_eq!(
+                            b.modpow(e, &m),
+                            b.modpow_oracle(e, &m),
+                            "{limbs} limbs, base {b:?}, exp {e:?}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn modpow_unit_modulus_is_zero() {
+        assert_eq!(
+            BigUint::from_u64(5).modpow(&BigUint::zero(), &BigUint::one()),
+            BigUint::zero()
+        );
     }
 
     #[test]

@@ -296,6 +296,8 @@ pub enum ErrorCode {
     BadOwnershipProof = 21,
     /// [`viewmap_core::server::RewardError::BlindedOutOfRange`].
     BlindedOutOfRange = 22,
+    /// [`viewmap_core::server::RewardError::SigningFault`].
+    SigningFault = 23,
     /// [`viewmap_core::server::RedeemError::BadSignature`].
     BadSignature = 30,
     /// [`viewmap_core::server::RedeemError::DoubleSpend`].
@@ -325,6 +327,7 @@ impl ErrorCode {
             20 => NotOnBoard,
             21 => BadOwnershipProof,
             22 => BlindedOutOfRange,
+            23 => SigningFault,
             30 => BadSignature,
             31 => DoubleSpend,
             40 => BadRequest,
@@ -793,6 +796,7 @@ mod tests {
             ErrorCode::NotOnBoard,
             ErrorCode::BadOwnershipProof,
             ErrorCode::BlindedOutOfRange,
+            ErrorCode::SigningFault,
             ErrorCode::BadSignature,
             ErrorCode::DoubleSpend,
             ErrorCode::BadRequest,

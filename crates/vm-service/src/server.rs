@@ -605,5 +605,6 @@ fn reward_code(e: viewmap_core::server::RewardError) -> ErrorCode {
         viewmap_core::server::RewardError::NotOnBoard => ErrorCode::NotOnBoard,
         viewmap_core::server::RewardError::BadOwnershipProof => ErrorCode::BadOwnershipProof,
         viewmap_core::server::RewardError::BlindedOutOfRange => ErrorCode::BlindedOutOfRange,
+        viewmap_core::server::RewardError::SigningFault => ErrorCode::SigningFault,
     }
 }

@@ -18,11 +18,18 @@
 //! | checksum64 u64                      over every preceding byte
 //! ```
 //!
+//! The file holds `(n, e, d)` only. CRT signing also needs the primes
+//! `p` and `q`; [`load`] derives them from `(n, e, d)` at load time
+//! (`RsaKeyPair::from_parts`, about two full-size exponentiations), so
+//! the format has not changed since `VMKEY001` and a file written before
+//! CRT signing loads and signs identically.
+//!
 //! Writes are atomic (temp file + rename), so a crash mid-save leaves
 //! either the old key or the new one, never a torn file. A present but
 //! unreadable keyfile is a **loud error**, not a silent regenerate:
 //! minting under a surprise fresh key is exactly the failure this
-//! module exists to prevent.
+//! module exists to prevent. A `d` that does not factor its `n` is such
+//! an error too.
 
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
@@ -82,8 +89,9 @@ pub fn save(dir: &Path, key: &RsaKeyPair) -> std::io::Result<()> {
 /// Load the signing key from `<dir>/signing.key`.
 ///
 /// `Ok(None)` means no keyfile exists (first boot, or a pre-keyfile
-/// directory). A keyfile that exists but fails any structural check —
-/// magic, part framing, checksum — is an error: see the module docs.
+/// directory). A keyfile that exists but fails any check — magic, part
+/// framing, checksum, or a private exponent that does not factor the
+/// modulus — is an error: see the module docs.
 pub fn load(dir: &Path) -> std::io::Result<Option<RsaKeyPair>> {
     let path = keyfile_path(dir);
     let mut data = Vec::new();
@@ -120,10 +128,9 @@ pub fn load(dir: &Path) -> std::io::Result<Option<RsaKeyPair>> {
     if off != body.len() {
         return Err(corrupt(&path, "trailing bytes"));
     }
-    Ok(Some(RsaKeyPair::from_parts(
-        RsaPublicKey::from_parts(n, e),
-        d,
-    )))
+    RsaKeyPair::from_parts(RsaPublicKey::from_parts(n, e), d)
+        .map(Some)
+        .map_err(|_| corrupt(&path, "private exponent does not factor the modulus"))
 }
 
 #[cfg(test)]
@@ -192,5 +199,45 @@ mod tests {
         std::fs::write(keyfile_path(&tmp.0), &good[..good.len() / 2]).unwrap();
         let err = load(&tmp.0).unwrap_err();
         assert!(err.to_string().contains("refusing"), "{err}");
+
+        // A well-formed file whose d is off by one: loud, never a re-key.
+        let mut d = key.private_exponent().to_bytes_be();
+        *d.last_mut().unwrap() ^= 1;
+        let mut body = KEYFILE_MAGIC.to_vec();
+        push_part(&mut body, &key.public().modulus().to_bytes_be());
+        push_part(&mut body, &key.public().exponent().to_bytes_be());
+        push_part(&mut body, &d);
+        let sum = checksum64(&body);
+        body.extend_from_slice(&sum.to_le_bytes());
+        std::fs::write(keyfile_path(&tmp.0), &body).unwrap();
+        let err = load(&tmp.0).unwrap_err();
+        assert!(err.to_string().contains("does not factor"), "{err}");
+    }
+
+    fn unhex(hex: &str) -> Vec<u8> {
+        (0..hex.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap())
+            .collect()
+    }
+
+    /// A keyfile written before CRT signing — `save` of
+    /// `generate(seed 11, 512)` — and that key's signature over
+    /// `fdh("pre-restart cash")`.
+    const OLD_KEYFILE: &str = "564d4b455930303140000000aa91cd0742535b07706f7d124d106fe1b97550947ea1e9f05fc0400ee8acf382a9a9131a8c16e4534b05be84fce390e3f1f9bf5f7d03641d98889c19dee8ff9903000000010001400000000c1eda33e6d9a7814ad3114f289cbf6689d83546a80cf763b65a21f32d4384f6294056d1b75bf922e0c86594666a5d3ee2965d95d2fd1899e503fca0e0f8d38158265b4baf269ff7";
+    const OLD_SIGNATURE: &str = "68edb6f88b5abe14a2a1a8012fee28a9e86822529bed9090d25bacbfe1c4075a9ae73c22ce97bc5926d6f2708ca07a201052098a3e744ff7bd48ef2e8510517a";
+
+    #[test]
+    fn keyfile_from_before_crt_loads_and_signs_identically() {
+        let tmp = TempDir::new("old_format");
+        std::fs::write(keyfile_path(&tmp.0), unhex(OLD_KEYFILE)).unwrap();
+        let loaded = load(&tmp.0).unwrap().expect("keyfile present");
+        let key = RsaKeyPair::generate(&mut StdRng::seed_from_u64(11), 512);
+        assert_eq!(loaded, key);
+        assert_eq!(encode(&loaded), unhex(OLD_KEYFILE));
+        let hashed = loaded.public().fdh(b"pre-restart cash");
+        let sig = loaded.sign_raw(&hashed).unwrap();
+        assert_eq!(sig.0.to_hex(), OLD_SIGNATURE);
+        assert_eq!(sig, key.sign_raw(&hashed).unwrap());
     }
 }
