@@ -20,18 +20,16 @@ pub const DEFAULT_K: usize = 8;
 
 /// The double-hashing halves of a key: `h1` and the odd-forced stride
 /// `h2` (odd so the stride visits every slot of the power-of-two-free
-/// modulus). **The single source of the probe derivation** — shared by
-/// [`BloomFilter::insert`]/[`BloomFilter::contains`] and by viewmap
-/// construction's flat-table probes, so the membership math cannot
-/// diverge between the wire filter and the viewlink engine.
+/// modulus), shared by [`BloomFilter::insert`] and
+/// [`BloomFilter::contains`].
 #[inline]
-pub fn probe_halves(key: &Digest16) -> (u64, u64) {
+fn probe_halves(key: &Digest16) -> (u64, u64) {
     (key.low_u64(), key.high_u64() | 1)
 }
 
 /// Probe slot `i` of the double-hashing sequence `h1 + i·h2 mod m`.
 #[inline]
-pub fn probe_slot(h1: u64, h2: u64, m: u64, i: u64) -> u64 {
+fn probe_slot(h1: u64, h2: u64, m: u64, i: u64) -> u64 {
     h1.wrapping_add(i.wrapping_mul(h2)) % m
 }
 
@@ -126,25 +124,6 @@ impl BloomFilter {
     pub fn contains(&self, key: &Digest16) -> bool {
         self.slots(key)
             .all(|s| self.bits[s / 8] & (1 << (s % 8)) != 0)
-    }
-
-    /// Append the filter's bits as little-endian `u64` words (the last
-    /// word zero-padded when `m` is not a multiple of 64). This is the
-    /// layout the viewlink engine's flat probe arena uses: one contiguous
-    /// word table per member, probed with [`probe_slot`] via
-    /// `words[s / 64] & (1 << (s % 64))` — bit-for-bit the membership
-    /// test [`contains`](Self::contains) runs on the byte array.
-    pub fn append_words(&self, out: &mut Vec<u64>) {
-        let mut chunks = self.bits.chunks_exact(8);
-        for c in &mut chunks {
-            out.push(u64::from_le_bytes(c.try_into().expect("8-byte chunk")));
-        }
-        let rem = chunks.remainder();
-        if !rem.is_empty() {
-            let mut b = [0u8; 8];
-            b[..rem.len()].copy_from_slice(rem);
-            out.push(u64::from_le_bytes(b));
-        }
     }
 
     /// Number of set bits (diagnostics; also used to reject trivially
@@ -250,28 +229,6 @@ mod tests {
         assert_eq!(f, g);
         for i in 0..32 {
             assert!(g.contains(&key(i)));
-        }
-    }
-
-    #[test]
-    fn word_view_agrees_with_contains() {
-        // Probing the word view with probe_halves/probe_slot must be the
-        // same membership function as `contains` on the byte array.
-        let mut f = BloomFilter::default();
-        for i in 0..64 {
-            f.insert(&key(i));
-        }
-        let mut words = Vec::new();
-        f.append_words(&mut words);
-        assert_eq!(words.len(), f.m_bits() / 64);
-        let m = f.m_bits() as u64;
-        for i in 0..2000u64 {
-            let (h1, h2) = probe_halves(&key(i));
-            let via_words = (0..f.k() as u64).all(|j| {
-                let s = probe_slot(h1, h2, m, j);
-                words[(s / 64) as usize] & (1u64 << (s % 64)) != 0
-            });
-            assert_eq!(via_words, f.contains(&key(i)), "key {i}");
         }
     }
 

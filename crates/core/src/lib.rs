@@ -30,12 +30,11 @@
 //! (10⁵+ VPs per minute). TrustRank runs as a gather-style power
 //! iteration over a flat [`trustrank::CsrGraph`] (thread-parallel above
 //! [`trustrank::PARALLEL_EDGE_THRESHOLD`] edges). Viewmap construction
-//! is a four-phase parallel engine ([`viewmap`] module docs): compact
-//! trajectory tables, one bounding-circle candidate grid with temporal
-//! segment prefilters, SHA-NI-accelerated Bloom-key hashing cached on
-//! the stored VP, and the two-way linkage test over flat probe tables —
-//! every phase fans out through [`par`] with chunk-order merges, so any
-//! thread count builds a bit-for-bit identical viewmap. The server's VP
+//! has one linker, the viewlink memo ([`maintained`]): each member is
+//! spliced in through a bounding-circle candidate grid with conservative
+//! fixed-point and temporal-segment prefilters, then the exact
+//! shared-second scan and the two-way Bloom test over SHA-NI-accelerated
+//! keys cached on the stored VP. The server's VP
 //! store is striped across [`server::DB_SHARDS`] locks with an O(1)
 //! `VpId → minute` index; [`server::ViewMapServer::submit_batch`]
 //! amortizes stripe locking, Bloom screening, and link-key precompute

@@ -6,17 +6,20 @@
 //! what its *minute* costs, while returning — bit for bit — what a cold
 //! [`Viewmap::build`] over the same bucket prefix returns.
 //!
-//! # Why a memo of the cold build is possible bit-identically
+//! The memo is the crate's **one viewlink linker**: a memo's first
+//! touch, every later site, and a cold [`Viewmap::build`] (which admits
+//! and then links through a fresh memo) all splice members in one at a
+//! time through [`MaintainedViewmap::materialise`].
+//!
+//! # Why any materialised set answers bit-identically
 //!
 //! The viewlink edge predicate is purely **pairwise**: two members link
 //! iff (a) their time-aligned claimed positions come within radio range
-//! at some shared second (the exact `f64` scan in the viewmap engine's
-//! `shares_in_range_second`) and (b) the two-way Bloom membership test
-//! passes. Nothing about the rest of the population enters the
-//! predicate — the cold engine's Morton grid, `r_cap`/`r_max` geometry,
-//! and SoA prefilter tables only generate and prune conservative
-//! candidate *supersets*, and every candidate is settled by the same
-//! exact predicate. Two consequences the memo is built on:
+//! at some shared second (`viewmap::settle_pair`) and (b) the two-way
+//! Bloom membership test passes. Nothing about the rest of the
+//! population enters the predicate — the memo's candidate grid only
+//! generates conservative *supersets*, and every candidate is settled by
+//! the same exact predicate. Two consequences the memo is built on:
 //!
 //! 1. **The edge set over any member set is population-independent.**
 //!    Materialising more members never changes whether two already
@@ -24,12 +27,12 @@
 //!    has not seen only has to compute new×old and new×new pairs.
 //! 2. **Any admitted subset's viewmap is the induced subgraph.** A cold
 //!    build first admits members (site coverage), then links them; since
-//!    linking is pairwise, the cold result equals the memo's edge set
-//!    restricted to the admitted members. Cold adjacency rows come out
-//!    fully ascending, the memo keeps every row ascending *by bucket
-//!    position*, and the admission remap (bucket position → index among
-//!    the admitted) is monotone — so extraction is bit-for-bit identical
-//!    to a cold build of the same bucket prefix, not merely set-equal.
+//!    linking is pairwise, the cold result equals any memo's edge set
+//!    restricted to the admitted members. The memo keeps every row
+//!    ascending *by bucket position*, and the admission remap (bucket
+//!    position → index among the admitted) is monotone — so extraction
+//!    is bit-for-bit identical to a cold build of the same bucket
+//!    prefix, whatever else the memo holds.
 //!
 //! # The materialised-set invariant
 //!
@@ -90,22 +93,25 @@
 //!
 //! # Grid freezing
 //!
-//! The memo owns a candidate grid like the cold engine's, frozen from
-//! the first materialised batch: `r_cap` (outlier cap) and the cell size
-//! are computed from that batch, while `r_max` is a running maximum over
-//! gridded members (queries use the current value, so reach always
-//! covers every gridded member). A later member whose radius exceeds the
-//! frozen cap goes to the off-grid (`wild`) list and pairs linearly —
-//! exactly the cold engine's outlier route. Because a first batch can be
-//! unrepresentative (a site that admits only a parked trusted VP would
-//! freeze a cap every moving vehicle exceeds), the grid is re-frozen
-//! from the whole materialised set each time that set doubles — O(1)
-//! amortised per member. Freezing changes only *pruning efficiency*,
-//! never the edge set: correctness rests on the settled pairwise
-//! predicate alone.
+//! The memo owns a candidate grid of bounding-circle cells, frozen from
+//! the materialised set: `r_cap` (outlier cap: 4× the 95th-percentile
+//! radius, floored by the radio range) and the cell size are computed
+//! at the freeze, while `r_max` is a running maximum over gridded
+//! members (queries use the current value, so reach always covers every
+//! gridded member). A member whose radius exceeds the frozen cap, or
+//! whose coordinates leave the fixed-point envelope, goes to the
+//! off-grid (`wild`) list and pairs linearly, so one city-spanning
+//! forgery cannot inflate every member's query reach. The grid is
+//! re-frozen from the whole materialised set each time that set doubles
+//! — from the first member on, O(1) amortised per member — so neither a
+//! first touch nor an unrepresentative first site (one that admits only
+//! a parked trusted VP would freeze a cap every moving vehicle exceeds)
+//! fixes the geometry for good. Freezing changes only *pruning
+//! efficiency*, never the edge set: correctness rests on the settled
+//! pairwise predicate alone.
 
 use crate::types::{GeoPos, MinuteId, SECONDS_PER_VP};
-use crate::viewmap::{self, BuildProfile, MemberGeom, Site, Viewmap, ViewmapConfig};
+use crate::viewmap::{self, MemberGeom, Site, Viewmap, ViewmapConfig};
 use crate::vp::StoredVp;
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -296,7 +302,7 @@ pub struct Admitted {
 
 impl Admitted {
     /// Everything in `bucket` — the whole-minute site. For callers that
-    /// drive a memo without a server.
+    /// drive a memo without a server, [`Viewmap::build`] among them.
     pub fn whole(bucket: &[Arc<StoredVp>]) -> Admitted {
         Admitted {
             prefix_len: bucket.len(),
@@ -323,9 +329,6 @@ pub struct Linked {
     pub hits: usize,
     /// Admitted members linked by this call.
     pub misses: usize,
-    /// `Some` when the memo was empty, so the misses went through the
-    /// batch engine (its phase split); `None` when they were spliced.
-    pub batch: Option<BuildProfile>,
 }
 
 /// A minute's region-lazy viewlink memo: the complete viewlink edge set
@@ -362,9 +365,10 @@ pub struct MaintainedViewmap {
     r_max: f64,
     /// Materialised count at the last freeze; doubling re-freezes.
     frozen_len: usize,
-    /// Cell Z-code → gridded slots (each member in exactly one cell, so
-    /// candidate collection never yields duplicates).
-    cells: HashMap<u64, Vec<u32>, FxBuildHasher>,
+    /// Cell `(x, y)` (wrapped to `u32`) → gridded slots (each member in
+    /// exactly one cell, so candidate collection never yields
+    /// duplicates).
+    cells: HashMap<(u32, u32), Vec<u32>, FxBuildHasher>,
     /// Off-grid slots: active but fixed-point-overflowing or above
     /// `r_cap`; paired linearly against every active member.
     wild: Vec<u32>,
@@ -407,11 +411,10 @@ impl MaintainedViewmap {
     }
 
     /// Link every admitted member the memo has not seen, restoring the
-    /// materialised-set invariant for `M ∪ admitted`. An empty memo
-    /// links the whole batch through the cold engine
-    /// (`build_viewlinks`); otherwise each new member is spliced:
-    /// paired against the grid of materialised members (new×old) and
-    /// against the new members spliced before it (new×new).
+    /// materialised-set invariant for `M ∪ admitted`: each new member is
+    /// spliced in bucket order — paired against the grid of materialised
+    /// members (new×old) and against the new members spliced before it
+    /// (new×new) — whether the memo is empty or not.
     pub fn materialise(&mut self, admitted: &Admitted) -> Linked {
         if self.slot_of.len() < admitted.prefix_len {
             self.slot_of.resize(admitted.prefix_len, NONE);
@@ -419,60 +422,25 @@ impl MaintainedViewmap {
         let new: Vec<usize> = (0..admitted.len())
             .filter(|&k| self.slot_of[admitted.pos[k] as usize] == NONE)
             .collect();
-        let mut linked = Linked {
-            hits: admitted.len() - new.len(),
-            misses: new.len(),
-            ..Linked::default()
-        };
-        if new.is_empty() {
-            return linked;
-        }
-        // Same scale envelope as the cold engine's SoA tables.
+        // Arena offsets count interleaved coordinates (≤ 240 per member)
+        // in `u32`. One minute of one city staying under ~17.9M members
+        // is part of the protocol's scale envelope; fail loudly rather
+        // than wrap silently if that ever moves.
         let total = (self.members.len() + new.len()) as u64;
         assert!(
             total * 4 * SECONDS_PER_VP <= u32::MAX as u64,
             "viewlink memo of {total} members exceeds u32 indexing"
         );
-        if self.members.is_empty() {
-            linked.batch = Some(self.create(&new, admitted));
-        } else {
-            for &k in &new {
-                self.splice(admitted.pos[k], &admitted.vps[k]);
-                if self.members.len() >= 2 * self.frozen_len {
-                    self.freeze();
-                }
+        for &k in &new {
+            self.splice(admitted.pos[k], &admitted.vps[k]);
+            if self.members.len() >= 2 * self.frozen_len {
+                self.freeze();
             }
         }
-        linked
-    }
-
-    /// First materialisation: link `admitted[new]` with the batch
-    /// engine, then scan the memo's own geometry rows and coordinate
-    /// arena (the engine's rank-ordered arena is laid out for the SoA
-    /// pair loop, not for per-member appends) and freeze the grid.
-    fn create(&mut self, new: &[usize], admitted: &Admitted) -> BuildProfile {
-        let vps: Vec<Arc<StoredVp>> = new.iter().map(|&k| Arc::clone(&admitted.vps[k])).collect();
-        let pos: Vec<u32> = new.iter().map(|&k| admitted.pos[k]).collect();
-        let threads = crate::par::auto_threads(vps.len(), viewmap::PARALLEL_MEMBER_THRESHOLD);
-        let mut profile = BuildProfile::default();
-        // `new` is ascending in bucket position, so the engine's
-        // ascending local rows map to ascending position rows.
-        self.adj = viewmap::build_viewlinks(&vps, self.minute, &self.cfg, threads, &mut profile)
-            .into_iter()
-            .map(|row| row.into_iter().map(|j| pos[j]).collect())
-            .collect();
-        self.edges = self.adj.iter().map(Vec::len).sum::<usize>() / 2;
-
-        let start = self.minute.start_second();
-        for (s, vp) in vps.iter().enumerate() {
-            self.arena_off.push(self.arena.len() as u32);
-            self.geom.push(MemberGeom::scan(vp, start, &mut self.arena));
-            self.slot_of[pos[s] as usize] = s as u32;
+        Linked {
+            hits: admitted.len() - new.len(),
+            misses: new.len(),
         }
-        self.members = vps;
-        self.pos = pos;
-        self.freeze();
-        profile
     }
 
     /// (Re)freeze the grid geometry from the whole materialised set and
@@ -485,15 +453,18 @@ impl MaintainedViewmap {
             .filter(|g| g.active())
             .map(|g| g.r)
             .collect();
-        self.r_cap = viewmap::radius_cap(&mut active_radii, radius);
-        let r_cap = self.r_cap;
+        active_radii.sort_unstable_by(f64::total_cmp);
+        let r_cap = active_radii
+            .get(active_radii.len() * 95 / 100)
+            .map_or(0.0, |&p95| (4.0 * p95).max(radius));
         let r_max = self
             .geom
             .iter()
             .filter(|g| g.active() && g.fp_exact && g.r <= r_cap)
             .map(|g| g.r)
             .fold(0.0f64, f64::max);
-        self.cell = viewmap::cell_size(radius, r_max);
+        self.r_cap = r_cap;
+        self.cell = ((radius + 2.0 * r_max) / 4.0).max(1.0);
         self.r_max = r_max;
         self.frozen_len = self.members.len();
         self.cells.clear();
@@ -510,15 +481,23 @@ impl MaintainedViewmap {
             return;
         }
         if g.fp_exact && g.r <= self.r_cap {
-            let code = viewmap::morton_code(
-                (g.cx / self.cell).floor() as i64 as u32,
-                (g.cy / self.cell).floor() as i64 as u32,
-            );
-            self.cells.entry(code).or_default().push(s as u32);
+            let cell = self.cell_of(g);
+            self.cells.entry(cell).or_default().push(s as u32);
             self.r_max = self.r_max.max(g.r);
         } else {
             self.wild.push(s as u32);
         }
+    }
+
+    /// The grid cell of a member's bounding-circle center. Cell
+    /// coordinates are the wrapped low 32 bits of the true `i64` index:
+    /// far-apart cells that collide only add candidates the prefilters
+    /// reject, so correctness never depends on the wrap.
+    fn cell_of(&self, g: &MemberGeom) -> (u32, u32) {
+        (
+            (g.cx / self.cell).floor() as i64 as u32,
+            (g.cy / self.cell).floor() as i64 as u32,
+        )
     }
 
     /// Link one new member (bucket position `p`) against everything
@@ -534,19 +513,17 @@ impl MaintainedViewmap {
         let mut row: Vec<u32> = Vec::new();
         if g.active() {
             // Candidate collection: the frozen grid for gridded members
-            // (plus every wild member), a full linear pass for wild
-            // ones — mirroring the cold engine's routes.
+            // (plus every wild member), a full linear pass for wild ones.
             let mut cand = std::mem::take(&mut self.cand);
             cand.clear();
             if g.fp_exact && g.r <= self.r_cap {
                 let rc = ((radius + g.r + self.r_max) / self.cell).ceil() as i64;
-                let cx0 = (g.cx / self.cell).floor() as i64 as u32;
-                let cy0 = (g.cy / self.cell).floor() as i64 as u32;
+                let (cx0, cy0) = self.cell_of(&g);
                 for dy in -rc..=rc {
                     let cy = cy0.wrapping_add(dy as u32);
                     for dx in -rc..=rc {
                         let cx = cx0.wrapping_add(dx as u32);
-                        if let Some(list) = self.cells.get(&viewmap::morton_code(cx, cy)) {
+                        if let Some(list) = self.cells.get(&(cx, cy)) {
                             cand.extend_from_slice(list);
                         }
                     }
@@ -561,8 +538,7 @@ impl MaintainedViewmap {
             for &su in &cand {
                 let s = su as usize;
                 let gs = &self.geom[s];
-                // Pair center prefilter (the cold engine's per-pair
-                // check), then the shared exact predicate.
+                // Pair center prefilter, then the exact predicate.
                 if gs.fp_exact && g.fp_exact {
                     let (dx, dy) = ((gs.cxf - g.cxf) as i64, (gs.cyf - g.cyf) as i64);
                     let lim = radius_c + gs.rf as i64 + g.rf as i64 + 2;
@@ -574,9 +550,7 @@ impl MaintainedViewmap {
                 if !viewmap::settle_pair(gs, ws, &g, wj, radius_c, r2) {
                     continue;
                 }
-                // The paper's two-way Bloom test — the same
-                // `BloomFilter` probe sequence the cold engine's
-                // flat-arena pass evaluates.
+                // The paper's two-way Bloom test.
                 let other = &self.members[s];
                 if other.links_to_keys(vp_keys) && vp.links_to_keys(other.link_keys()) {
                     let partner = &mut self.adj[s];
@@ -913,7 +887,7 @@ mod tests {
         // A local site far from the trusted VP at x = 0: coverage reaches
         // back to it, so this admits a prefix of the line, not all of it.
         let first = probe(&mut memo, &bucket, site(1200.0, 100.0), "first touch");
-        assert!(first.batch.is_some() && first.hits == 0);
+        assert!(first.hits == 0 && first.misses > 0);
         assert!(
             first.misses < bucket.len(),
             "a local site is not the minute"
@@ -924,9 +898,9 @@ mod tests {
         let again = probe(&mut memo, &bucket, site(1200.0, 100.0), "repeat");
         assert_eq!((again.hits, again.misses), (first.misses, 0));
 
-        // A wider site: only the crescent is linked, by splicing.
+        // A wider site: only the crescent is linked.
         let wide = probe(&mut memo, &bucket, site(1200.0, 1500.0), "wider");
-        assert!(wide.batch.is_none() && wide.misses > 0 && wide.hits == first.misses);
+        assert!(wide.misses > 0 && wide.hits == first.misses);
 
         // The whole minute, then the narrow site once more (the memo now
         // holds more than the site admits).

@@ -1,8 +1,8 @@
 //! Chunked scoped-thread fan-out shared by the parallel engines.
 //!
-//! The build environment has no rayon, and the two hot paths that want
-//! parallelism — the TrustRank gather pass and viewmap construction —
-//! need exactly one pattern: split an index range into contiguous chunks,
+//! The build environment has no rayon, and the hot paths that want
+//! parallelism — the TrustRank gather pass and batch ingest's key
+//! precompute — need exactly one pattern: split an index range into contiguous chunks,
 //! run one scoped `std` thread per chunk, and merge the per-chunk results
 //! in chunk order. Merging in chunk order (never in completion order)
 //! makes every caller deterministic by construction: the assembled output

@@ -273,18 +273,12 @@ struct CoreMetrics {
     /// `vm_core_trustrank_iterations` — power-method iterations per
     /// investigation.
     trustrank_iterations: Arc<Histogram>,
-    /// `vm_core_build_phase_us{phase=...}` — the four viewlink-engine
-    /// phases of every batch link (a minute's first materialisation),
-    /// in catalog order.
-    build_tables_us: Arc<Histogram>,
-    build_candidates_us: Arc<Histogram>,
-    build_keys_us: Arc<Histogram>,
-    build_linkage_us: Arc<Histogram>,
     /// `vm_core_maintained_create_us` / `vm_core_maintained_splice_us`
     /// / `vm_core_maintained_extract_us` — the viewlink memo, all on the
-    /// investigation side: a minute's first materialisation (batch
-    /// engine), linking newly admitted members into an existing memo,
-    /// and admission + induced-subgraph extraction.
+    /// investigation side: linking into an empty memo (a minute's first
+    /// materialisation), linking newly admitted members into a
+    /// non-empty one — the same splice, timed apart — and admission +
+    /// induced-subgraph extraction.
     maintained_create_us: Arc<Histogram>,
     maintained_extract_us: Arc<Histogram>,
     maintained_splice_us: Arc<Histogram>,
@@ -304,7 +298,6 @@ struct CoreMetrics {
 
 impl CoreMetrics {
     fn register(obs: &Registry) -> CoreMetrics {
-        let phase = |p: &str| obs.histogram_with("vm_core_build_phase_us", &[("phase", p)]);
         CoreMetrics {
             vps_stored: obs.counter("vm_core_vps_stored_total"),
             vps_rejected: obs.counter("vm_core_vps_rejected_total"),
@@ -313,10 +306,6 @@ impl CoreMetrics {
             batch_accepted: obs.histogram("vm_core_batch_accepted_vps"),
             investigate_us: obs.histogram("vm_core_investigate_us"),
             trustrank_iterations: obs.histogram("vm_core_trustrank_iterations"),
-            build_tables_us: phase("tables"),
-            build_candidates_us: phase("candidates"),
-            build_keys_us: phase("keys"),
-            build_linkage_us: phase("linkage"),
             maintained_create_us: obs.histogram("vm_core_maintained_create_us"),
             maintained_extract_us: obs.histogram("vm_core_maintained_extract_us"),
             maintained_splice_us: obs.histogram("vm_core_maintained_splice_us"),
@@ -326,14 +315,6 @@ impl CoreMetrics {
             cash_double_spend: obs.counter("vm_core_cash_double_spend_total"),
             blind_signatures: obs.counter("vm_core_blind_signatures_total"),
         }
-    }
-
-    fn record_build_profile(&self, p: &crate::viewmap::BuildProfile) {
-        self.build_tables_us.record((p.tables_ms * 1e3) as u64);
-        self.build_candidates_us
-            .record((p.candidates_ms * 1e3) as u64);
-        self.build_keys_us.record((p.keys_ms * 1e3) as u64);
-        self.build_linkage_us.record((p.linkage_ms * 1e3) as u64);
     }
 }
 
@@ -820,15 +801,16 @@ impl ViewMapServer {
     ///    viewlink memo. This is the only part ingest can wait on.
     /// 2. Outside every lock: the exact 60-position check on the
     ///    survivors — the cold build's own predicate.
-    /// 3. Under the memo's own lock: link the admitted members the memo
-    ///    has not seen (batch engine when it is empty, splice otherwise)
-    ///    and extract the induced subgraph in bucket order.
+    /// 3. Under the memo's own lock: splice in the admitted members the
+    ///    memo has not seen and extract the induced subgraph in bucket
+    ///    order.
     ///
     /// The result is **bit-identical** to `Viewmap::build(&bucket[..L],
     /// site, minute, cfg)` for the bucket prefix `L` the snapshot saw:
     /// the same member `Arc`s in bucket order, the same ascending
-    /// adjacency rows, the same trusted indices. The cold engine stays
-    /// as the memo's batch linker and as that test oracle.
+    /// adjacency rows, the same trusted indices. That cold build links
+    /// through a fresh memo, so it is the test oracle for admission and
+    /// for incremental against one-shot linking.
     ///
     /// A minute with no bucket has no memo and none is created for it:
     /// the answer is the empty viewmap, whatever minute id a client
@@ -860,13 +842,16 @@ impl ViewMapServer {
         memo.touch(self.memo_clock.fetch_add(1, Ordering::Relaxed));
         let m = &self.metrics;
         let vm = memo.with(|graph| {
+            let first_touch = graph.is_empty();
             let t_link = Instant::now();
             let linked = graph.materialise(&admitted);
-            if let Some(profile) = &linked.batch {
-                m.maintained_create_us.record_duration_us(t_link.elapsed());
-                m.record_build_profile(profile);
-            } else if linked.misses > 0 {
-                m.maintained_splice_us.record_duration_us(t_link.elapsed());
+            if linked.misses > 0 {
+                let link_us = if first_touch {
+                    &m.maintained_create_us
+                } else {
+                    &m.maintained_splice_us
+                };
+                link_us.record_duration_us(t_link.elapsed());
             }
             m.maintained_hits.add(linked.hits as u64);
             m.maintained_misses.add(linked.misses as u64);

@@ -175,7 +175,7 @@ impl StoredVp {
 
     /// The element-VD Bloom keys, hashed on first call and cached for the
     /// VP's lifetime: investigations of the same minute (and the
-    /// sequential/parallel build pair in the equivalence tests) share one
+    /// cold builds the equivalence tests compare against) share one
     /// hashing pass per VP. Safe to race — [`OnceLock`] keeps the first
     /// result. Callers that mutate `vds` after a build (test-only surgery)
     /// must construct a fresh `StoredVp` to avoid serving stale keys.

@@ -11,6 +11,10 @@
 //! `Viewmap::build` over the same bucket field for field: the same
 //! member allocations in bucket order, the same adjacency rows, the
 //! same trusted indices, and (bit-for-bit) the same TrustRank scores.
+//! Since `Viewmap::build` links through a fresh memo, that comparison
+//! holds admission and incremental-vs-one-shot linking; the edge set is
+//! also held to `vm_bench::oracle::naive_build`, a linker that shares
+//! no code with the memo.
 //! Sites of every radius matter here because each one leaves the memo
 //! holding a different materialised set for the next one to extend.
 //! The suite drives seeded random interleavings, the degenerate shapes
@@ -18,21 +22,21 @@
 //! fully evicted and then resubmitted, a minute with no trusted VP),
 //! and a threaded stress on one hot minute.
 //!
-//! Runs in the threaded release matrix alongside `parallel_equivalence`;
-//! the probes call the auto-parallel engines, so both harness thread
-//! counts exercise the same equality.
+//! Runs in the threaded release matrix alongside `parallel_equivalence`,
+//! so the hot-minute race runs at both harness thread counts.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+use viewmap_core::bloom::BloomFilter;
 use viewmap_core::server::ViewMapServer;
-use viewmap_core::types::{GeoPos, MinuteId};
+use viewmap_core::types::{GeoPos, MinuteId, DSRC_RADIUS_M, SECONDS_PER_VP};
 use viewmap_core::upload::AnonymousSubmission;
 use viewmap_core::viewmap::{Site, Viewmap, ViewmapConfig};
 use viewmap_core::vp::StoredVp;
-use vm_bench::oracle::cold_oracle;
+use vm_bench::oracle::{cold_oracle, naive_build};
 use vm_bench::worlds::{linked_minute, LINKED_SPACING_M};
 
 /// Minutes the random histories spread their traffic across.
@@ -81,7 +85,8 @@ fn anon(vp: StoredVp) -> AnonymousSubmission {
 /// each takes a different route through admission and linking: beyond
 /// the fixed-point envelope (`FP_MAX_M`), NaN and infinite coordinates,
 /// a city-spanning zig-zag (a `wild` member, above any radius cap), and
-/// a VP with no comparable coordinate at all.
+/// a VP with no comparable coordinate at all. An honest [`boundary_pair`]
+/// rides along.
 fn forged_wave(minute: u64, seed: u64) -> Vec<StoredVp> {
     let mut vps = linked_minute(4, minute, seed ^ 0xf0_96ed);
     for vp in &mut vps {
@@ -96,7 +101,32 @@ fn forged_wave(minute: u64, seed: u64) -> Vec<StoredVp> {
     for vd in &mut vps[3].vds {
         vd.loc = GeoPos::new(f64::NAN, f64::NAN);
     }
+    vps.extend(boundary_pair(minute, seed));
     vps
+}
+
+/// Two untrusted vehicles exactly `DSRC_RADIUS_M` apart at every second,
+/// Bloom-wired to each other: they link only because the range test is
+/// `<=`, so an off-by-boundary linker disagrees with the naive oracle.
+fn boundary_pair(minute: u64, seed: u64) -> Vec<StoredVp> {
+    let mut vps = linked_minute(2, minute, seed);
+    for vd in &mut vps[1].vds {
+        vd.loc.x += DSRC_RADIUS_M - LINKED_SPACING_M;
+    }
+    let last = SECONDS_PER_VP as usize - 1;
+    let keys: Vec<_> = vps
+        .iter()
+        .map(|vp| [vp.vds[0].bloom_key(), vp.vds[last].bloom_key()])
+        .collect();
+    (0..2)
+        .map(|i| {
+            let mut bloom = BloomFilter::default();
+            for key in &keys[1 - i] {
+                bloom.insert(key);
+            }
+            StoredVp::new(vps[i].id, vps[i].vds.clone(), bloom, false)
+        })
+        .collect()
 }
 
 /// Field-for-field equality with the cold oracle's result.
@@ -111,13 +141,24 @@ fn assert_identical(got: &Viewmap, cold: &Viewmap, ctx: &str) {
 }
 
 /// The oracle: cold-build the site from the bucket, build it through
-/// the server, and require the two identical in every observable — then
-/// require the investigation entry point to hand an authority the
-/// answer the cold graph verifies to.
+/// the server, and require the two identical in every observable, with
+/// the edge set of the naive build — then require the investigation
+/// entry point to hand an authority the answer the cold graph verifies
+/// to.
 fn probe(srv: &ViewMapServer, minute: MinuteId, site: Site, cfg: &ViewmapConfig, ctx: &str) {
     let cold = cold_oracle(srv, minute, site, cfg);
     let got = srv.build_viewmap(minute, site);
     assert_identical(&got, &cold, ctx);
+    let naive = naive_build(&srv.minute_vps(minute), site, minute, cfg);
+    assert_eq!(got.len(), naive.len(), "{ctx}: naive member count");
+    for (i, (g, n)) in got.vps.iter().zip(&naive.vps).enumerate() {
+        assert!(Arc::ptr_eq(g, n), "{ctx}: naive member {i}");
+    }
+    for (i, (row, naive_row)) in got.adj.iter().zip(&naive.adj).enumerate() {
+        let mut naive_row = naive_row.clone();
+        naive_row.sort_unstable();
+        assert_eq!(row, &naive_row, "{ctx}: naive edges of member {i}");
+    }
     if srv.vp_count(minute) == 0 {
         assert!(!srv.has_maintained(minute), "{ctx}: no bucket, no memo");
     }

@@ -1,13 +1,10 @@
-//! The determinism harness for parallel viewmap construction and batch
-//! ingest.
+//! The determinism harness for viewmap construction and batch ingest.
 //!
-//! Parallel code is where silent nondeterminism creeps in, so these tests
-//! hold the engines to the strongest property available:
-//!
-//! * `Viewmap::build_with_threads(…, t)` must return a **bit-for-bit
-//!   identical** viewmap (members, adjacency, trusted set, verification
-//!   scores) for every thread count `t`, across random populations,
-//!   densities, and degenerate shapes;
+//! * `Viewmap::build` must reproduce the paper's edge definition
+//!   computed the O(n²) way — a shared in-range second plus mutual Bloom
+//!   linkage — with every adjacency row ascending, across random
+//!   populations, densities, degenerate shapes, time-gapped VDs and
+//!   off-grid outliers;
 //! * `ViewMapServer::submit_batch` must leave the server in a state
 //!   indistinguishable from sequential `submit` calls, and the viewmap
 //!   built from a batch-ingested store must equal the one built from a
@@ -29,8 +26,6 @@ use viewmap_core::vp::StoredVp;
 use vm_bench::oracle::edge_checksum;
 use vm_bench::worlds::{random_graph, SynthWorld};
 
-const THREAD_COUNTS: [usize; 4] = [2, 3, 5, 8];
-
 /// Assert two viewmaps are bit-for-bit the same construction.
 fn assert_identical(a: &Viewmap, b: &Viewmap, ctx: &str) {
     assert_eq!(a.len(), b.len(), "{ctx}: member count");
@@ -42,23 +37,30 @@ fn assert_identical(a: &Viewmap, b: &Viewmap, ctx: &str) {
     }
 }
 
-/// Build with 1 thread and with each multi-thread count; all must agree,
-/// including the verification outcome (scores compared exactly — the
-/// gather order is pinned, so not even the floating-point summation may
-/// drift).
-fn check_all_thread_counts(vps: &[Arc<StoredVp>], site: Site, minute: MinuteId, ctx: &str) {
+/// Build with `Viewmap::build` and require exactly the edges an O(n²)
+/// scan over `min_aligned_distance` + `mutually_linked` finds, in
+/// ascending rows.
+fn assert_exhaustive(vps: &[Arc<StoredVp>], site: Site, minute: MinuteId, ctx: &str) -> Viewmap {
     let cfg = ViewmapConfig::default();
-    let sequential = Viewmap::build_with_threads(vps, site, minute, &cfg, 1).0;
-    let (sv, sids) = sequential.verify(&site, &cfg);
-    for t in THREAD_COUNTS {
-        let parallel = Viewmap::build_with_threads(vps, site, minute, &cfg, t).0;
-        assert_identical(&sequential, &parallel, &format!("{ctx} threads={t}"));
-        let (pv, pids) = parallel.verify(&site, &cfg);
-        assert_eq!(sv.scores, pv.scores, "{ctx} threads={t}: scores");
-        assert_eq!(sv.top, pv.top, "{ctx} threads={t}: top");
-        assert_eq!(sv.legitimate, pv.legitimate, "{ctx} threads={t}: marked");
-        assert_eq!(sids, pids, "{ctx} threads={t}: marked ids");
+    let vm = Viewmap::build(vps, site, minute, &cfg);
+    for i in 0..vm.len() {
+        assert!(
+            vm.adj[i].windows(2).all(|w| w[0] < w[1]),
+            "{ctx}: row {i} not ascending"
+        );
+        for j in (i + 1)..vm.len() {
+            let close = vm.vps[i]
+                .min_aligned_distance(&vm.vps[j])
+                .is_some_and(|d| d <= cfg.dsrc_radius_m);
+            let expect = close && vm.vps[i].mutually_linked(&vm.vps[j]);
+            assert_eq!(
+                vm.adj[i].contains(&j),
+                expect,
+                "{ctx}: edge {i}-{j} disagrees with oracle"
+            );
+        }
     }
+    vm
 }
 
 fn arcs(vps: &[StoredVp]) -> Vec<Arc<StoredVp>> {
@@ -66,10 +68,10 @@ fn arcs(vps: &[StoredVp]) -> Vec<Arc<StoredVp>> {
 }
 
 #[test]
-fn parallel_build_identical_across_random_populations() {
+fn build_matches_oracle_across_random_populations() {
     for (n, seed) in [(60usize, 7u64), (300, 11), (900, 23)] {
         let w = SynthWorld::generate(n, seed);
-        check_all_thread_counts(
+        assert_exhaustive(
             &arcs(&w.vps),
             w.site,
             w.minute,
@@ -79,7 +81,7 @@ fn parallel_build_identical_across_random_populations() {
 }
 
 #[test]
-fn parallel_build_identical_across_densities() {
+fn build_matches_oracle_across_densities() {
     // Rescale a world's coordinates to sweep sparse→dense geometry while
     // keeping the Bloom wiring fixed (wiring is an input, not a function
     // of geometry, so any wiring is a legal population).
@@ -98,12 +100,12 @@ fn parallel_build_identical_across_densities() {
             center: GeoPos::new(base.site.center.x * scale, base.site.center.y * scale),
             radius_m: base.site.radius_m * scale.max(1.0),
         };
-        check_all_thread_counts(&arcs(&vps), site, base.minute, &format!("scale={scale}"));
+        assert_exhaustive(&arcs(&vps), site, base.minute, &format!("scale={scale}"));
     }
 }
 
 #[test]
-fn parallel_build_identical_on_degenerate_shapes() {
+fn build_matches_oracle_on_degenerate_shapes() {
     let site = Site {
         center: GeoPos::new(0.0, 0.0),
         radius_m: 500.0,
@@ -112,20 +114,12 @@ fn parallel_build_identical_on_degenerate_shapes() {
     // Empty minute: the population belongs to minute 0, the build asks
     // for minute 5.
     let w = SynthWorld::generate(50, 41);
-    let empty = Viewmap::build_with_threads(
-        &arcs(&w.vps),
-        w.site,
-        MinuteId(5),
-        &ViewmapConfig::default(),
-        8,
-    )
-    .0;
+    let empty = assert_exhaustive(&arcs(&w.vps), w.site, MinuteId(5), "empty minute");
     assert!(empty.is_empty(), "minute-5 viewmap from minute-0 VPs");
-    check_all_thread_counts(&arcs(&w.vps), w.site, MinuteId(5), "empty minute");
 
     // Single VP.
     let single = vec![w.vps[0].clone()];
-    check_all_thread_counts(&arcs(&single), site, MinuteId(0), "single VP");
+    assert_exhaustive(&arcs(&single), site, MinuteId(0), "single VP");
 
     // Every VP's whole trajectory in one grid cell (identical stationary
     // positions): candidate generation degenerates to all-pairs.
@@ -135,23 +129,15 @@ fn parallel_build_identical_on_degenerate_shapes() {
             vd.loc = GeoPos::new(10.0, 20.0);
         }
     }
-    check_all_thread_counts(&arcs(&packed), site, MinuteId(0), "all VPs one cell");
-
-    // More threads than members.
-    let tiny = &w.vps[..3];
-    let cfg = ViewmapConfig::default();
-    let a = Viewmap::build_with_threads(&arcs(tiny), w.site, w.minute, &cfg, 1).0;
-    let b = Viewmap::build_with_threads(&arcs(tiny), w.site, w.minute, &cfg, 16).0;
-    assert_identical(&a, &b, "threads > members");
+    assert_exhaustive(&arcs(&packed), site, MinuteId(0), "all VPs one cell");
 }
 
 #[test]
-fn parallel_build_identical_with_time_gapped_vds() {
+fn build_matches_oracle_with_time_gapped_vds() {
     // Recording hiccups: some VPs skip seconds (still 60 VDs, strictly
     // increasing times), so their compact trajectory tables have NaN gap
     // slots and lengths not divisible by the segment count — the shape
-    // that once broke the segment-window quantization. The engine must
-    // stay thread-count-deterministic AND agree with the O(n²) oracle.
+    // that once broke the segment-window quantization.
     let mut w = SynthWorld::generate(300, 97);
     let mut rng = StdRng::seed_from_u64(98);
     for vp in w.vps.iter_mut() {
@@ -163,23 +149,7 @@ fn parallel_build_identical_with_time_gapped_vds() {
             }
         }
     }
-    check_all_thread_counts(&arcs(&w.vps), w.site, w.minute, "time-gapped");
-
-    let cfg = ViewmapConfig::default();
-    let vm = Viewmap::build_with_threads(&arcs(&w.vps), w.site, w.minute, &cfg, 4).0;
-    for i in 0..vm.len() {
-        for j in (i + 1)..vm.len() {
-            let close = vm.vps[i]
-                .min_aligned_distance(&vm.vps[j])
-                .is_some_and(|d| d <= cfg.dsrc_radius_m);
-            let expect = close && vm.vps[i].mutually_linked(&vm.vps[j]);
-            assert_eq!(
-                vm.adj[i].contains(&j),
-                expect,
-                "gapped edge {i}-{j} disagrees with oracle"
-            );
-        }
-    }
+    assert_exhaustive(&arcs(&w.vps), w.site, w.minute, "time-gapped");
 }
 
 #[test]
@@ -187,8 +157,7 @@ fn outlier_trajectories_stay_exact_and_off_grid() {
     // A few city-spanning trajectories (a teleporting forgery passes the
     // ingest screen — it has 60 strictly-increasing VDs) must neither
     // blow up candidate generation (they are handled off-grid) nor lose
-    // or gain edges: the engine stays oracle-exact and thread-count
-    // deterministic with outliers present.
+    // or gain edges.
     let mut w = SynthWorld::generate(220, 101);
     for (k, idx) in [3usize, 57, 140].into_iter().enumerate() {
         let vp = &mut w.vps[idx];
@@ -200,47 +169,16 @@ fn outlier_trajectories_stay_exact_and_off_grid() {
             vd.loc = GeoPos::new(w.side_m * t, w.side_m * t + (k as f64 - 1.0) * 120.0);
         }
     }
-    check_all_thread_counts(&arcs(&w.vps), w.site, w.minute, "outliers");
-
-    let cfg = ViewmapConfig::default();
-    let vm = Viewmap::build_with_threads(&arcs(&w.vps), w.site, w.minute, &cfg, 4).0;
-    for i in 0..vm.len() {
-        for j in (i + 1)..vm.len() {
-            let close = vm.vps[i]
-                .min_aligned_distance(&vm.vps[j])
-                .is_some_and(|d| d <= cfg.dsrc_radius_m);
-            let expect = close && vm.vps[i].mutually_linked(&vm.vps[j]);
-            assert_eq!(
-                vm.adj[i].contains(&j),
-                expect,
-                "outlier edge {i}-{j} disagrees with oracle"
-            );
-        }
-    }
+    assert_exhaustive(&arcs(&w.vps), w.site, w.minute, "outliers");
 }
 
 #[test]
 fn parallel_build_matches_exhaustive_oracle() {
-    // The full engine (any thread count) must reproduce the paper's edge
-    // definition computed the O(n²) way: shared in-range second + mutual
-    // Bloom linkage.
+    // The whole world admitted: every member linked by the one linker
+    // against the paper's edge definition.
     let w = SynthWorld::generate(250, 53);
-    let cfg = ViewmapConfig::default();
-    let vm = Viewmap::build_with_threads(&arcs(&w.vps), w.site, w.minute, &cfg, 8).0;
+    let vm = assert_exhaustive(&arcs(&w.vps), w.site, w.minute, "whole world");
     assert_eq!(vm.len(), w.vps.len());
-    for i in 0..vm.len() {
-        for j in (i + 1)..vm.len() {
-            let close = vm.vps[i]
-                .min_aligned_distance(&vm.vps[j])
-                .is_some_and(|d| d <= cfg.dsrc_radius_m);
-            let expect = close && vm.vps[i].mutually_linked(&vm.vps[j]);
-            assert_eq!(
-                vm.adj[i].contains(&j),
-                expect,
-                "edge {i}-{j} disagrees with oracle"
-            );
-        }
-    }
 }
 
 // ── Parallel TrustRank ────────────────────────────────────────────────
@@ -413,7 +351,7 @@ fn hundred_k_tier_topology_pinned_to_seed_42() {
 
     // ── Incremental delta pin ───────────────────────────────────────
     // Grow the pinned world by the seeded +1k churn delta through the
-    // viewlink memo (batch-linked base, spliced delta) and pin the grown
+    // viewlink memo (first-touch base, then the delta) and pin the grown
     // topology too. The cold-build oracle above anchors the base; the
     // memo's equality to a cold build of the grown bucket is proven
     // structurally by the churn-equivalence suite, so this pin records
@@ -424,9 +362,10 @@ fn hundred_k_tier_topology_pinned_to_seed_42() {
     let mut bucket = arcs(&w.vps);
     let mut memo = MaintainedViewmap::new(w.minute, cfg);
     let first = memo.materialise(&Admitted::whole(&bucket));
-    assert!(
-        first.batch.is_some(),
-        "an empty memo links through the batch engine"
+    assert_eq!(
+        (first.hits, first.misses),
+        (0, 100_000),
+        "an empty memo links every member"
     );
     assert_eq!(memo.edge_count(), 1_075_043, "memo first-touch edge count");
     bucket.extend(arcs(&SynthWorld::delta(w.side_m, 1_000, 42)));

@@ -130,7 +130,7 @@ fn stats_scrape_covers_the_stack_and_lag_drains() {
         "vm_core_vps_stored_total",
         "vm_core_investigate_us_count",
         "vm_core_trustrank_iterations_count",
-        "vm_core_build_phase_us_count{phase=\"linkage\"}",
+        "vm_core_maintained_create_us_count",
         // store (durability)
         "vm_store_append_us_count",
         "vm_store_fsync_us_count",

@@ -9,9 +9,9 @@
 //! hosts the runnable examples and cross-crate integration tests:
 //!
 //! * [`core`] — view digests, view profiles, guard VPs,
-//!   viewmap construction (the cold four-phase engine, and the bounds
-//!   table + region-lazy viewlink memo `ViewMapServer::investigate`
-//!   serves every site from),
+//!   viewmap construction (the bounds table + region-lazy viewlink
+//!   memo `ViewMapServer::investigate` serves every site from, whose
+//!   splice is also the cold build's linker),
 //!   TrustRank verification, solicitation, blind-signature rewarding,
 //!   the tracking adversary, attack toolkit.
 //! * [`crypto`] — SHA-256, big integers, RSA blind signatures
