@@ -9,7 +9,7 @@
 //! attacker-controlled VPs — never to honest ones — so they form a
 //! separate layer whose trust inflow is bounded (Lemmas 1–2, Corollary 1).
 
-use crate::trustrank::{self, Verification};
+use crate::trustrank::{self, CsrGraph};
 use crate::types::GeoPos;
 use rand::Rng;
 
@@ -62,7 +62,8 @@ pub struct AttackConfig {
 /// A synthetic viewmap with ground-truth labels.
 #[derive(Clone, Debug)]
 pub struct SyntheticViewmap {
-    /// Adjacency lists (symmetric).
+    /// Adjacency lists (symmetric): the testbed's construction form,
+    /// flattened by [`CsrGraph::from_adj`] for verification.
     pub adj: Vec<Vec<usize>>,
     /// Claimed positions.
     pub pos: Vec<GeoPos>,
@@ -305,8 +306,12 @@ impl SyntheticViewmap {
     /// Run Algorithm 1 and report the outcome against ground truth.
     pub fn run_verification(&self) -> Outcome {
         let site = self.site_members();
-        let v: Verification =
-            trustrank::verify_site(&self.adj, &[self.trusted], &site, trustrank::DAMPING);
+        let (v, _) = trustrank::verify_site(
+            &CsrGraph::from_adj(&self.adj),
+            &[self.trusted],
+            &site,
+            trustrank::DAMPING,
+        );
         let top_is_legit = v.top.map(|t| self.legit[t]).unwrap_or(false);
         let marked_fake = v.legitimate.iter().filter(|&&i| !self.legit[i]).count();
         Outcome {
@@ -370,20 +375,19 @@ fn estimate_link_radius(map: &SyntheticViewmap) -> f64 {
 
 /// Lemma 2 upper bound on the total trust score of fake VPs:
 /// `Σ_{v∈F_A} P_v ≤ δ/(1−δ) · Σ_{v∈A} (|O_v ∩ F_A| / |O_v|) · P_v`.
-pub fn lemma2_bound(
-    adj: &[Vec<usize>],
-    scores: &[f64],
-    attackers: &[usize],
-    is_fake: &[bool],
-) -> f64 {
+pub fn lemma2_bound(g: &CsrGraph, scores: &[f64], attackers: &[usize], is_fake: &[bool]) -> f64 {
     let delta = trustrank::DAMPING;
     let mut sum = 0.0;
     for &a in attackers {
-        if adj[a].is_empty() {
+        if g.degree(a) == 0 {
             continue;
         }
-        let fake_nbrs = adj[a].iter().filter(|&&v| is_fake[v]).count();
-        sum += (fake_nbrs as f64 / adj[a].len() as f64) * scores[a];
+        let fake_nbrs = g
+            .neighbors(a)
+            .iter()
+            .filter(|&&v| is_fake[v as usize])
+            .count();
+        sum += (fake_nbrs as f64 / g.degree(a) as f64) * scores[a];
     }
     delta / (1.0 - delta) * sum
 }
@@ -491,8 +495,13 @@ mod tests {
                 },
                 rng,
             );
-            let scores =
-                trustrank::trust_scores(&map.adj, &[map.trusted], trustrank::DAMPING, 1e-10);
+            let (scores, _) = trustrank::trust_scores(
+                &CsrGraph::from_adj(&map.adj),
+                &[map.trusted],
+                trustrank::DAMPING,
+                1e-10,
+                1000,
+            );
             let fakes: Vec<f64> = scores
                 .iter()
                 .zip(&map.legit)
@@ -522,7 +531,9 @@ mod tests {
             },
             &mut rng,
         );
-        let scores = trustrank::trust_scores(&map.adj, &[map.trusted], trustrank::DAMPING, 1e-10);
+        let graph = CsrGraph::from_adj(&map.adj);
+        let (scores, _) =
+            trustrank::trust_scores(&graph, &[map.trusted], trustrank::DAMPING, 1e-10, 1000);
         let is_fake: Vec<bool> = map.legit.iter().map(|&l| !l).collect();
         let fake_total: f64 = scores
             .iter()
@@ -530,7 +541,7 @@ mod tests {
             .filter(|(_, &f)| f)
             .map(|(s, _)| *s)
             .sum();
-        let bound = lemma2_bound(&map.adj, &scores, &attackers, &is_fake);
+        let bound = lemma2_bound(&graph, &scores, &attackers, &is_fake);
         assert!(
             fake_total <= bound + 1e-9,
             "Lemma 2 violated: {fake_total} > {bound}"
@@ -553,8 +564,13 @@ mod tests {
                 },
                 &mut rng,
             );
-            let scores =
-                trustrank::trust_scores(&map.adj, &[map.trusted], trustrank::DAMPING, 1e-10);
+            let (scores, _) = trustrank::trust_scores(
+                &CsrGraph::from_adj(&map.adj),
+                &[map.trusted],
+                trustrank::DAMPING,
+                1e-10,
+                1000,
+            );
             let site = map.site_members();
             let mut rows: Vec<(f64, bool)> =
                 site.iter().map(|&i| (scores[i], map.legit[i])).collect();

@@ -27,28 +27,33 @@
 //! # Scale engineering
 //!
 //! The investigation hot path is built for city-scale populations
-//! (10⁵+ VPs per minute). TrustRank runs as a gather-style power
-//! iteration over a flat [`trustrank::CsrGraph`] (thread-parallel above
-//! [`trustrank::PARALLEL_EDGE_THRESHOLD`] edges). Viewmap construction
-//! has one linker, the viewlink memo ([`maintained`]): each member is
-//! spliced in through a bounding-circle candidate grid with conservative
-//! fixed-point and temporal-segment prefilters, then the exact
-//! shared-second scan and the two-way Bloom test over SHA-NI-accelerated
-//! keys cached on the stored VP. The server's VP
-//! store is striped across [`server::DB_SHARDS`] locks with an O(1)
-//! `VpId → minute` index; [`server::ViewMapServer::submit_batch`]
-//! amortizes stripe locking, Bloom screening, and link-key precompute
-//! across whole-minute batches while staying state-indistinguishable
-//! from sequential submission. Durability attaches through the
-//! [`wal::VpWal`] seam: the `vm-store` crate's minute-bucketed
-//! append-log segments mirror every accepted VP (group commit under
-//! the committing shard's lock), and its recovery path replays a
-//! directory of segments back into a state-equivalent server — see
-//! `vm-store`'s crate docs for the record format and crash-recovery
-//! invariants. The `vm-bench` crate keeps the naive reference engines
-//! these paths are compared against, and its `parallel_equivalence`
-//! suite is the determinism harness holding parallel/batch paths equal
-//! to their sequential counterparts; timings are `vm_perf`'s business.
+//! (10⁵+ VPs per minute). A viewmap's graph takes one form, a flat
+//! [`trustrank::CsrGraph`] that the viewlink memo extracts its rows
+//! into, and TrustRank runs over it as one serial gather-style power
+//! iteration. Viewmap construction has one linker, the viewlink memo
+//! ([`maintained`]): each member is spliced in through a bounding-circle
+//! candidate grid with conservative fixed-point and temporal-segment
+//! prefilters, then the exact shared-second scan and the two-way Bloom
+//! test over SHA-NI-accelerated keys cached on the stored VP. The
+//! server's VP store is striped across [`server::DB_SHARDS`] locks with
+//! an O(1) `VpId → minute` index; [`server::ViewMapServer::submit_batch`]
+//! amortizes stripe locking and Bloom screening across whole-minute
+//! batches while staying state-indistinguishable from sequential
+//! submission. Link keys are precomputed at ingest only by
+//! [`server::ViewMapServer::submit_batch_warm`],
+//! [`server::ViewMapServer::submit_trusted_batch`] and
+//! [`server::ViewMapServer::submit_replay_batch`]; on every other path
+//! they hash lazily, the first time the memo links the VP. Durability
+//! attaches through the [`wal::VpWal`] seam: the `vm-store` crate's
+//! minute-bucketed append-log segments mirror every accepted VP (group
+//! commit under the committing shard's lock), and its recovery path
+//! replays a directory of segments back into a state-equivalent server
+//! — see `vm-store`'s crate docs for the record format and
+//! crash-recovery invariants. The `vm-bench` crate keeps the naive
+//! reference engines these paths are compared against, and its
+//! `parallel_equivalence` suite is the determinism harness holding
+//! parallel/batch paths equal to their sequential counterparts; timings
+//! are `vm_perf`'s business.
 //!
 //! # Quick start
 //!

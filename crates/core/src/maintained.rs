@@ -110,6 +110,7 @@
 //! efficiency*, never the edge set: correctness rests on the settled
 //! pairwise predicate alone.
 
+use crate::trustrank::CsrGraph;
 use crate::types::{GeoPos, MinuteId, SECONDS_PER_VP};
 use crate::viewmap::{self, MemberGeom, Site, Viewmap, ViewmapConfig};
 use crate::vp::StoredVp;
@@ -583,17 +584,15 @@ impl MaintainedViewmap {
             pos,
             vps,
         } = admitted;
-        let mut adj: Vec<Vec<usize>> = Vec::with_capacity(pos.len());
-        if pos.len() == prefix_len && self.members.len() == prefix_len {
+        let graph = if pos.len() == prefix_len && self.members.len() == prefix_len {
             // The site admits the whole prefix and the memo holds
             // nothing else: the remap is the identity, so rows are
-            // straight widening copies.
-            adj.extend(pos.iter().map(|&p| {
-                self.row_of(p)
-                    .iter()
-                    .map(|&q| q as usize)
-                    .collect::<Vec<_>>()
-            }));
+            // straight copies.
+            let mut graph = CsrGraph::with_capacity(pos.len(), 2 * self.edges);
+            for &p in &pos {
+                graph.push_row(self.row_of(p).iter().copied());
+            }
+            graph
         } else {
             // Filtering an ascending row through an order-preserving
             // map keeps it ascending — exactly the cold assembly order.
@@ -605,22 +604,22 @@ impl MaintainedViewmap {
             for (k, &p) in pos.iter().enumerate() {
                 out_of[p as usize] = k as u32;
             }
+            let bound = pos.iter().map(|&p| self.row_of(p).len()).sum();
+            let mut graph = CsrGraph::with_capacity(pos.len(), bound);
             for &p in &pos {
-                let src = self.row_of(p);
-                let mut row = Vec::with_capacity(src.len());
-                row.extend(
-                    src.iter()
+                graph.push_row(
+                    self.row_of(p)
+                        .iter()
                         .map(|&q| out_of[q as usize])
-                        .filter(|&k| k != NONE)
-                        .map(|k| k as usize),
+                        .filter(|&k| k != NONE),
                 );
-                adj.push(row);
             }
             for &p in &pos {
                 out_of[p as usize] = NONE;
             }
             self.out_of = out_of;
-        }
+            graph
+        };
         let trusted = vps
             .iter()
             .enumerate()
@@ -629,7 +628,7 @@ impl MaintainedViewmap {
             .collect();
         Viewmap {
             vps,
-            adj,
+            graph,
             trusted,
             minute: self.minute,
         }
@@ -837,7 +836,10 @@ pub(crate) mod testutil {
         for (i, (x, y)) in a.vps.iter().zip(&b.vps).enumerate() {
             assert!(Arc::ptr_eq(x, y), "{ctx}: member {i} is another allocation");
         }
-        assert_eq!(a.adj, b.adj, "{ctx}: adjacency rows (contents and order)");
+        assert_eq!(
+            a.graph, b.graph,
+            "{ctx}: adjacency rows (contents and order)"
+        );
         assert_eq!(a.trusted, b.trusted, "{ctx}: trusted indices");
         assert_eq!(a.minute, b.minute, "{ctx}: minute");
     }

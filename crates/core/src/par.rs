@@ -1,10 +1,10 @@
 //! Chunked scoped-thread fan-out shared by the parallel engines.
 //!
-//! The build environment has no rayon, and the hot paths that want
-//! parallelism — the TrustRank gather pass and batch ingest's key
-//! precompute — need exactly one pattern: split an index range into contiguous chunks,
-//! run one scoped `std` thread per chunk, and merge the per-chunk results
-//! in chunk order. Merging in chunk order (never in completion order)
+//! The build environment has no rayon, and the passes that want
+//! parallelism — batch ingest's key precompute, the store's record
+//! framing and the follower's frame scan — need exactly one pattern:
+//! split an index range into contiguous chunks, run one scoped `std`
+//! thread per chunk, and merge the per-chunk results in chunk order. Merging in chunk order (never in completion order)
 //! makes every caller deterministic by construction: the assembled output
 //! is identical to what a single-threaded pass over the same chunks would
 //! produce, bit for bit, for any thread count.
@@ -67,48 +67,6 @@ where
         .collect()
 }
 
-/// Split `out` at `cuts` into disjoint chunks and run `f(chunk_index,
-/// chunk)` on one scoped thread per chunk; per-chunk results come back in
-/// chunk order. This is the write-side variant of [`map_ranges`] for
-/// passes that fill a preallocated output vector (each thread owns a
-/// disjoint slice, so no synchronization is needed on the data itself).
-pub fn map_disjoint_mut<T, R, F>(out: &mut [T], cuts: &[usize], f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(usize, &mut [T]) -> R + Sync,
-{
-    let chunks = cuts.len().saturating_sub(1);
-    let mut slices: Vec<&mut [T]> = Vec::with_capacity(chunks);
-    let mut rest = out;
-    for t in 0..chunks {
-        let (head, tail) = rest.split_at_mut(cuts[t + 1] - cuts[t]);
-        slices.push(head);
-        rest = tail;
-    }
-    if chunks <= 1 {
-        return slices
-            .into_iter()
-            .enumerate()
-            .map(|(t, chunk)| f(t, chunk))
-            .collect();
-    }
-    let mut results: Vec<Option<R>> = Vec::with_capacity(chunks);
-    results.resize_with(chunks, || None);
-    std::thread::scope(|scope| {
-        for ((t, chunk), slot) in slices.drain(..).enumerate().zip(results.iter_mut()) {
-            let f = &f;
-            scope.spawn(move || {
-                *slot = Some(f(t, chunk));
-            });
-        }
-    });
-    results
-        .into_iter()
-        .map(|r| r.expect("fan-out worker completed"))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -141,23 +99,6 @@ mod tests {
             let parts = map_ranges(&cuts, |_t, lo, hi| (lo..hi).collect::<Vec<usize>>());
             let flat: Vec<usize> = parts.into_iter().flatten().collect();
             assert_eq!(flat, (0..n).collect::<Vec<usize>>(), "chunks={chunks}");
-        }
-    }
-
-    #[test]
-    fn map_disjoint_mut_fills_every_slot_once() {
-        let n = 57usize;
-        for chunks in [1usize, 3, 7] {
-            let cuts = even_cuts(n, chunks);
-            let mut out = vec![0usize; n];
-            let sums = map_disjoint_mut(&mut out, &cuts, |t, chunk| {
-                for (i, v) in chunk.iter_mut().enumerate() {
-                    *v = cuts[t] + i + 1;
-                }
-                chunk.iter().sum::<usize>()
-            });
-            assert_eq!(out, (1..=n).collect::<Vec<usize>>());
-            assert_eq!(sums.iter().sum::<usize>(), n * (n + 1) / 2);
         }
     }
 }

@@ -77,6 +77,7 @@
 use crate::maintained::{BoundsTable, MemoCell, MemoTotals, VdBounds};
 use crate::reward::Cash;
 use crate::solicit::{validate_upload, UploadError, VideoUpload};
+use crate::trustrank::CsrGraph;
 use crate::types::{MinuteId, VpId, MAX_NEIGHBORS};
 use crate::upload::AnonymousSubmission;
 use crate::viewmap::{Site, Viewmap, ViewmapConfig};
@@ -831,7 +832,7 @@ impl ViewMapServer {
         let Some((survivors, memo)) = snapshot else {
             return Viewmap {
                 vps: Vec::new(),
-                adj: Vec::new(),
+                graph: CsrGraph::from_adj(&[]),
                 trusted: Vec::new(),
                 minute,
             };

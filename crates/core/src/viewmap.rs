@@ -34,7 +34,7 @@
 //! through `vm_crypto`'s multi-buffer SHA-256).
 
 use crate::maintained::{Admitted, MaintainedViewmap};
-use crate::trustrank::{self, Verification};
+use crate::trustrank::{self, CsrGraph, Verification};
 use crate::types::{GeoPos, MinuteId, VpId, DSRC_RADIUS_M, SECONDS_PER_VP};
 use crate::vp::StoredVp;
 use std::sync::Arc;
@@ -83,8 +83,9 @@ impl Site {
 pub struct Viewmap {
     /// Member VPs (indices are node ids), shared with the server DB.
     pub vps: Vec<Arc<StoredVp>>,
-    /// Symmetric adjacency lists (viewlinks).
-    pub adj: Vec<Vec<usize>>,
+    /// The viewlinks (symmetric); [`build`](Self::build) and the
+    /// server's memo write each row ascending by member index.
+    pub graph: CsrGraph,
     /// Indices of trusted member VPs.
     pub trusted: Vec<usize>,
     /// The minute this viewmap covers.
@@ -147,7 +148,7 @@ impl Viewmap {
 
     /// Number of viewlinks (undirected edges).
     pub fn edge_count(&self) -> usize {
-        self.adj.iter().map(|n| n.len()).sum::<usize>() / 2
+        self.graph.directed_edge_count() / 2
     }
 
     /// Fraction of members with at least one viewlink (Fig. 22f).
@@ -155,7 +156,9 @@ impl Viewmap {
         if self.vps.is_empty() {
             return 0.0;
         }
-        let connected = self.adj.iter().filter(|n| !n.is_empty()).count();
+        let connected = (0..self.len())
+            .filter(|&v| self.graph.degree(v) > 0)
+            .count();
         connected as f64 / self.vps.len() as f64
     }
 
@@ -170,16 +173,10 @@ impl Viewmap {
     }
 
     /// Run Algorithm 1 against an investigation site; returns the
-    /// verification outcome plus the marked VP identifiers.
-    pub fn verify(&self, site: &Site, cfg: &ViewmapConfig) -> (Verification, Vec<VpId>) {
-        let (v, ids, _) = self.verify_counted(site, cfg);
-        (v, ids)
-    }
-
-    /// As [`verify`](Self::verify), also returning the TrustRank
+    /// verification outcome, the marked VP identifiers and the TrustRank
     /// iteration count (0 when there is no trusted anchor to seed the
-    /// power method). The server's investigation paths record it into
-    /// the telemetry registry.
+    /// power method). The server's investigation paths record the count
+    /// into the telemetry registry.
     pub fn verify_counted(
         &self,
         site: &Site,
@@ -196,12 +193,7 @@ impl Viewmap {
                 0,
             )
         } else {
-            trustrank::verify_site_csr_iter(
-                &trustrank::CsrGraph::from_adj(&self.adj),
-                &self.trusted,
-                &site_idx,
-                cfg.damping,
-            )
+            trustrank::verify_site(&self.graph, &self.trusted, &site_idx, cfg.damping)
         };
         let ids = v.legitimate.iter().map(|&i| self.vps[i].id).collect();
         (v, ids, iterations)
@@ -632,7 +624,7 @@ mod tests {
         let site = site_at(7.0 * 150.0, 160.0);
         let cfg = ViewmapConfig::default();
         let vm = Viewmap::build(&arcs(vps), site, MinuteId(0), &cfg);
-        let (v, ids) = vm.verify(&site, &cfg);
+        let (v, ids, _) = vm.verify_counted(&site, &cfg);
         assert!(v.top.is_some());
         assert!(!ids.is_empty());
         // The marked VPs genuinely claim positions in the site.
@@ -658,7 +650,7 @@ mod tests {
             .iter()
             .position(|vp| vp.start_loc().y == 10.0)
             .unwrap();
-        assert!(vm.adj[solo].is_empty(), "stranger must have no viewlinks");
+        assert_eq!(vm.graph.degree(solo), 0, "stranger must have no viewlinks");
         assert!(vm.member_connectivity() < 1.0);
     }
 
@@ -705,7 +697,7 @@ mod tests {
         let site = site_at(450.0, 200.0);
         let cfg = ViewmapConfig::default();
         let vm = Viewmap::build(&arcs(vps), site, MinuteId(0), &cfg);
-        let (v, ids) = vm.verify(&site, &cfg);
+        let (v, ids, _) = vm.verify_counted(&site, &cfg);
         assert_eq!(v.top, None);
         assert!(ids.is_empty());
     }
@@ -719,9 +711,12 @@ mod tests {
             MinuteId(0),
             &ViewmapConfig::default(),
         );
-        for (i, nbrs) in vm.adj.iter().enumerate() {
-            for &j in nbrs {
-                assert!(vm.adj[j].contains(&i), "edge {i}-{j} not symmetric");
+        for i in 0..vm.len() {
+            for &j in vm.graph.neighbors(i) {
+                assert!(
+                    vm.graph.neighbors(j as usize).contains(&(i as u32)),
+                    "edge {i}-{j} not symmetric"
+                );
             }
         }
     }
@@ -785,7 +780,11 @@ mod tests {
                     .min_aligned_distance(&vm.vps[j])
                     .is_some_and(|d| d <= cfg.dsrc_radius_m);
                 let expect = close && vm.vps[i].mutually_linked(&vm.vps[j]);
-                assert_eq!(vm.adj[i].contains(&j), expect, "edge {i}-{j}");
+                assert_eq!(
+                    vm.graph.neighbors(i).contains(&(j as u32)),
+                    expect,
+                    "edge {i}-{j}"
+                );
             }
         }
     }
@@ -807,7 +806,7 @@ mod tests {
                         .min_aligned_distance(&vm.vps[j])
                         .is_some_and(|d| d <= cfg.dsrc_radius_m);
                     let expect = close && vm.vps[i].mutually_linked(&vm.vps[j]);
-                    let got = vm.adj[i].contains(&j);
+                    let got = vm.graph.neighbors(i).contains(&(j as u32));
                     assert_eq!(got, expect, "seed {seed}: edge {i}-{j} mismatch");
                 }
             }

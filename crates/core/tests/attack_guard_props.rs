@@ -56,8 +56,9 @@ proptest! {
             },
             &mut rng,
         );
-        let scores = trustrank::trust_scores(
-            &map.adj, &[map.trusted], trustrank::DAMPING, 1e-10,
+        let graph = trustrank::CsrGraph::from_adj(&map.adj);
+        let (scores, _) = trustrank::trust_scores(
+            &graph, &[map.trusted], trustrank::DAMPING, 1e-10, 1000,
         );
         let is_fake: Vec<bool> = map.legit.iter().map(|&l| !l).collect();
         let fake_total: f64 = scores
@@ -66,7 +67,7 @@ proptest! {
             .filter(|(_, &f)| f)
             .map(|(s, _)| *s)
             .sum();
-        let bound = lemma2_bound(&map.adj, &scores, &attackers, &is_fake);
+        let bound = lemma2_bound(&graph, &scores, &attackers, &is_fake);
         prop_assert!(
             fake_total <= bound + 1e-9,
             "Lemma 2 violated at seed {seed}: fake total {fake_total} > bound {bound}"

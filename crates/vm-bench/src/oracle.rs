@@ -19,7 +19,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
 use viewmap_core::server::ViewMapServer;
-use viewmap_core::trustrank::Verification;
+use viewmap_core::trustrank::{CsrGraph, Verification};
 use viewmap_core::types::{GeoPos, MinuteId};
 use viewmap_core::viewmap::{Site, Viewmap, ViewmapConfig};
 use viewmap_core::vp::StoredVp;
@@ -114,7 +114,7 @@ pub fn naive_build(
         .collect();
     Viewmap {
         vps,
-        adj,
+        graph: CsrGraph::from_adj(&adj),
         trusted,
         minute,
     }
@@ -132,7 +132,8 @@ pub fn naive_verify(vm: &Viewmap, site: &Site, cfg: &ViewmapConfig) -> Verificat
             legitimate: Vec::new(),
         };
     }
-    let (scores, _) = trust_scores_reference(&vm.adj, &vm.trusted, cfg.damping, 1e-10, 1000);
+    let adj = adjacency_lists(&vm.graph);
+    let (scores, _) = trust_scores_reference(&adj, &vm.trusted, cfg.damping, 1e-10, 1000);
     let top = site_idx.iter().copied().max_by(|&a, &b| {
         scores[a]
             .partial_cmp(&scores[b])
@@ -147,7 +148,7 @@ pub fn naive_verify(vm: &Viewmap, site: &Site, cfg: &ViewmapConfig) -> Verificat
         queue.push_back(u);
         while let Some(v) = queue.pop_front() {
             legitimate.push(v);
-            for &w in &vm.adj[v] {
+            for &w in &adj[v] {
                 if in_site.contains(&w) && seen.insert(w) {
                     queue.push_back(w);
                 }
@@ -162,8 +163,16 @@ pub fn naive_verify(vm: &Viewmap, site: &Site, cfg: &ViewmapConfig) -> Verificat
     }
 }
 
+/// The list form of a graph: row `v` holds `g.neighbors(v)` in order.
+/// What the scatter reference and the attack testbed take as input.
+pub fn adjacency_lists(g: &CsrGraph) -> Vec<Vec<usize>> {
+    (0..g.len())
+        .map(|v| g.neighbors(v).iter().map(|&u| u as usize).collect())
+        .collect()
+}
+
 /// The pre-CSR scatter TrustRank over adjacency lists: semantically
-/// identical to `viewmap_core::trustrank::trust_scores_iter` up to
+/// identical to `viewmap_core::trustrank::trust_scores` up to
 /// floating-point summation order. Returns the scores and the iteration
 /// count.
 pub fn trust_scores_reference(
@@ -215,8 +224,9 @@ pub fn trust_scores_reference(
 /// the 100k topology pin records.
 pub fn edge_checksum(vm: &Viewmap) -> u64 {
     let mut sum = 0u64;
-    for (i, nbrs) in vm.adj.iter().enumerate() {
-        for &j in nbrs {
+    for i in 0..vm.len() {
+        for &j in vm.graph.neighbors(i) {
+            let j = j as usize;
             if j > i {
                 sum = sum.wrapping_add((i as u64).wrapping_mul(1_000_003) ^ (j as u64));
             }
@@ -283,7 +293,7 @@ mod tests {
     use super::*;
     use crate::worlds::{random_graph, SynthWorld};
     use rand::Rng;
-    use viewmap_core::trustrank::trust_scores_iter;
+    use viewmap_core::trustrank::trust_scores;
 
     #[test]
     fn optimized_build_matches_naive_build() {
@@ -297,14 +307,14 @@ mod tests {
         assert_eq!(fast.len(), naive.len());
         assert_eq!(fast.edge_count(), naive.edge_count());
         for i in 0..fast.len() {
-            let mut a = fast.adj[i].clone();
-            let mut b = naive.adj[i].clone();
+            let mut a = fast.graph.neighbors(i).to_vec();
+            let mut b = naive.graph.neighbors(i).to_vec();
             a.sort_unstable();
             b.sort_unstable();
             assert_eq!(a, b, "edge lists differ at node {i}");
         }
         // And verification agrees end to end.
-        let (v_fast, _) = fast.verify(&w.site, &cfg);
+        let (v_fast, _, _) = fast.verify_counted(&w.site, &cfg);
         let v_naive = naive_verify(&naive, &w.site, &cfg);
         assert_eq!(v_fast.top, v_naive.top);
         assert_eq!(v_fast.legitimate, v_naive.legitimate);
@@ -326,7 +336,8 @@ mod tests {
             let damping = rng.gen_range(0.5f64..0.95);
 
             let (reference, it_ref) = trust_scores_reference(&adj, &seeds, damping, 1e-13, 1000);
-            let (csr, it_csr) = trust_scores_iter(&adj, &seeds, damping, 1e-13, 1000);
+            let (csr, it_csr) =
+                trust_scores(&CsrGraph::from_adj(&adj), &seeds, damping, 1e-13, 1000);
             assert_eq!(reference.len(), csr.len());
             let diff = reference
                 .iter()

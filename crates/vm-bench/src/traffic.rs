@@ -101,7 +101,7 @@ pub fn to_attack_map(vm: &Viewmap, site_radius_m: f64, rng: &mut StdRng) -> Synt
     let candidates: Vec<usize> = (0..vm.vps.len()).filter(|i| !vm.vps[*i].trusted).collect();
     let center = pos[candidates[rng.gen_range(0..candidates.len())]];
     SyntheticViewmap {
-        adj: vm.adj.clone(),
+        adj: crate::oracle::adjacency_lists(&vm.graph),
         pos,
         legit: vec![true; vm.vps.len()],
         trusted: vm.trusted.first().copied().unwrap_or(0),
@@ -141,8 +141,9 @@ pub fn traffic_accuracy(vm: &Viewmap, attack: &AttackConfig, runs: usize, seed: 
 /// Fig. 21: render the viewmap's viewlink density as an ASCII grid.
 pub fn render_ascii(vm: &Viewmap, cols: usize, rows: usize, extent_m: f64) -> String {
     let mut counts = vec![0usize; cols * rows];
-    for (i, nbrs) in vm.adj.iter().enumerate() {
-        for &j in nbrs {
+    for i in 0..vm.len() {
+        for &j in vm.graph.neighbors(i) {
+            let j = j as usize;
             if j < i {
                 continue;
             }

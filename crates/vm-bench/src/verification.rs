@@ -192,7 +192,12 @@ pub fn ablation_damping(
                 let mut map = generate_populated(params, &mut rng);
                 map.inject_attack(&cfg, &mut rng);
                 let site = map.site_members();
-                let v = trustrank::verify_site(&map.adj, &[map.trusted], &site, d);
+                let (v, _) = trustrank::verify_site(
+                    &trustrank::CsrGraph::from_adj(&map.adj),
+                    &[map.trusted],
+                    &site,
+                    d,
+                );
                 let top_ok = v.top.map(|t| map.legit[t]).unwrap_or(false);
                 let no_fake = v.legitimate.iter().all(|&i| map.legit[i]);
                 if top_ok && no_fake {

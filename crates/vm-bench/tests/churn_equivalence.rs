@@ -136,7 +136,7 @@ fn assert_identical(got: &Viewmap, cold: &Viewmap, ctx: &str) {
     for (i, (g, c)) in got.vps.iter().zip(&cold.vps).enumerate() {
         assert!(Arc::ptr_eq(g, c), "{ctx}: member {i} is another allocation");
     }
-    assert_eq!(got.adj, cold.adj, "{ctx}: adjacency rows");
+    assert_eq!(got.graph, cold.graph, "{ctx}: adjacency rows");
     assert_eq!(got.trusted, cold.trusted, "{ctx}: trusted indices");
 }
 
@@ -154,10 +154,14 @@ fn probe(srv: &ViewMapServer, minute: MinuteId, site: Site, cfg: &ViewmapConfig,
     for (i, (g, n)) in got.vps.iter().zip(&naive.vps).enumerate() {
         assert!(Arc::ptr_eq(g, n), "{ctx}: naive member {i}");
     }
-    for (i, (row, naive_row)) in got.adj.iter().zip(&naive.adj).enumerate() {
-        let mut naive_row = naive_row.clone();
+    for i in 0..got.len() {
+        let mut naive_row = naive.graph.neighbors(i).to_vec();
         naive_row.sort_unstable();
-        assert_eq!(row, &naive_row, "{ctx}: naive edges of member {i}");
+        assert_eq!(
+            got.graph.neighbors(i),
+            naive_row,
+            "{ctx}: naive edges of member {i}"
+        );
     }
     if srv.vp_count(minute) == 0 {
         assert!(!srv.has_maintained(minute), "{ctx}: no bucket, no memo");
@@ -168,8 +172,8 @@ fn probe(srv: &ViewMapServer, minute: MinuteId, site: Site, cfg: &ViewmapConfig,
 
     // TrustRank outcomes, bit for bit: identical graphs must produce
     // identical score vectors, top pick, and legitimate set.
-    let (vc, cold_ids) = cold.verify(&site, cfg);
-    let (vg, _) = got.verify(&site, cfg);
+    let (vc, cold_ids, _) = cold.verify_counted(&site, cfg);
+    let (vg, _, _) = got.verify_counted(&site, cfg);
     assert_eq!(vc.scores.len(), vg.scores.len(), "{ctx}: score length");
     for (i, (a, b)) in vc.scores.iter().zip(&vg.scores).enumerate() {
         assert_eq!(a.to_bits(), b.to_bits(), "{ctx}: score bits at {i}");
@@ -476,7 +480,7 @@ fn two_writers_and_two_investigators_on_one_hot_minute() {
             while !done.load(Ordering::SeqCst) {
                 let site = random_site(&mut site_rng, 0);
                 let got = srv.build_viewmap(minute, site);
-                assert_eq!(got.adj.len(), got.len());
+                assert_eq!(got.graph.len(), got.len());
                 srv.investigate(minute, site);
             }
         });

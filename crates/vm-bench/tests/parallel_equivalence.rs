@@ -14,17 +14,16 @@
 //!   city-scale viewmap topology.
 
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use std::sync::Arc;
 use viewmap_core::maintained::{Admitted, MaintainedViewmap};
 use viewmap_core::server::ViewMapServer;
-use viewmap_core::trustrank::{trust_scores_csr_threads, CsrGraph, DAMPING};
 use viewmap_core::types::{GeoPos, MinuteId};
 use viewmap_core::upload::AnonymousSubmission;
 use viewmap_core::viewmap::{Site, Viewmap, ViewmapConfig};
 use viewmap_core::vp::StoredVp;
 use vm_bench::oracle::edge_checksum;
-use vm_bench::worlds::{random_graph, SynthWorld};
+use vm_bench::worlds::SynthWorld;
 
 /// Assert two viewmaps are bit-for-bit the same construction.
 fn assert_identical(a: &Viewmap, b: &Viewmap, ctx: &str) {
@@ -33,8 +32,8 @@ fn assert_identical(a: &Viewmap, b: &Viewmap, ctx: &str) {
     assert_eq!(a.minute, b.minute, "{ctx}: minute");
     for i in 0..a.len() {
         assert_eq!(a.vps[i].id, b.vps[i].id, "{ctx}: member order at {i}");
-        assert_eq!(a.adj[i], b.adj[i], "{ctx}: adjacency at node {i}");
     }
+    assert_eq!(a.graph, b.graph, "{ctx}: adjacency rows");
 }
 
 /// Build with `Viewmap::build` and require exactly the edges an O(n²)
@@ -45,7 +44,7 @@ fn assert_exhaustive(vps: &[Arc<StoredVp>], site: Site, minute: MinuteId, ctx: &
     let vm = Viewmap::build(vps, site, minute, &cfg);
     for i in 0..vm.len() {
         assert!(
-            vm.adj[i].windows(2).all(|w| w[0] < w[1]),
+            vm.graph.neighbors(i).windows(2).all(|w| w[0] < w[1]),
             "{ctx}: row {i} not ascending"
         );
         for j in (i + 1)..vm.len() {
@@ -54,7 +53,7 @@ fn assert_exhaustive(vps: &[Arc<StoredVp>], site: Site, minute: MinuteId, ctx: &
                 .is_some_and(|d| d <= cfg.dsrc_radius_m);
             let expect = close && vm.vps[i].mutually_linked(&vm.vps[j]);
             assert_eq!(
-                vm.adj[i].contains(&j),
+                vm.graph.neighbors(i).contains(&(j as u32)),
                 expect,
                 "{ctx}: edge {i}-{j} disagrees with oracle"
             );
@@ -179,35 +178,6 @@ fn parallel_build_matches_exhaustive_oracle() {
     let w = SynthWorld::generate(250, 53);
     let vm = assert_exhaustive(&arcs(&w.vps), w.site, w.minute, "whole world");
     assert_eq!(vm.len(), w.vps.len());
-}
-
-// ── Parallel TrustRank ────────────────────────────────────────────────
-
-#[test]
-fn parallel_trust_scores_match_serial_bit_for_bit() {
-    for seed in 0..6u64 {
-        let mut rng = StdRng::seed_from_u64(2000 + seed);
-        let n = rng.gen_range(10usize..300);
-        let adj = random_graph(&mut rng, n, 6.0, seed % 2 == 0);
-        let g = CsrGraph::from_adj(&adj);
-        let seeds = [0usize];
-        let (serial, _) = trust_scores_csr_threads(&g, &seeds, DAMPING, 1e-13, 1000, 1);
-        for threads in [2, 3, 4, 7] {
-            let (par, _) = trust_scores_csr_threads(&g, &seeds, DAMPING, 1e-13, 1000, threads);
-            // Per-node gather order is identical, so scores must agree
-            // exactly; only the early-exit delta is reassembled from
-            // partials, which can shift the stop iteration within eps.
-            let diff = serial
-                .iter()
-                .zip(&par)
-                .map(|(x, y)| (x - y).abs())
-                .fold(0.0, f64::max);
-            assert!(
-                diff <= 1e-13,
-                "threads={threads}: parallel diverged by {diff}"
-            );
-        }
-    }
 }
 
 // ── Batch ingest vs sequential submits ─────────────────────────────────
@@ -344,9 +314,10 @@ fn hundred_k_tier_topology_pinned_to_seed_42() {
     // Sampled viewlinks: degree and first/last neighbor of a spread of
     // members (adjacency is in ascending neighbor order per node).
     for (node, degree, first, last) in SAMPLED_ADJACENCY {
-        assert_eq!(vm.adj[node].len(), degree, "degree of node {node}");
-        assert_eq!(vm.adj[node].first(), Some(&first), "node {node} first");
-        assert_eq!(vm.adj[node].last(), Some(&last), "node {node} last");
+        let row = vm.graph.neighbors(node);
+        assert_eq!(vm.graph.degree(node), degree, "degree of node {node}");
+        assert_eq!(row.first(), Some(&(first as u32)), "node {node} first");
+        assert_eq!(row.last(), Some(&(last as u32)), "node {node} last");
     }
 
     // ── Incremental delta pin ───────────────────────────────────────
@@ -388,9 +359,10 @@ fn hundred_k_tier_topology_pinned_to_seed_42() {
     // members' adjacency is untouched by the splice — the sampled rows
     // must still hold verbatim on the grown graph.
     for (node, degree, first, last) in SAMPLED_ADJACENCY {
-        assert_eq!(grown.adj[node].len(), degree, "grown degree of {node}");
-        assert_eq!(grown.adj[node].first(), Some(&first), "grown {node} first");
-        assert_eq!(grown.adj[node].last(), Some(&last), "grown {node} last");
+        let row = grown.graph.neighbors(node);
+        assert_eq!(grown.graph.degree(node), degree, "grown degree of {node}");
+        assert_eq!(row.first(), Some(&(first as u32)), "grown {node} first");
+        assert_eq!(row.last(), Some(&(last as u32)), "grown {node} last");
     }
 }
 

@@ -169,7 +169,7 @@ pub(crate) fn rural_sparse(rig: &mut Rig, profile: &FaultProfile) -> Result<RunR
                 mw.mean_neighbors
             );
             let vm = srv.build_viewmap(MinuteId(m as u64), sim.site);
-            isolated += vm.adj.iter().filter(|nbrs| nbrs.is_empty()).count();
+            isolated += (0..vm.len()).filter(|&i| vm.graph.degree(i) == 0).count();
             // Guard accounting: the population is exactly the actual
             // VPs plus the guards the sim created for this minute.
             ensure!(
@@ -335,7 +335,8 @@ fn lemma2_holds(srv: &ViewMapServer, attack: &AttackWorld, aimed: bool) -> Resul
         vm.len(),
         attack.vps.len()
     );
-    let scores = trustrank::trust_scores(&vm.adj, &vm.trusted, trustrank::DAMPING, 1e-10);
+    let (scores, _) =
+        trustrank::trust_scores(&vm.graph, &vm.trusted, trustrank::DAMPING, 1e-10, 1000);
     let mut attackers = Vec::new();
     let mut is_fake = vec![false; vm.len()];
     for (i, vp) in vm.vps.iter().enumerate() {
@@ -350,9 +351,10 @@ fn lemma2_holds(srv: &ViewMapServer, attack: &AttackWorld, aimed: bool) -> Resul
     );
     // Fakes must never link to honest VPs (their Blooms cannot be
     // countersigned): verified on the engine-built adjacency.
-    for (i, nbrs) in vm.adj.iter().enumerate() {
+    for i in 0..vm.len() {
         if is_fake[i] {
-            for &j in nbrs {
+            for &j in vm.graph.neighbors(i) {
+                let j = j as usize;
                 ensure!(
                     is_fake[j] || attackers.contains(&j),
                     "fake VP linked to an honest VP in the served viewmap"
@@ -364,7 +366,7 @@ fn lemma2_holds(srv: &ViewMapServer, attack: &AttackWorld, aimed: bool) -> Resul
         .filter(|&i| is_fake[i])
         .map(|i| scores[i])
         .sum();
-    let bound = lemma2_bound(&vm.adj, &scores, &attackers, &is_fake);
+    let bound = lemma2_bound(&vm.graph, &scores, &attackers, &is_fake);
     ensure!(
         fake_total <= bound + 1e-9,
         "lemma 2 violated: fake trust {fake_total:.6} > bound {bound:.6}"
@@ -380,7 +382,7 @@ fn lemma2_holds(srv: &ViewMapServer, attack: &AttackWorld, aimed: bool) -> Resul
     if aimed {
         // The forged trajectory runs through the site, yet the
         // top-scored site VP must remain honest.
-        let (v, _) = vm.verify(&attack.site, &ViewmapConfig::default());
+        let (v, _, _) = vm.verify_counted(&attack.site, &ViewmapConfig::default());
         let top = v.top.ok_or("forged-trajectory site is empty")?;
         ensure!(
             !is_fake[top],

@@ -510,9 +510,9 @@ mod tests {
             world.fake_ids.union(&world.attacker_ids).copied().collect();
         for (i, vp) in vm.vps.iter().enumerate() {
             if world.fake_ids.contains(&vp.id) {
-                for &j in &vm.adj[i] {
+                for &j in vm.graph.neighbors(i) {
                     assert!(
-                        controlled.contains(&vm.vps[j].id),
+                        controlled.contains(&vm.vps[j as usize].id),
                         "fake linked to an honest VP"
                     );
                 }

@@ -85,7 +85,7 @@ fn main() {
         vm.member_connectivity() * 100.0
     );
 
-    let (verification, solicited) = vm.verify(&site, &cfg_vm);
+    let (verification, solicited, _) = vm.verify_counted(&site, &cfg_vm);
     println!(
         "site members: {}, marked legitimate: {}",
         vm.site_members(&site).len(),

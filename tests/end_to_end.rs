@@ -233,7 +233,7 @@ fn fake_vps_cannot_enter_an_honest_viewmap() {
     assert!(fake_idx.is_some(), "fake should be admitted as a member");
     // ... but has no viewlinks: honest blooms never heard it.
     assert!(
-        vm.adj[fake_idx.unwrap()].is_empty(),
+        vm.graph.degree(fake_idx.unwrap()) == 0,
         "two-way check must isolate the fake"
     );
     let solicited = server.investigate(MinuteId(0), site);
@@ -276,13 +276,13 @@ fn wire_investigations_equal_the_cold_oracle_through_a_minutes_life() {
     let check = |client: &mut VmClient, s: Site, ctx: &str| {
         let cold = Viewmap::build(&server.minute_vps(minute), s, minute, &cfg);
         let wire = client.investigate(minute, s).expect("wire investigation");
-        assert_eq!(wire, cold.verify(&s, &cfg).1, "{ctx}: wire reply");
+        assert_eq!(wire, cold.verify_counted(&s, &cfg).1, "{ctx}: wire reply");
         let got = server.build_viewmap(minute, s);
         assert_eq!(got.len(), cold.len(), "{ctx}: member count");
         for (g, c) in got.vps.iter().zip(&cold.vps) {
             assert!(std::sync::Arc::ptr_eq(g, c), "{ctx}: member allocation");
         }
-        assert_eq!(got.adj, cold.adj, "{ctx}: adjacency rows");
+        assert_eq!(got.graph, cold.graph, "{ctx}: adjacency rows");
         assert_eq!(got.trusted, cold.trusted, "{ctx}: trusted indices");
         wire
     };

@@ -168,7 +168,7 @@ proptest! {
 
     #[test]
     fn trustrank_scores_bounded_and_seeded(n in 2usize..40, edges in proptest::collection::vec((0usize..40, 0usize..40), 1..120)) {
-        use viewmap::core::trustrank::trust_scores;
+        use viewmap::core::trustrank::{trust_scores, CsrGraph};
         let mut adj = vec![Vec::new(); n];
         for &(a, b) in &edges {
             let (a, b) = (a % n, b % n);
@@ -177,7 +177,7 @@ proptest! {
                 adj[b].push(a);
             }
         }
-        let scores = trust_scores(&adj, &[0], 0.8, 1e-10);
+        let (scores, _) = trust_scores(&CsrGraph::from_adj(&adj), &[0], 0.8, 1e-10, 1000);
         for &s in &scores {
             prop_assert!((0.0..=1.0 + 1e-9).contains(&s));
         }
