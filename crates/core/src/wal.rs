@@ -49,9 +49,10 @@ pub trait VpWal: Send + Sync {
     /// retention). Returns the number of minute buckets removed.
     fn evict_minutes_before(&self, cutoff: MinuteId) -> std::io::Result<usize>;
 
-    /// Flush any buffered state to the OS (and to stable media if the
-    /// backend's policy requires it). Called on graceful shutdown paths;
-    /// a correct backend is already consistent without it.
+    /// Put every record appended before the call on stable media by the
+    /// time it returns. Called on graceful shutdown and before a
+    /// follower's promotion; a correct backend is already
+    /// crash-consistent without it, only not power-loss durable.
     fn sync(&self) -> std::io::Result<()> {
         Ok(())
     }

@@ -43,7 +43,7 @@ use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::sync::{Condvar, Mutex as StdMutex};
 use std::time::Duration;
 use viewmap_core::server::ViewMapServer;
@@ -96,8 +96,7 @@ struct FollowerSession {
     stream: TcpStream,
     ack: Arc<AckCell>,
     alive: Arc<AtomicBool>,
-    /// Per-session telemetry (`None` on an unbound hub).
-    obs: Option<Arc<SessionObs>>,
+    obs: Arc<SessionObs>,
 }
 
 /// Bound on the per-session `(op, cumulative bytes)` ledger; a follower
@@ -122,9 +121,9 @@ struct SessionObs {
     lag_bytes: Arc<Gauge>,
 }
 
-/// The hub's instrument set, registered on the primary's registry by
-/// [`ReplHub::bind_obs`] so one `STATS` snapshot covers the shipping
-/// side too.
+/// The hub's instrument set, registered on the primary server's
+/// registry at [`ReplHub::spawn`] so one `STATS` snapshot covers the
+/// shipping side too.
 struct HubMetrics {
     registry: Arc<Registry>,
     /// Socket-write time of one broadcast op across all followers.
@@ -172,19 +171,20 @@ pub struct ReplHub {
     stream: Mutex<StreamState>,
     shutdown: AtomicBool,
     threads: Mutex<Vec<std::thread::JoinHandle<()>>>,
-    /// Telemetry, bound once (idempotently) by [`ReplHub::bind_obs`].
-    obs: OnceLock<HubMetrics>,
+    metrics: HubMetrics,
     /// Label source for per-follower lag gauges.
     next_follower_id: AtomicU64,
 }
 
 impl ReplHub {
     /// Bind `listen_addr` and start accepting followers that will be
-    /// caught up from the segment directory `dir`.
+    /// caught up from the segment directory `dir`, with the hub's
+    /// telemetry on `obs` (the primary server's registry).
     pub fn spawn(
         dir: impl AsRef<Path>,
         listen_addr: impl ToSocketAddrs,
         cfg: ReplicationConfig,
+        obs: &Arc<Registry>,
     ) -> std::io::Result<Arc<ReplHub>> {
         let listener = TcpListener::bind(listen_addr)?;
         let addr = listener.local_addr()?;
@@ -198,7 +198,7 @@ impl ReplHub {
             }),
             shutdown: AtomicBool::new(false),
             threads: Mutex::new(Vec::new()),
-            obs: OnceLock::new(),
+            metrics: HubMetrics::register(obs),
             next_follower_id: AtomicU64::new(1),
         });
         let accept_hub = Arc::clone(&hub);
@@ -223,26 +223,17 @@ impl ReplHub {
         self.addr
     }
 
-    /// Bind the hub's telemetry to `obs` (normally the primary server's
-    /// registry — [`Primary::open`] does this). Idempotent; later calls
-    /// are ignored. Sessions admitted before the bind ship unmetered.
-    pub fn bind_obs(&self, obs: &Arc<Registry>) {
-        let _ = self.obs.set(HubMetrics::register(obs));
-    }
-
     /// Drop dead sessions, counting and journaling the detaches.
     fn prune_dead(&self, state: &mut StreamState) {
         let before = state.sessions.len();
         state.sessions.retain(|s| s.alive.load(Ordering::Acquire));
         let dropped = before - state.sessions.len();
         if dropped > 0 {
-            if let Some(h) = self.obs.get() {
-                h.follower_detaches.add(dropped as u64);
-                h.registry.journal().record(
-                    "follower_detached",
-                    format!("{dropped} follower session(s) detached"),
-                );
-            }
+            self.metrics.follower_detaches.add(dropped as u64);
+            self.metrics.registry.journal().record(
+                "follower_detached",
+                format!("{dropped} follower session(s) detached"),
+            );
         }
     }
 
@@ -250,7 +241,7 @@ impl ReplHub {
     /// `state.next_op`, ledgered for `target` (a catch-up session not
     /// yet registered) or for every registered session.
     fn note_ship(&self, state: &StreamState, bytes: u64, target: Option<&SessionObs>) {
-        let Some(h) = self.obs.get() else { return };
+        let h = &self.metrics;
         h.shipped_ops.inc();
         h.next_op.set(state.next_op as i64);
         h.shipped_bytes.add(bytes as i64);
@@ -266,9 +257,7 @@ impl ReplHub {
             Some(so) => push(so),
             None => {
                 for s in &state.sessions {
-                    if let Some(so) = &s.obs {
-                        push(so);
-                    }
+                    push(&s.obs);
                 }
             }
         }
@@ -351,29 +340,28 @@ impl ReplHub {
         // then register for live shipping. Holding the lock across
         // both is what closes the catch-up/live gap (see module docs).
         let mut state = self.stream.lock();
-        let sobs = self.obs.get().map(|h| {
-            let id = self
-                .next_follower_id
-                .fetch_add(1, Ordering::Relaxed)
-                .to_string();
-            h.follower_connects.inc();
-            h.registry.journal().record(
-                "follower_connected",
-                format!("follower {id} admitted at op {}", state.next_op),
-            );
-            Arc::new(SessionObs {
-                ledger: Mutex::new(VecDeque::new()),
-                shipped_bytes: AtomicU64::new(0),
-                hub_next_op: Arc::clone(&h.next_op),
-                lag_ops: h
-                    .registry
-                    .gauge_with("vm_repl_watermark_lag_ops", &[("follower", id.as_str())]),
-                lag_bytes: h
-                    .registry
-                    .gauge_with("vm_repl_watermark_lag_bytes", &[("follower", id.as_str())]),
-            })
+        let h = &self.metrics;
+        let id = self
+            .next_follower_id
+            .fetch_add(1, Ordering::Relaxed)
+            .to_string();
+        h.follower_connects.inc();
+        h.registry.journal().record(
+            "follower_connected",
+            format!("follower {id} admitted at op {}", state.next_op),
+        );
+        let sobs = Arc::new(SessionObs {
+            ledger: Mutex::new(VecDeque::new()),
+            shipped_bytes: AtomicU64::new(0),
+            hub_next_op: Arc::clone(&h.next_op),
+            lag_ops: h
+                .registry
+                .gauge_with("vm_repl_watermark_lag_ops", &[("follower", id.as_str())]),
+            lag_bytes: h
+                .registry
+                .gauge_with("vm_repl_watermark_lag_bytes", &[("follower", id.as_str())]),
         });
-        self.catch_up(&mut state, &mut writer, &cursors, sobs.as_deref())?;
+        self.catch_up(&mut state, &mut writer, &cursors, &sobs)?;
         let ack = Arc::new(AckCell {
             acked: StdMutex::new(0),
             advanced: Condvar::new(),
@@ -383,7 +371,7 @@ impl ReplHub {
             stream,
             ack: Arc::clone(&ack),
             alive: Arc::clone(&alive),
-            obs: sobs.clone(),
+            obs: Arc::clone(&sobs),
         };
         state.sessions.push(session);
         drop(state);
@@ -404,24 +392,20 @@ impl ReplHub {
                 // Lag gauges come last: nothing below touches the ack
                 // cell or the stream mutex, so a blocked sync_ack waiter
                 // is already unblocked by the notify above.
-                if let Some(so) = &sobs {
-                    let next = so.hub_next_op.get().max(0) as u64;
-                    so.lag_ops.set(next.saturating_sub(op) as i64);
-                    let mut ledger = so.ledger.lock();
-                    while ledger.front().is_some_and(|(o, _)| *o <= op) {
-                        acked_cum = ledger.pop_front().expect("front checked").1;
-                    }
-                    drop(ledger);
-                    let shipped = so.shipped_bytes.load(Ordering::Acquire);
-                    so.lag_bytes.set(shipped.saturating_sub(acked_cum) as i64);
+                let next = sobs.hub_next_op.get().max(0) as u64;
+                sobs.lag_ops.set(next.saturating_sub(op) as i64);
+                let mut ledger = sobs.ledger.lock();
+                while ledger.front().is_some_and(|(o, _)| *o <= op) {
+                    acked_cum = ledger.pop_front().expect("front checked").1;
                 }
+                drop(ledger);
+                let shipped = sobs.shipped_bytes.load(Ordering::Acquire);
+                sobs.lag_bytes.set(shipped.saturating_sub(acked_cum) as i64);
             }
             // Zero the lag gauges so a detached follower doesn't pin a
             // stale lag in every later snapshot.
-            if let Some(so) = &sobs {
-                so.lag_ops.set(0);
-                so.lag_bytes.set(0);
-            }
+            sobs.lag_ops.set(0);
+            sobs.lag_bytes.set(0);
             alive.store(false, Ordering::Release);
             ack.advanced.notify_all();
         });
@@ -437,7 +421,7 @@ impl ReplHub {
         state: &mut StreamState,
         writer: &mut TcpStream,
         cursors: &[(u64, u64)],
-        sobs: Option<&SessionObs>,
+        sobs: &SessionObs,
     ) -> std::io::Result<()> {
         let mut minutes: Vec<MinuteId> = std::fs::read_dir(&self.dir)?
             .filter_map(|e| e.ok())
@@ -458,10 +442,8 @@ impl ReplHub {
             };
             for run in runs(&frames) {
                 state.next_op += 1;
-                if let Some(h) = self.obs.get() {
-                    h.catchup_bytes.add(run.len() as u64);
-                }
-                self.note_ship(state, run.len() as u64, sobs);
+                self.metrics.catchup_bytes.add(run.len() as u64);
+                self.note_ship(state, run.len() as u64, Some(sobs));
                 ReplMsg::Frames {
                     op: state.next_op,
                     minute: minute.0,
@@ -520,23 +502,18 @@ impl ReplHub {
     /// session — replication never fails the primary's local commit.
     fn broadcast(&self, state: &mut StreamState, msg: &ReplMsg) {
         let op = state.next_op;
-        let obs = self.obs.get();
-        let write_all = |sessions: &mut Vec<FollowerSession>| {
-            for s in sessions.iter_mut() {
+        self.metrics.ship_us.time(|| {
+            for s in &state.sessions {
                 let mut writer = &s.stream;
                 if msg.write_to(&mut writer).is_err() {
                     s.alive.store(false, Ordering::Release);
                     let _ = s.stream.shutdown(std::net::Shutdown::Both);
                 }
             }
-        };
-        match obs {
-            Some(h) => h.ship_us.time(|| write_all(&mut state.sessions)),
-            None => write_all(&mut state.sessions),
-        }
+        });
         if self.cfg.sync_ack {
-            let wait_all = |sessions: &[FollowerSession]| {
-                for s in sessions {
+            self.metrics.ack_wait_us.time(|| {
+                for s in &state.sessions {
                     if !s.alive.load(Ordering::Acquire) {
                         continue;
                     }
@@ -564,11 +541,7 @@ impl ReplHub {
                         }
                     }
                 }
-            };
-            match obs {
-                Some(h) => h.ack_wait_us.time(|| wait_all(&state.sessions)),
-                None => wait_all(&state.sessions),
-            }
+            });
         }
         self.prune_dead(state);
     }
@@ -671,11 +644,10 @@ impl Primary {
     ) -> std::io::Result<(Primary, RecoveryReport)> {
         let (mut srv, store, report) =
             vm_store::open_unattached(key, vmcfg, dir.as_ref(), store_cfg)?;
-        // Bind the hub's telemetry into the server's registry (the
-        // store's is bound already) so a single STATS snapshot covers
-        // the whole replicated cell.
-        let hub = ReplHub::spawn(dir, listen_addr, repl_cfg)?;
-        hub.bind_obs(srv.obs());
+        // The hub's telemetry goes on the server's registry (as the
+        // store's already does) so a single STATS snapshot covers the
+        // whole replicated cell.
+        let hub = ReplHub::spawn(dir, listen_addr, repl_cfg, srv.obs())?;
         srv.attach_wal(Box::new(ReplicatedWal::new(store, Arc::clone(&hub))));
         Ok((
             Primary {

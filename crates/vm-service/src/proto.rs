@@ -181,36 +181,20 @@ impl Frame {
     /// success, and `Err` when the bytes can never become a valid frame
     /// (bad magic, oversized length, checksum mismatch).
     pub fn decode(buf: &[u8]) -> Result<Option<(Frame, usize)>, FrameError> {
-        if buf.len() >= 4 && buf[..4] != FRAME_MAGIC {
-            return Err(FrameError::BadMagic);
-        }
-        if buf.len() < FRAME_HEADER_BYTES {
+        let Some((body_len, declared)) = check_header(buf)? else {
             return Ok(None);
-        }
-        let body_len = u32::from_le_bytes(buf[4..8].try_into().expect("4 bytes")) as usize;
-        if body_len > MAX_BODY_BYTES {
-            return Err(FrameError::TooLarge);
-        }
-        if body_len < BODY_PREFIX_BYTES {
-            return Err(FrameError::BadBody);
-        }
-        let total = FRAME_HEADER_BYTES + body_len;
-        if buf.len() < total {
+        };
+        let Some(body) = buf.get(FRAME_HEADER_BYTES..FRAME_HEADER_BYTES + body_len) else {
             return Ok(None);
-        }
-        let declared = u64::from_le_bytes(buf[8..16].try_into().expect("8 bytes"));
-        let body = &buf[FRAME_HEADER_BYTES..total];
-        if vm_crypto::checksum64(body) != declared {
-            return Err(FrameError::BadChecksum);
-        }
-        let request_id = u32::from_le_bytes(body[..4].try_into().expect("4 bytes"));
+        };
+        let (request_id, opcode) = check_body(body, declared)?;
         Ok(Some((
             Frame {
                 request_id,
-                opcode: body[4],
+                opcode,
                 payload: body[BODY_PREFIX_BYTES..].to_vec(),
             },
-            total,
+            FRAME_HEADER_BYTES + body_len,
         )))
     }
 
@@ -238,24 +222,12 @@ impl Frame {
             }
             filled += n;
         }
-        if header[..4] != FRAME_MAGIC {
-            return Err(invalid_data(FrameError::BadMagic));
-        }
-        let body_len = u32::from_le_bytes(header[4..8].try_into().expect("4 bytes")) as usize;
-        if body_len > MAX_BODY_BYTES {
-            return Err(invalid_data(FrameError::TooLarge));
-        }
-        if body_len < BODY_PREFIX_BYTES {
-            return Err(invalid_data(FrameError::BadBody));
-        }
-        let declared = u64::from_le_bytes(header[8..16].try_into().expect("8 bytes"));
+        let (body_len, declared) = check_header(&header)
+            .map_err(invalid_data)?
+            .expect("a whole header");
         let mut body = vec![0u8; body_len];
         r.read_exact(&mut body)?;
-        if vm_crypto::checksum64(&body) != declared {
-            return Err(invalid_data(FrameError::BadChecksum));
-        }
-        let request_id = u32::from_le_bytes(body[..4].try_into().expect("4 bytes"));
-        let opcode = body[4];
+        let (request_id, opcode) = check_body(&body, declared).map_err(invalid_data)?;
         body.drain(..BODY_PREFIX_BYTES);
         Ok(Some(Frame {
             request_id,
@@ -263,6 +235,39 @@ impl Frame {
             payload: body,
         }))
     }
+}
+
+/// The header rules both parsers apply, to the first bytes of a frame:
+/// the magic (refused as soon as its four bytes are in), then, once the
+/// whole header is, the length cap and the minimum body. Returns the
+/// declared body length and checksum, or `None` while the header is
+/// incomplete.
+fn check_header(prefix: &[u8]) -> Result<Option<(usize, u64)>, FrameError> {
+    if prefix.len() >= 4 && prefix[..4] != FRAME_MAGIC {
+        return Err(FrameError::BadMagic);
+    }
+    let Some(header) = prefix.get(..FRAME_HEADER_BYTES) else {
+        return Ok(None);
+    };
+    let body_len = u32::from_le_bytes(header[4..8].try_into().expect("4 bytes")) as usize;
+    if body_len > MAX_BODY_BYTES {
+        return Err(FrameError::TooLarge);
+    }
+    if body_len < BODY_PREFIX_BYTES {
+        return Err(FrameError::BadBody);
+    }
+    let declared = u64::from_le_bytes(header[8..16].try_into().expect("8 bytes"));
+    Ok(Some((body_len, declared)))
+}
+
+/// The body rule both parsers apply: the checksum the header declared.
+/// Returns the body's request id and opcode; the payload is the rest.
+fn check_body(body: &[u8], declared: u64) -> Result<(u32, u8), FrameError> {
+    if vm_crypto::checksum64(body) != declared {
+        return Err(FrameError::BadChecksum);
+    }
+    let request_id = u32::from_le_bytes(body[..4].try_into().expect("4 bytes"));
+    Ok((request_id, body[4]))
 }
 
 fn invalid_data(e: impl std::fmt::Display) -> std::io::Error {

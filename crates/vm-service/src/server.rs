@@ -324,16 +324,17 @@ fn worker_loop(shared: &Shared) {
                 queue = shared.queue_cv.wait(queue).expect("queue wait");
             }
         };
-        // Register a clone so shutdown can close us mid-read; retire it
-        // by token when the session ends (live stays proportional to
-        // *live* sessions, not total served). A session with no
-        // killable handle would hang shutdown on its blocking read, so
-        // a failed clone means the connection is not served at all.
+        // Register a clone so shutdown can close us mid-read; the guard
+        // retires it by token when the session ends (live stays
+        // proportional to *live* sessions, not total served). A session
+        // with no killable handle would hang shutdown on its blocking
+        // read, so a failed clone means the connection is not served at
+        // all.
         let token = shared.next_session.fetch_add(1, Ordering::Relaxed);
         let Ok(clone) = conn.try_clone() else {
             continue;
         };
-        shared.live.lock().expect("live lock").push((token, clone));
+        let session = LiveSession::register(shared, token, clone);
         // Registration races the shutdown sweep: if the sweep ran
         // before our push it missed us, but it also ran after the flag
         // was set — so re-checking the flag *after* registering closes
@@ -342,18 +343,44 @@ fn worker_loop(shared: &Shared) {
         if shared.shutdown.load(Ordering::SeqCst) {
             let _ = conn.shutdown(std::net::Shutdown::Both);
         }
-        shared.metrics.sessions_total.inc();
-        shared.metrics.sessions_active.add(1);
         let _ = serve_session(shared, token, conn);
-        shared.metrics.sessions_active.add(-1);
-        {
-            let mut live = shared.live.lock().expect("live lock");
-            if let Some(i) = live.iter().position(|(t, _)| *t == token) {
-                live.swap_remove(i);
-            }
-        }
+        drop(session);
         if shared.shutdown.load(Ordering::SeqCst) {
             return;
+        }
+    }
+}
+
+/// One served session's entry in `Shared::live` and the active-sessions
+/// gauge, undone by `drop` on every exit from the session, unwind
+/// included: a worker that panics mid-request (a durable server panics
+/// when its log fails) still shuts the socket down, so the client sees
+/// the session close instead of waiting for a reply that never comes.
+struct LiveSession<'a> {
+    shared: &'a Shared,
+    token: u64,
+}
+
+impl<'a> LiveSession<'a> {
+    fn register(shared: &'a Shared, token: u64, conn: TcpStream) -> LiveSession<'a> {
+        shared.live.lock().expect("live lock").push((token, conn));
+        shared.metrics.sessions_total.inc();
+        shared.metrics.sessions_active.add(1);
+        LiveSession { shared, token }
+    }
+}
+
+impl Drop for LiveSession<'_> {
+    fn drop(&mut self) {
+        self.shared.metrics.sessions_active.add(-1);
+        let mut live = self
+            .shared
+            .live
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        if let Some(i) = live.iter().position(|(t, _)| *t == self.token) {
+            let (_, conn) = live.swap_remove(i);
+            let _ = conn.shutdown(std::net::Shutdown::Both);
         }
     }
 }

@@ -5,7 +5,8 @@
 //! `idle_timeout` without wedging a worker, a stalled server must
 //! surface as [`ClientError::TimedOut`] (not a hang), and
 //! [`VmClient::reconnect_with_backoff`] must replace a poisoned session
-//! in place.
+//! in place, and a worker that panics mid-request must still close its
+//! session.
 
 use std::io::{BufReader, Read};
 use std::sync::Arc;
@@ -246,4 +247,67 @@ fn reconnect_with_backoff_replaces_a_poisoned_session() {
         other => panic!("expected Io error, got {other:?}"),
     }
     assert!(start.elapsed() < Duration::from_secs(5));
+}
+
+/// A log that refuses every write. A durable server panics on it: its
+/// documented answer to log I/O failure.
+struct FailingWal;
+
+impl viewmap_core::wal::VpWal for FailingWal {
+    fn append(&self, _: &[&viewmap_core::vp::StoredVp]) -> std::io::Result<()> {
+        Err(std::io::Error::other("log device gone"))
+    }
+
+    fn evict_minutes_before(&self, _: viewmap_core::types::MinuteId) -> std::io::Result<usize> {
+        Ok(0)
+    }
+}
+
+/// A worker that panics mid-request closes its session on the way out:
+/// the client sees a closed connection well before its own read
+/// deadline (not `TimedOut`), and the active-sessions gauge drops back
+/// to 0.
+#[test]
+fn a_panicking_worker_closes_its_session() {
+    use rand::SeedableRng;
+    let mut rng = rand::rngs::StdRng::seed_from_u64(3);
+    let mut srv = viewmap_core::server::ViewMapServer::new(
+        &mut rng,
+        512,
+        viewmap_core::viewmap::ViewmapConfig::default(),
+    );
+    srv.attach_wal(Box::new(FailingWal));
+    let srv = Arc::new(srv);
+    let handle = VmService::spawn(
+        Arc::clone(&srv),
+        "127.0.0.1:0",
+        ServiceConfig {
+            workers: 2,
+            idle_timeout: None,
+        },
+    )
+    .unwrap();
+
+    let mut client = VmClient::connect_with(
+        handle.addr(),
+        ClientConfig {
+            read_timeout: Some(Duration::from_secs(5)),
+            ..ClientConfig::default()
+        },
+    )
+    .unwrap();
+    let start = std::time::Instant::now();
+    match client.submit(&vm_bench::worlds::synthetic_vp(1, 0)) {
+        Err(ClientError::Io(_)) => {}
+        other => panic!("expected the session to close, got {other:?}"),
+    }
+    assert!(
+        start.elapsed() < Duration::from_secs(2),
+        "closed by the server, not by the client's deadline"
+    );
+    assert_eq!(
+        srv.obs().snapshot().gauge("vm_service_sessions_active"),
+        Some(0),
+        "the panicked session is no longer counted as active"
+    );
 }

@@ -96,8 +96,9 @@
 //!
 //! Durability policy is [`Fsync`]: `Always` fsyncs once per group
 //! commit (survives power loss), `Never` leaves flushing to the OS page
-//! cache (survives process crash; the default, and what the benchmarks
-//! measure). The RSA signing key **is** persisted, beside the segments
+//! cache until the next [`VpWal::sync`](viewmap_core::wal::VpWal::sync),
+//! which flushes every minute written since the last one (survives
+//! process crash; the default, and what the benchmarks measure). The RSA signing key **is** persisted, beside the segments
 //! as `signing.key` (see [`keyfile`]): cash verifies only against the
 //! key that minted it, so the key must outlive any single process —
 //! and must be *shared* with replication followers, whose promotion

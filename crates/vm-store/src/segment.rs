@@ -107,12 +107,6 @@ impl Frames {
         }
     }
 
-    /// Drop every frame, keeping the allocations.
-    pub fn clear(&mut self) {
-        self.bytes.clear();
-        self.ends.clear();
-    }
-
     fn start(&self, i: usize) -> usize {
         i.checked_sub(1).map_or(0, |j| self.ends[j])
     }
@@ -541,8 +535,6 @@ mod tests {
         assert_eq!(pieces, whole);
         assert_eq!(whole.ends.len(), 7);
         assert_eq!(*whole.ends.last().unwrap(), whole.bytes.len());
-        pieces.clear();
-        assert_eq!(pieces, Frames::default());
     }
 
     #[test]

@@ -8,8 +8,10 @@ use crate::segment::{
 };
 use parking_lot::Mutex;
 use rand::Rng;
+use std::collections::BTreeSet;
+use std::fs::OpenOptions;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use viewmap_core::server::ViewMapServer;
 use viewmap_core::types::MinuteId;
 use viewmap_core::viewmap::ViewmapConfig;
@@ -25,10 +27,11 @@ pub enum Fsync {
     /// durable. The group-commit batching is what keeps this affordable
     /// — one sync per batch, never one per VP.
     Always,
-    /// Leave flushing to the OS page cache: committed means
-    /// process-crash durable (the write has returned from the kernel),
-    /// but power loss may drop the tail — which recovery then truncates
-    /// cleanly. The default, and the mode the benchmarks measure.
+    /// Leave flushing to the OS page cache until the next
+    /// [`VpWal::sync`]: committed means process-crash durable (the
+    /// write has returned from the kernel), but power loss may drop the
+    /// unsynced tail — which recovery then truncates cleanly. The
+    /// default, and the mode the benchmarks measure.
     Never,
 }
 
@@ -150,21 +153,11 @@ impl RecoveryReport {
     }
 }
 
-/// Open segment writers kept warm between group commits. Minutes are
-/// ingested mostly in wall-clock order, so a tiny LRU covers the
-/// active write set; anything older is reopened on demand (cheap — the
-/// file already exists and `open` is append-mode).
-const MAX_OPEN_SEGMENTS: usize = 8;
-
-/// Batches at or above this size frame on worker threads, in parts of at
-/// most this many records (mirroring the server's batch-ingest threshold
-/// economics: below it, spawn/join overhead beats the fan-out).
+/// Batches at or above this size frame on worker threads, and every
+/// append frames in parts of at most this many records (mirroring the
+/// server's batch-ingest threshold economics: below it, spawn/join
+/// overhead beats the fan-out).
 const APPEND_PARALLEL_THRESHOLD: usize = 2048;
-
-struct WriterCache {
-    /// `(minute, writer)`, most recently used last.
-    open: Vec<(u64, SegmentWriter)>,
-}
 
 /// Exclusive ownership of a store directory, held for the store's
 /// lifetime via a `LOCK` pidfile. Two live processes appending to the
@@ -261,27 +254,25 @@ fn quarantine_path(path: &Path) -> PathBuf {
 ///
 /// Concurrency: a `LOCK` pidfile makes the store single-process (see
 /// `DirLock`); within it, the server serializes appends per minute
-/// (they happen under the minute shard's write lock) and the store's
-/// own mutexes are held only to check buffers and writers in and out,
-/// never across I/O. Retention sweeps of a minute still receiving
+/// (they happen under the minute shard's write lock), and each append
+/// opens, writes and closes its own handle on the minute's segment, so
+/// appends of different minutes overlap their framing, writes and
+/// fsyncs. The one shared structure is the set of minutes written since
+/// the last [`VpWal::sync`]; its mutex is held for one insert per
+/// append, and across the flush in `sync` and the sweep in
+/// `evict_minutes_before`. Retention sweeps of a minute still receiving
 /// traffic are the caller's race to avoid — `evict_minutes_before` is
 /// meant for minutes past the retention horizon, which by definition no
 /// longer ingest.
 pub struct VpStore {
     dir: PathBuf,
     fsync: Fsync,
-    writers: Mutex<WriterCache>,
-    /// Framing scratch: appends below `APPEND_PARALLEL_THRESHOLD`
-    /// records — every served group commit — borrow one warm buffer
-    /// instead of allocating (and page-faulting) a fresh one per batch.
-    /// Larger appends never touch it, so it stays below one threshold's
-    /// worth of records (as does every part a large append frames).
-    scratch: Mutex<Frames>,
-    /// Telemetry, bound once by [`VpStore::bind_obs`] (the durable
-    /// constructors bind the owning server's registry). Unbound stores
-    /// — unit tests, bare `VpStore::open` callers — pay one
-    /// `OnceLock::get` per append and record nothing.
-    obs: OnceLock<StoreMetrics>,
+    /// Minutes appended under [`Fsync::Never`] and not yet flushed by
+    /// [`VpWal::sync`], which drains them.
+    dirty: Mutex<BTreeSet<u64>>,
+    /// Registered on a registry of the store's own at [`VpStore::open`],
+    /// and on the owning server's by [`VpStore::bind_obs`].
+    metrics: StoreMetrics,
     /// Held for the store's lifetime; released (deleted) on drop.
     _lock: DirLock,
 }
@@ -361,9 +352,8 @@ impl VpStore {
             VpStore {
                 dir,
                 fsync: cfg.fsync,
-                writers: Mutex::new(WriterCache { open: Vec::new() }),
-                scratch: Mutex::new(Frames::default()),
-                obs: OnceLock::new(),
+                dirty: Mutex::new(BTreeSet::new()),
+                metrics: StoreMetrics::register(&Registry::new()),
                 _lock: lock,
             },
             vps,
@@ -376,20 +366,16 @@ impl VpStore {
         &self.dir
     }
 
-    /// Bind this store's telemetry to `obs` (normally the owning
+    /// Register this store's telemetry on `obs` (normally the owning
     /// server's registry, so one snapshot covers core and store
     /// together) and publish what recovery found: the report's counts
     /// become one-shot counters, and every
     /// [`RecoveryReport::warnings`] entry plus each quarantined
     /// segment lands in the event journal — observable after the fact
     /// through `STATS` long after the boot-time log line scrolled
-    /// away. Idempotent per store (later calls are ignored); the
-    /// durable constructors call it before attaching the WAL.
-    pub fn bind_obs(&self, obs: &Registry, report: &RecoveryReport) {
-        if self.obs.get().is_some() {
-            return;
-        }
-        let metrics = StoreMetrics::register(obs);
+    /// away. The durable constructors call it before attaching the WAL.
+    pub fn bind_obs(&mut self, obs: &Registry, report: &RecoveryReport) {
+        self.metrics = StoreMetrics::register(obs);
         obs.counter("vm_store_recoveries_total").inc();
         obs.counter("vm_store_recovered_segments_total")
             .add(report.segments as u64);
@@ -425,48 +411,17 @@ impl VpStore {
                 ),
             );
         }
-        let _ = self.obs.set(metrics);
-    }
-
-    /// Run `f` on the minute's segment writer. The cache mutex is held
-    /// only to check the writer out and back in — never across `f`'s
-    /// I/O — so appends of *different* minutes overlap their writes and
-    /// fsyncs. Appends of the *same* minute are already serialized by
-    /// the server (they happen under the minute shard's write lock), so
-    /// checking the writer out cannot race a same-minute append.
-    fn with_writer<T>(
-        &self,
-        minute: MinuteId,
-        f: impl FnOnce(&mut SegmentWriter) -> std::io::Result<T>,
-    ) -> std::io::Result<T> {
-        let checked_out = {
-            let mut cache = self.writers.lock();
-            cache
-                .open
-                .iter()
-                .position(|(m, _)| *m == minute.0)
-                .map(|i| cache.open.remove(i))
-        };
-        let mut entry = match checked_out {
-            Some(e) => e,
-            None => (minute.0, SegmentWriter::open(&self.dir, minute)?),
-        };
-        let result = f(&mut entry.1);
-        let mut cache = self.writers.lock();
-        cache.open.push(entry); // most recently used last
-        if cache.open.len() > MAX_OPEN_SEGMENTS {
-            cache.open.remove(0); // close the coldest handle
-        }
-        result
     }
 
     /// One group commit: frame `vps` (accepted records of one minute)
-    /// with the store's framer, write the frames, fsync them under
-    /// [`Fsync::Always`], and only then lend the exact bytes written to
-    /// `written`, part by part in write order — the replication hub
-    /// ships them as they are, so a primary encodes each record once.
-    /// `written` runs only after a successful, non-empty append;
-    /// [`VpWal::append`] is this with nobody to lend the bytes to.
+    /// with the store's framer, open the minute's segment, write the
+    /// frames, fsync them under [`Fsync::Always`] (or mark the minute
+    /// for the next [`VpWal::sync`] under [`Fsync::Never`]), close it,
+    /// and only then lend the exact bytes written to `written`, part by
+    /// part in write order — the replication hub ships them as they
+    /// are, so a primary encodes each record once. `written` runs only
+    /// after a successful, non-empty append; [`VpWal::append`] is this
+    /// with nobody to lend the bytes to.
     pub fn append_then(
         &self,
         vps: &[&StoredVp],
@@ -480,71 +435,52 @@ impl VpStore {
             vps.iter().all(|vp| vp.minute() == minute),
             "one append call spans one minute"
         );
-        let small = vps.len() < APPEND_PARALLEL_THRESHOLD;
-        let metrics = self.obs.get();
-        let commit = || {
-            // A small append frames into the retained scratch, *taken* so
-            // its mutex is held only for the swap, never across framing
-            // or I/O (a concurrent taker starts with a fresh buffer; the
-            // larger allocation wins the slot back below). A large one —
-            // a giant batch, a follower's coalesced catch-up runs —
-            // frames on workers into parts of at most
-            // APPEND_PARALLEL_THRESHOLD records, written and lent in
-            // order, never concatenated and never retained: the same
-            // bytes on any thread count, held once, only for the commit,
-            // and no framing buffer larger than the scratch's bound.
-            let parts = if small {
-                let mut frames = std::mem::take(&mut *self.scratch.lock());
-                frames.clear();
-                frames.push(vps);
-                vec![frames]
-            } else {
-                let threads = viewmap_core::par::auto_threads(vps.len(), APPEND_PARALLEL_THRESHOLD);
-                let cuts = viewmap_core::par::even_cuts(vps.len(), threads);
-                let per_worker = viewmap_core::par::map_ranges(&cuts, |_t, lo, hi| {
-                    vps[lo..hi]
-                        .chunks(APPEND_PARALLEL_THRESHOLD)
-                        .map(|chunk| {
-                            let mut part = Frames::default();
-                            part.push(chunk);
-                            part
-                        })
-                        .collect::<Vec<_>>()
-                });
-                per_worker.into_iter().flatten().collect()
-            };
-            let result = self.with_writer(minute, |w| {
-                for part in &parts {
-                    w.append(&part.bytes)?;
-                }
-                match (self.fsync, metrics) {
-                    (Fsync::Never, _) => Ok(()),
-                    (Fsync::Always, Some(m)) => m.fsync_us.time(|| w.sync()),
-                    (Fsync::Always, None) => w.sync(),
-                }
-            });
+        let (parts, result) = self.metrics.append_us.time(|| {
+            // Parts of at most APPEND_PARALLEL_THRESHOLD records, framed
+            // on workers from that size on (one part frames inline),
+            // written and lent in order, never concatenated and never
+            // retained: the same bytes on any thread count, held once,
+            // only for the commit.
+            let threads = viewmap_core::par::auto_threads(vps.len(), APPEND_PARALLEL_THRESHOLD);
+            let cuts = viewmap_core::par::even_cuts(vps.len(), threads);
+            let parts: Vec<Frames> = viewmap_core::par::map_ranges(&cuts, |_t, lo, hi| {
+                vps[lo..hi]
+                    .chunks(APPEND_PARALLEL_THRESHOLD)
+                    .map(|chunk| {
+                        let mut part = Frames::default();
+                        part.push(chunk);
+                        part
+                    })
+                    .collect::<Vec<_>>()
+            })
+            .into_iter()
+            .flatten()
+            .collect();
+            let result = self.write(minute, &parts);
             (parts, result)
-        };
-        // `Histogram::time` skips the clock entirely when telemetry is
-        // disabled, so the unbound/disabled path pays one `OnceLock::get`.
-        let (mut parts, result) = match metrics {
-            Some(m) => m.append_us.time(commit),
-            None => commit(),
-        };
-        if result.is_ok() {
-            parts.iter().for_each(written);
-            if let Some(m) = metrics {
-                m.batch_records.record(vps.len() as u64);
-                m.appended_records.add(vps.len() as u64);
+        });
+        result?;
+        parts.iter().for_each(written);
+        self.metrics.batch_records.record(vps.len() as u64);
+        self.metrics.appended_records.add(vps.len() as u64);
+        Ok(())
+    }
+
+    /// Write `parts` to the minute's segment (`SegmentWriter::open`
+    /// writes its header if the file is new) and settle the commit's
+    /// durability before the handle closes.
+    fn write(&self, minute: MinuteId, parts: &[Frames]) -> std::io::Result<()> {
+        let mut segment = SegmentWriter::open(&self.dir, minute)?;
+        for part in parts {
+            segment.append(&part.bytes)?;
+        }
+        match self.fsync {
+            Fsync::Always => self.metrics.fsync_us.time(|| segment.sync()),
+            Fsync::Never => {
+                self.dirty.lock().insert(minute.0);
+                Ok(())
             }
         }
-        if let (true, Some(frames)) = (small, parts.pop()) {
-            let mut scratch = self.scratch.lock();
-            if scratch.bytes.capacity() < frames.bytes.capacity() {
-                *scratch = frames;
-            }
-        }
-        result
     }
 }
 
@@ -554,8 +490,8 @@ impl VpWal for VpStore {
     }
 
     fn evict_minutes_before(&self, cutoff: MinuteId) -> std::io::Result<usize> {
-        let mut cache = self.writers.lock();
-        cache.open.retain(|(m, _)| *m >= cutoff.0);
+        let mut dirty = self.dirty.lock();
+        *dirty = dirty.split_off(&cutoff.0);
         let mut removed = 0usize;
         for entry in std::fs::read_dir(&self.dir)? {
             let entry = entry?;
@@ -567,16 +503,21 @@ impl VpWal for VpStore {
                 removed += 1;
             }
         }
-        if let Some(m) = self.obs.get() {
-            m.segments_evicted.add(removed as u64);
-        }
+        self.metrics.segments_evicted.add(removed as u64);
         Ok(removed)
     }
 
+    /// Fdatasync every minute appended since the last sync, dropping
+    /// each from the dirty set once its flush succeeds (a failed flush
+    /// stays for the next call).
     fn sync(&self) -> std::io::Result<()> {
-        let mut cache = self.writers.lock();
-        for (_, w) in cache.open.iter_mut() {
-            w.sync()?;
+        let mut dirty = self.dirty.lock();
+        while let Some(&minute) = dirty.first() {
+            let segment = OpenOptions::new()
+                .write(true)
+                .open(segment_path(&self.dir, MinuteId(minute)))?;
+            self.metrics.fsync_us.time(|| segment.sync_data())?;
+            dirty.remove(&minute);
         }
         Ok(())
     }
@@ -640,7 +581,7 @@ pub fn open_unattached(
     dir: impl AsRef<Path>,
     store_cfg: StoreConfig,
 ) -> std::io::Result<(ViewMapServer, VpStore, RecoveryReport)> {
-    let (store, vps, report) = VpStore::open(dir, store_cfg)?;
+    let (mut store, vps, report) = VpStore::open(dir, store_cfg)?;
     match keyfile::load(store.dir())? {
         Some(existing) if existing != key => {
             return Err(std::io::Error::other(format!(
@@ -653,7 +594,7 @@ pub fn open_unattached(
         Some(_) => {}
         None => keyfile::save(store.dir(), &key)?,
     }
-    let (srv, report) = replay(key, cfg, &store, vps, report);
+    let (srv, report) = replay(key, cfg, &mut store, vps, report);
     Ok((srv, store, report))
 }
 
@@ -663,7 +604,7 @@ pub fn open_unattached(
 fn replay(
     key: RsaKeyPair,
     cfg: ViewmapConfig,
-    store: &VpStore,
+    store: &mut VpStore,
     vps: Vec<StoredVp>,
     mut report: RecoveryReport,
 ) -> (ViewMapServer, RecoveryReport) {
@@ -682,7 +623,7 @@ impl PersistentServer for ViewMapServer {
         dir: impl AsRef<Path>,
         store_cfg: StoreConfig,
     ) -> std::io::Result<(ViewMapServer, RecoveryReport)> {
-        let (store, vps, mut report) = VpStore::open(dir, store_cfg)?;
+        let (mut store, vps, mut report) = VpStore::open(dir, store_cfg)?;
         let key = match keyfile::load(store.dir())? {
             Some(key) => key,
             None => {
@@ -696,7 +637,7 @@ impl PersistentServer for ViewMapServer {
                 key
             }
         };
-        let (mut srv, report) = replay(key, cfg, &store, vps, report);
+        let (mut srv, report) = replay(key, cfg, &mut store, vps, report);
         srv.attach_wal(Box::new(store));
         Ok((srv, report))
     }
@@ -819,12 +760,12 @@ mod tests {
     }
 
     #[test]
-    fn writer_cache_evicts_cold_handles_but_loses_nothing() {
-        // Touch 3× MAX_OPEN_SEGMENTS minutes round-robin so handles are
-        // constantly evicted and reopened mid-stream.
-        let tmp = TempDir::new("lru");
+    fn round_robin_appends_over_many_minutes_lose_nothing() {
+        // Two round-robin passes over 24 minutes: every append reopens a
+        // segment another minute's append closed since.
+        let tmp = TempDir::new("roundrobin");
         let (store, _, _) = VpStore::open(&tmp.0, cfg()).unwrap();
-        let minutes = (MAX_OPEN_SEGMENTS * 3) as u64;
+        let minutes = 24u64;
         for round in 0..2u64 {
             for minute in 0..minutes {
                 let vp = synthetic_vp(round * minutes + minute, minute);
@@ -835,6 +776,36 @@ mod tests {
         let (_, vps, report) = VpStore::open(&tmp.0, cfg()).unwrap();
         assert_eq!(report.segments, minutes as usize);
         assert_eq!(vps.len(), (2 * minutes) as usize);
+    }
+
+    #[test]
+    fn sync_flushes_every_minute_appended_since_the_last_sync() {
+        // Graceful shutdown and promotion call `sync` to put everything
+        // appended under `Fsync::Never` on stable media: one timed
+        // fdatasync per minute written since the last sync, and none
+        // for minutes a sync already flushed.
+        let tmp = TempDir::new("syncall");
+        let (mut store, _, report) = VpStore::open(
+            &tmp.0,
+            StoreConfig {
+                fsync: Fsync::Never,
+            },
+        )
+        .unwrap();
+        let obs = Registry::new();
+        store.bind_obs(&obs, &report);
+        let fsyncs = obs.histogram("vm_store_fsync_us");
+        for minute in 0..12u64 {
+            store.append(&[&synthetic_vp(minute, minute)]).unwrap();
+        }
+        store.sync().unwrap();
+        assert_eq!(fsyncs.count(), 12, "one flush per minute written");
+        store.sync().unwrap();
+        assert_eq!(
+            fsyncs.count(),
+            12,
+            "nothing written since: nothing to flush"
+        );
     }
 
     #[test]

@@ -4,6 +4,8 @@
 //! shipped is the primary — before and after promotion. (The exhaustive
 //! versions are vm-store's `crash_recovery` and vm-repl's `repl_faults`;
 //! these keep `cargo test` at the root honest about the two layers.)
+//! Every cell takes its durability policy from `VM_STORE_FSYNC`
+//! (`StoreConfig::from_env`), so CI runs the file under both policies.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -93,13 +95,13 @@ fn a_cell_dropped_without_sync_recovers_to_its_never_crashed_twin() {
     let stored = ingest(&twin, &world);
     {
         let (srv, report) =
-            ViewMapServer::open(&mut rng, 512, cfg, &tmp.0, StoreConfig::default()).unwrap();
+            ViewMapServer::open(&mut rng, 512, cfg, &tmp.0, StoreConfig::from_env()).unwrap();
         assert_eq!(report.records, 0, "fresh store");
         ingest(&srv, &world);
         // No `sync_wal`: what survives is what each group commit wrote.
     }
     let (srv, report) =
-        ViewMapServer::open(&mut rng, 512, cfg, &tmp.0, StoreConfig::default()).unwrap();
+        ViewMapServer::open(&mut rng, 512, cfg, &tmp.0, StoreConfig::from_env()).unwrap();
     assert_eq!(report.records, stored);
     assert_eq!((report.rejected, report.torn_segments), (0, 0));
     assert!(!report.fresh_signing_key, "the identity survived too");
@@ -128,7 +130,7 @@ fn a_drained_follower_is_the_primary_before_and_after_promotion() {
         &ptmp.0,
         key.clone(),
         cfg,
-        StoreConfig::default(),
+        StoreConfig::from_env(),
         ReplicationConfig::default(),
         "127.0.0.1:0",
     )
@@ -137,7 +139,7 @@ fn a_drained_follower_is_the_primary_before_and_after_promotion() {
         &ftmp.0,
         key,
         cfg,
-        StoreConfig::default(),
+        StoreConfig::from_env(),
         primary.repl_addr(),
         FollowerConfig::default(),
     )
