@@ -40,10 +40,10 @@
 //! amortizes stripe locking and Bloom screening across whole-minute
 //! batches while staying state-indistinguishable from sequential
 //! submission. Link keys are precomputed at ingest only by
-//! [`server::ViewMapServer::submit_batch_warm`],
-//! [`server::ViewMapServer::submit_trusted_batch`] and
-//! [`server::ViewMapServer::submit_replay_batch`]; on every other path
-//! they hash lazily, the first time the memo links the VP. Durability
+//! [`server::ViewMapServer::submit_batch_warm`] and
+//! [`server::ViewMapServer::submit_trusted_batch`]; on every other
+//! path, log replay included, they hash lazily, the first time the memo
+//! links the VP. Durability
 //! attaches through the [`wal::VpWal`] seam: the `vm-store` crate's
 //! minute-bucketed append-log segments mirror every accepted VP (group
 //! commit under the committing shard's lock), and its recovery path

@@ -1,8 +1,8 @@
 //! Chunked scoped-thread fan-out shared by the parallel engines.
 //!
 //! The build environment has no rayon, and the passes that want
-//! parallelism — batch ingest's key precompute, the store's record
-//! framing and the follower's frame scan — need exactly one pattern:
+//! parallelism — the store's record framing, the follower's frame scan
+//! and the service's worker pool — need exactly one pattern:
 //! split an index range into contiguous chunks, run one scoped `std`
 //! thread per chunk, and merge the per-chunk results in chunk order. Merging in chunk order (never in completion order)
 //! makes every caller deterministic by construction: the assembled output

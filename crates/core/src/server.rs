@@ -32,11 +32,12 @@
 //!   an investigation scans the table, then links — under the memo's own
 //!   lock — only the members its site admits that no earlier site did.
 //!
-//! Lock order is always id stripes (ascending) → minute shard → memo;
-//! the stripe and shard acquisitions are short (no validation, hashing,
-//! or linking happens under them), and a memo lock is only ever taken
-//! with no shard lock held — an investigation blocks ingest for its
-//! minute's stripe only while it scans the admission table.
+//! Lock order is always id stripes (ascending) → minute shard →
+//! solicitation board, and a memo lock is only ever taken with no
+//! stripe, shard or board lock held; the stripe and shard acquisitions
+//! are short (no validation, hashing, or linking happens under them) —
+//! an investigation blocks ingest for its minute's stripe only while it
+//! scans the admission table.
 //!
 //! # One commit path
 //!
@@ -44,18 +45,20 @@
 //! commit function, which takes every id stripe a minute group needs in
 //! ascending order, then the shard — one acquisition per (minute, batch)
 //! instead of per VP, which is where batch throughput comes from. A
-//! single submission is a batch of one. The warm variants additionally
-//! pre-hash each VP's viewlink keys before committing, so
-//! investigations of freshly ingested minutes start with a warm key
-//! cache.
+//! single submission is a batch of one. The warm entry points
+//! ([`ViewMapServer::submit_batch_warm`],
+//! [`ViewMapServer::submit_trusted_batch`]) additionally pre-hash each
+//! VP's viewlink keys before committing, so investigations of freshly
+//! ingested minutes start with a warm key cache; every other path,
+//! log replay included, leaves the keys to be hashed lazily by the
+//! first investigation that admits the VP.
 //!
 //! The same function decides trust, from the channel a VP arrived on
 //! and never from the record: anonymous submissions are stored
 //! untrusted whatever their `trusted` flag says, the authority entry
-//! points ([`ViewMapServer::submit_trusted`],
-//! [`ViewMapServer::submit_trusted_batch`]) store trust seeds, and only
-//! log replay (recovery and replication) keeps each record's own flag.
-//! A network peer therefore cannot mint a TrustRank seed.
+//! point ([`ViewMapServer::submit_trusted_batch`]) stores trust seeds,
+//! and only log replay (recovery and replication) keeps each record's
+//! own flag. A network peer therefore cannot mint a TrustRank seed.
 //!
 //! # Durability seam
 //!
@@ -65,14 +68,16 @@
 //! before the minute shard's write lock is released — one group-commit
 //! append per (minute, batch), so per-minute log order always equals
 //! bucket order and a replay reconstructs the id index byte for byte.
-//! [`ViewMapServer::submit_replay_batch`] is the recovery entry: it
-//! drives decoded log records through the normal batch machinery
-//! (screening, in-batch dedup, parallel link-key warm) while preserving
-//! each record's own `trusted` flag, and is called before any log is
-//! attached so recovery never re-appends. Bounded retention
+//! [`ViewMapServer::submit_replay_batch`] is the one replay entry, for
+//! recovery and for a replication follower alike: it drives decoded
+//! log records through the normal batch machinery (screening, in-batch
+//! dedup) while preserving each record's own `trusted` flag, and warms
+//! no link keys. Recovery calls it before any log is attached, so it
+//! never re-appends. Bounded retention
 //! ([`ViewMapServer::evict_minutes_before`]) drops expired minutes from
-//! the shards, the id index, and the log together. The concrete
-//! append-log engine lives in the `vm-store` crate.
+//! the shards, the id index, the solicitation board and the log
+//! together. The concrete append-log engine lives in the `vm-store`
+//! crate.
 
 use crate::maintained::{BoundsTable, MemoCell, MemoTotals, VdBounds};
 use crate::reward::Cash;
@@ -107,10 +112,6 @@ const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<ViewMapServer>();
 };
-
-/// Batch sizes at or above this precompute link keys on worker threads;
-/// smaller batches hash inline (spawn/join would dominate).
-const BATCH_KEY_PARALLEL_THRESHOLD: usize = 4096;
 
 /// Bytes all of a cell's viewlink memos may hold together. A memo costs
 /// ~1.3 KB per materialised member, so this is roughly 400k members —
@@ -428,12 +429,7 @@ impl ViewMapServer {
     /// Accept one anonymized VP submission into the database, stored
     /// untrusted.
     pub fn submit(&self, sub: AnonymousSubmission) -> Result<(), SubmitError> {
-        self.store_one(sub.vp, Trust::Anonymous)
-    }
-
-    /// Accept a trusted VP through the authority channel.
-    pub fn submit_trusted(&self, vp: StoredVp) -> Result<(), SubmitError> {
-        self.store_one(vp, Trust::Authority)
+        self.store_batch(vec![sub.vp], Trust::Anonymous, false)[0]
     }
 
     /// Accept a batch of anonymized submissions in one call.
@@ -469,16 +465,16 @@ impl ViewMapServer {
     }
 
     /// As [`submit_batch`](Self::submit_batch), additionally precomputing
-    /// each accepted VP's element-VD link keys (in parallel for large
-    /// batches) while the VPs are still exclusively owned. Each VP's 60
-    /// digests are hashed through `vm_crypto`'s multi-buffer engine
-    /// (`sha256_many` — interleaved independent streams), the same path
-    /// viewmap construction's key phase uses. Investigations of the
-    /// ingested minutes then skip their Bloom-key hashing phase — the
-    /// right trade when a minute is investigation-bound (an incident was
-    /// just reported) and worth ~1 KB of cached digests per VP. The
-    /// stored state is identical either way. This is the wire's ingest
-    /// call; every VP is stored untrusted.
+    /// each accepted VP's element-VD link keys while the VPs are still
+    /// exclusively owned. Each VP's 60 digests are hashed through
+    /// `vm_crypto`'s multi-buffer engine (`sha256_many` — interleaved
+    /// independent streams), the same path viewmap construction's key
+    /// phase uses. Investigations of the ingested minutes then skip
+    /// their Bloom-key hashing phase — the right trade when a minute is
+    /// investigation-bound (an incident was just reported) and worth
+    /// ~1 KB of cached digests per VP. The stored state is identical
+    /// either way. This is the wire's ingest call; every VP is stored
+    /// untrusted.
     pub fn submit_batch_warm(
         &self,
         subs: impl IntoIterator<Item = AnonymousSubmission>,
@@ -486,46 +482,39 @@ impl ViewMapServer {
         self.store_batch(anonymous(subs), Trust::Anonymous, true)
     }
 
-    /// Batch counterpart of [`submit_trusted`](Self::submit_trusted):
-    /// flags every VP as an authority trust seed, then ingests like
-    /// [`submit_batch_warm`](Self::submit_batch_warm) (authority VPs
-    /// anchor viewmaps, so they are always investigation-bound).
+    /// The authority channel: flags every VP as a trust seed, then
+    /// ingests like [`submit_batch_warm`](Self::submit_batch_warm)
+    /// (authority VPs anchor viewmaps, so they are always
+    /// investigation-bound). One VP is a batch of one.
     pub fn submit_trusted_batch(&self, vps: Vec<StoredVp>) -> Vec<Result<(), SubmitError>> {
         self.store_batch(vps, Trust::Authority, true)
     }
 
-    /// Recovery entry for the persistence layer: ingest VPs decoded from
-    /// a durable log through the normal batch machinery — screening,
-    /// in-batch first-wins dedup, per-(minute, batch) stripe/shard
-    /// locking, and the parallel link-key warm — while preserving each
+    /// Log replay, the one entry for recovery and for a replication
+    /// follower: ingest VPs decoded from a durable log through the
+    /// normal batch machinery — screening, in-batch first-wins dedup,
+    /// per-(minute, batch) stripe/shard locking — while preserving each
     /// record's **own** `trusted` flag (unlike
     /// [`submit_trusted_batch`](Self::submit_trusted_batch), which
-    /// force-sets it). Call this *before* [`attach_wal`](Self::attach_wal)
-    /// so the replayed records are not appended to the log a second time.
+    /// force-sets it). No link keys are warmed: they hash lazily, for
+    /// only the members a site admits, the first time an investigation
+    /// links them — the stored state is identical either way. Recovery
+    /// calls this *before* [`attach_wal`](Self::attach_wal) so the
+    /// replayed records are not appended to the log a second time.
     pub fn submit_replay_batch(&self, vps: Vec<StoredVp>) -> Vec<Result<(), SubmitError>> {
-        self.store_batch(vps, Trust::AsRecorded, true)
-    }
-
-    /// As [`submit_replay_batch`](Self::submit_replay_batch) but
-    /// without the link-key warm: the apply path for a replication
-    /// standby, which must log and index shipped records at ingest
-    /// speed but serves no investigations until promoted. Link keys
-    /// hash lazily on first use, so the first investigation after a
-    /// promotion pays the key phase the warm would have prepaid — the
-    /// stored state is identical either way.
-    pub fn submit_replay_batch_cold(&self, vps: Vec<StoredVp>) -> Vec<Result<(), SubmitError>> {
         self.store_batch(vps, Trust::AsRecorded, false)
     }
 
     /// Bounded-retention sweep: drop every stored minute strictly before
-    /// `cutoff` from the in-memory shards, the id index, and the attached
-    /// log (if any). Returns the number of VPs evicted.
+    /// `cutoff` from the in-memory shards, the id index, the solicitation
+    /// board, and the attached log (if any). Returns the number of VPs
+    /// evicted.
     ///
     /// Evicted ids become submittable again — the dedup set is the id
     /// index, and retention is exactly the operation that forgets ids.
     /// Lock order is the global one (every id stripe ascending, then the
-    /// shards one at a time), so concurrent submits and batches cannot
-    /// deadlock against a sweep.
+    /// shards one at a time, then the board), so concurrent submits,
+    /// batches and solicitations cannot deadlock against a sweep.
     ///
     /// The sweep holds every id stripe for its full duration — including
     /// the attached log's segment deletions — which is what makes
@@ -553,8 +542,10 @@ impl ViewMapServer {
                 // instead of trusting any pre-eviction edge.
                 if let Some(bucket) = sh.by_minute.remove(&m) {
                     evicted += bucket.vps.len();
+                    let mut board = self.solicited.write();
                     for vp in &bucket.vps {
                         id_guards[id_stripe(&vp.id)].remove(&vp.id);
+                        board.remove(&vp.id);
                     }
                 }
             }
@@ -575,10 +566,6 @@ impl ViewMapServer {
         evicted
     }
 
-    fn store_one(&self, vp: StoredVp, trust: Trust) -> Result<(), SubmitError> {
-        self.store_batch(vec![vp], trust, false)[0]
-    }
-
     /// The one commit path. Sets every VP's `trusted` flag from `trust`
     /// — the only place ingest decides trust — then screens, dedups,
     /// optionally warms link keys, and commits per (minute, batch).
@@ -594,7 +581,6 @@ impl ViewMapServer {
         // the in-batch first-wins duplicate filter.
         let mut seen: HashSet<VpId> = HashSet::with_capacity(total);
         let mut groups: HashMap<MinuteId, Vec<(usize, StoredVp, VdBounds)>> = HashMap::new();
-        let mut accepted = 0usize;
         for (idx, mut vp) in vps.into_iter().enumerate() {
             match trust {
                 Trust::Anonymous => vp.trusted = false,
@@ -625,7 +611,6 @@ impl ViewMapServer {
                 results[idx] = Err(SubmitError::Duplicate);
                 continue;
             }
-            accepted += 1;
             groups
                 .entry(vp.minute())
                 .or_default()
@@ -636,19 +621,9 @@ impl ViewMapServer {
         // exclusively ours — ingest-side amortization of the hashing that
         // viewmap construction would otherwise pay per investigation.
         if warm_keys {
-            let mut flat: Vec<&StoredVp> = Vec::with_capacity(accepted);
-            for group in groups.values() {
-                flat.extend(group.iter().map(|(_, vp, _)| vp));
+            for (_, vp, _) in groups.values().flatten() {
+                vp.link_keys();
             }
-            let cuts = crate::par::even_cuts(
-                flat.len(),
-                crate::par::auto_threads(flat.len(), BATCH_KEY_PARALLEL_THRESHOLD),
-            );
-            crate::par::map_ranges(&cuts, |_t, lo, hi| {
-                for vp in &flat[lo..hi] {
-                    vp.link_keys();
-                }
-            });
         }
 
         // Commit one minute group at a time: every id stripe the group
@@ -899,19 +874,38 @@ impl ViewMapServer {
 
     /// Full investigation pipeline for one minute: build the viewmap, run
     /// Algorithm 1, and post the verified VP ids on the solicitation
-    /// board. Returns the posted ids. No shard lock is held while
-    /// linking, extracting, or running TrustRank.
+    /// board — unless a retention sweep dropped the minute since the
+    /// admission snapshot, in which case nothing is posted. Returns the
+    /// verified ids. No shard lock is held while linking, extracting, or
+    /// running TrustRank.
     pub fn investigate(&self, minute: MinuteId, site: Site) -> Vec<VpId> {
         self.metrics.investigate_us.time(|| {
             let vm = self.build_viewmap(minute, site);
             let (_, ids, iterations) = vm.verify_counted(&site, &self.cfg);
             self.metrics.trustrank_iterations.record(iterations as u64);
-            let mut board = self.solicited.write();
-            for id in &ids {
-                board.insert(*id);
-            }
+            self.post_if_stored(&vm, &ids);
             ids
         })
+    }
+
+    /// Post `vm`'s verified `ids` only if its minute's bucket still
+    /// holds its first member — the same allocation, which the viewmap
+    /// keeps alive, so no later incarnation of the minute can hold it.
+    /// Buckets are append-only and a sweep drops a whole bucket, so then
+    /// every member is stored. The check holds the minute's shard lock,
+    /// and a sweep evicting the minute holds it while it takes the
+    /// bucket's ids off the board: the sweep either ran first (nothing
+    /// is posted) or removes the posting. One shard lock rather than
+    /// [`solicit`](Self::solicit)'s check in each id's stripe, which
+    /// would queue a wide site behind concurrent commits in every
+    /// stripe.
+    fn post_if_stored(&self, vm: &Viewmap, ids: &[VpId]) {
+        let Some(first) = vm.vps.first() else { return };
+        let shard = self.db[minute_stripe(vm.minute)].read();
+        let bucket = shard.by_minute.get(&vm.minute);
+        if bucket.is_some_and(|b| b.vps.iter().any(|vp| Arc::ptr_eq(vp, first))) {
+            self.solicited.write().extend(ids.iter().copied());
+        }
     }
 
     /// Does `minute` currently hold a viewlink memo with anything
@@ -928,9 +922,21 @@ impl ViewMapServer {
 
     /// Post a solicitation directly (investigator action: request the
     /// video behind a specific VP id, e.g. after manual review of a
-    /// verification outcome).
-    pub fn solicit(&self, id: VpId) {
+    /// verification outcome). Only a stored id is posted; any other
+    /// gets [`UploadError::UnknownVp`], so the board never holds more
+    /// entries than the database holds VPs.
+    ///
+    /// The check and the insert happen under the id's stripe lock,
+    /// which a retention sweep must take exclusively: a sweep either
+    /// ran before (the id is gone, nothing is posted) or runs after and
+    /// takes the posting off the board with its minute.
+    pub fn solicit(&self, id: VpId) -> Result<(), UploadError> {
+        let ids = self.id_index[id_stripe(&id)].read();
+        if !ids.contains_key(&id) {
+            return Err(UploadError::UnknownVp);
+        }
         self.solicited.write().insert(id);
+        Ok(())
     }
 
     /// Snapshot of one minute's stored VPs (`Arc`-shared with the DB, so
@@ -1078,7 +1084,7 @@ mod tests {
 
     /// Commit one VP with its own `trusted` flag (the replay channel).
     fn store(srv: &ViewMapServer, vp: StoredVp) -> Result<(), SubmitError> {
-        srv.store_one(vp, Trust::AsRecorded)
+        srv.submit_replay_batch(vec![vp])[0]
     }
 
     fn server(seed: u64) -> ViewMapServer {
@@ -1189,6 +1195,36 @@ mod tests {
         store(&srv, fin.profile.into_stored()).unwrap();
         let upload = VideoUpload { vp_id: id, chunks };
         assert_eq!(srv.upload_video(&upload), Err(UploadError::NotSolicited));
+    }
+
+    #[test]
+    fn solicitation_board_holds_only_stored_ids() {
+        let srv = server(41);
+        let stored = synthetic_vp(1, 0);
+        store(&srv, stored.clone()).unwrap();
+        let mut rng = StdRng::seed_from_u64(42);
+        for _ in 0..100_000 {
+            let id = VpId(vm_crypto::Digest16(rng.gen()));
+            assert_eq!(srv.solicit(id), Err(UploadError::UnknownVp));
+        }
+        assert!(srv.solicitation_board().is_empty());
+        assert_eq!(srv.solicit(stored.id), Ok(()));
+        assert_eq!(srv.solicitation_board(), vec![stored.id]);
+    }
+
+    #[test]
+    fn a_solicitation_leaves_the_board_with_its_minute() {
+        let srv = server(43);
+        let (old, kept) = (synthetic_vp(1, 0), synthetic_vp(2, 1));
+        for vp in [&old, &kept] {
+            store(&srv, vp.clone()).unwrap();
+            srv.solicit(vp.id).unwrap();
+        }
+        assert_eq!(srv.evict_minutes_before(MinuteId(1)), 1);
+        assert_eq!(srv.solicitation_board(), vec![kept.id]);
+        // A resubmission of the evicted id is a new VP, not solicited.
+        store(&srv, old.clone()).unwrap();
+        assert_eq!(srv.solicitation_board(), vec![kept.id]);
     }
 
     #[test]
@@ -1367,7 +1403,7 @@ mod tests {
     fn trusted_submission_is_flagged() {
         let srv = server(14);
         let (fin, _) = record(15, 0.0);
-        srv.submit_trusted(fin.profile.into_stored()).unwrap();
+        srv.submit_trusted_batch(vec![fin.profile.into_stored()])[0].unwrap();
         let vm = srv.build_viewmap(
             MinuteId(0),
             Site {
@@ -1570,11 +1606,11 @@ mod tests {
 
     #[test]
     fn trust_is_set_by_the_entry_point_never_by_the_record() {
-        // Seven entry points × the record's own flag. Anonymous ones
+        // Five entry points × the record's own flag. Anonymous ones
         // store untrusted, authority ones a seed, replay what the record
         // says; the digest agrees with a server holding that flag.
         type Entry = fn(&ViewMapServer, StoredVp) -> Result<(), SubmitError>;
-        let entries: [(&str, Entry, Option<bool>); 7] = [
+        let entries: [(&str, Entry, Option<bool>); 5] = [
             ("submit", |s, vp| s.submit(submission(vp)), Some(false)),
             (
                 "submit_batch",
@@ -1586,7 +1622,6 @@ mod tests {
                 |s, vp| s.submit_batch_warm([submission(vp)])[0],
                 Some(false),
             ),
-            ("submit_trusted", |s, vp| s.submit_trusted(vp), Some(true)),
             (
                 "submit_trusted_batch",
                 |s, vp| s.submit_trusted_batch(vec![vp])[0],
@@ -1595,11 +1630,6 @@ mod tests {
             (
                 "submit_replay_batch",
                 |s, vp| s.submit_replay_batch(vec![vp])[0],
-                None,
-            ),
-            (
-                "submit_replay_batch_cold",
-                |s, vp| s.submit_replay_batch_cold(vec![vp])[0],
                 None,
             ),
         ];
@@ -1731,10 +1761,10 @@ mod tests {
     }
 
     #[test]
-    fn replay_batch_preserves_trusted_flags_and_warms_keys() {
-        // The recovery path must not force-trust (unlike
+    fn replay_batch_preserves_trusted_flags_and_leaves_keys_cold() {
+        // The replay path must not force-trust (unlike
         // submit_trusted_batch) and must leave every replayed VP
-        // key-warm, exactly like submit_batch_warm.
+        // key-cold: the first investigation hashes only what it admits.
         let srv = server(51);
         let mut trusted = synthetic_vp(1, 0);
         trusted.trusted = true;
@@ -1745,7 +1775,10 @@ mod tests {
         let b = srv.lookup_vp(plain.id).unwrap();
         assert!(a.trusted, "replay keeps the authority flag");
         assert!(!b.trusted, "replay must not mint new authority VPs");
-        assert!(a.is_key_warm() && b.is_key_warm(), "replay warms link keys");
+        assert!(
+            !a.is_key_warm() && !b.is_key_warm(),
+            "replay warms no link keys"
+        );
     }
 
     #[test]
@@ -1912,7 +1945,7 @@ mod tests {
     /// authority channel, the rest as one warm batch).
     fn store_cluster(srv: &ViewMapServer, n: usize, minute: u64, seed: u64) {
         let mut vps = cluster(n, 0.0, minute, seed, true).into_iter();
-        srv.submit_trusted(vps.next().expect("n > 0")).unwrap();
+        srv.submit_trusted_batch(vec![vps.next().expect("n > 0")])[0].unwrap();
         let r = srv.submit_batch_warm(vps.map(submission));
         assert!(r.iter().all(|x| x.is_ok()));
     }
@@ -2067,5 +2100,23 @@ mod tests {
         assert_eq!(srv.memo_totals.bytes(), 0, "orphan returned its bytes");
         assert_matches_cold(&srv, 0, site, "new incarnation");
         assert_eq!(srv.build_viewmap(MinuteId(0), site).len(), 5);
+    }
+
+    #[test]
+    fn an_investigation_posts_nothing_after_a_sweep_of_its_minute() {
+        let srv = server(84);
+        store_cluster(&srv, 8, 0, 85);
+        let site = site_at(0.0, 1.0e7);
+        let vm = srv.build_viewmap(MinuteId(0), site);
+        let ids: Vec<VpId> = vm.vps.iter().map(|vp| vp.id).collect();
+        assert_eq!(ids.len(), 8);
+        // The sweep lands between the build and the post; the same ids
+        // come back as a new incarnation of the minute.
+        srv.evict_minutes_before(MinuteId(1));
+        store_cluster(&srv, 8, 0, 85);
+        srv.post_if_stored(&vm, &ids);
+        assert!(srv.solicitation_board().is_empty());
+        srv.post_if_stored(&srv.build_viewmap(MinuteId(0), site), &ids);
+        assert_eq!(srv.solicitation_board().len(), 8);
     }
 }

@@ -185,9 +185,10 @@ impl StoredVp {
     }
 
     /// Is the element-VD key cache already materialized? Observability
-    /// hook for the ingest/recovery paths that promise warm keys
-    /// (`submit_batch_warm`, log replay): tests assert on it, and
-    /// capacity planning can count warm VPs without hashing anything.
+    /// hook for the ingest paths that promise warm keys
+    /// (`submit_batch_warm`, `submit_trusted_batch`) and for log replay,
+    /// which promises cold ones: tests assert on it, and capacity
+    /// planning can count warm VPs without hashing anything.
     pub fn is_key_warm(&self) -> bool {
         self.link_keys.get().is_some()
     }

@@ -218,7 +218,7 @@ fn run_history(seed: u64, steps: usize) {
                     next[m] += 1;
                     sent += 1;
                     if vp.trusted {
-                        srv.submit_trusted(vp).expect("trusted stored");
+                        srv.submit_trusted_batch(vec![vp])[0].expect("trusted stored");
                     } else {
                         srv.submit(anon(vp)).expect("stored");
                     }
@@ -331,7 +331,7 @@ fn single_member_minute_is_equivalent() {
     let mut rng = StdRng::seed_from_u64(2);
     let srv = ViewMapServer::new(&mut rng, 512, cfg);
     let pool = linked_minute(1, 0, 9);
-    srv.submit_trusted(pool[0].clone()).expect("stored");
+    srv.submit_trusted_batch(vec![pool[0].clone()])[0].expect("stored");
     probe(&srv, MinuteId(0), wide_site(), &cfg, "single member");
     // Growing the singleton afterwards splices instead of rebuilding.
     let grown = linked_minute(3, 0, 10);
@@ -434,7 +434,8 @@ fn two_writers_and_two_investigators_on_one_hot_minute() {
                     go.wait();
                     // The trusted anchor, then batches of five
                     // alternating with single submits.
-                    let mut ok = srv.submit_trusted(pool[0].clone()).is_ok() as usize;
+                    let mut ok =
+                        srv.submit_trusted_batch(vec![pool[0].clone()])[0].is_ok() as usize;
                     for (k, chunk) in pool[1..].chunks(6).enumerate() {
                         let (batch, single) = chunk.split_at(chunk.len() - 1);
                         let subs = batch.iter().cloned().map(anon);

@@ -197,7 +197,7 @@ fn batch_ingested_server_state_and_viewmap_match_singles() {
     // Sequential path, with a duplicate resend sprinkled in; the
     // trusted seed (VP 0) goes through the authority channel.
     assert!(w.vps[0].trusted);
-    let mut seq_results = vec![singles.submit_trusted(w.vps[0].clone())];
+    let mut seq_results = vec![singles.submit_trusted_batch(vec![w.vps[0].clone()])[0]];
     for vp in &w.vps[1..] {
         seq_results.push(singles.submit(submission(vp.clone())));
     }

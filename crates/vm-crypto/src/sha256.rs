@@ -804,9 +804,9 @@ fn run_lanes<const N: usize>(
 /// an execution strategy, property-tested against the single-stream
 /// oracle.
 ///
-/// This is the throughput primitive behind viewmap link-key hashing and
-/// `submit_batch_warm`'s ingest-side key precompute: those call sites
-/// hold thousands of independent 72-byte VD encodings, exactly the shape
+/// This is the throughput primitive behind viewmap link-key hashing,
+/// lazily on first link or ahead of time in the warm ingest paths: each
+/// VP hands it 60 independent 72-byte VD encodings, exactly the shape
 /// where per-message dependency chains leave the most throughput on the
 /// table.
 pub fn sha256_many(msgs: &[&[u8]]) -> Vec<Digest32> {

@@ -10,13 +10,14 @@
 //! accepts is appended to the follower's own segments, in apply order.
 //! The primary serializes shipping (one stream mutex), per-minute
 //! shipped order equals the primary's bucket order, and
-//! [`ViewMapServer::submit_replay_batch_cold`] preserves each record's
-//! own bytes bit-exactly — so the follower's buckets, id index, viewmap
-//! checksums, and segment files all converge to the primary's. The
-//! vopr `failover` scenario checks exactly this against an oracle fed
-//! the acked ops. (The replay is **cold** — no link-key warm: a
-//! standby logs and indexes at ingest speed, and the first
-//! investigation after a promotion hashes its keys lazily.)
+//! [`ViewMapServer::submit_replay_batch`] — the same replay recovery
+//! runs — preserves each record's own bytes bit-exactly, so the
+//! follower's buckets, id index, viewmap checksums, and segment files
+//! all converge to the primary's. The vopr `failover` scenario checks
+//! exactly this against an oracle fed the acked ops. (Replay warms no
+//! link keys: a standby logs and indexes at ingest speed, and the
+//! first investigation after a promotion hashes only the keys of the
+//! members its site admits.)
 //!
 //! Application is pipelined: a reader thread drains the socket while
 //! the applier coalesces queued `FRAMES` of the same minute into one
@@ -427,11 +428,8 @@ fn apply_stream(
                 }
                 // Apply the prefix either way: it is committed
                 // data, and catch-up after the drop re-streams the
-                // rest (dedup eats the overlap). The **cold** replay
-                // path skips the link-key warm: a standby logs and
-                // indexes at ingest speed, and the first investigation
-                // after a promotion pays the key phase lazily instead.
-                let results = shared.server.submit_replay_batch_cold(records);
+                // rest (dedup eats the overlap).
+                let results = shared.server.submit_replay_batch(records);
                 let accepted = results.iter().filter(|r| r.is_ok()).count() as u64;
                 shared.obs.applied_records.add(accepted);
                 if let Some(e) = injury {

@@ -11,8 +11,9 @@
 //! follower sockets **under one stream mutex**. A follower therefore
 //! observes a single serialized message sequence whose per-minute
 //! record order equals the primary's bucket order, which is exactly
-//! what replaying through [`ViewMapServer::submit_replay_batch`] needs
-//! to rebuild byte-identical buckets, indexes, and segments.
+//! what replaying through [`ViewMapServer::submit_replay_batch`] — the
+//! one replay path, crash recovery's too — needs to rebuild
+//! byte-identical buckets, indexes, and segments.
 //!
 //! Catch-up runs under the same mutex: while a joining follower's
 //! missing segment tails are being streamed, no live append can ship,

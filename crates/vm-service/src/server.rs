@@ -13,7 +13,10 @@
 //! preserved and replies never interleave). Sessions are therefore
 //! worker-bound: size `workers` to the number of simultaneously-live
 //! uploader/investigator sessions you expect — idle keep-alive
-//! connections hold a worker.
+//! connections hold a worker. A session that panics (a durable server
+//! panics when its log fails) closes its socket and returns its worker
+//! to the queue; `vm_service_worker_panics_total` and a `worker_panic`
+//! journal event record it.
 //!
 //! # Pipelined-submit coalescing
 //!
@@ -23,8 +26,8 @@
 //! buffered (up to 1024 frames), and commits every
 //! consecutive submit in one
 //! [`ViewMapServer::submit_batch_warm`] call. The network path thus
-//! rides the same per-(minute, batch) stripe locking and parallel
-//! link-key precompute the in-process batch API gets, while each frame
+//! rides the same per-(minute, batch) stripe locking and link-key
+//! precompute the in-process batch API gets, while each frame
 //! still receives its own per-item reply in order. State is
 //! indistinguishable from sequential submits (the batch-equivalence
 //! property the core suite pins). A run is the only way a session
@@ -120,6 +123,7 @@ struct ServiceMetrics {
     coalesce_run: Arc<Histogram>,
     queue_depth: Arc<Gauge>,
     accept_sheds: Arc<Counter>,
+    worker_panics: Arc<Counter>,
     /// Per-opcode server-side request latency (decode + engine work;
     /// socket I/O excluded), indexed by `opcode - 1`.
     request_us: Vec<Option<Arc<Histogram>>>,
@@ -134,6 +138,7 @@ impl ServiceMetrics {
             coalesce_run: obs.histogram("vm_service_coalesce_run_frames"),
             queue_depth: obs.gauge("vm_service_accept_queue_depth"),
             accept_sheds: obs.counter("vm_service_accept_sheds_total"),
+            worker_panics: obs.counter("vm_service_worker_panics_total"),
             request_us: OPCODE_LABELS
                 .iter()
                 .map(|op| {
@@ -343,8 +348,27 @@ fn worker_loop(shared: &Shared) {
         if shared.shutdown.load(Ordering::SeqCst) {
             let _ = conn.shutdown(std::net::Shutdown::Both);
         }
-        let _ = serve_session(shared, token, conn);
+        // A panic mid-request (a durable server panics when its log
+        // fails) ends the session, not the worker: it is counted and
+        // journaled, the guard below closes the socket, and the worker
+        // goes back to the queue, so the pool never shrinks.
+        let served = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            serve_session(shared, token, conn)
+        }));
         drop(session);
+        if let Err(payload) = served {
+            shared.metrics.worker_panics.inc();
+            let why = payload
+                .downcast_ref::<&str>()
+                .copied()
+                .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+                .unwrap_or("non-string payload");
+            shared
+                .server
+                .obs()
+                .journal()
+                .record("worker_panic", format!("session {token} panicked: {why}"));
+        }
         if shared.shutdown.load(Ordering::SeqCst) {
             return;
         }
@@ -352,10 +376,9 @@ fn worker_loop(shared: &Shared) {
 }
 
 /// One served session's entry in `Shared::live` and the active-sessions
-/// gauge, undone by `drop` on every exit from the session, unwind
-/// included: a worker that panics mid-request (a durable server panics
-/// when its log fails) still shuts the socket down, so the client sees
-/// the session close instead of waiting for a reply that never comes.
+/// gauge, undone by `drop` on every exit from the session, a caught
+/// panic included: the socket is shut down, so the client sees the
+/// session close instead of waiting for a reply that never comes.
 struct LiveSession<'a> {
     shared: &'a Shared,
     token: u64,
@@ -586,10 +609,10 @@ fn dispatch(shared: &Shared, frame: &Frame) -> Reply {
         // so a Submit can never reach this dispatcher.
         Request::Submit(_) => unreachable!("OP_SUBMIT frames take the coalesced path"),
         Request::Investigate { minute, site } => Reply::VpIds(srv.investigate(minute, site)),
-        Request::Solicit(id) => {
-            srv.solicit(id);
-            Reply::Ok
-        }
+        Request::Solicit(id) => match srv.solicit(id) {
+            Ok(()) => Reply::Ok,
+            Err(e) => Reply::Err((&e).into(), e.to_string()),
+        },
         Request::UploadVideo(upload) => match srv.upload_video(&upload) {
             Ok(()) => Reply::Ok,
             Err(e) => Reply::Err((&e).into(), e.to_string()),

@@ -63,8 +63,7 @@ fn eviction_races_wire_traffic_without_losing_consistency() {
         ViewMapServer::open(&mut rng, 512, vmcfg, &tmp.0, StoreConfig::default()).unwrap();
     for minute in 0..OLD_MINUTES {
         for t in 0..VPS_PER_MINUTE {
-            srv.submit_trusted(synthetic_vp(minute * 1_000 + t, minute))
-                .unwrap();
+            srv.submit_trusted_batch(vec![synthetic_vp(minute * 1_000 + t, minute)])[0].unwrap();
         }
     }
     srv.sync_wal().unwrap();

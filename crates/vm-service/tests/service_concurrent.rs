@@ -117,7 +117,7 @@ fn recovered_server_serves_eight_concurrent_sessions_like_the_oracle() {
         for (c, (fin, _)) in genuine.iter().enumerate() {
             let mut anchor = synthetic_vp(c as u64, c as u64);
             anchor.trusted = true;
-            srv.submit_trusted(anchor).unwrap();
+            srv.submit_trusted_batch(vec![anchor])[0].unwrap();
             srv.submit(submission(fin.profile.clone().into_stored()))
                 .unwrap();
         }
@@ -143,7 +143,7 @@ fn recovered_server_serves_eight_concurrent_sessions_like_the_oracle() {
     for (c, (fin, _)) in genuine.iter().enumerate() {
         let mut anchor = synthetic_vp(c as u64, c as u64);
         anchor.trusted = true;
-        oracle.submit_trusted(anchor).unwrap();
+        oracle.submit_trusted_batch(vec![anchor])[0].unwrap();
         oracle
             .submit(submission(fin.profile.clone().into_stored()))
             .unwrap();
@@ -394,4 +394,22 @@ fn shutdown_is_graceful_and_idempotent() {
         // actual use of the session must fail.)
         assert!(late.total_vps().is_err(), "no service behind the port");
     }
+}
+
+#[test]
+fn soliciting_an_unknown_id_is_refused_over_the_wire() {
+    let mut rng = StdRng::seed_from_u64(31);
+    let srv = Arc::new(ViewMapServer::new(&mut rng, 512, ViewmapConfig::default()));
+    let stored = synthetic_vp(1, 0);
+    srv.submit_batch([submission(stored.clone())])[0].unwrap();
+    let handle =
+        VmService::spawn(Arc::clone(&srv), "127.0.0.1:0", ServiceConfig::default()).unwrap();
+    let mut client = VmClient::connect(handle.addr()).unwrap();
+    match client.solicit(synthetic_vp(2, 0).id) {
+        Err(vm_service::ClientError::Remote(ErrorCode::UnknownVp, _)) => {}
+        other => panic!("expected UnknownVp for an id the server never stored, got {other:?}"),
+    }
+    assert!(srv.solicitation_board().is_empty());
+    client.solicit(stored.id).expect("a stored id is posted");
+    assert_eq!(srv.solicitation_board(), vec![stored.id]);
 }

@@ -311,3 +311,56 @@ fn a_panicking_worker_closes_its_session() {
         "the panicked session is no longer counted as active"
     );
 }
+
+/// A panic ends its session, not its worker: with a one-worker pool, a
+/// fresh client is served after the panicking `SUBMIT`, and the panic
+/// is counted and journaled.
+#[test]
+fn a_panicked_session_returns_its_worker_to_the_pool() {
+    use rand::SeedableRng;
+    let mut rng = rand::rngs::StdRng::seed_from_u64(4);
+    let mut srv = viewmap_core::server::ViewMapServer::new(
+        &mut rng,
+        512,
+        viewmap_core::viewmap::ViewmapConfig::default(),
+    );
+    srv.attach_wal(Box::new(FailingWal));
+    let srv = Arc::new(srv);
+    let handle = VmService::spawn(
+        Arc::clone(&srv),
+        "127.0.0.1:0",
+        ServiceConfig {
+            workers: 1,
+            idle_timeout: None,
+        },
+    )
+    .unwrap();
+    let connect = || {
+        VmClient::connect_with(
+            handle.addr(),
+            ClientConfig {
+                read_timeout: Some(Duration::from_secs(5)),
+                ..ClientConfig::default()
+            },
+        )
+        .unwrap()
+    };
+    let mut doomed = connect();
+    assert!(doomed
+        .submit(&vm_bench::worlds::synthetic_vp(1, 0))
+        .is_err());
+
+    let mut next = connect();
+    match next.total_vps() {
+        Ok(_) => {}
+        Err(e) => panic!("the one worker must serve the next session, got {e:?}"),
+    }
+    let snap = srv.obs().snapshot();
+    assert_eq!(snap.counter("vm_service_worker_panics_total"), Some(1));
+    assert!(srv
+        .obs()
+        .journal()
+        .tail(8)
+        .iter()
+        .any(|e| e.kind == "worker_panic"));
+}

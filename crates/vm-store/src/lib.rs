@@ -9,9 +9,9 @@
 //! committed record on open. [`VpStore`] implements the server's
 //! [`viewmap_core::wal::VpWal`] seam; [`PersistentServer`] adds the
 //! `ViewMapServer::open` / `ViewMapServer::open_with_key` constructors
-//! that replay a directory of segments through the normal batch-ingest
-//! machinery (including its parallel link-key warm) and then attach the
-//! store as the server's live WAL.
+//! that replay a directory of segments through the server's one replay
+//! path (the normal batch-ingest machinery, link keys left cold) and
+//! then attach the store as the server's live WAL.
 //!
 //! # On-disk layout
 //!
@@ -76,8 +76,10 @@
 //! 2. **Order.** The server appends under the committing minute's shard
 //!    lock, so a segment's record order equals the in-memory bucket's
 //!    append order; replaying segments in minute order through
-//!    [`viewmap_core::server::ViewMapServer::submit_replay_batch`]
-//!    rebuilds bucket positions — and with them the id index — exactly.
+//!    [`viewmap_core::server::ViewMapServer::submit_replay_batch`] (the
+//!    one replay path, which a follower applying shipped frames runs
+//!    too) rebuilds bucket positions — and with them the id index —
+//!    exactly.
 //! 3. **Re-screened replay.** Replay goes through the normal admission
 //!    screen and dedup; a log can never smuggle in a VP the live server
 //!    would have rejected.

@@ -530,9 +530,10 @@ impl VpWal for VpStore {
 pub trait PersistentServer: Sized {
     /// Stand up a server backed by the append log in `dir`: recover the
     /// log (truncating torn tails), replay the committed records through
-    /// the batch-ingest machinery — parallel link-key warm included, so
-    /// a freshly recovered server investigates key-warm — and attach the
-    /// store so every future accepted VP is logged. The recovered server
+    /// [`ViewMapServer::submit_replay_batch`] — the follower's replay,
+    /// which warms no link keys, so the first investigation hashes only
+    /// the members its site admits — and attach the store so every
+    /// future accepted VP is logged. The recovered server
     /// is state-equivalent to the one that wrote the log: same minute
     /// buckets in order, same id index, same viewmap edges.
     ///
@@ -937,7 +938,7 @@ mod tests {
             let (srv, report) = ViewMapServer::open(&mut rng, 512, vmcfg, &tmp.0, cfg()).unwrap();
             assert!(!report.fresh_signing_key, "empty store: fresh key is fine");
             assert!(report.warnings().is_empty());
-            srv.submit_trusted(synthetic_vp(1, 0)).unwrap();
+            srv.submit_trusted_batch(vec![synthetic_vp(1, 0)])[0].unwrap();
             srv.sync_wal().unwrap();
         }
         {
@@ -1018,7 +1019,7 @@ mod tests {
             assert_eq!(report, RecoveryReport::default());
             for m in 0..3u64 {
                 for t in 0..5u64 {
-                    srv.submit_trusted(synthetic_vp(m * 10 + t, m)).unwrap();
+                    srv.submit_trusted_batch(vec![synthetic_vp(m * 10 + t, m)])[0].unwrap();
                 }
             }
             assert_eq!(srv.total_vps(), 15);
@@ -1035,12 +1036,12 @@ mod tests {
                 let id = synthetic_vp(m * 10 + t, m).id;
                 let vp = srv.lookup_vp(id).expect("recovered and indexed");
                 assert!(vp.trusted, "trusted flag survives the log");
-                assert!(vp.is_key_warm(), "replay warms link keys");
+                assert!(!vp.is_key_warm(), "replay warms no link keys");
             }
         }
         // The reopened server keeps logging: a third generation sees the
         // post-recovery submissions too.
-        srv.submit_trusted(synthetic_vp(99, 1)).unwrap();
+        srv.submit_trusted_batch(vec![synthetic_vp(99, 1)])[0].unwrap();
         drop(srv);
         let mut rng = StdRng::seed_from_u64(3);
         let (srv, report) = ViewMapServer::open(&mut rng, 512, vmcfg, &tmp.0, cfg()).unwrap();

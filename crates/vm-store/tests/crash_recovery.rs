@@ -301,8 +301,8 @@ fn run_random_history(case: u64) {
                 let vp = &pool[m][i];
                 let (a, b) = if vp.trusted {
                     (
-                        live.submit_trusted(vp.clone()),
-                        durable.submit_trusted(vp.clone()),
+                        live.submit_trusted_batch(vec![vp.clone()])[0],
+                        durable.submit_trusted_batch(vec![vp.clone()])[0],
                     )
                 } else {
                     (
@@ -415,11 +415,11 @@ fn eviction_drops_segments_and_memory_together() {
 }
 
 #[test]
-fn recovered_server_is_key_warm_and_investigates_identically() {
-    // The recovery path replays through the warm batch machinery: every
-    // recovered VP must already hold its link keys, and the first
-    // investigation after a restart must match the pre-restart one.
-    let tmp = TempDir::new("warm");
+fn recovered_server_is_key_cold_and_investigates_identically() {
+    // Recovery replays like a follower: no recovered VP holds its link
+    // keys yet, and the first investigation after a restart, which
+    // hashes them lazily, must match the pre-restart one.
+    let tmp = TempDir::new("cold");
     let mut rng = StdRng::seed_from_u64(9);
     let vmcfg = ViewmapConfig::default();
     let world = linked_minute(10, 0, 21);
@@ -433,7 +433,7 @@ fn recovered_server_is_key_warm_and_investigates_identically() {
     }
     let (srv, _) = ViewMapServer::open(&mut rng, 512, vmcfg, &tmp.0, cfg()).unwrap();
     for vp in srv.minute_vps(MinuteId(0)) {
-        assert!(vp.is_key_warm(), "recovered VP {} is key-cold", vp.id);
+        assert!(!vp.is_key_warm(), "recovered VP {} is key-warm", vp.id);
     }
     let after = viewmap_checksum(&srv.build_viewmap(MinuteId(0), site()));
     assert_eq!(before, after, "restart changed the investigation outcome");

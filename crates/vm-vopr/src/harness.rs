@@ -245,7 +245,7 @@ fn sweep_first_minute(
     );
     ledger.truncate(0, 0);
     swept()?;
-    let r = srv.submit_trusted(world.minutes[0].1[0].clone());
+    let r = srv.submit_trusted_batch(vec![world.minutes[0].1[0].clone()])[0];
     ensure!(r.is_ok(), "re-anchor after sweep rejected: {r:?}");
     Ok(())
 }

@@ -488,7 +488,7 @@ impl Cell {
 /// them, since tail injuries never reach frame 0.
 pub fn anchor(srv: &ViewMapServer, world: &World, first_boot: bool) -> Result<(), String> {
     for (minute, vps) in &world.minutes {
-        let r = srv.submit_trusted(vps[0].clone()).map_err(ErrorCode::from);
+        let r = srv.submit_trusted_batch(vec![vps[0].clone()])[0].map_err(ErrorCode::from);
         if first_boot {
             ensure!(r.is_ok(), "anchor of {minute:?} rejected: {r:?}");
         } else {

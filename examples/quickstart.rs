@@ -70,9 +70,7 @@ fn main() {
     for sub in channel.flush(&mut rng) {
         server.submit(sub).expect("VP accepted");
     }
-    server
-        .submit_trusted(fin_p.profile.into_stored())
-        .expect("trusted VP accepted");
+    server.submit_trusted_batch(vec![fin_p.profile.into_stored()])[0].expect("trusted VP accepted");
     println!("server now holds {} anonymized VPs\n", server.total_vps());
 
     // ── 3. Incident investigation: build the viewmap, verify, solicit.

@@ -51,8 +51,7 @@ fn main() {
     for s in 0..SECONDS_PER_VP {
         police.record_second(&[0u8; 32], GeoPos::new(240.0 - s as f64, 0.0));
     }
-    server
-        .submit_trusted(police.finalize().profile.into_stored())
+    server.submit_trusted_batch(vec![police.finalize().profile.into_stored()])[0]
         .expect("trusted anchor stored");
 
     let server = Arc::new(server);

@@ -306,9 +306,7 @@ fn a_network_peer_cannot_mint_trust_anchors() {
     )
     .expect("spawn service");
     let mut client = VmClient::connect(service.addr()).expect("connect");
-    server
-        .submit_trusted(police.clone())
-        .expect("authority upload");
+    server.submit_trusted_batch(vec![police.clone()])[0].expect("authority upload");
     let acks = client.submit_pipelined(&honest).expect("honest uploads");
     assert!(acks.iter().all(|a| a.is_ok()));
     for fake in &fakes {

@@ -57,7 +57,7 @@ fn world() -> Vec<Vec<StoredVp>> {
 /// as one anonymous batch. Returns how many VPs went in.
 fn ingest(srv: &ViewMapServer, world: &[Vec<StoredVp>]) -> usize {
     for vps in world {
-        srv.submit_trusted(vps[0].clone()).expect("trusted stored");
+        srv.submit_trusted_batch(vec![vps[0].clone()])[0].expect("trusted stored");
         let acks = srv.submit_batch(vps[1..].iter().map(|vp| AnonymousSubmission {
             session_id: 0,
             vp: vp.clone(),

@@ -61,9 +61,7 @@ fn full_pipeline_drive_to_reward() {
 
     // Police VP through the authority channel; others anonymously.
     let police = fins.remove(0);
-    server
-        .submit_trusted(police.profile.into_stored())
-        .expect("trusted accepted");
+    server.submit_trusted_batch(vec![police.profile.into_stored()])[0].expect("trusted accepted");
     let mut channel = AnonymousChannel::new();
     let witness = &fins[2]; // vehicle 3 of the original convoy
     let witness_id = witness.profile.id();
@@ -123,7 +121,7 @@ fn tampered_video_is_rejected_end_to_end() {
     let mut rng = StdRng::seed_from_u64(4);
     let server = ViewMapServer::new(&mut rng, 512, ViewmapConfig::default());
     let police = fins.remove(0);
-    server.submit_trusted(police.profile.into_stored()).unwrap();
+    server.submit_trusted_batch(vec![police.profile.into_stored()])[0].unwrap();
     let victim_id = fins[0].profile.id();
     let mut channel = AnonymousChannel::new();
     for fin in &fins {
@@ -158,7 +156,7 @@ fn reward_requires_ownership_and_board_entry() {
     let mut rng = StdRng::seed_from_u64(6);
     let server = ViewMapServer::new(&mut rng, 512, ViewmapConfig::default());
     let police = fins.remove(0);
-    server.submit_trusted(police.profile.into_stored()).unwrap();
+    server.submit_trusted_batch(vec![police.profile.into_stored()])[0].unwrap();
     let fin = fins.remove(0);
     let id = fin.profile.id();
     let secret = fin.secret;
@@ -193,7 +191,7 @@ fn fake_vps_cannot_enter_an_honest_viewmap() {
     let mut rng = StdRng::seed_from_u64(8);
     let server = ViewMapServer::new(&mut rng, 512, ViewmapConfig::default());
     let police = fins.remove(0);
-    server.submit_trusted(police.profile.into_stored()).unwrap();
+    server.submit_trusted_batch(vec![police.profile.into_stored()])[0].unwrap();
     let honest_profiles: Vec<_> = fins.iter().map(|f| f.profile.clone()).collect();
     let mut channel = AnonymousChannel::new();
     for fin in fins {
@@ -298,7 +296,7 @@ fn wire_investigations_equal_the_cold_oracle_through_a_minutes_life() {
     assert!(!server.has_maintained(minute));
 
     // The authority seeds its VP in process; eight vehicles upload.
-    server.submit_trusted(police.clone()).expect("trusted");
+    server.submit_trusted_batch(vec![police.clone()])[0].expect("trusted");
     let acks = client.submit_pipelined(&vps[..8]).expect("uploads");
     assert!(acks.iter().all(|a| a.is_ok()));
 
@@ -343,7 +341,7 @@ fn wire_investigations_equal_the_cold_oracle_through_a_minutes_life() {
     assert!(!server.has_maintained(minute), "no bucket, no memo");
 
     // Resubmission (eviction forgot the ids) starts from none.
-    server.submit_trusted(police).expect("trusted again");
+    server.submit_trusted_batch(vec![police])[0].expect("trusted again");
     let acks = client.submit_pipelined(&vps).expect("resubmission");
     assert!(acks.iter().all(|a| a.is_ok()));
     let back = check(&mut client, site(600.0, 200.0), "resubmitted");
