@@ -68,6 +68,10 @@
 //! before the minute shard's write lock is released — one group-commit
 //! append per (minute, batch), so per-minute log order always equals
 //! bucket order and a replay reconstructs the id index byte for byte.
+//! A refused append is undone under those same locks before the server
+//! panics, so memory never holds a VP the log did not record. Once an
+//! ingest call has appended its last group it calls
+//! [`VpWal::end_batch`] once, outside every lock.
 //! [`ViewMapServer::submit_replay_batch`] is the one replay entry, for
 //! recovery and for a replication follower alike: it drives decoded
 //! log records through the normal batch machinery (screening, in-batch
@@ -225,6 +229,12 @@ impl MinuteBucket {
         self.bounds.push(bounds, vp.trusted);
         self.vps.push(Arc::new(vp));
         pos
+    }
+
+    /// Drop every VP from position `len` on, table rows included.
+    fn truncate(&mut self, len: usize) {
+        self.bounds.truncate(len);
+        self.vps.truncate(len);
     }
 }
 
@@ -626,6 +636,7 @@ impl ViewMapServer {
             }
         }
 
+        let mut logged = false;
         // Commit one minute group at a time: every id stripe the group
         // touches, write-locked in ascending order, then the minute
         // shard — the global lock order, so concurrent commits and
@@ -663,9 +674,29 @@ impl ViewMapServer {
                 if bucket.vps.len() > first_new {
                     let appended: Vec<&StoredVp> =
                         bucket.vps[first_new..].iter().map(|a| a.as_ref()).collect();
-                    wal.append(&appended)
-                        .expect("WAL append failed; durable state would diverge");
+                    if let Err(e) = wal.append(&appended) {
+                        // Undo the group while both locks are held, so
+                        // no reader ever sees a VP the log refused.
+                        for vp in &bucket.vps[first_new..] {
+                            guards[guard_of[id_stripe(&vp.id)]].remove(&vp.id);
+                        }
+                        bucket.truncate(first_new);
+                        // An empty bucket is one this call created (or
+                        // one holding nothing): drop it with its memo.
+                        if first_new == 0 {
+                            shard.by_minute.remove(&minute);
+                        }
+                        panic!("WAL append failed; durable state would diverge: {e}");
+                    }
+                    logged = true;
                 }
+            }
+        }
+        // The batch's one log flush, outside every lock (a replicating
+        // log ships what its appends staged here).
+        if logged {
+            if let Some(wal) = &self.wal {
+                wal.end_batch();
             }
         }
         let stored = results.iter().filter(|r| r.is_ok()).count() as u64;
@@ -1788,6 +1819,7 @@ mod tests {
         #[derive(Default)]
         struct RecordingWal {
             appended: parking_lot::Mutex<Vec<(MinuteId, VpId)>>,
+            batches: AtomicU64,
             evictions: parking_lot::Mutex<Vec<MinuteId>>,
         }
         impl crate::wal::VpWal for RecordingWal {
@@ -1797,6 +1829,9 @@ mod tests {
                     log.push((vp.minute(), vp.id));
                 }
                 Ok(())
+            }
+            fn end_batch(&self) {
+                self.batches.fetch_add(1, Ordering::Relaxed);
             }
             fn evict_minutes_before(&self, cutoff: MinuteId) -> std::io::Result<usize> {
                 self.evictions.lock().push(cutoff);
@@ -1825,6 +1860,11 @@ mod tests {
 
         let log = wal.appended.lock().clone();
         assert_eq!(log.len(), 4, "exactly the accepted VPs are logged");
+        assert_eq!(
+            wal.batches.load(Ordering::Relaxed),
+            2,
+            "one end_batch per ingest call that logged anything"
+        );
         // Per minute, log order equals bucket order.
         for m in 0..2u64 {
             let logged: Vec<VpId> = log
@@ -1839,6 +1879,60 @@ mod tests {
         srv.evict_minutes_before(MinuteId(1));
         assert_eq!(wal.evictions.lock().as_slice(), &[MinuteId(1)]);
         assert_eq!(srv.sync_wal().ok(), Some(()));
+    }
+
+    #[test]
+    fn a_refused_log_append_is_undone_before_the_panic() {
+        // A log that refuses appends once armed. The panicking ingest
+        // must leave memory as it was: bucket, bounds rows, id index,
+        // and no minute created for the refused group.
+        #[derive(Default)]
+        struct RefusingWal {
+            armed: std::sync::atomic::AtomicBool,
+        }
+        impl crate::wal::VpWal for RefusingWal {
+            fn append(&self, _: &[&StoredVp]) -> std::io::Result<()> {
+                if self.armed.load(Ordering::Relaxed) {
+                    return Err(std::io::Error::other("log device gone"));
+                }
+                Ok(())
+            }
+            fn evict_minutes_before(&self, _: MinuteId) -> std::io::Result<usize> {
+                Ok(0)
+            }
+        }
+
+        let wal = Arc::new(RefusingWal::default());
+        let mut srv = server(53);
+        srv.attach_wal(Box::new(Arc::clone(&wal)));
+        let first = synthetic_vp(1, 0);
+        assert!(srv.submit_trusted_batch(vec![first.clone()])[0].is_ok());
+        let before = srv.state_digest();
+
+        wal.armed.store(true, Ordering::Relaxed);
+        for refused in [synthetic_vp(2, 0), synthetic_vp(3, 5)] {
+            let id = refused.id;
+            let ingest = std::panic::AssertUnwindSafe(|| srv.submit_trusted_batch(vec![refused]));
+            assert!(std::panic::catch_unwind(ingest).is_err(), "refusal panics");
+            assert!(srv.lookup_vp(id).is_none(), "the refused VP is not indexed");
+        }
+        assert_eq!(srv.state_digest(), before);
+        assert_eq!(srv.stored_minutes(), vec![MinuteId(0)]);
+
+        // The undo kept bucket and table aligned: the same VP commits
+        // at the next position once the log takes writes again.
+        wal.armed.store(false, Ordering::Relaxed);
+        let second = synthetic_vp(2, 0);
+        assert!(srv.submit_trusted_batch(vec![second.clone()])[0].is_ok());
+        let ids: Vec<VpId> = srv.minute_vps(MinuteId(0)).iter().map(|vp| vp.id).collect();
+        assert_eq!(ids, vec![first.id, second.id]);
+        let site = Site {
+            center: GeoPos::new(0.0, 0.0),
+            radius_m: 100.0,
+        };
+        let vm = srv.build_viewmap(MinuteId(0), site);
+        assert_eq!(vm.vps.len(), 2, "both rows admit");
+        assert_eq!(vm.trusted, vec![0, 1], "both trusted rows are seeds");
     }
 
     #[test]

@@ -20,12 +20,26 @@
 //! index) byte for byte. Backends must not reorder records within a
 //! call or between calls.
 //!
+//! One ingest call (a `submit`, a batch, a replayed run) may append
+//! several minute groups, each under its own shard lock. After the last
+//! of them, and **outside every lock**, the server calls
+//! [`VpWal::end_batch`] once. A backend that forwards its appends
+//! elsewhere (a replicating log) stages them in `append`, in append
+//! order, and sends the whole batch in `end_batch`; anything it waits
+//! on there (a replica's ack) then holds no shard lock, so readers of
+//! the batch's minutes are never blocked behind it. A plain log has
+//! nothing to flush: the default is a no-op.
+//!
 //! # Failure contract
 //!
 //! A backend that cannot write is a fatal condition for a durable
 //! server: the in-memory state would silently diverge from what a
-//! restart recovers. The server therefore panics on an `Err` from the
-//! log rather than dropping durability on the floor. Backends should
+//! restart recovers. The server therefore panics on an `Err` from
+//! `append` rather than dropping durability on the floor — after
+//! taking the refused group back out of memory (bucket, bounds rows,
+//! id index, and the minute if the group created it), under the locks
+//! it appended under, so no reader ever sees a VP the log refused, even
+//! when the panic is caught further up. Backends should
 //! reserve `Err` for genuine I/O failure (disk full, permission lost),
 //! not validation — all content-level screening already happened before
 //! the server committed the VP.
@@ -44,6 +58,11 @@ pub trait VpWal: Send + Sync {
     /// fsync, per their durability policy — per call, not per VP). All
     /// VPs in one call belong to the same minute.
     fn append(&self, vps: &[&StoredVp]) -> std::io::Result<()>;
+
+    /// The ingest call that made the preceding appends is done: flush
+    /// whatever they staged. Called once per call that appended
+    /// anything, after its last `append`, with no server lock held.
+    fn end_batch(&self) {}
 
     /// Drop every logged minute strictly before `cutoff` (bounded
     /// retention). Returns the number of minute buckets removed.
@@ -64,6 +83,10 @@ pub trait VpWal: Send + Sync {
 impl<W: VpWal + ?Sized> VpWal for std::sync::Arc<W> {
     fn append(&self, vps: &[&StoredVp]) -> std::io::Result<()> {
         (**self).append(vps)
+    }
+
+    fn end_batch(&self) {
+        (**self).end_batch()
     }
 
     fn evict_minutes_before(&self, cutoff: MinuteId) -> std::io::Result<usize> {

@@ -19,12 +19,17 @@
 //! first investigation after a promotion hashes only the keys of the
 //! members its site admits.)
 //!
-//! Application is pipelined: a reader thread drains the socket while
-//! the applier coalesces queued `FRAMES` of the same minute into one
-//! batch-sized scan (catch-up bursts on worker threads, a run or more
-//! each) + replay + log, acking the last op — the follower's version
-//! of group commit. The follower still re-encodes the records on its
-//! own append (its store frames them afresh).
+//! Application is pipelined: a reader thread drains the socket and
+//! hands the applier every message already in its buffer as one
+//! *burst* (messages are added while the burst holds less than
+//! [`MAX_FRAMES_MSG_BYTES`] of frames, so at most the cap plus one
+//! message). The applier turns each run of consecutive `FRAMES` in a
+//! burst — of any minute, so a primary's one flush of a 60-minute
+//! upload is one run — into one scan pass (on worker threads once the
+//! run holds a full message's worth of bytes), one replay + log, and
+//! one `ACK` of the run's last op: the follower's version of group
+//! commit. An `EVICT` ends a run. The follower still re-encodes the
+//! records on its own append (its store frames them afresh).
 //!
 //! # Injuries never poison the store
 //!
@@ -49,7 +54,7 @@ use crate::wire::{ReplMsg, MAX_FRAMES_MSG_BYTES};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::io::BufReader;
+use std::io::{BufRead, BufReader};
 use std::net::{SocketAddr, TcpStream};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -59,7 +64,8 @@ use viewmap_core::server::ViewMapServer;
 use viewmap_core::types::MinuteId;
 use viewmap_core::viewmap::ViewmapConfig;
 use vm_crypto::RsaKeyPair;
-use vm_obs::{Counter, Registry};
+use vm_obs::{Counter, Histogram, Registry};
+use vm_service::proto::Frame;
 use vm_service::{Role, RoleCell};
 use vm_store::{PersistentServer, RecoveryReport, StoreConfig};
 
@@ -100,6 +106,9 @@ struct FollowerObs {
     /// `vm_repl_applied_records_total`: records accepted into the
     /// replica by replay.
     applied_records: Arc<Counter>,
+    /// `vm_repl_apply_ops`: `FRAMES` ops per coalesced apply (one
+    /// replay and one `ACK` each).
+    apply_ops: Arc<Histogram>,
     /// `vm_repl_wire_injuries_total`: shipped runs whose scan found an
     /// injury (torn, corrupted, wrong-minute); each one also forces a
     /// resync.
@@ -117,6 +126,7 @@ impl FollowerObs {
             registry: Arc::clone(obs),
             applied_ops: obs.counter("vm_repl_applied_ops_total"),
             applied_records: obs.counter("vm_repl_applied_records_total"),
+            apply_ops: obs.histogram("vm_repl_apply_ops"),
             wire_injuries: obs.counter("vm_repl_wire_injuries_total"),
             resyncs: obs.counter("vm_repl_resyncs_total"),
             connects: obs.counter("vm_repl_connects_total"),
@@ -270,11 +280,40 @@ fn applier_loop(shared: Arc<ApplierShared>, primary_addr: SocketAddr, cfg: Follo
     }
 }
 
-/// Messages buffered between the socket reader and the applier: deep
-/// enough to coalesce a shipped burst into one group apply, shallow
-/// enough that socket backpressure stays the flow control for a
-/// replica that falls behind.
-const APPLY_QUEUE_MSGS: usize = 8;
+/// Bursts buffered between the socket reader and the applier: one
+/// read ahead of the one being applied, so socket backpressure stays
+/// the flow control for a replica that falls behind.
+const APPLY_QUEUE_BURSTS: usize = 2;
+
+/// The reader's socket buffer: room for two full-size `FRAMES`
+/// messages, envelopes included. A catch-up burst then carries two
+/// 2 MiB messages when the socket holds them, so its scan and the
+/// replica's append of them go parallel; with room for one, every
+/// catch-up apply was a single message scanned and framed serially.
+const READ_BUFFER_BYTES: usize = 2 * (MAX_FRAMES_MSG_BYTES + 64);
+
+/// Take the message at the front of the reader's buffer if all of it
+/// is there, so taking it cannot block. It is parsed where it lies: a
+/// socket read through the buffer would copy it once more.
+fn take_buffered(reader: &mut BufReader<TcpStream>) -> std::io::Result<Option<ReplMsg>> {
+    let invalid = std::io::ErrorKind::InvalidData;
+    let decoded = Frame::decode(reader.buffer()).map_err(|e| std::io::Error::new(invalid, e))?;
+    let Some((frame, used)) = decoded else {
+        return Ok(None);
+    };
+    reader.consume(used);
+    ReplMsg::from_frame(&frame)
+        .map(Some)
+        .map_err(|e| std::io::Error::new(invalid, e))
+}
+
+/// Segment-frame bytes a message carries.
+fn frame_bytes(msg: &ReplMsg) -> usize {
+    match msg {
+        ReplMsg::Frames { frames, .. } => frames.len(),
+        _ => 0,
+    }
+}
 
 /// One connection's lifetime: dial, handshake, apply until the stream
 /// ends or an injury forces a resync.
@@ -294,7 +333,7 @@ fn run_session(
     }
     let sock = stream.try_clone()?;
     let mut writer = stream.try_clone()?;
-    let mut reader = BufReader::new(stream);
+    let mut reader = BufReader::with_capacity(READ_BUFFER_BYTES, stream);
 
     ReplMsg::Hello {
         epoch,
@@ -320,25 +359,39 @@ fn run_session(
         .record("repl_reconnect", format!("stream from {primary_addr} open"));
 
     // Decouple reading from applying: the reader thread drains the
-    // socket (envelope checksum and parse) while the applier coalesces
-    // whatever has queued up into one batch-sized scan + replay + log —
-    // the follower's version of group commit. A primary ships a large
-    // append as several bounded runs; applying them one at a time
-    // would re-pay per-batch overheads (and fall under the
-    // parallel-encode thresholds) once per run, serializing the
-    // replica several run-latencies behind.
-    let (tx, rx) = std::sync::mpsc::sync_channel::<ReplMsg>(APPLY_QUEUE_MSGS);
+    // socket (envelope checksum and parse) and passes on every message
+    // already buffered as one burst, while the applier turns each burst
+    // into as few scan + replay + log passes as its messages allow —
+    // the follower's version of group commit. Applying the messages of
+    // one primary flush one at a time would re-pay per-batch overheads
+    // (and an ACK) once per minute, serializing the replica several
+    // message-latencies behind.
+    let (tx, rx) = std::sync::mpsc::sync_channel::<Vec<ReplMsg>>(APPLY_QUEUE_BURSTS);
     let reader_thread = std::thread::spawn(move || -> std::io::Result<()> {
-        loop {
-            match ReplMsg::read_from(&mut reader)? {
-                Some(msg) => {
-                    if tx.send(msg).is_err() {
-                        return Ok(()); // applier gone; session is ending
-                    }
-                }
-                None => return Ok(()), // clean EOF
+        // Block for a burst's first message; a message larger than
+        // what arrived with it goes through the reader.
+        while !reader.fill_buf()?.is_empty() {
+            let first = match take_buffered(&mut reader)? {
+                Some(msg) => msg,
+                None => match ReplMsg::read_from(&mut reader)? {
+                    Some(msg) => msg,
+                    None => break,
+                },
+            };
+            let mut bytes = frame_bytes(&first);
+            let mut burst = vec![first];
+            while bytes < MAX_FRAMES_MSG_BYTES {
+                let Some(msg) = take_buffered(&mut reader)? else {
+                    break;
+                };
+                bytes += frame_bytes(&msg);
+                burst.push(msg);
+            }
+            if tx.send(burst).is_err() {
+                return Ok(()); // applier gone; session is ending
             }
         }
+        Ok(()) // clean EOF
     });
     let applied = apply_stream(shared, &rx, &mut writer);
     // Unblock whichever side is still inside a blocking call, then
@@ -353,113 +406,110 @@ fn run_session(
     reader_result
 }
 
-/// The applier half of a session: drain queued messages, coalesce each
-/// consecutive same-minute run of `FRAMES`, apply, ack the run's last
-/// op. Returns when the channel closes (reader hit EOF or an error) or
-/// on an apply-side failure.
+/// The applier half of a session: take each burst, apply every run of
+/// consecutive `FRAMES` in it (any minutes) as one replay, ack the
+/// run's last op, and mirror each `EVICT`. Returns when the channel
+/// closes (reader hit EOF or an error) or on an apply-side failure.
 fn apply_stream(
     shared: &Arc<ApplierShared>,
-    rx: &std::sync::mpsc::Receiver<ReplMsg>,
+    rx: &std::sync::mpsc::Receiver<Vec<ReplMsg>>,
     writer: &mut TcpStream,
 ) -> std::io::Result<()> {
-    loop {
+    while let Ok(burst) = rx.recv() {
         if shared.stop.load(Ordering::Acquire) {
             return Ok(());
         }
-        let first = match rx.recv() {
-            Ok(msg) => msg,
-            Err(_) => return Ok(()), // reader ended the stream
-        };
-        let mut queue = vec![first];
-        while let Ok(msg) = rx.try_recv() {
-            queue.push(msg);
-        }
-        let mut i = 0;
-        while i < queue.len() {
-            let run_minute = match &queue[i] {
-                ReplMsg::Frames { minute, .. } => Some(MinuteId(*minute)),
-                _ => None,
-            };
-            if let Some(minute) = run_minute {
-                // Coalesce the queued FRAMES for this minute and scan
-                // each run; the records concatenate in op order up to
-                // the first injury. Runs queued by catch-up (together at
-                // least one full message) scan on worker threads, a run
-                // or more each; live 60-VP runs (≈ 90 KB, at most
-                // APPLY_QUEUE_MSGS + 1 queued) stay below it and scan
-                // inline.
-                let run: Vec<(u64, &[u8])> = queue[i..]
-                    .iter()
-                    .map_while(|msg| match msg {
-                        ReplMsg::Frames {
-                            op,
-                            minute: m,
-                            frames,
-                        } if MinuteId(*m) == minute => Some((*op, frames.as_slice())),
-                        _ => None,
-                    })
-                    .collect();
-                i += run.len();
-                let bytes: usize = run.iter().map(|(_, frames)| frames.len()).sum();
-                let threads = if bytes >= MAX_FRAMES_MSG_BYTES {
-                    viewmap_core::par::auto_threads(run.len(), 1)
-                } else {
-                    1
-                };
-                let cuts = viewmap_core::par::even_cuts(run.len(), threads);
-                let scans = viewmap_core::par::map_ranges(&cuts, |_t, lo, hi| {
-                    run[lo..hi]
+        let mut rest = burst.as_slice();
+        while let Some(msg) = rest.first() {
+            match msg {
+                ReplMsg::Frames { .. } => {
+                    let n = rest
                         .iter()
-                        .map(|(_, frames)| vm_store::scan(frames, minute))
-                        .collect::<Vec<_>>()
-                });
-                let mut records = Vec::new();
-                let mut injury = None;
-                let mut last_op = 0u64;
-                let mut ops = 0u64;
-                for ((op, _), scan) in run.iter().zip(scans.into_iter().flatten()) {
-                    records.extend(scan.records);
-                    last_op = *op;
-                    ops += 1;
-                    if scan.injury.is_some() {
-                        injury = scan.injury;
-                        break;
-                    }
+                        .take_while(|m| matches!(m, ReplMsg::Frames { .. }))
+                        .count();
+                    apply_frames(shared, &rest[..n], writer)?;
+                    rest = &rest[n..];
                 }
-                // Apply the prefix either way: it is committed
-                // data, and catch-up after the drop re-streams the
-                // rest (dedup eats the overlap).
-                let results = shared.server.submit_replay_batch(records);
-                let accepted = results.iter().filter(|r| r.is_ok()).count() as u64;
-                shared.obs.applied_records.add(accepted);
-                if let Some(e) = injury {
-                    shared.obs.wire_injuries.inc();
-                    shared.obs.registry.journal().record(
-                        "repl_injury",
-                        format!("injured frame in op {last_op}: {e}; dropping stream"),
-                    );
+                ReplMsg::Evict { op, cutoff } => {
+                    shared.server.evict_minutes_before(MinuteId(*cutoff));
+                    shared.obs.applied_ops.inc();
+                    ReplMsg::Ack { op: *op }.write_to(writer)?;
+                    rest = &rest[1..];
+                }
+                other => {
                     return Err(std::io::Error::new(
                         std::io::ErrorKind::InvalidData,
-                        format!("injured frame in op {last_op}: {e}"),
-                    ));
+                        format!(
+                            "unexpected {:#04x} on an established stream",
+                            other.opcode()
+                        ),
+                    ))
                 }
-                shared.obs.applied_ops.add(ops);
-                ReplMsg::Ack { op: last_op }.write_to(writer)?;
-            } else if let ReplMsg::Evict { op, cutoff } = &queue[i] {
-                let (op, cutoff) = (*op, *cutoff);
-                shared.server.evict_minutes_before(MinuteId(cutoff));
-                shared.obs.applied_ops.inc();
-                ReplMsg::Ack { op }.write_to(writer)?;
-                i += 1;
-            } else {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    format!(
-                        "unexpected {:#04x} on an established stream",
-                        queue[i].opcode()
-                    ),
-                ));
             }
         }
     }
+    Ok(()) // reader ended the stream
+}
+
+/// Apply one run of `FRAMES`: scan each message against its own minute
+/// (the records concatenate in op order up to the first injury), replay
+/// them in one batch, ack the last op. A run of at least one full
+/// message's bytes — catch-up, or a large append — scans on worker
+/// threads, a message or more each; a live flush of one upload scans
+/// inline.
+fn apply_frames(
+    shared: &Arc<ApplierShared>,
+    run: &[ReplMsg],
+    writer: &mut TcpStream,
+) -> std::io::Result<()> {
+    let bytes: usize = run.iter().map(frame_bytes).sum();
+    let threads = if bytes >= MAX_FRAMES_MSG_BYTES {
+        viewmap_core::par::auto_threads(run.len(), 1)
+    } else {
+        1
+    };
+    let cuts = viewmap_core::par::even_cuts(run.len(), threads);
+    let scans = viewmap_core::par::map_ranges(&cuts, |_t, lo, hi| {
+        run[lo..hi]
+            .iter()
+            .map(|msg| match msg {
+                ReplMsg::Frames { op, minute, frames } => {
+                    (*op, vm_store::scan(frames, MinuteId(*minute)))
+                }
+                _ => unreachable!("a run holds only FRAMES"),
+            })
+            .collect::<Vec<_>>()
+    });
+    let mut records = Vec::new();
+    let mut injury = None;
+    let mut last_op = 0u64;
+    let mut ops = 0u64;
+    for (op, scan) in scans.into_iter().flatten() {
+        records.extend(scan.records);
+        last_op = op;
+        ops += 1;
+        if scan.injury.is_some() {
+            injury = scan.injury;
+            break;
+        }
+    }
+    // Apply the prefix either way: it is committed data, and catch-up
+    // after the drop re-streams the rest (dedup eats the overlap).
+    let results = shared.server.submit_replay_batch(records);
+    let accepted = results.iter().filter(|r| r.is_ok()).count() as u64;
+    shared.obs.applied_records.add(accepted);
+    if let Some(e) = injury {
+        shared.obs.wire_injuries.inc();
+        shared.obs.registry.journal().record(
+            "repl_injury",
+            format!("injured frame in op {last_op}: {e}; dropping stream"),
+        );
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidData,
+            format!("injured frame in op {last_op}: {e}"),
+        ));
+    }
+    shared.obs.applied_ops.add(ops);
+    shared.obs.apply_ops.record(ops);
+    ReplMsg::Ack { op: last_op }.write_to(writer)
 }

@@ -7,13 +7,27 @@
 //! The server appends to its WAL under the committing minute's shard
 //! lock, so per-minute append order equals bucket order. The hub adds
 //! one global invariant on top: every shipped message — live append,
-//! catch-up run, eviction — is assigned its op number and written to
-//! follower sockets **under one stream mutex**. A follower therefore
-//! observes a single serialized message sequence whose per-minute
-//! record order equals the primary's bucket order, which is exactly
-//! what replaying through [`ViewMapServer::submit_replay_batch`] — the
-//! one replay path, crash recovery's too — needs to rebuild
+//! catch-up run, eviction — is assigned its op number and queued for
+//! the follower sockets **under one stream mutex**. A follower
+//! therefore observes a single serialized message sequence whose
+//! per-minute record order equals the primary's bucket order, which is
+//! exactly what replaying through [`ViewMapServer::submit_replay_batch`]
+//! — the one replay path, crash recovery's too — needs to rebuild
 //! byte-identical buckets, indexes, and segments.
+//!
+//! # One flush per ingest batch
+//!
+//! A live append does not write to the sockets: under the shard lock
+//! it only *stages* its encoded `FRAMES` in the hub's one stage buffer.
+//! The server calls [`VpWal::end_batch`] once its ingest call has
+//! appended every minute group, outside every lock, and that sends the
+//! stage to each follower in one `write_all` — a vehicle-hour upload of
+//! 60 one-minute VPs is one socket write, not 60. The stage also
+//! flushes early, so no op is ever reordered or shipped twice: when the
+//! next message would take it past [`MAX_FRAMES_MSG_BYTES`] (a large
+//! batch streams in pieces of that size), before an eviction ships, and
+//! before a joining follower's catch-up (the staged ops belong to the
+//! sessions already registered).
 //!
 //! Catch-up runs under the same mutex: while a joining follower's
 //! missing segment tails are being streamed, no live append can ship,
@@ -31,22 +45,24 @@
 //! session's acked-op cell. [`ReplHub::watermark`] is the smallest
 //! acked op across live sessions — the op up to which *every* live
 //! follower has scanned, replayed, and locally logged the stream.
-//! With [`ReplicationConfig::sync_ack`] the shipping path blocks until
-//! the shipped op is acked everywhere (bounded by `ack_timeout`; a
-//! follower that can't keep up is detached, never waited on forever —
-//! availability over a sick replica, and the vopr failover torture
-//! only promotes followers whose acks the primary actually saw).
+//! With [`ReplicationConfig::sync_ack`] the flush at the end of each
+//! ingest batch waits, holding no lock, until the last op assigned is
+//! acked everywhere (bounded by `ack_timeout`; a follower that can't
+//! keep up is detached, never waited on forever — availability over a
+//! sick replica, and the vopr failover torture only promotes followers
+//! whose acks the primary actually saw). Readers of the batch's
+//! minutes are never blocked behind that wait.
 
 use crate::wire::{ReplMsg, MAX_FRAMES_MSG_BYTES};
 use parking_lot::Mutex;
 use std::collections::VecDeque;
-use std::io::BufReader;
+use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::sync::{Condvar, Mutex as StdMutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use viewmap_core::server::ViewMapServer;
 use viewmap_core::types::MinuteId;
 use viewmap_core::viewmap::ViewmapConfig;
@@ -54,6 +70,7 @@ use viewmap_core::vp::StoredVp;
 use viewmap_core::wal::VpWal;
 use vm_crypto::RsaKeyPair;
 use vm_obs::{Counter, Gauge, Histogram, Registry};
+use vm_service::proto::{BODY_PREFIX_BYTES, FRAME_HEADER_BYTES};
 use vm_store::segment::{parse_segment_file_name, segment_path};
 use vm_store::{tail_frames, Frames, RecoveryReport, StoreConfig, VpStore};
 
@@ -106,20 +123,85 @@ struct FollowerSession {
 const SESSION_LEDGER_CAP: usize = 8192;
 
 /// One follower session's lag instruments, shared with its ACK reader.
+/// Both gauges are recomputed from the ledger, under its lock, on every
+/// ship and every ack, so they read 0 only while nothing shipped to
+/// this follower is unacked.
 struct SessionObs {
-    /// `(op, cumulative bytes shipped to this session as of that op)`
-    /// for ops not yet acked. Per-session cumulative, so another
-    /// follower's catch-up traffic never inflates this one's byte lag.
-    ledger: Mutex<VecDeque<(u64, u64)>>,
-    /// Cumulative payload bytes shipped to this session.
-    shipped_bytes: AtomicU64,
-    /// The hub's high-water op gauge (shared), read for op lag.
-    hub_next_op: Arc<Gauge>,
-    /// `next_op - acked_op` — ops shipped but not yet acked by this
-    /// follower.
+    ledger: Mutex<Ledger>,
+    /// Ops shipped to this follower but not yet acked.
     lag_ops: Arc<Gauge>,
     /// Shipped-but-unacked payload bytes for this follower.
     lag_bytes: Arc<Gauge>,
+}
+
+/// What one session has been shipped and has acked.
+struct Ledger {
+    /// `(op, cumulative bytes shipped to this session as of that op)`
+    /// for ops not yet acked. Per-session cumulative, so another
+    /// follower's catch-up traffic never inflates this one's byte lag.
+    unacked: VecDeque<(u64, u64)>,
+    /// Highest op shipped to this session (the hub's op when it was
+    /// admitted, before its first).
+    shipped_op: u64,
+    /// Cumulative payload bytes shipped to this session.
+    shipped_bytes: u64,
+    /// Highest op acked (starts where `shipped_op` does).
+    acked_op: u64,
+    /// Cumulative session bytes at the highest acked op, carried across
+    /// acks (a capped ledger may skip entries).
+    acked_bytes: u64,
+    /// The session ended: its gauges stay 0.
+    detached: bool,
+}
+
+impl SessionObs {
+    /// `bytes` of payload shipped to this session as `op`.
+    fn shipped(&self, op: u64, bytes: u64) {
+        let mut l = self.ledger.lock();
+        l.shipped_op = op;
+        l.shipped_bytes += bytes;
+        let cum = l.shipped_bytes;
+        l.unacked.push_back((op, cum));
+        if l.unacked.len() > SESSION_LEDGER_CAP {
+            l.unacked.pop_front();
+        }
+        self.publish(&l);
+    }
+
+    /// The follower acked every op up to `op`.
+    fn acked(&self, op: u64) {
+        let mut l = self.ledger.lock();
+        l.acked_op = l.acked_op.max(op);
+        while let Some(&(o, cum)) = l.unacked.front() {
+            if o > op {
+                break;
+            }
+            l.acked_bytes = cum;
+            l.unacked.pop_front();
+        }
+        self.publish(&l);
+    }
+
+    /// The session is gone: zero its gauges for good, so a detached
+    /// follower doesn't pin a stale lag in every later snapshot.
+    fn detach(&self) {
+        let mut l = self.ledger.lock();
+        l.detached = true;
+        self.publish(&l);
+    }
+
+    fn publish(&self, l: &Ledger) {
+        let (ops, bytes) = if l.detached {
+            (0, 0)
+        } else {
+            (
+                l.shipped_op.saturating_sub(l.acked_op),
+                l.shipped_bytes.saturating_sub(l.acked_bytes),
+            )
+        };
+        self.lag_ops.set(ops as i64);
+        self.lag_bytes.set(bytes as i64);
+    }
 }
 
 /// The hub's instrument set, registered on the primary server's
@@ -127,9 +209,11 @@ struct SessionObs {
 /// shipping side too.
 struct HubMetrics {
     registry: Arc<Registry>,
-    /// Socket-write time of one broadcast op across all followers.
+    /// Socket-write time of one flush of the stage across all
+    /// followers (one ingest batch, or a 2 MiB piece of a larger one).
     ship_us: Arc<Histogram>,
-    /// `sync_ack` wait per op (absent from async-shipping profiles).
+    /// `sync_ack` wait per ingest batch (absent from async-shipping
+    /// profiles).
     ack_wait_us: Arc<Histogram>,
     shipped_ops: Arc<Counter>,
     /// High-water op number (catch-up runs included).
@@ -161,6 +245,9 @@ impl HubMetrics {
 struct StreamState {
     next_op: u64,
     sessions: Vec<FollowerSession>,
+    /// Encoded messages that have their ops but are not yet written:
+    /// the next bytes of every registered session, in op order.
+    staged: Vec<u8>,
 }
 
 /// The shipping side of a replicated cell: listener, follower
@@ -196,6 +283,7 @@ impl ReplHub {
             stream: Mutex::new(StreamState {
                 next_op: 0,
                 sessions: Vec::new(),
+                staged: Vec::new(),
             }),
             shutdown: AtomicBool::new(false),
             threads: Mutex::new(Vec::new()),
@@ -224,10 +312,17 @@ impl ReplHub {
         self.addr
     }
 
-    /// Drop dead sessions, counting and journaling the detaches.
+    /// Drop dead sessions, shutting their sockets (which ends their
+    /// ACK readers), counting and journaling the detaches.
     fn prune_dead(&self, state: &mut StreamState) {
         let before = state.sessions.len();
-        state.sessions.retain(|s| s.alive.load(Ordering::Acquire));
+        state.sessions.retain(|s| {
+            let alive = s.alive.load(Ordering::Acquire);
+            if !alive {
+                let _ = s.stream.shutdown(std::net::Shutdown::Both);
+            }
+            alive
+        });
         let dropped = before - state.sessions.len();
         if dropped > 0 {
             self.metrics.follower_detaches.add(dropped as u64);
@@ -246,19 +341,11 @@ impl ReplHub {
         h.shipped_ops.inc();
         h.next_op.set(state.next_op as i64);
         h.shipped_bytes.add(bytes as i64);
-        let push = |so: &SessionObs| {
-            let cum = so.shipped_bytes.fetch_add(bytes, Ordering::AcqRel) + bytes;
-            let mut ledger = so.ledger.lock();
-            ledger.push_back((state.next_op, cum));
-            if ledger.len() > SESSION_LEDGER_CAP {
-                ledger.pop_front();
-            }
-        };
         match target {
-            Some(so) => push(so),
+            Some(so) => so.shipped(state.next_op, bytes),
             None => {
                 for s in &state.sessions {
-                    push(&s.obs);
+                    s.obs.shipped(state.next_op, bytes);
                 }
             }
         }
@@ -352,9 +439,14 @@ impl ReplHub {
             format!("follower {id} admitted at op {}", state.next_op),
         );
         let sobs = Arc::new(SessionObs {
-            ledger: Mutex::new(VecDeque::new()),
-            shipped_bytes: AtomicU64::new(0),
-            hub_next_op: Arc::clone(&h.next_op),
+            ledger: Mutex::new(Ledger {
+                unacked: VecDeque::new(),
+                shipped_op: state.next_op,
+                shipped_bytes: 0,
+                acked_op: state.next_op,
+                acked_bytes: 0,
+                detached: false,
+            }),
             lag_ops: h
                 .registry
                 .gauge_with("vm_repl_watermark_lag_ops", &[("follower", id.as_str())]),
@@ -362,6 +454,10 @@ impl ReplHub {
                 .registry
                 .gauge_with("vm_repl_watermark_lag_bytes", &[("follower", id.as_str())]),
         });
+        // Staged ops belong to the sessions registered before this one:
+        // send them now, or this follower would get them after its
+        // catch-up, out of op order.
+        self.flush(&mut state);
         self.catch_up(&mut state, &mut writer, &cursors, &sobs)?;
         let ack = Arc::new(AckCell {
             acked: StdMutex::new(0),
@@ -378,9 +474,6 @@ impl ReplHub {
         drop(state);
 
         let reader_thread = std::thread::spawn(move || {
-            // Cumulative session bytes at the highest acked op, carried
-            // across acks (a capped ledger may skip entries).
-            let mut acked_cum: u64 = 0;
             // Anything that isn't an ACK — EOF, garbage, an unexpected
             // opcode — falls out of the `while let` and ends the session.
             while let Ok(Some(ReplMsg::Ack { op })) = ReplMsg::read_from(&mut reader) {
@@ -390,23 +483,12 @@ impl ReplHub {
                 }
                 drop(acked);
                 ack.advanced.notify_all();
-                // Lag gauges come last: nothing below touches the ack
-                // cell or the stream mutex, so a blocked sync_ack waiter
-                // is already unblocked by the notify above.
-                let next = sobs.hub_next_op.get().max(0) as u64;
-                sobs.lag_ops.set(next.saturating_sub(op) as i64);
-                let mut ledger = sobs.ledger.lock();
-                while ledger.front().is_some_and(|(o, _)| *o <= op) {
-                    acked_cum = ledger.pop_front().expect("front checked").1;
-                }
-                drop(ledger);
-                let shipped = sobs.shipped_bytes.load(Ordering::Acquire);
-                sobs.lag_bytes.set(shipped.saturating_sub(acked_cum) as i64);
+                // Lag gauges come last: they take only the ledger lock,
+                // and a blocked sync_ack waiter is already unblocked by
+                // the notify above.
+                sobs.acked(op);
             }
-            // Zero the lag gauges so a detached follower doesn't pin a
-            // stale lag in every later snapshot.
-            sobs.lag_ops.set(0);
-            sobs.lag_bytes.set(0);
+            sobs.detach();
             alive.store(false, Ordering::Release);
             ack.advanced.notify_all();
         });
@@ -456,11 +538,14 @@ impl ReplHub {
         Ok(())
     }
 
-    /// Ship committed frames — the exact bytes the store just wrote, one
-    /// lent part of an append — to every live follower (called by
+    /// Stage committed frames — the exact bytes the store just wrote,
+    /// one lent part of an append — for every live follower (called by
     /// [`ReplicatedWal::append`] *after* local durability, still under
-    /// the minute's shard lock).
-    /// A large part ships as several [`MAX_FRAMES_MSG_BYTES`]-bounded
+    /// the minute's shard lock, so ops follow bucket order). Nothing
+    /// reaches a socket until the stage is flushed: by
+    /// [`end_batch`](Self::end_batch) once the ingest call is done, or
+    /// early when the stage fills.
+    /// A large part stages as several [`MAX_FRAMES_MSG_BYTES`]-bounded
     /// ops rather than one giant message, so a follower starts scanning
     /// and replaying the first run while later ones are still on the
     /// wire, and the ack watermark advances run by run.
@@ -478,11 +563,11 @@ impl ReplHub {
                 minute: minute.0,
                 frames: run.to_vec(),
             };
-            self.broadcast(&mut state, &msg);
+            self.stage(&mut state, &msg);
         }
     }
 
-    /// Mirror a retention sweep.
+    /// Stage a retention sweep behind every op staged before it.
     fn ship_evict(&self, cutoff: MinuteId) {
         let mut state = self.stream.lock();
         self.prune_dead(&mut state);
@@ -495,56 +580,79 @@ impl ReplHub {
             op: state.next_op,
             cutoff: cutoff.0,
         };
-        self.broadcast(&mut state, &msg);
+        self.stage(&mut state, &msg);
     }
 
-    /// Write `msg` to every session; under `sync_ack`, wait for each
-    /// to ack it (detaching on timeout). Shipping failures detach the
-    /// session — replication never fails the primary's local commit.
-    fn broadcast(&self, state: &mut StreamState, msg: &ReplMsg) {
-        let op = state.next_op;
+    /// Append `msg` to the stage, flushing first if it would take the
+    /// stage past [`MAX_FRAMES_MSG_BYTES`]: a batch larger than that
+    /// streams in pieces of about one message's cap, and the stage
+    /// never holds more than the cap or one message, whichever is
+    /// larger.
+    fn stage(&self, state: &mut StreamState, msg: &ReplMsg) {
+        let frame = msg.to_frame();
+        let len = FRAME_HEADER_BYTES + BODY_PREFIX_BYTES + frame.payload.len();
+        if state.staged.len() + len > MAX_FRAMES_MSG_BYTES {
+            self.flush(state);
+        }
+        frame.encode(&mut state.staged);
+    }
+
+    /// Write the stage to every session in one `write_all` each.
+    /// Shipping failures detach the session — replication never fails
+    /// the primary's local commit.
+    fn flush(&self, state: &mut StreamState) {
+        if state.staged.is_empty() {
+            return;
+        }
         self.metrics.ship_us.time(|| {
             for s in &state.sessions {
-                let mut writer = &s.stream;
-                if msg.write_to(&mut writer).is_err() {
+                if (&s.stream).write_all(&state.staged).is_err() {
                     s.alive.store(false, Ordering::Release);
-                    let _ = s.stream.shutdown(std::net::Shutdown::Both);
                 }
             }
         });
-        if self.cfg.sync_ack {
-            self.metrics.ack_wait_us.time(|| {
-                for s in &state.sessions {
-                    if !s.alive.load(Ordering::Acquire) {
-                        continue;
-                    }
-                    let deadline = std::time::Instant::now() + self.cfg.ack_timeout;
-                    let mut acked = s.ack.acked.lock().expect("ack cell poisoned");
-                    while *acked < op && s.alive.load(Ordering::Acquire) {
-                        let now = std::time::Instant::now();
-                        if now >= deadline {
-                            // Too slow for synchronous replication: detach
-                            // rather than stall every future commit.
-                            s.alive.store(false, Ordering::Release);
-                            let _ = s.stream.shutdown(std::net::Shutdown::Both);
-                            break;
-                        }
-                        let (guard, timeout) = s
-                            .ack
-                            .advanced
-                            .wait_timeout(acked, deadline - now)
-                            .expect("ack cell poisoned");
-                        acked = guard;
-                        if timeout.timed_out() && *acked < op {
-                            s.alive.store(false, Ordering::Release);
-                            let _ = s.stream.shutdown(std::net::Shutdown::Both);
-                            break;
-                        }
-                    }
-                }
-            });
-        }
+        state.staged.clear();
         self.prune_dead(state);
+    }
+
+    /// Ship everything staged so far; under `sync_ack`, then wait —
+    /// holding no lock — until every live follower has acked the last
+    /// op assigned (detaching any that miss `ack_timeout`).
+    fn end_batch(&self) {
+        let (op, waits) = {
+            let mut state = self.stream.lock();
+            self.flush(&mut state);
+            if !self.cfg.sync_ack || state.sessions.is_empty() {
+                return;
+            }
+            let waits: Vec<_> = state
+                .sessions
+                .iter()
+                .map(|s| (Arc::clone(&s.ack), Arc::clone(&s.alive)))
+                .collect();
+            (state.next_op, waits)
+        };
+        let deadline = Instant::now() + self.cfg.ack_timeout;
+        self.metrics.ack_wait_us.time(|| {
+            for (ack, alive) in &waits {
+                let mut acked = ack.acked.lock().expect("ack cell poisoned");
+                while *acked < op && alive.load(Ordering::Acquire) {
+                    let now = Instant::now();
+                    if now >= deadline {
+                        // Too slow for synchronous replication: detach
+                        // rather than stall every future commit.
+                        alive.store(false, Ordering::Release);
+                        break;
+                    }
+                    acked = ack
+                        .advanced
+                        .wait_timeout(acked, deadline - now)
+                        .expect("ack cell poisoned")
+                        .0;
+                }
+            }
+        });
+        self.prune_dead(&mut self.stream.lock());
     }
 }
 
@@ -580,7 +688,8 @@ impl Drop for ReplHub {
 }
 
 /// The primary's WAL: a [`VpStore`] whose every committed append also
-/// ships — local write (and fsync) first, then the very bytes written.
+/// ships — local write (and fsync) first, then the very bytes written,
+/// staged and flushed once per ingest batch.
 ///
 /// Eviction sweeps ship too, so follower retention mirrors the
 /// primary's. `sync` is purely local — the remote equivalent is the ack
@@ -606,9 +715,14 @@ impl VpWal for ReplicatedWal {
             .append_then(vps, |frames| self.hub.ship_append(vps[0].minute(), frames))
     }
 
+    fn end_batch(&self) {
+        self.hub.end_batch();
+    }
+
     fn evict_minutes_before(&self, cutoff: MinuteId) -> std::io::Result<usize> {
         let removed = self.store.evict_minutes_before(cutoff)?;
         self.hub.ship_evict(cutoff);
+        self.hub.end_batch();
         Ok(removed)
     }
 

@@ -6,7 +6,7 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::io::BufReader;
+use std::io::{BufReader, Write};
 use std::net::TcpListener;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
@@ -271,10 +271,13 @@ fn promotion_is_byte_equivalent_and_redeems_prefailover_cash() {
 }
 
 /// A scripted peer standing in for the primary: speaks just enough of
-/// the protocol to inject precisely-injured `FRAMES` payloads.
+/// the protocol to inject precisely-shaped `FRAMES` payloads. `serve`
+/// sends messages (each call's messages in one write) and names the op
+/// whose `ACK` ends the session, if any; the `ACK`s read up to it are
+/// returned.
 fn fake_primary_session(
     listener: &TcpListener,
-    serve: impl FnOnce(&mut dyn FnMut(ReplMsg), ReplMsg) -> Vec<ReplMsg>,
+    serve: impl FnOnce(&mut dyn FnMut(&[ReplMsg]), ReplMsg) -> Option<u64>,
 ) -> Vec<ReplMsg> {
     let (stream, _) = listener.accept().unwrap();
     stream
@@ -285,14 +288,23 @@ fn fake_primary_session(
         .unwrap()
         .expect("follower HELLO");
     let mut writer = stream.try_clone().unwrap();
-    let mut send = |msg: ReplMsg| msg.write_to(&mut writer).unwrap();
-    send(ReplMsg::HelloOk { epoch: 1 });
-    let expect_acks = serve(&mut send, hello);
+    let mut send = |msgs: &[ReplMsg]| {
+        let mut wire = Vec::new();
+        for msg in msgs {
+            msg.to_frame().encode(&mut wire);
+        }
+        writer.write_all(&wire).unwrap();
+    };
+    send(&[ReplMsg::HelloOk { epoch: 1 }]);
+    let Some(last) = serve(&mut send, hello) else {
+        return Vec::new();
+    };
     let mut acks = Vec::new();
-    for _ in &expect_acks {
-        match ReplMsg::read_from(&mut reader) {
-            Ok(Some(msg)) => acks.push(msg),
-            _ => break,
+    while let Ok(Some(msg)) = ReplMsg::read_from(&mut reader) {
+        let done = msg == ReplMsg::Ack { op: last };
+        acks.push(msg);
+        if done {
+            break;
         }
     }
     acks
@@ -332,12 +344,12 @@ fn injured_wire_frames_quarantine_the_connection_not_the_store() {
     corrupt[len / 2] ^= 0x80;
     let acks = fake_primary_session(&listener, |send, hello| {
         assert!(matches!(&hello, ReplMsg::Hello { cursors, .. } if cursors.is_empty()));
-        send(ReplMsg::Frames {
+        send(&[ReplMsg::Frames {
             op: 1,
             minute: 0,
             frames: [frame(0), corrupt, frame(2)].concat(),
-        });
-        Vec::new() // the injury drops the connection; no ack comes
+        }]);
+        None // the injury drops the connection; no ack comes
     });
     assert!(acks.is_empty());
     wait_until("valid prefix applied", Duration::from_secs(10), || {
@@ -365,8 +377,8 @@ fn injured_wire_frames_quarantine_the_connection_not_the_store() {
             minute: 0,
             frames: [frame(0), frame(1), frame(2)].concat(),
         };
-        send(msg.clone());
-        vec![msg]
+        send(&[msg]);
+        Some(1)
     });
     assert_eq!(acks, vec![ReplMsg::Ack { op: 1 }]);
     wait_until("resync converged", Duration::from_secs(10), || {
@@ -564,4 +576,327 @@ fn shipped_runs_are_the_segment_bytes_with_consecutive_ops() {
     }
     drop(primary);
     drain.join().unwrap();
+}
+
+/// Every frame a primary sends to one fake follower.
+type Received = std::sync::Arc<std::sync::Mutex<Vec<vm_service::proto::Frame>>>;
+
+/// A raw-TCP follower that never acks: HELLO with empty cursors, then
+/// every frame the primary sends, collected on a thread (which ends when
+/// the primary closes or detaches the connection).
+fn never_acking_follower(primary: &Primary) -> (Received, std::thread::JoinHandle<()>) {
+    let stream = std::net::TcpStream::connect(primary.repl_addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    ReplMsg::Hello {
+        epoch: 1,
+        cursors: Vec::new(),
+    }
+    .write_to(&mut stream.try_clone().unwrap())
+    .unwrap();
+    assert_eq!(
+        ReplMsg::read_from(&mut reader).unwrap(),
+        Some(ReplMsg::HelloOk { epoch: 1 })
+    );
+    wait_until("fake follower admitted", Duration::from_secs(10), || {
+        primary.hub().follower_count() == 1
+    });
+    let received = Received::default();
+    let sink = std::sync::Arc::clone(&received);
+    let drain = std::thread::spawn(move || {
+        while let Ok(Some(frame)) = vm_service::proto::Frame::read_from(&mut reader) {
+            sink.lock().unwrap().push(frame);
+        }
+    });
+    (received, drain)
+}
+
+fn open_primary(dir: &std::path::Path, seed: u64, cfg: ReplicationConfig) -> Primary {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let key = RsaKeyPair::generate(&mut rng, KEY_BITS);
+    Primary::open(
+        dir,
+        key,
+        ViewmapConfig::default(),
+        StoreConfig::from_env(),
+        cfg,
+        "127.0.0.1:0",
+    )
+    .unwrap()
+    .0
+}
+
+#[test]
+fn one_batch_of_sixty_minutes_ships_in_one_flush() {
+    use vm_repl::wire::OP_REPL_FRAMES;
+    use vm_store::segment::{segment_path, SEGMENT_HEADER_BYTES};
+
+    let ptmp = TempDir::new("p_flush");
+    let primary = open_primary(&ptmp.0, 8, ReplicationConfig::default());
+    let (received, drain) = never_acking_follower(&primary);
+    let flushes = || {
+        let snap = primary.server().obs().snapshot();
+        let flushes = snap.histogram("vm_repl_ship_us").map_or(0, |h| h.count);
+        let ops = snap.counter("vm_repl_shipped_ops_total").unwrap_or(0);
+        (flushes, ops)
+    };
+
+    let (flushes_before, ops_before) = flushes();
+    let results = primary
+        .server()
+        .submit_batch((0..60).map(|m| AnonymousSubmission {
+            session_id: 0,
+            vp: synthetic_vp(m, m),
+        }));
+    assert!(results.iter().all(|r| r.is_ok()));
+    let (flushes_after, ops_after) = flushes();
+    assert_eq!(flushes_after - flushes_before, 1, "one flush per batch");
+    assert_eq!(ops_after - ops_before, 60, "one op per minute group");
+
+    wait_until("every op received", Duration::from_secs(10), || {
+        received.lock().unwrap().len() == 60
+    });
+    primary.server().sync_wal().unwrap();
+    let mut runs: std::collections::BTreeMap<u64, Vec<u8>> = Default::default();
+    for (i, frame) in received.lock().unwrap().iter().enumerate() {
+        assert_eq!(frame.opcode, OP_REPL_FRAMES);
+        let word = |at: usize| u64::from_le_bytes(frame.payload[at..at + 8].try_into().unwrap());
+        assert_eq!(word(0), i as u64 + 1, "ops are consecutive from 1");
+        runs.entry(word(8))
+            .or_default()
+            .extend_from_slice(&frame.payload[16..]);
+    }
+    assert_eq!(runs.len(), 60);
+    for (minute, shipped) in &runs {
+        let disk = std::fs::read(segment_path(&ptmp.0, MinuteId(*minute))).unwrap();
+        assert!(
+            shipped[..] == disk[SEGMENT_HEADER_BYTES..],
+            "minute {minute}: shipped bytes are not the segment's bytes"
+        );
+    }
+    drop(primary);
+    drain.join().unwrap();
+}
+
+#[test]
+fn a_sync_ack_wait_blocks_no_reader_of_its_minute() {
+    let ptmp = TempDir::new("p_syncwait");
+    let primary = open_primary(
+        &ptmp.0,
+        9,
+        ReplicationConfig {
+            sync_ack: true,
+            ack_timeout: Duration::from_secs(2),
+            ..ReplicationConfig::default()
+        },
+    );
+    let (received, drain) = never_acking_follower(&primary);
+
+    let vp = synthetic_vp(1, 7);
+    let id = vp.id;
+    let srv = std::sync::Arc::clone(primary.server());
+    let submit = std::thread::spawn(move || {
+        let start = Instant::now();
+        srv.submit(AnonymousSubmission { session_id: 0, vp })
+            .expect("admitted");
+        start.elapsed()
+    });
+    // Once the follower holds the op, the submit is waiting for its ack.
+    wait_until("the op shipped", Duration::from_secs(10), || {
+        received.lock().unwrap().len() == 1
+    });
+    let start = Instant::now();
+    assert_eq!(primary.server().vp_count(MinuteId(7)), 1);
+    assert!(primary.server().lookup_vp(id).is_some());
+    let read = start.elapsed();
+    assert!(
+        read < Duration::from_millis(200),
+        "a read of the waiting batch's minute took {read:?}"
+    );
+
+    let waited = submit.join().unwrap();
+    assert!(
+        waited >= Duration::from_millis(1500),
+        "the submit returned after {waited:?}, before the ack timeout"
+    );
+    assert_eq!(
+        primary.hub().follower_count(),
+        0,
+        "the mute follower was detached"
+    );
+    drop(primary);
+    drain.join().unwrap();
+}
+
+#[test]
+fn watermark_lag_counts_shipped_ops_until_they_are_acked() {
+    let ptmp = TempDir::new("p_lag");
+    let primary = open_primary(&ptmp.0, 10, ReplicationConfig::default());
+    let (received, drain) = never_acking_follower(&primary);
+
+    submit(primary.server(), synthetic_vp(1, 0));
+    let snap = primary.server().obs().snapshot();
+    let lag_ops = snap.gauge("vm_repl_watermark_lag_ops{follower=\"1\"}");
+    let lag_bytes = snap.gauge("vm_repl_watermark_lag_bytes{follower=\"1\"}");
+    assert!(lag_ops >= Some(1), "an unacked op reads as lag {lag_ops:?}");
+    assert!(lag_bytes > Some(0), "unacked bytes read as {lag_bytes:?}");
+
+    wait_until("the op shipped", Duration::from_secs(10), || {
+        received.lock().unwrap().len() == 1
+    });
+    drop(primary);
+    drain.join().unwrap();
+}
+
+/// Assert `follower` ended state- and byte-equal to a durable oracle
+/// that replayed `shipped` in one batch.
+fn assert_matches_replay_oracle(
+    follower: &Follower,
+    fdir: &std::path::Path,
+    key: &RsaKeyPair,
+    shipped: Vec<StoredVp>,
+    tag: &str,
+) {
+    let otmp = TempDir::new(tag);
+    let (oracle, _) = <ViewMapServer as vm_store::PersistentServer>::open_with_key(
+        key.clone(),
+        ViewmapConfig::default(),
+        &otmp.0,
+        StoreConfig::from_env(),
+    )
+    .unwrap();
+    assert!(oracle
+        .submit_replay_batch(shipped)
+        .iter()
+        .all(|r| r.is_ok()));
+    assert_eq!(
+        follower.server().state_digest(),
+        oracle.state_digest(),
+        "{tag}: state digest"
+    );
+    follower.server().sync_wal().unwrap();
+    oracle.sync_wal().unwrap();
+    assert_eq!(
+        segment_bytes(fdir),
+        segment_bytes(&otmp.0),
+        "{tag}: segment files"
+    );
+}
+
+/// One `FRAMES` message per group of VPs, ops from 1.
+fn frames_msgs(groups: &[Vec<StoredVp>]) -> Vec<ReplMsg> {
+    groups
+        .iter()
+        .enumerate()
+        .map(|(i, vps)| {
+            let mut frames = vm_store::Frames::default();
+            frames.push(&vps.iter().collect::<Vec<_>>());
+            ReplMsg::Frames {
+                op: i as u64 + 1,
+                minute: vps[0].minute().0,
+                frames: frames.bytes().to_vec(),
+            }
+        })
+        .collect()
+}
+
+fn apply_ops(follower: &Follower) -> (u64, u64) {
+    let snap = follower.server().obs().snapshot();
+    let h = snap.histogram("vm_repl_apply_ops").expect("registered");
+    (h.count, h.sum)
+}
+
+#[test]
+fn a_flush_of_sixty_minutes_applies_in_bursts() {
+    let ftmp = TempDir::new("f_burst");
+    let mut rng = StdRng::seed_from_u64(11);
+    let key = RsaKeyPair::generate(&mut rng, KEY_BITS);
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let (follower, _) = Follower::open(
+        &ftmp.0,
+        key.clone(),
+        ViewmapConfig::default(),
+        StoreConfig::from_env(),
+        listener.local_addr().unwrap(),
+        FollowerConfig::default(),
+    )
+    .unwrap();
+
+    let vps: Vec<StoredVp> = (0..60).map(|m| synthetic_vp(m, m)).collect();
+    let groups: Vec<Vec<StoredVp>> = vps.iter().map(|vp| vec![vp.clone()]).collect();
+    let acks = fake_primary_session(&listener, |send, _hello| {
+        send(&frames_msgs(&groups));
+        Some(60)
+    });
+    assert!(
+        acks.len() < 60,
+        "{} ACKs for one write of 60 messages",
+        acks.len()
+    );
+    assert_eq!(acks.last(), Some(&ReplMsg::Ack { op: 60 }));
+    assert_eq!(
+        apply_ops(&follower),
+        (acks.len() as u64, 60),
+        "one apply per ACK"
+    );
+    assert_matches_replay_oracle(&follower, &ftmp.0, &key, vps, "o_burst");
+}
+
+#[test]
+fn a_stream_past_the_cap_never_applies_more_than_a_burst() {
+    use vm_repl::wire::MAX_FRAMES_MSG_BYTES;
+
+    let ftmp = TempDir::new("f_cap");
+    let mut rng = StdRng::seed_from_u64(12);
+    let key = RsaKeyPair::generate(&mut rng, KEY_BITS);
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let (follower, _) = Follower::open(
+        &ftmp.0,
+        key.clone(),
+        ViewmapConfig::default(),
+        StoreConfig::from_env(),
+        listener.local_addr().unwrap(),
+        FollowerConfig::default(),
+    )
+    .unwrap();
+
+    // 320 messages of 10 VPs over four minutes: well past one cap.
+    let groups: Vec<Vec<StoredVp>> = (0..320u64)
+        .map(|i| (0..10).map(|j| synthetic_vp(i * 10 + j, i % 4)).collect())
+        .collect();
+    let msgs = frames_msgs(&groups);
+    let sizes: Vec<usize> = msgs
+        .iter()
+        .map(|m| match m {
+            ReplMsg::Frames { frames, .. } => frames.len(),
+            _ => unreachable!(),
+        })
+        .collect();
+    assert!(sizes.iter().sum::<usize>() > MAX_FRAMES_MSG_BYTES);
+    let burst_ops = (MAX_FRAMES_MSG_BYTES / sizes.iter().min().unwrap()) as u64 + 1;
+
+    let last = msgs.len() as u64;
+    let acks = fake_primary_session(&listener, |send, _hello| {
+        send(&msgs);
+        Some(last)
+    });
+    assert_eq!(acks.last(), Some(&ReplMsg::Ack { op: last }));
+    assert!((acks.len() as u64) < last, "messages were coalesced");
+    let mut acked = 0;
+    for ack in &acks {
+        let ReplMsg::Ack { op } = ack else {
+            panic!("expected ACK, got {ack:?}")
+        };
+        assert!(
+            op - acked <= burst_ops,
+            "one apply took ops {}..={op}, more than the cap plus one message ({burst_ops} ops)",
+            acked + 1
+        );
+        acked = *op;
+    }
+    assert_eq!(apply_ops(&follower), (acks.len() as u64, last));
+    let shipped: Vec<StoredVp> = groups.into_iter().flatten().collect();
+    assert_matches_replay_oracle(&follower, &ftmp.0, &key, shipped, "o_cap");
 }

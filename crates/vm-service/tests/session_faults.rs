@@ -364,3 +364,45 @@ fn a_panicked_session_returns_its_worker_to_the_pool() {
         .iter()
         .any(|e| e.kind == "worker_panic"));
 }
+
+/// A refused log append leaves nothing in memory: the panicking
+/// `SUBMIT` must not leave behind a VP the log never recorded — not in
+/// the bucket, not in the id index, not as an empty minute.
+#[test]
+fn a_refused_log_append_leaves_nothing_in_memory() {
+    use rand::SeedableRng;
+    let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+    let mut srv = viewmap_core::server::ViewMapServer::new(
+        &mut rng,
+        512,
+        viewmap_core::viewmap::ViewmapConfig::default(),
+    );
+    srv.attach_wal(Box::new(FailingWal));
+    let srv = Arc::new(srv);
+    let handle = VmService::spawn(
+        Arc::clone(&srv),
+        "127.0.0.1:0",
+        ServiceConfig {
+            workers: 1,
+            idle_timeout: None,
+        },
+    )
+    .unwrap();
+    let mut client = VmClient::connect_with(
+        handle.addr(),
+        ClientConfig {
+            read_timeout: Some(Duration::from_secs(5)),
+            ..ClientConfig::default()
+        },
+    )
+    .unwrap();
+    let vp = vm_bench::worlds::synthetic_vp(1, 0);
+    assert!(client.submit(&vp).is_err());
+
+    assert_eq!(srv.total_vps(), 0, "the refused VP is not served");
+    assert!(srv.lookup_vp(vp.id).is_none(), "nor indexed");
+    assert!(
+        srv.stored_minutes().is_empty(),
+        "nor left as an empty minute"
+    );
+}

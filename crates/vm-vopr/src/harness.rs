@@ -517,7 +517,7 @@ fn run_pair(
 ) -> Result<RunReport, String> {
     let seed = rig.seed;
     let (pdir, fdir) = (rig.dir().join("primary"), rig.dir().join("follower"));
-    let (vmcfg, store_cfg) = (ViewmapConfig::default(), StoreConfig::default());
+    let (vmcfg, store_cfg) = (ViewmapConfig::default(), StoreConfig::from_env());
     let minutes = world.minute_ids();
     let same_as = |oracle: &ViewMapServer, srv: &ViewMapServer, label: &str| {
         check_equivalence(srv, oracle, &minutes, Assertions::full(world.site), label)

@@ -421,7 +421,7 @@ impl Cell {
             self.profile.key_bits,
             ViewmapConfig::default(),
             &self.dir,
-            StoreConfig::default(),
+            StoreConfig::from_env(),
         )
         .map_err(|e| format!("open generation {gen}: {e}"))?;
         rig.track_obs(srv.obs());
