@@ -207,16 +207,6 @@ impl BoundsTable {
         self.min_x.len()
     }
 
-    /// Keep only the first `len` rows (a refused log append's undo).
-    pub fn truncate(&mut self, len: usize) {
-        let trusted = self.trusted.partition_point(|&pos| (pos as usize) < len);
-        self.trusted.truncate(trusted);
-        self.min_x.truncate(len);
-        self.min_y.truncate(len);
-        self.max_x.truncate(len);
-        self.max_y.truncate(len);
-    }
-
     /// True iff no rows are held.
     pub fn is_empty(&self) -> bool {
         self.min_x.is_empty()

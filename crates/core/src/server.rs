@@ -42,10 +42,13 @@
 //! # One commit path
 //!
 //! Every `submit*` entry point is a one-line call into one private
-//! commit function, which takes every id stripe a minute group needs in
-//! ascending order, then the shard — one acquisition per (minute, batch)
-//! instead of per VP, which is where batch throughput comes from. A
-//! single submission is a batch of one. The warm entry points
+//! commit function, which commits a batch's minute groups in ascending
+//! minute order, taking every id stripe a group needs in ascending
+//! order, then the shard — one acquisition per (minute, batch) instead
+//! of per VP, which is where batch throughput comes from. A group whose
+//! VPs all turn out to be duplicates under those locks touches nothing,
+//! so a minute has a bucket only while a VP is in it. A single
+//! submission is a batch of one. The warm entry points
 //! ([`ViewMapServer::submit_batch_warm`],
 //! [`ViewMapServer::submit_trusted_batch`]) additionally pre-hash each
 //! VP's viewlink keys before committing, so investigations of freshly
@@ -64,14 +67,15 @@
 //!
 //! The store is RAM-first; durability is optional and attaches through
 //! the [`crate::wal::VpWal`] trait ([`ViewMapServer::attach_wal`]).
-//! When a log is attached, every *accepted* VP is mirrored into it
-//! before the minute shard's write lock is released — one group-commit
-//! append per (minute, batch), so per-minute log order always equals
-//! bucket order and a replay reconstructs the id index byte for byte.
-//! A refused append is undone under those same locks before the server
-//! panics, so memory never holds a VP the log did not record. Once an
-//! ingest call has appended its last group it calls
-//! [`VpWal::end_batch`] once, outside every lock.
+//! When a log is attached, the log moves first and memory follows only
+//! what the log did: every *accepted* VP is appended under its minute
+//! shard's write lock and only then pushed to its bucket and indexed —
+//! one group-commit append per (minute, batch), so per-minute log order
+//! always equals bucket order and a replay reconstructs the id index
+//! byte for byte. A refused append panics before memory is touched, so
+//! memory never holds a VP the log did not record. Once an ingest call
+//! has appended its last group it calls [`VpWal::end_batch`] once,
+//! outside every lock.
 //! [`ViewMapServer::submit_replay_batch`] is the one replay entry, for
 //! recovery and for a replication follower alike: it drives decoded
 //! log records through the normal batch machinery (screening, in-batch
@@ -79,9 +83,9 @@
 //! no link keys. Recovery calls it before any log is attached, so it
 //! never re-appends. Bounded retention
 //! ([`ViewMapServer::evict_minutes_before`]) drops expired minutes from
-//! the shards, the id index, the solicitation board and the log
-//! together. The concrete append-log engine lives in the `vm-store`
-//! crate.
+//! the log first, then from the shards, the id index and the
+//! solicitation board, so a refused sweep panics with memory whole. The
+//! concrete append-log engine lives in the `vm-store` crate.
 
 use crate::maintained::{BoundsTable, MemoCell, MemoTotals, VdBounds};
 use crate::reward::Cash;
@@ -94,7 +98,7 @@ use crate::vp::StoredVp;
 use crate::wal::VpWal;
 use parking_lot::RwLock;
 use rand::Rng;
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -229,12 +233,6 @@ impl MinuteBucket {
         self.bounds.push(bounds, vp.trusted);
         self.vps.push(Arc::new(vp));
         pos
-    }
-
-    /// Drop every VP from position `len` on, table rows included.
-    fn truncate(&mut self, len: usize) {
-        self.bounds.truncate(len);
-        self.vps.truncate(len);
     }
 }
 
@@ -516,9 +514,9 @@ impl ViewMapServer {
     }
 
     /// Bounded-retention sweep: drop every stored minute strictly before
-    /// `cutoff` from the in-memory shards, the id index, the solicitation
-    /// board, and the attached log (if any). Returns the number of VPs
-    /// evicted.
+    /// `cutoff` from the attached log (if any), then from the in-memory
+    /// shards, the id index and the solicitation board. Returns the
+    /// number of VPs evicted.
     ///
     /// Evicted ids become submittable again — the dedup set is the id
     /// index, and retention is exactly the operation that forgets ids.
@@ -526,17 +524,24 @@ impl ViewMapServer {
     /// shards one at a time, then the board), so concurrent submits,
     /// batches and solicitations cannot deadlock against a sweep.
     ///
-    /// The sweep holds every id stripe for its full duration — including
-    /// the attached log's segment deletions — which is what makes
-    /// memory and disk drop a minute atomically with respect to ingest
-    /// (no submit can slip a pre-cutoff VP into memory after its log
-    /// segment is gone). The cost is a server-wide ingest/lookup pause
+    /// The log moves first, as on ingest: a refused log sweep panics
+    /// before memory loses anything, so memory keeps the expired minutes
+    /// until a retried sweep (or a restart) drops them, and a restart
+    /// never brings back a minute memory already forgot. Every id
+    /// stripe is held from the log sweep to the end of the memory sweep,
+    /// so no submit can slip a pre-cutoff VP into memory after its log
+    /// segment is gone. The cost is a server-wide ingest/lookup pause
     /// of one file unlink per expired minute (metadata-only, typically
     /// tens of µs each) at retention cadence; if sweeps ever batch
     /// enough minutes for that to matter, the next step is a
     /// seal-then-delete split (rename under the locks, unlink after).
     pub fn evict_minutes_before(&self, cutoff: MinuteId) -> usize {
         let mut id_guards: Vec<_> = self.id_index.iter().map(|s| s.write()).collect();
+        if let Some(wal) = &self.wal {
+            if let Err(e) = wal.evict_minutes_before(cutoff) {
+                panic!("WAL eviction failed; memory keeps the minutes: {e}");
+            }
+        }
         let mut evicted = 0usize;
         for shard in &self.db {
             let mut sh = shard.write();
@@ -560,16 +565,6 @@ impl ViewMapServer {
                 }
             }
         }
-        // Sweep the log while still holding every id stripe: all ingest
-        // paths take an id stripe before touching memory or the log, so
-        // no submit can slip a pre-cutoff VP into memory between the
-        // memory sweep above and the disk sweep here (which would leave
-        // the live server holding a VP whose log record was deleted —
-        // exactly the silent memory/disk divergence durability forbids).
-        if let Some(wal) = &self.wal {
-            wal.evict_minutes_before(cutoff)
-                .expect("WAL eviction failed; disk retention would diverge from memory");
-        }
         drop(id_guards);
         self.metrics.eviction_sweeps.inc();
         self.metrics.vps_evicted.add(evicted as u64);
@@ -590,7 +585,7 @@ impl ViewMapServer {
         // Screen without locks: shape validation, Bloom poisoning, and
         // the in-batch first-wins duplicate filter.
         let mut seen: HashSet<VpId> = HashSet::with_capacity(total);
-        let mut groups: HashMap<MinuteId, Vec<(usize, StoredVp, VdBounds)>> = HashMap::new();
+        let mut groups: BTreeMap<MinuteId, Vec<(usize, StoredVp, VdBounds)>> = BTreeMap::new();
         for (idx, mut vp) in vps.into_iter().enumerate() {
             match trust {
                 Trust::Anonymous => vp.trusted = false,
@@ -637,12 +632,15 @@ impl ViewMapServer {
         }
 
         let mut logged = false;
-        // Commit one minute group at a time: every id stripe the group
-        // touches, write-locked in ascending order, then the minute
-        // shard — the global lock order, so concurrent commits and
-        // sweeps cannot deadlock; the index entry and the shard append
-        // commit under the same critical section.
-        for (minute, group) in groups {
+        // Commit one minute group at a time, in ascending minute order
+        // (so one batch always makes one log order): every id stripe the
+        // group touches, write-locked in ascending order, then the
+        // minute shard — the global lock order, so concurrent commits
+        // and sweeps cannot deadlock. Under both locks the log moves
+        // first and memory follows: a refused append panics with
+        // nothing in memory to take back, and per-minute log order
+        // equals bucket order.
+        for (minute, mut group) in groups {
             let mut stripes: Vec<usize> =
                 group.iter().map(|(_, vp, _)| id_stripe(&vp.id)).collect();
             stripes.sort_unstable();
@@ -653,43 +651,33 @@ impl ViewMapServer {
                 guard_of[s] = guards.len();
                 guards.push(self.id_index[s].write());
             }
-            let mut shard = self.db[minute_stripe(minute)].write();
-            let bucket = self.bucket_mut(&mut shard, minute);
-            let first_new = bucket.vps.len();
-            for (idx, vp, bounds) in group {
-                let ids = &mut guards[guard_of[id_stripe(&vp.id)]];
-                if ids.contains_key(&vp.id) {
-                    results[idx] = Err(SubmitError::Duplicate);
-                    continue;
+            // An id indexed since the prescreen is a duplicate now; a
+            // group left with no fresh VP touches neither log nor shard.
+            group.retain(|(idx, vp, _)| {
+                let fresh = !guards[guard_of[id_stripe(&vp.id)]].contains_key(&vp.id);
+                if !fresh {
+                    results[*idx] = Err(SubmitError::Duplicate);
                 }
+                fresh
+            });
+            if group.is_empty() {
+                continue;
+            }
+            let mut shard = self.db[minute_stripe(minute)].write();
+            // One append call (one buffered write + at most one fsync in
+            // the backend) for the whole (minute, batch) group.
+            if let Some(wal) = &self.wal {
+                let fresh: Vec<&StoredVp> = group.iter().map(|(_, vp, _)| vp).collect();
+                if let Err(e) = wal.append(&fresh) {
+                    panic!("WAL append failed; nothing of the group is in memory: {e}");
+                }
+                logged = true;
+            }
+            let bucket = self.bucket_mut(&mut shard, minute);
+            for (_, vp, bounds) in group {
                 let id = vp.id;
                 let pos = bucket.push(vp, bounds);
-                ids.insert(id, VpSlot { minute, pos });
-            }
-            // Group commit to the log while the shard lock is still held,
-            // so per-minute log order equals bucket order: one append
-            // call (one buffered write + at most one fsync in the
-            // backend) for the whole (minute, batch) group.
-            if let Some(wal) = &self.wal {
-                if bucket.vps.len() > first_new {
-                    let appended: Vec<&StoredVp> =
-                        bucket.vps[first_new..].iter().map(|a| a.as_ref()).collect();
-                    if let Err(e) = wal.append(&appended) {
-                        // Undo the group while both locks are held, so
-                        // no reader ever sees a VP the log refused.
-                        for vp in &bucket.vps[first_new..] {
-                            guards[guard_of[id_stripe(&vp.id)]].remove(&vp.id);
-                        }
-                        bucket.truncate(first_new);
-                        // An empty bucket is one this call created (or
-                        // one holding nothing): drop it with its memo.
-                        if first_new == 0 {
-                            shard.by_minute.remove(&minute);
-                        }
-                        panic!("WAL append failed; durable state would diverge: {e}");
-                    }
-                    logged = true;
-                }
+                guards[guard_of[id_stripe(&id)]].insert(id, VpSlot { minute, pos });
             }
         }
         // The batch's one log flush, outside every lock (a replicating
@@ -1818,9 +1806,9 @@ mod tests {
         // VPs, per minute in bucket order, and forward retention sweeps.
         #[derive(Default)]
         struct RecordingWal {
-            appended: parking_lot::Mutex<Vec<(MinuteId, VpId)>>,
-            batches: AtomicU64,
-            evictions: parking_lot::Mutex<Vec<MinuteId>>,
+            appended: Arc<parking_lot::Mutex<Vec<(MinuteId, VpId)>>>,
+            batches: Arc<AtomicU64>,
+            evictions: Arc<parking_lot::Mutex<Vec<MinuteId>>>,
         }
         impl crate::wal::VpWal for RecordingWal {
             fn append(&self, vps: &[&StoredVp]) -> std::io::Result<()> {
@@ -1839,9 +1827,14 @@ mod tests {
             }
         }
 
-        let wal = Arc::new(RecordingWal::default());
+        let wal = RecordingWal::default();
+        let (appended, batches, evictions) = (
+            Arc::clone(&wal.appended),
+            Arc::clone(&wal.batches),
+            Arc::clone(&wal.evictions),
+        );
         let mut srv = server(52);
-        srv.attach_wal(Box::new(Arc::clone(&wal)));
+        srv.attach_wal(Box::new(wal));
 
         // Batch with an in-batch dup and a malformed VP: only accepts log.
         let mut bad = synthetic_vp(9, 1);
@@ -1858,10 +1851,10 @@ mod tests {
         store(&srv, synthetic_vp(4, 0)).unwrap();
         assert_eq!(store(&srv, synthetic_vp(4, 0)), Err(SubmitError::Duplicate));
 
-        let log = wal.appended.lock().clone();
+        let log = appended.lock().clone();
         assert_eq!(log.len(), 4, "exactly the accepted VPs are logged");
         assert_eq!(
-            wal.batches.load(Ordering::Relaxed),
+            batches.load(Ordering::Relaxed),
             2,
             "one end_batch per ingest call that logged anything"
         );
@@ -1877,7 +1870,7 @@ mod tests {
         }
 
         srv.evict_minutes_before(MinuteId(1));
-        assert_eq!(wal.evictions.lock().as_slice(), &[MinuteId(1)]);
+        assert_eq!(evictions.lock().as_slice(), &[MinuteId(1)]);
         assert_eq!(srv.sync_wal().ok(), Some(()));
     }
 
@@ -1886,9 +1879,8 @@ mod tests {
         // A log that refuses appends once armed. The panicking ingest
         // must leave memory as it was: bucket, bounds rows, id index,
         // and no minute created for the refused group.
-        #[derive(Default)]
         struct RefusingWal {
-            armed: std::sync::atomic::AtomicBool,
+            armed: Arc<std::sync::atomic::AtomicBool>,
         }
         impl crate::wal::VpWal for RefusingWal {
             fn append(&self, _: &[&StoredVp]) -> std::io::Result<()> {
@@ -1902,14 +1894,16 @@ mod tests {
             }
         }
 
-        let wal = Arc::new(RefusingWal::default());
+        let armed = Arc::new(std::sync::atomic::AtomicBool::new(false));
         let mut srv = server(53);
-        srv.attach_wal(Box::new(Arc::clone(&wal)));
+        srv.attach_wal(Box::new(RefusingWal {
+            armed: Arc::clone(&armed),
+        }));
         let first = synthetic_vp(1, 0);
         assert!(srv.submit_trusted_batch(vec![first.clone()])[0].is_ok());
         let before = srv.state_digest();
 
-        wal.armed.store(true, Ordering::Relaxed);
+        armed.store(true, Ordering::Relaxed);
         for refused in [synthetic_vp(2, 0), synthetic_vp(3, 5)] {
             let id = refused.id;
             let ingest = std::panic::AssertUnwindSafe(|| srv.submit_trusted_batch(vec![refused]));
@@ -1919,9 +1913,9 @@ mod tests {
         assert_eq!(srv.state_digest(), before);
         assert_eq!(srv.stored_minutes(), vec![MinuteId(0)]);
 
-        // The undo kept bucket and table aligned: the same VP commits
+        // Bucket and table stayed aligned: the same VP commits
         // at the next position once the log takes writes again.
-        wal.armed.store(false, Ordering::Relaxed);
+        armed.store(false, Ordering::Relaxed);
         let second = synthetic_vp(2, 0);
         assert!(srv.submit_trusted_batch(vec![second.clone()])[0].is_ok());
         let ids: Vec<VpId> = srv.minute_vps(MinuteId(0)).iter().map(|vp| vp.id).collect();
@@ -1933,6 +1927,118 @@ mod tests {
         let vm = srv.build_viewmap(MinuteId(0), site);
         assert_eq!(vm.vps.len(), 2, "both rows admit");
         assert_eq!(vm.trusted, vec![0, 1], "both trusted rows are seeds");
+    }
+
+    #[test]
+    fn a_refused_log_sweep_leaves_memory_whole() {
+        // A log that refuses every sweep. The panicking sweep must leave
+        // memory as it was — minutes, buckets, id index and board — so
+        // a retried sweep or a restart finishes it, instead of a
+        // restart bringing back what memory had already forgotten.
+        struct RefusingWal;
+        impl crate::wal::VpWal for RefusingWal {
+            fn append(&self, _: &[&StoredVp]) -> std::io::Result<()> {
+                Ok(())
+            }
+            fn evict_minutes_before(&self, _: MinuteId) -> std::io::Result<usize> {
+                Err(std::io::Error::other("log device gone"))
+            }
+        }
+
+        let mut srv = server(54);
+        srv.attach_wal(Box::new(RefusingWal));
+        for m in 0..3u64 {
+            for t in 0..2u64 {
+                store(&srv, synthetic_vp(m * 10 + t, m)).unwrap();
+            }
+        }
+        let swept = synthetic_vp(1, 0).id;
+        srv.solicit(swept).unwrap();
+        let before = (
+            srv.state_digest(),
+            srv.stored_minutes(),
+            srv.solicitation_board(),
+        );
+
+        let sweep = std::panic::AssertUnwindSafe(|| srv.evict_minutes_before(MinuteId(2)));
+        assert!(std::panic::catch_unwind(sweep).is_err(), "refusal panics");
+        let after = (
+            srv.state_digest(),
+            srv.stored_minutes(),
+            srv.solicitation_board(),
+        );
+        assert_eq!(after, before, "memory is untouched");
+        assert!(srv.lookup_vp(swept).is_some(), "the swept id stays indexed");
+    }
+
+    #[test]
+    fn a_group_of_late_duplicates_creates_no_bucket() {
+        // Batch B = [Y@1, X@5] parks inside its first log append. While
+        // it is parked, A commits X@0, so B's minute-5 group is all
+        // duplicates by the time it commits: it must leave no bucket
+        // (and no memo) behind. Y and X sit in different id stripes, and
+        // minutes 0 and 1 in different shards, so A waits on nothing B
+        // holds once B's groups go in ascending minute order.
+        #[derive(Default)]
+        struct Gate {
+            parked: bool,
+            open: bool,
+        }
+        type Shared = Arc<(std::sync::Mutex<Gate>, std::sync::Condvar)>;
+        struct ParkingWal {
+            gate: Shared,
+            appends: AtomicU64,
+        }
+        impl crate::wal::VpWal for ParkingWal {
+            fn append(&self, _: &[&StoredVp]) -> std::io::Result<()> {
+                if self.appends.fetch_add(1, Ordering::Relaxed) == 0 {
+                    let (lock, cv) = &*self.gate;
+                    let mut gate = lock.lock().unwrap();
+                    gate.parked = true;
+                    cv.notify_all();
+                    drop(cv.wait_while(gate, |g| !g.open).unwrap());
+                }
+                Ok(())
+            }
+            fn evict_minutes_before(&self, _: MinuteId) -> std::io::Result<usize> {
+                Ok(0)
+            }
+        }
+
+        let gate: Shared = Default::default();
+        let mut srv = server(55);
+        srv.attach_wal(Box::new(ParkingWal {
+            gate: Arc::clone(&gate),
+            appends: AtomicU64::new(0),
+        }));
+        let y = synthetic_vp(1, 1);
+        let x = synthetic_vp(2, 0);
+        let mut x_late = synthetic_vp(3, 5);
+        x_late.id = x.id;
+        assert_ne!(id_stripe(&x.id), id_stripe(&y.id));
+        assert_ne!(minute_stripe(MinuteId(0)), minute_stripe(MinuteId(1)));
+
+        let srv = &srv;
+        let (b, a) = std::thread::scope(|s| {
+            let b = s.spawn(move || srv.submit_replay_batch(vec![y, x_late]));
+            let (lock, cv) = &*gate;
+            drop(cv.wait_while(lock.lock().unwrap(), |g| !g.parked).unwrap());
+            let (done, a_done) = std::sync::mpsc::channel();
+            let a = s.spawn(move || {
+                let r = srv.submit_replay_batch(vec![x]);
+                done.send(()).unwrap();
+                r
+            });
+            // A returns at once unless it waits on something B holds;
+            // the bound only keeps a regression from hanging the test.
+            let _ = a_done.recv_timeout(std::time::Duration::from_millis(500));
+            lock.lock().unwrap().open = true;
+            cv.notify_all();
+            (b.join().unwrap(), a.join().unwrap())
+        });
+        assert_eq!(srv.stored_minutes(), vec![MinuteId(0), MinuteId(1)]);
+        assert_eq!(a, vec![Ok(())]);
+        assert_eq!(b, vec![Ok(()), Err(SubmitError::Duplicate)]);
     }
 
     #[test]

@@ -12,37 +12,34 @@
 //!
 //! # Ordering contract
 //!
-//! The server calls [`VpWal::append`] **while still holding the minute
-//! shard's write lock** for the VPs being committed. Appends for one
-//! minute therefore reach the log in exactly the order the VPs were
-//! appended to that minute's in-memory bucket, which is what makes
-//! replay reproduce bucket order (and thus the `VpId → (minute, pos)`
-//! index) byte for byte. Backends must not reorder records within a
-//! call or between calls.
+//! The server calls [`VpWal::append`] **while holding the minute
+//! shard's write lock** for the VPs being committed, just before it
+//! pushes them to the minute's in-memory bucket. Appends for one minute
+//! therefore reach the log in exactly the bucket's order, which is what
+//! makes replay reproduce bucket order (and thus the `VpId → (minute,
+//! pos)` index) byte for byte. Backends must not reorder records within
+//! a call or between calls.
 //!
 //! One ingest call (a `submit`, a batch, a replayed run) may append
-//! several minute groups, each under its own shard lock. After the last
-//! of them, and **outside every lock**, the server calls
-//! [`VpWal::end_batch`] once. A backend that forwards its appends
-//! elsewhere (a replicating log) stages them in `append`, in append
-//! order, and sends the whole batch in `end_batch`; anything it waits
-//! on there (a replica's ack) then holds no shard lock, so readers of
-//! the batch's minutes are never blocked behind it. A plain log has
+//! several minute groups, in ascending minute order, each under its own
+//! shard lock. After the last of them, and **outside every lock**, the
+//! server calls [`VpWal::end_batch`] once. A backend that forwards its
+//! appends elsewhere (a replicating log) stages them in `append`, in
+//! append order, and sends the whole batch in `end_batch`; anything it
+//! waits on there (a replica's ack) then holds no shard lock, so readers
+//! of the batch's minutes are never blocked behind it. A plain log has
 //! nothing to flush: the default is a no-op.
 //!
 //! # Failure contract
 //!
-//! A backend that cannot write is a fatal condition for a durable
-//! server: the in-memory state would silently diverge from what a
-//! restart recovers. The server therefore panics on an `Err` from
-//! `append` rather than dropping durability on the floor — after
-//! taking the refused group back out of memory (bucket, bounds rows,
-//! id index, and the minute if the group created it), under the locks
-//! it appended under, so no reader ever sees a VP the log refused, even
-//! when the panic is caught further up. Backends should
-//! reserve `Err` for genuine I/O failure (disk full, permission lost),
-//! not validation — all content-level screening already happened before
-//! the server committed the VP.
+//! The log moves first: the server changes memory only after the log
+//! call that records the change has returned `Ok`, and a refused
+//! `append` or `evict_minutes_before` leaves memory untouched. A
+//! backend that cannot write is fatal for a durable server, so the
+//! server then panics rather than drop durability on the floor. Backends
+//! should reserve `Err` for genuine I/O failure (disk full, permission
+//! lost), not validation — all content-level screening already happened
+//! before the server reached the log.
 
 use crate::types::MinuteId;
 use crate::vp::StoredVp;
@@ -74,26 +71,5 @@ pub trait VpWal: Send + Sync {
     /// crash-consistent without it, only not power-loss durable.
     fn sync(&self) -> std::io::Result<()> {
         Ok(())
-    }
-}
-
-/// Sharing a log between the server and another observer (a metrics
-/// scraper, a test assertion) is just an `Arc` — every method takes
-/// `&self`, so the wrapper is pure delegation.
-impl<W: VpWal + ?Sized> VpWal for std::sync::Arc<W> {
-    fn append(&self, vps: &[&StoredVp]) -> std::io::Result<()> {
-        (**self).append(vps)
-    }
-
-    fn end_batch(&self) {
-        (**self).end_batch()
-    }
-
-    fn evict_minutes_before(&self, cutoff: MinuteId) -> std::io::Result<usize> {
-        (**self).evict_minutes_before(cutoff)
-    }
-
-    fn sync(&self) -> std::io::Result<()> {
-        (**self).sync()
     }
 }

@@ -302,7 +302,7 @@ fn take_buffered(reader: &mut BufReader<TcpStream>) -> std::io::Result<Option<Re
         return Ok(None);
     };
     reader.consume(used);
-    ReplMsg::from_frame(&frame)
+    ReplMsg::from_frame(frame)
         .map(Some)
         .map_err(|e| std::io::Error::new(invalid, e))
 }

@@ -174,8 +174,18 @@ impl ReplMsg {
         }
     }
 
-    /// Parse a service frame back into a typed message.
-    pub fn from_frame(frame: &Frame) -> Result<ReplMsg, WireError> {
+    /// Parse a service frame back into a typed message. A `FRAMES`
+    /// message keeps the frame's payload, its op/minute prefix dropped
+    /// in place, instead of copying the segment bytes out of it.
+    pub fn from_frame(frame: Frame) -> Result<ReplMsg, WireError> {
+        if frame.opcode == OP_REPL_FRAMES {
+            let mut frames = frame.payload;
+            let mut at = 0usize;
+            let op = take_u64(&frames, &mut at)?;
+            let minute = take_u64(&frames, &mut at)?;
+            frames.drain(..at);
+            return Ok(ReplMsg::Frames { op, minute, frames });
+        }
         let buf = frame.payload.as_slice();
         let mut at = 0usize;
         let msg = match frame.opcode {
@@ -196,13 +206,6 @@ impl ReplMsg {
             OP_REPL_HELLO_OK => ReplMsg::HelloOk {
                 epoch: take_u64(buf, &mut at)?,
             },
-            OP_REPL_FRAMES => {
-                let op = take_u64(buf, &mut at)?;
-                let minute = take_u64(buf, &mut at)?;
-                let frames = buf[at..].to_vec();
-                at = buf.len();
-                ReplMsg::Frames { op, minute, frames }
-            }
             OP_REPL_EVICT => ReplMsg::Evict {
                 op: take_u64(buf, &mut at)?,
                 cutoff: take_u64(buf, &mut at)?,
@@ -233,7 +236,7 @@ impl ReplMsg {
         let Some(frame) = Frame::read_from(r)? else {
             return Ok(None);
         };
-        ReplMsg::from_frame(&frame)
+        ReplMsg::from_frame(frame)
             .map(Some)
             .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
     }
@@ -321,7 +324,7 @@ mod tests {
             &bytes[..],
             "payload tail is disk bytes"
         );
-        let ReplMsg::Frames { frames, .. } = ReplMsg::from_frame(&frame).unwrap() else {
+        let ReplMsg::Frames { frames, .. } = ReplMsg::from_frame(frame).unwrap() else {
             panic!("FRAMES parses as FRAMES");
         };
         let scanned = vm_store::scan(&frames, MinuteId(4));
@@ -344,13 +347,13 @@ mod tests {
             opcode: OP_REPL_FRAMES,
             payload: vec![1, 2, 3],
         };
-        assert!(ReplMsg::from_frame(&frame).is_err());
+        assert!(ReplMsg::from_frame(frame).is_err());
         let frame = Frame {
             request_id: 0,
             opcode: 0x55,
             payload: Vec::new(),
         };
-        assert!(ReplMsg::from_frame(&frame).is_err());
+        assert!(ReplMsg::from_frame(frame).is_err());
         // An ACK with trailing bytes is a framing bug, not an ack.
         let mut payload = 9u64.to_le_bytes().to_vec();
         payload.push(0);
@@ -359,6 +362,6 @@ mod tests {
             opcode: OP_REPL_ACK,
             payload,
         };
-        assert!(ReplMsg::from_frame(&frame).is_err());
+        assert!(ReplMsg::from_frame(frame).is_err());
     }
 }

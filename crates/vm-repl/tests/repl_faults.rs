@@ -664,6 +664,7 @@ fn one_batch_of_sixty_minutes_ships_in_one_flush() {
         assert_eq!(frame.opcode, OP_REPL_FRAMES);
         let word = |at: usize| u64::from_le_bytes(frame.payload[at..at + 8].try_into().unwrap());
         assert_eq!(word(0), i as u64 + 1, "ops are consecutive from 1");
+        assert_eq!(word(8), i as u64, "groups ship in ascending minute order");
         runs.entry(word(8))
             .or_default()
             .extend_from_slice(&frame.payload[16..]);

@@ -242,6 +242,7 @@ fn scan_keeping<T>(bytes: &[u8], minute: MinuteId, keep: impl Fn(StoredVp) -> T)
 /// so the tail is known-valid by the time appends start.
 pub struct SegmentWriter {
     file: File,
+    created: bool,
 }
 
 impl SegmentWriter {
@@ -249,13 +250,20 @@ impl SegmentWriter {
     pub fn open(dir: &Path, minute: MinuteId) -> std::io::Result<SegmentWriter> {
         let path = segment_path(dir, minute);
         let mut file = OpenOptions::new().create(true).append(true).open(&path)?;
-        if file.metadata()?.len() == 0 {
+        let created = file.metadata()?.len() == 0;
+        if created {
             let mut header = [0u8; SEGMENT_HEADER_BYTES];
             header[..8].copy_from_slice(&SEGMENT_MAGIC);
             header[8..].copy_from_slice(&minute.0.to_le_bytes());
             file.write_all(&header)?;
         }
-        Ok(SegmentWriter { file })
+        Ok(SegmentWriter { file, created })
+    }
+
+    /// Did this open write the segment's header (a new file, whose
+    /// directory entry is not yet durable)?
+    pub fn created(&self) -> bool {
+        self.created
     }
 
     /// One group commit: a single buffered write of pre-framed records.

@@ -9,7 +9,7 @@ use crate::segment::{
 use parking_lot::Mutex;
 use rand::Rng;
 use std::collections::BTreeSet;
-use std::fs::OpenOptions;
+use std::fs::{File, OpenOptions};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use viewmap_core::server::ViewMapServer;
@@ -23,15 +23,19 @@ use vm_obs::{Counter, Histogram, Registry};
 /// How hard a group commit pushes toward stable media.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Fsync {
-    /// `fdatasync` once per group commit: committed means power-loss
-    /// durable. The group-commit batching is what keeps this affordable
-    /// — one sync per batch, never one per VP.
+    /// `fdatasync` once per group commit, and the store directory once
+    /// after a commit that created its segment or an eviction that
+    /// removed any: committed means power-loss durable. The group-commit
+    /// batching is what keeps this affordable — one sync per batch,
+    /// never one per VP.
     Always,
     /// Leave flushing to the OS page cache until the next
-    /// [`VpWal::sync`]: committed means process-crash durable (the
-    /// write has returned from the kernel), but power loss may drop the
-    /// unsynced tail — which recovery then truncates cleanly. The
-    /// default, and the mode the benchmarks measure.
+    /// [`VpWal::sync`] (which also syncs the directory if a segment was
+    /// created or removed since the last one): committed means
+    /// process-crash durable (the write has returned from the kernel),
+    /// but power loss may drop the unsynced tail — which recovery then
+    /// truncates cleanly. The default, and the mode the benchmarks
+    /// measure.
     Never,
 }
 
@@ -257,19 +261,17 @@ fn quarantine_path(path: &Path) -> PathBuf {
 /// (they happen under the minute shard's write lock), and each append
 /// opens, writes and closes its own handle on the minute's segment, so
 /// appends of different minutes overlap their framing, writes and
-/// fsyncs. The one shared structure is the set of minutes written since
-/// the last [`VpWal::sync`]; its mutex is held for one insert per
-/// append, and across the flush in `sync` and the sweep in
-/// `evict_minutes_before`. Retention sweeps of a minute still receiving
-/// traffic are the caller's race to avoid — `evict_minutes_before` is
-/// meant for minutes past the retention horizon, which by definition no
-/// longer ingest.
+/// fsyncs. The one shared structure is what was written since the last
+/// [`VpWal::sync`]; its mutex is held for one insert per append, and
+/// across the flush in `sync` and the sweep in `evict_minutes_before`.
+/// Retention sweeps of a minute still receiving traffic are the
+/// caller's race to avoid — `evict_minutes_before` is meant for minutes
+/// past the retention horizon, which by definition no longer ingest.
 pub struct VpStore {
     dir: PathBuf,
     fsync: Fsync,
-    /// Minutes appended under [`Fsync::Never`] and not yet flushed by
-    /// [`VpWal::sync`], which drains them.
-    dirty: Mutex<BTreeSet<u64>>,
+    /// What [`Fsync::Never`] left for [`VpWal::sync`] to flush.
+    dirty: Mutex<Dirty>,
     /// Registered on a registry of the store's own at [`VpStore::open`],
     /// and on the owning server's by [`VpStore::bind_obs`].
     metrics: StoreMetrics,
@@ -277,11 +279,22 @@ pub struct VpStore {
     _lock: DirLock,
 }
 
+/// Writes [`Fsync::Never`] has not flushed yet.
+#[derive(Default)]
+struct Dirty {
+    /// Minutes appended since the last sync.
+    minutes: BTreeSet<u64>,
+    /// A segment was created or removed since the last sync, so the
+    /// directory's entries are not yet durable.
+    dir: bool,
+}
+
 /// The store's instrument set, registered on the owning server's
 /// [`Registry`].
 struct StoreMetrics {
     append_us: Arc<Histogram>,
     fsync_us: Arc<Histogram>,
+    dir_syncs: Arc<Counter>,
     batch_records: Arc<Histogram>,
     appended_records: Arc<Counter>,
     segments_evicted: Arc<Counter>,
@@ -292,6 +305,7 @@ impl StoreMetrics {
         StoreMetrics {
             append_us: obs.histogram("vm_store_append_us"),
             fsync_us: obs.histogram("vm_store_fsync_us"),
+            dir_syncs: obs.counter("vm_store_dir_syncs_total"),
             batch_records: obs.histogram("vm_store_batch_records"),
             appended_records: obs.counter("vm_store_appended_records_total"),
             segments_evicted: obs.counter("vm_store_segments_evicted_total"),
@@ -352,7 +366,7 @@ impl VpStore {
             VpStore {
                 dir,
                 fsync: cfg.fsync,
-                dirty: Mutex::new(BTreeSet::new()),
+                dirty: Mutex::default(),
                 metrics: StoreMetrics::register(&Registry::new()),
                 _lock: lock,
             },
@@ -468,19 +482,36 @@ impl VpStore {
 
     /// Write `parts` to the minute's segment (`SegmentWriter::open`
     /// writes its header if the file is new) and settle the commit's
-    /// durability before the handle closes.
+    /// durability before the handle closes — a new segment's directory
+    /// entry included.
     fn write(&self, minute: MinuteId, parts: &[Frames]) -> std::io::Result<()> {
         let mut segment = SegmentWriter::open(&self.dir, minute)?;
         for part in parts {
             segment.append(&part.bytes)?;
         }
         match self.fsync {
-            Fsync::Always => self.metrics.fsync_us.time(|| segment.sync()),
+            Fsync::Always => {
+                self.metrics.fsync_us.time(|| segment.sync())?;
+                if segment.created() {
+                    self.sync_dir()?;
+                }
+                Ok(())
+            }
             Fsync::Never => {
-                self.dirty.lock().insert(minute.0);
+                let mut dirty = self.dirty.lock();
+                dirty.minutes.insert(minute.0);
+                dirty.dir |= segment.created();
                 Ok(())
             }
         }
+    }
+
+    /// Make the directory's entries (segments created or removed)
+    /// durable.
+    fn sync_dir(&self) -> std::io::Result<()> {
+        File::open(&self.dir)?.sync_all()?;
+        self.metrics.dir_syncs.inc();
+        Ok(())
     }
 }
 
@@ -491,7 +522,7 @@ impl VpWal for VpStore {
 
     fn evict_minutes_before(&self, cutoff: MinuteId) -> std::io::Result<usize> {
         let mut dirty = self.dirty.lock();
-        *dirty = dirty.split_off(&cutoff.0);
+        dirty.minutes = dirty.minutes.split_off(&cutoff.0);
         let mut removed = 0usize;
         for entry in std::fs::read_dir(&self.dir)? {
             let entry = entry?;
@@ -504,20 +535,31 @@ impl VpWal for VpStore {
             }
         }
         self.metrics.segments_evicted.add(removed as u64);
+        if removed > 0 {
+            match self.fsync {
+                Fsync::Always => self.sync_dir()?,
+                Fsync::Never => dirty.dir = true,
+            }
+        }
         Ok(removed)
     }
 
     /// Fdatasync every minute appended since the last sync, dropping
     /// each from the dirty set once its flush succeeds (a failed flush
-    /// stays for the next call).
+    /// stays for the next call), then the directory once if a segment
+    /// was created or removed since.
     fn sync(&self) -> std::io::Result<()> {
         let mut dirty = self.dirty.lock();
-        while let Some(&minute) = dirty.first() {
+        while let Some(&minute) = dirty.minutes.first() {
             let segment = OpenOptions::new()
                 .write(true)
                 .open(segment_path(&self.dir, MinuteId(minute)))?;
             self.metrics.fsync_us.time(|| segment.sync_data())?;
-            dirty.remove(&minute);
+            dirty.minutes.remove(&minute);
+        }
+        if dirty.dir {
+            self.sync_dir()?;
+            dirty.dir = false;
         }
         Ok(())
     }
@@ -807,6 +849,53 @@ mod tests {
             12,
             "nothing written since: nothing to flush"
         );
+    }
+
+    /// A store under `fsync` reporting into a registry of the test's,
+    /// and its `vm_store_dir_syncs_total` counter.
+    fn observed_store(tmp: &TempDir, fsync: Fsync) -> (VpStore, Arc<Counter>) {
+        let (mut store, _, report) = VpStore::open(&tmp.0, StoreConfig { fsync }).unwrap();
+        let obs = Registry::new();
+        store.bind_obs(&obs, &report);
+        (store, obs.counter("vm_store_dir_syncs_total"))
+    }
+
+    #[test]
+    fn always_syncs_the_directory_once_per_segment_created_or_sweep_that_removed() {
+        let tmp = TempDir::new("dirsync_always");
+        let (store, dir_syncs) = observed_store(&tmp, Fsync::Always);
+        store.append(&[&synthetic_vp(1, 0)]).unwrap();
+        assert_eq!(dir_syncs.get(), 1, "a new segment's entry is synced");
+        store.append(&[&synthetic_vp(2, 0)]).unwrap();
+        assert_eq!(dir_syncs.get(), 1, "an existing segment's is not");
+        store.append(&[&synthetic_vp(3, 1)]).unwrap();
+        assert_eq!(dir_syncs.get(), 2);
+        store.sync().unwrap();
+        assert_eq!(dir_syncs.get(), 2, "nothing left for sync");
+        assert_eq!(store.evict_minutes_before(MinuteId(1)).unwrap(), 1);
+        assert_eq!(dir_syncs.get(), 3, "one sync for the sweep");
+        assert_eq!(store.evict_minutes_before(MinuteId(1)).unwrap(), 0);
+        assert_eq!(dir_syncs.get(), 3, "a sweep that removed nothing");
+    }
+
+    #[test]
+    fn never_syncs_the_directory_at_sync_if_a_segment_came_or_went() {
+        let tmp = TempDir::new("dirsync_never");
+        let (store, dir_syncs) = observed_store(&tmp, Fsync::Never);
+        store.append(&[&synthetic_vp(1, 0)]).unwrap();
+        store.append(&[&synthetic_vp(2, 1)]).unwrap();
+        assert_eq!(dir_syncs.get(), 0, "appends leave it to sync");
+        store.sync().unwrap();
+        assert_eq!(dir_syncs.get(), 1, "one sync for both new segments");
+        store.append(&[&synthetic_vp(3, 0)]).unwrap();
+        store.sync().unwrap();
+        assert_eq!(dir_syncs.get(), 1, "no segment came or went");
+        assert_eq!(store.evict_minutes_before(MinuteId(1)).unwrap(), 1);
+        assert_eq!(dir_syncs.get(), 1, "the sweep leaves it to sync");
+        store.sync().unwrap();
+        assert_eq!(dir_syncs.get(), 2, "one sync for the removal");
+        store.sync().unwrap();
+        assert_eq!(dir_syncs.get(), 2);
     }
 
     #[test]
