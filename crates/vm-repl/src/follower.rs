@@ -19,17 +19,19 @@
 //! first investigation after a promotion hashes only the keys of the
 //! members its site admits.)
 //!
-//! Application is pipelined: a reader thread drains the socket and
-//! hands the applier every message already in its buffer as one
-//! *burst* (messages are added while the burst holds less than
-//! [`MAX_FRAMES_MSG_BYTES`] of frames, so at most the cap plus one
-//! message). The applier turns each run of consecutive `FRAMES` in a
-//! burst — of any minute, so a primary's one flush of a 60-minute
-//! upload is one run — into one scan pass (on worker threads once the
-//! run holds a full message's worth of bytes), one replay + log, and
-//! one `ACK` of the run's last op: the follower's version of group
-//! commit. An `EVICT` ends a run. The follower still re-encodes the
-//! records on its own append (its store frames them afresh).
+//! One thread runs a session: it reads, then takes every message
+//! already in its buffer as one *burst* (messages are added while the
+//! burst holds less than [`MAX_FRAMES_MSG_BYTES`] of frames, so at most
+//! the cap plus one message), applies it, and reads again. Each run of
+//! consecutive `FRAMES` in a burst — of any minute, so a primary's one
+//! flush of a 60-minute upload is one run — becomes one scan pass (on
+//! worker threads once the run holds a full message's worth of bytes),
+//! one replay + log, and one `ACK` of the run's last op: the follower's
+//! version of group commit. An `EVICT` ends a run. While a burst
+//! applies, what follows waits in the socket, whose backpressure is the
+//! flow control for a replica that falls behind. The follower still
+//! re-encodes the records on its own append (its store frames them
+//! afresh).
 //!
 //! # Injuries never poison the store
 //!
@@ -280,19 +282,14 @@ fn applier_loop(shared: Arc<ApplierShared>, primary_addr: SocketAddr, cfg: Follo
     }
 }
 
-/// Bursts buffered between the socket reader and the applier: one
-/// read ahead of the one being applied, so socket backpressure stays
-/// the flow control for a replica that falls behind.
-const APPLY_QUEUE_BURSTS: usize = 2;
-
-/// The reader's socket buffer: room for two full-size `FRAMES`
+/// The session's socket buffer: room for two full-size `FRAMES`
 /// messages, envelopes included. A catch-up burst then carries two
 /// 2 MiB messages when the socket holds them, so its scan and the
 /// replica's append of them go parallel; with room for one, every
 /// catch-up apply was a single message scanned and framed serially.
 const READ_BUFFER_BYTES: usize = 2 * (MAX_FRAMES_MSG_BYTES + 64);
 
-/// Take the message at the front of the reader's buffer if all of it
+/// Take the message at the front of the session's buffer if all of it
 /// is there, so taking it cannot block. It is parsed where it lies: a
 /// socket read through the buffer would copy it once more.
 fn take_buffered(reader: &mut BufReader<TcpStream>) -> std::io::Result<Option<ReplMsg>> {
@@ -315,8 +312,8 @@ fn frame_bytes(msg: &ReplMsg) -> usize {
     }
 }
 
-/// One connection's lifetime: dial, handshake, apply until the stream
-/// ends or an injury forces a resync.
+/// One connection's lifetime: dial, handshake, then read and apply
+/// until the stream ends or an injury forces a resync.
 fn run_session(
     shared: &Arc<ApplierShared>,
     primary_addr: SocketAddr,
@@ -331,15 +328,13 @@ fn run_session(
     if shared.stop.load(Ordering::Acquire) {
         return Ok(());
     }
-    let sock = stream.try_clone()?;
-    let mut writer = stream.try_clone()?;
     let mut reader = BufReader::with_capacity(READ_BUFFER_BYTES, stream);
 
     ReplMsg::Hello {
         epoch,
         cursors: cursors(&shared.server),
     }
-    .write_to(&mut writer)?;
+    .write_to(&mut reader.get_ref())?;
     match ReplMsg::read_from(&mut reader)? {
         Some(ReplMsg::HelloOk { epoch: primary }) if primary >= epoch => {}
         Some(ReplMsg::HelloOk { epoch: primary }) => {
@@ -358,97 +353,77 @@ fn run_session(
         .journal()
         .record("repl_reconnect", format!("stream from {primary_addr} open"));
 
-    // Decouple reading from applying: the reader thread drains the
-    // socket (envelope checksum and parse) and passes on every message
-    // already buffered as one burst, while the applier turns each burst
-    // into as few scan + replay + log passes as its messages allow —
-    // the follower's version of group commit. Applying the messages of
-    // one primary flush one at a time would re-pay per-batch overheads
-    // (and an ACK) once per minute, serializing the replica several
-    // message-latencies behind.
-    let (tx, rx) = std::sync::mpsc::sync_channel::<Vec<ReplMsg>>(APPLY_QUEUE_BURSTS);
-    let reader_thread = std::thread::spawn(move || -> std::io::Result<()> {
-        // Block for a burst's first message; a message larger than
-        // what arrived with it goes through the reader.
-        while !reader.fill_buf()?.is_empty() {
-            let first = match take_buffered(&mut reader)? {
-                Some(msg) => msg,
-                None => match ReplMsg::read_from(&mut reader)? {
-                    Some(msg) => msg,
-                    None => break,
-                },
-            };
-            let mut bytes = frame_bytes(&first);
-            let mut burst = vec![first];
-            while bytes < MAX_FRAMES_MSG_BYTES {
-                let Some(msg) = take_buffered(&mut reader)? else {
-                    break;
-                };
-                bytes += frame_bytes(&msg);
-                burst.push(msg);
-            }
-            if tx.send(burst).is_err() {
-                return Ok(()); // applier gone; session is ending
-            }
-        }
-        Ok(()) // clean EOF
-    });
-    let applied = apply_stream(shared, &rx, &mut writer);
-    // Unblock whichever side is still inside a blocking call, then
-    // surface the applier's verdict first (an injury outranks the
-    // reader's "connection reset" echo of our own shutdown).
-    drop(rx);
-    let _ = sock.shutdown(std::net::Shutdown::Both);
-    let reader_result = reader_thread
-        .join()
-        .unwrap_or_else(|_| Err(std::io::Error::other("replication reader panicked")));
-    applied?;
-    reader_result
-}
-
-/// The applier half of a session: take each burst, apply every run of
-/// consecutive `FRAMES` in it (any minutes) as one replay, ack the
-/// run's last op, and mirror each `EVICT`. Returns when the channel
-/// closes (reader hit EOF or an error) or on an apply-side failure.
-fn apply_stream(
-    shared: &Arc<ApplierShared>,
-    rx: &std::sync::mpsc::Receiver<Vec<ReplMsg>>,
-    writer: &mut TcpStream,
-) -> std::io::Result<()> {
-    while let Ok(burst) = rx.recv() {
+    // Read, then take every message already buffered as one burst and
+    // apply it in as few scan + replay + log passes as its messages
+    // allow — the follower's version of group commit. Applying the
+    // messages of one primary flush one at a time would re-pay
+    // per-batch overheads (and an ACK) once per minute. While a burst
+    // applies, the socket's own buffers hold what follows, and its
+    // backpressure is the flow control for a replica that falls behind.
+    while !reader.fill_buf()?.is_empty() {
         if shared.stop.load(Ordering::Acquire) {
             return Ok(());
         }
-        let mut rest = burst.as_slice();
-        while let Some(msg) = rest.first() {
-            match msg {
-                ReplMsg::Frames { .. } => {
-                    let n = rest
-                        .iter()
-                        .take_while(|m| matches!(m, ReplMsg::Frames { .. }))
-                        .count();
-                    apply_frames(shared, &rest[..n], writer)?;
-                    rest = &rest[n..];
-                }
-                ReplMsg::Evict { op, cutoff } => {
-                    shared.server.evict_minutes_before(MinuteId(*cutoff));
-                    shared.obs.applied_ops.inc();
-                    ReplMsg::Ack { op: *op }.write_to(writer)?;
-                    rest = &rest[1..];
-                }
-                other => {
-                    return Err(std::io::Error::new(
-                        std::io::ErrorKind::InvalidData,
-                        format!(
-                            "unexpected {:#04x} on an established stream",
-                            other.opcode()
-                        ),
-                    ))
-                }
+        // A message larger than what arrived with it goes through the
+        // reader.
+        let first = match take_buffered(&mut reader)? {
+            Some(msg) => msg,
+            None => match ReplMsg::read_from(&mut reader)? {
+                Some(msg) => msg,
+                None => break,
+            },
+        };
+        let mut bytes = frame_bytes(&first);
+        let mut burst = vec![first];
+        while bytes < MAX_FRAMES_MSG_BYTES {
+            let Some(msg) = take_buffered(&mut reader)? else {
+                break;
+            };
+            bytes += frame_bytes(&msg);
+            burst.push(msg);
+        }
+        apply_burst(shared, &burst, reader.get_ref())?;
+    }
+    Ok(()) // clean EOF
+}
+
+/// Apply one burst: every run of consecutive `FRAMES` in it (any
+/// minutes) as one replay with one `ACK` of the run's last op, and each
+/// `EVICT` mirrored and acked.
+fn apply_burst(
+    shared: &Arc<ApplierShared>,
+    burst: &[ReplMsg],
+    mut ack_to: &TcpStream,
+) -> std::io::Result<()> {
+    let mut rest = burst;
+    while let Some(msg) = rest.first() {
+        match msg {
+            ReplMsg::Frames { .. } => {
+                let n = rest
+                    .iter()
+                    .take_while(|m| matches!(m, ReplMsg::Frames { .. }))
+                    .count();
+                apply_frames(shared, &rest[..n], ack_to)?;
+                rest = &rest[n..];
+            }
+            ReplMsg::Evict { op, cutoff } => {
+                shared.server.evict_minutes_before(MinuteId(*cutoff));
+                shared.obs.applied_ops.inc();
+                ReplMsg::Ack { op: *op }.write_to(&mut ack_to)?;
+                rest = &rest[1..];
+            }
+            other => {
+                return Err(std::io::Error::new(
+                    std::io::ErrorKind::InvalidData,
+                    format!(
+                        "unexpected {:#04x} on an established stream",
+                        other.opcode()
+                    ),
+                ))
             }
         }
     }
-    Ok(()) // reader ended the stream
+    Ok(())
 }
 
 /// Apply one run of `FRAMES`: scan each message against its own minute
@@ -460,7 +435,7 @@ fn apply_stream(
 fn apply_frames(
     shared: &Arc<ApplierShared>,
     run: &[ReplMsg],
-    writer: &mut TcpStream,
+    mut ack_to: &TcpStream,
 ) -> std::io::Result<()> {
     let bytes: usize = run.iter().map(frame_bytes).sum();
     let threads = if bytes >= MAX_FRAMES_MSG_BYTES {
@@ -511,5 +486,5 @@ fn apply_frames(
     }
     shared.obs.applied_ops.add(ops);
     shared.obs.apply_ops.record(ops);
-    ReplMsg::Ack { op: last_op }.write_to(writer)
+    ReplMsg::Ack { op: last_op }.write_to(&mut ack_to)
 }

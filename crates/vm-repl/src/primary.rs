@@ -15,19 +15,25 @@
 //! — the one replay path, crash recovery's too — needs to rebuild
 //! byte-identical buckets, indexes, and segments.
 //!
-//! # One flush per ingest batch
+//! # One outbox, one flush per ingest batch
 //!
-//! A live append does not write to the sockets: under the shard lock
-//! it only *stages* its encoded `FRAMES` in the hub's one stage buffer.
-//! The server calls [`VpWal::end_batch`] once its ingest call has
-//! appended every minute group, outside every lock, and that sends the
-//! stage to each follower in one `write_all` — a vehicle-hour upload of
-//! 60 one-minute VPs is one socket write, not 60. The stage also
-//! flushes early, so no op is ever reordered or shipped twice: when the
-//! next message would take it past [`MAX_FRAMES_MSG_BYTES`] (a large
-//! batch streams in pieces of that size), before an eviction ships, and
-//! before a joining follower's catch-up (the staged ops belong to the
-//! sessions already registered).
+//! Live appends, evictions and a joiner's catch-up all go through the
+//! hub's one outbox: each message gets its op and is encoded at the
+//! end of the outbox by `wire::encode_op`, its `VMS1` header,
+//! `op | minute` prefix and checksum written in place around the
+//! store's own bytes — a shipped run is copied once, from the store's
+//! buffer into the outbox. A live append does not write to the
+//! sockets: under the shard lock it only fills the outbox. The server
+//! calls [`VpWal::end_batch`] once its ingest call has appended every
+//! minute group, outside every lock, and that sends the outbox to each
+//! follower in one `write_all` — a vehicle-hour upload of 60 one-minute
+//! VPs is one socket write, not 60. The outbox also flushes early, so
+//! no op is ever reordered or shipped twice: when the next message
+//! would take it past [`MAX_FRAMES_MSG_BYTES`] (a large batch streams
+//! in pieces of that size), before an eviction ships, and before a
+//! joining follower's catch-up (the ops in it belong to the sessions
+//! already registered). Catch-up then fills the same outbox with the
+//! joiner's segment tails and flushes it to the joiner alone.
 //!
 //! Catch-up runs under the same mutex: while a joining follower's
 //! missing segment tails are being streamed, no live append can ship,
@@ -38,6 +44,12 @@
 //! a record the live path also ships is possible. Overlap is benign:
 //! the follower's replay dedup drops the second copy before it touches
 //! the follower's log.)
+//!
+//! Because every commit waits on that mutex, no write to a follower
+//! may block for long under it: each session's socket carries a write
+//! timeout of [`ReplicationConfig::ack_timeout`], and a follower whose
+//! socket takes no bytes for that long — one that stopped reading — is
+//! detached (a joiner's admission fails) instead of wedging ingest.
 //!
 //! # Acknowledgment and the commit watermark
 //!
@@ -53,7 +65,9 @@
 //! whose acks the primary actually saw). Readers of the batch's
 //! minutes are never blocked behind that wait.
 
-use crate::wire::{ReplMsg, MAX_FRAMES_MSG_BYTES};
+use crate::wire::{
+    encode_op, ReplMsg, MAX_FRAMES_MSG_BYTES, OP_MSG_OVERHEAD, OP_REPL_EVICT, OP_REPL_FRAMES,
+};
 use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::io::{BufReader, Write};
@@ -70,7 +84,6 @@ use viewmap_core::vp::StoredVp;
 use viewmap_core::wal::VpWal;
 use vm_crypto::RsaKeyPair;
 use vm_obs::{Counter, Gauge, Histogram, Registry};
-use vm_service::proto::{BODY_PREFIX_BYTES, FRAME_HEADER_BYTES};
 use vm_store::segment::{parse_segment_file_name, segment_path};
 use vm_store::{tail_frames, Frames, RecoveryReport, StoreConfig, VpStore};
 
@@ -87,8 +100,10 @@ pub struct ReplicationConfig {
     /// [`ReplHub::watermark`] instead); per-append synchronous acks are
     /// for failover tests, where a crash may follow any single op.
     pub sync_ack: bool,
-    /// How long a synchronous append waits for a follower's ack before
-    /// detaching it.
+    /// Bounds every wait on a follower: how long a synchronous append
+    /// waits for its ack, and how long a write to its socket — live
+    /// shipping or catch-up — may go without the socket taking a byte,
+    /// before the follower is detached.
     pub ack_timeout: Duration,
 }
 
@@ -209,7 +224,7 @@ impl SessionObs {
 /// shipping side too.
 struct HubMetrics {
     registry: Arc<Registry>,
-    /// Socket-write time of one flush of the stage across all
+    /// Socket-write time of one live flush of the outbox across all
     /// followers (one ingest batch, or a 2 MiB piece of a larger one).
     ship_us: Arc<Histogram>,
     /// `sync_ack` wait per ingest batch (absent from async-shipping
@@ -245,9 +260,19 @@ impl HubMetrics {
 struct StreamState {
     next_op: u64,
     sessions: Vec<FollowerSession>,
-    /// Encoded messages that have their ops but are not yet written:
-    /// the next bytes of every registered session, in op order.
-    staged: Vec<u8>,
+    /// Encoded messages that have their ops but are not yet written, in
+    /// op order: the next bytes of every registered session, or, during
+    /// a catch-up, of the one joiner.
+    outbox: Vec<u8>,
+}
+
+/// Who the outbox's bytes are for.
+#[derive(Clone, Copy)]
+enum To<'a> {
+    /// Every registered session: live appends and evictions.
+    Live,
+    /// A joiner being caught up, not yet registered.
+    Joiner(&'a TcpStream, &'a SessionObs),
 }
 
 /// The shipping side of a replicated cell: listener, follower
@@ -283,7 +308,7 @@ impl ReplHub {
             stream: Mutex::new(StreamState {
                 next_op: 0,
                 sessions: Vec::new(),
-                staged: Vec::new(),
+                outbox: Vec::new(),
             }),
             shutdown: AtomicBool::new(false),
             threads: Mutex::new(Vec::new()),
@@ -323,7 +348,11 @@ impl ReplHub {
             }
             alive
         });
-        let dropped = before - state.sessions.len();
+        self.count_detaches(before - state.sessions.len());
+    }
+
+    /// Count and journal `dropped` sessions that ended.
+    fn count_detaches(&self, dropped: usize) {
         if dropped > 0 {
             self.metrics.follower_detaches.add(dropped as u64);
             self.metrics.registry.journal().record(
@@ -334,16 +363,18 @@ impl ReplHub {
     }
 
     /// Account one shipped op: `bytes` of payload assigned to
-    /// `state.next_op`, ledgered for `target` (a catch-up session not
-    /// yet registered) or for every registered session.
-    fn note_ship(&self, state: &StreamState, bytes: u64, target: Option<&SessionObs>) {
+    /// `state.next_op`, ledgered for its destination.
+    fn note_ship(&self, state: &StreamState, bytes: u64, to: To) {
         let h = &self.metrics;
         h.shipped_ops.inc();
         h.next_op.set(state.next_op as i64);
         h.shipped_bytes.add(bytes as i64);
-        match target {
-            Some(so) => so.shipped(state.next_op, bytes),
-            None => {
+        match to {
+            To::Joiner(_, so) => {
+                h.catchup_bytes.add(bytes);
+                so.shipped(state.next_op, bytes);
+            }
+            To::Live => {
                 for s in &state.sessions {
                     s.obs.shipped(state.next_op, bytes);
                 }
@@ -401,6 +432,11 @@ impl ReplHub {
     /// Handshake + catch-up + registration for one dialing follower.
     fn admit_follower(self: &Arc<Self>, stream: TcpStream) -> std::io::Result<()> {
         stream.set_nodelay(true).ok();
+        // Every write to this follower, catch-up included, gives up
+        // once its socket has taken no bytes for `ack_timeout`: a peer
+        // that stops reading is detached, not waited on under the
+        // stream mutex every commit needs.
+        stream.set_write_timeout(Some(self.cfg.ack_timeout))?;
         // Bound the handshake read so a silent dialer can't pin the
         // accept loop (and with it, shutdown); cleared again below —
         // an idle ACK channel is normal, a mute join is not.
@@ -418,11 +454,10 @@ impl ReplHub {
                 self.cfg.epoch
             )));
         }
-        let mut writer = stream.try_clone()?;
         ReplMsg::HelloOk {
             epoch: self.cfg.epoch,
         }
-        .write_to(&mut writer)?;
+        .write_to(&mut &stream)?;
 
         // Under the stream mutex: stream the missing segment tails,
         // then register for live shipping. Holding the lock across
@@ -454,11 +489,18 @@ impl ReplHub {
                 .registry
                 .gauge_with("vm_repl_watermark_lag_bytes", &[("follower", id.as_str())]),
         });
-        // Staged ops belong to the sessions registered before this one:
-        // send them now, or this follower would get them after its
+        // The outbox's ops belong to the sessions registered before this
+        // one: send them now, or this follower would get them after its
         // catch-up, out of op order.
-        self.flush(&mut state);
-        self.catch_up(&mut state, &mut writer, &cursors, &sobs)?;
+        let _ = self.flush(&mut state, To::Live);
+        if let Err(e) = self.catch_up(&mut state, &stream, &cursors, &sobs) {
+            // What is left in the outbox was the joiner's, not the
+            // live sessions'.
+            state.outbox.clear();
+            sobs.detach();
+            self.count_detaches(1);
+            return Err(e);
+        }
         let ack = Arc::new(AckCell {
             acked: StdMutex::new(0),
             advanced: Condvar::new(),
@@ -497,15 +539,17 @@ impl ReplHub {
     }
 
     /// Stream every committed segment frame past the follower's
-    /// cursors, assigning ops from the shared counter. Called with the
-    /// stream mutex held.
+    /// cursors through the outbox, aimed at the joiner, assigning ops
+    /// from the shared counter. Called with the stream mutex held and
+    /// the outbox empty.
     fn catch_up(
         &self,
         state: &mut StreamState,
-        writer: &mut TcpStream,
+        joiner: &TcpStream,
         cursors: &[(u64, u64)],
         sobs: &SessionObs,
     ) -> std::io::Result<()> {
+        let to = To::Joiner(joiner, sobs);
         let mut minutes: Vec<MinuteId> = std::fs::read_dir(&self.dir)?
             .filter_map(|e| e.ok())
             .filter_map(|e| parse_segment_file_name(&e.file_name().to_string_lossy()))
@@ -524,31 +568,23 @@ impl ReplHub {
                 continue;
             };
             for run in runs(&frames) {
-                state.next_op += 1;
-                self.metrics.catchup_bytes.add(run.len() as u64);
-                self.note_ship(state, run.len() as u64, Some(sobs));
-                ReplMsg::Frames {
-                    op: state.next_op,
-                    minute: minute.0,
-                    frames: run.to_vec(),
-                }
-                .write_to(writer)?;
+                self.push(state, to, OP_REPL_FRAMES, minute.0, run)?;
             }
         }
-        Ok(())
+        self.flush(state, to)
     }
 
-    /// Stage committed frames — the exact bytes the store just wrote,
-    /// one lent part of an append — for every live follower (called by
-    /// [`ReplicatedWal::append`] *after* local durability, still under
-    /// the minute's shard lock, so ops follow bucket order). Nothing
-    /// reaches a socket until the stage is flushed: by
+    /// Put committed frames — the exact bytes the store just wrote, one
+    /// lent part of an append — in the outbox for every live follower
+    /// (called by [`ReplicatedWal::append`] *after* local durability,
+    /// still under the minute's shard lock, so ops follow bucket
+    /// order). Nothing reaches a socket until the outbox is flushed: by
     /// [`end_batch`](Self::end_batch) once the ingest call is done, or
-    /// early when the stage fills.
-    /// A large part stages as several [`MAX_FRAMES_MSG_BYTES`]-bounded
-    /// ops rather than one giant message, so a follower starts scanning
-    /// and replaying the first run while later ones are still on the
-    /// wire, and the ack watermark advances run by run.
+    /// early when it fills. A large part goes as several
+    /// [`MAX_FRAMES_MSG_BYTES`]-bounded ops rather than one giant
+    /// message, so a follower starts scanning and replaying the first
+    /// run while later ones are still on the wire, and the ack
+    /// watermark advances run by run.
     fn ship_append(&self, minute: MinuteId, frames: &Frames) {
         let mut state = self.stream.lock();
         self.prune_dead(&mut state);
@@ -556,72 +592,78 @@ impl ReplHub {
             return;
         }
         for run in runs(frames) {
-            state.next_op += 1;
-            self.note_ship(&state, run.len() as u64, None);
-            let msg = ReplMsg::Frames {
-                op: state.next_op,
-                minute: minute.0,
-                frames: run.to_vec(),
-            };
-            self.stage(&mut state, &msg);
+            let _ = self.push(&mut state, To::Live, OP_REPL_FRAMES, minute.0, run);
         }
     }
 
-    /// Stage a retention sweep behind every op staged before it.
+    /// Put a retention sweep in the outbox behind every op before it.
     fn ship_evict(&self, cutoff: MinuteId) {
         let mut state = self.stream.lock();
         self.prune_dead(&mut state);
         if state.sessions.is_empty() {
             return;
         }
+        let _ = self.push(&mut state, To::Live, OP_REPL_EVICT, cutoff.0, &[]);
+    }
+
+    /// Assign the next op to one message — `FRAMES` of minute `word`
+    /// carrying `run`, or `EVICT` before cutoff `word` — and encode it
+    /// at the end of the outbox, its envelope written in place around
+    /// `run`. The outbox is flushed first if the message would take it
+    /// past [`MAX_FRAMES_MSG_BYTES`]: a batch larger than that streams
+    /// in pieces of about one message's cap, and the outbox never holds
+    /// more than the cap or one message, whichever is larger.
+    fn push(
+        &self,
+        state: &mut StreamState,
+        to: To,
+        opcode: u8,
+        word: u64,
+        run: &[u8],
+    ) -> std::io::Result<()> {
+        if state.outbox.len() + OP_MSG_OVERHEAD + run.len() > MAX_FRAMES_MSG_BYTES {
+            self.flush(state, to)?;
+        }
         state.next_op += 1;
-        self.note_ship(&state, 0, None);
-        let msg = ReplMsg::Evict {
-            op: state.next_op,
-            cutoff: cutoff.0,
-        };
-        self.stage(&mut state, &msg);
+        self.note_ship(state, run.len() as u64, to);
+        encode_op(opcode, state.next_op, word, run, &mut state.outbox);
+        Ok(())
     }
 
-    /// Append `msg` to the stage, flushing first if it would take the
-    /// stage past [`MAX_FRAMES_MSG_BYTES`]: a batch larger than that
-    /// streams in pieces of about one message's cap, and the stage
-    /// never holds more than the cap or one message, whichever is
-    /// larger.
-    fn stage(&self, state: &mut StreamState, msg: &ReplMsg) {
-        let frame = msg.to_frame();
-        let len = FRAME_HEADER_BYTES + BODY_PREFIX_BYTES + frame.payload.len();
-        if state.staged.len() + len > MAX_FRAMES_MSG_BYTES {
-            self.flush(state);
+    /// Write the outbox to its destination in one `write_all` each and
+    /// empty it. A live session whose write fails — a closed socket, or
+    /// one that took no bytes for `ack_timeout` — is detached, and
+    /// replication never fails the primary's local commit; a joiner's
+    /// failure is returned, ending its admission.
+    fn flush(&self, state: &mut StreamState, to: To) -> std::io::Result<()> {
+        if state.outbox.is_empty() {
+            return Ok(());
         }
-        frame.encode(&mut state.staged);
-    }
-
-    /// Write the stage to every session in one `write_all` each.
-    /// Shipping failures detach the session — replication never fails
-    /// the primary's local commit.
-    fn flush(&self, state: &mut StreamState) {
-        if state.staged.is_empty() {
-            return;
-        }
-        self.metrics.ship_us.time(|| {
-            for s in &state.sessions {
-                if (&s.stream).write_all(&state.staged).is_err() {
-                    s.alive.store(false, Ordering::Release);
-                }
+        let written = match to {
+            To::Live => {
+                self.metrics.ship_us.time(|| {
+                    for s in &state.sessions {
+                        if (&s.stream).write_all(&state.outbox).is_err() {
+                            s.alive.store(false, Ordering::Release);
+                        }
+                    }
+                });
+                self.prune_dead(state);
+                Ok(())
             }
-        });
-        state.staged.clear();
-        self.prune_dead(state);
+            To::Joiner(mut joiner, _) => joiner.write_all(&state.outbox),
+        };
+        state.outbox.clear();
+        written
     }
 
-    /// Ship everything staged so far; under `sync_ack`, then wait —
-    /// holding no lock — until every live follower has acked the last
-    /// op assigned (detaching any that miss `ack_timeout`).
+    /// Flush the outbox; under `sync_ack`, then wait — holding no lock
+    /// — until every live follower has acked the last op assigned
+    /// (detaching any that miss `ack_timeout`).
     fn end_batch(&self) {
         let (op, waits) = {
             let mut state = self.stream.lock();
-            self.flush(&mut state);
+            let _ = self.flush(&mut state, To::Live);
             if !self.cfg.sync_ack || state.sessions.is_empty() {
                 return;
             }
@@ -677,19 +719,13 @@ impl Drop for ReplHub {
     fn drop(&mut self) {
         // Arc'd hubs shut down via the method; this is the last-resort
         // path when the final clone drops without one.
-        if !self.shutdown.swap(true, Ordering::AcqRel) {
-            let _ = TcpStream::connect(self.addr);
-            let mut stream = self.stream.lock();
-            for s in stream.sessions.drain(..) {
-                let _ = s.stream.shutdown(std::net::Shutdown::Both);
-            }
-        }
+        self.shutdown();
     }
 }
 
 /// The primary's WAL: a [`VpStore`] whose every committed append also
 /// ships — local write (and fsync) first, then the very bytes written,
-/// staged and flushed once per ingest batch.
+/// put in the outbox and flushed once per ingest batch.
 ///
 /// Eviction sweeps ship too, so follower retention mirrors the
 /// primary's. `sync` is purely local — the remote equivalent is the ack

@@ -33,6 +33,16 @@
 //! the follower applies through the server's replay path, whose dedup
 //! rejects records it already holds *before* they reach its log.
 //!
+//! # One encoder
+//!
+//! Every message is encoded by one function, the service's envelope
+//! writer ([`vm_service::proto::encode_frame`]), which takes the payload
+//! as slices and writes the header, body prefix and checksum in place
+//! around them. The primary's outbox calls it through `encode_op` with
+//! the store's own segment bytes, so a shipped run is copied once, into
+//! the outbox; [`ReplMsg::encode`] and [`ReplMsg::write_to`] (the
+//! handshake and `ACK`s) are the same call.
+//!
 //! `op` numbers are assigned by the primary, monotonically per hub
 //! lifetime, one per shipped message; `ACK` echoes the highest op the
 //! follower has fully applied (scanned, replayed, logged). The
@@ -40,7 +50,7 @@
 //! followers.
 
 use std::io::{BufRead, Write};
-use vm_service::proto::Frame;
+use vm_service::proto::{encode_frame, Frame, BODY_PREFIX_BYTES, FRAME_HEADER_BYTES};
 
 /// Follower → primary: identify, prove epoch, describe what's held.
 pub const OP_REPL_HELLO: u8 = 0x20;
@@ -143,34 +153,26 @@ impl ReplMsg {
         }
     }
 
-    /// Wrap the message in a service frame (request id 0).
-    pub fn to_frame(&self) -> Frame {
-        let mut payload = Vec::new();
+    /// Append the message to `out` as one service frame (request id 0).
+    pub fn encode(&self, out: &mut Vec<u8>) {
         match self {
             ReplMsg::Hello { epoch, cursors } => {
-                payload.extend_from_slice(&epoch.to_le_bytes());
-                payload.extend_from_slice(&(cursors.len() as u32).to_le_bytes());
-                for (minute, records) in cursors {
-                    payload.extend_from_slice(&minute.to_le_bytes());
-                    payload.extend_from_slice(&records.to_le_bytes());
-                }
+                let n = (cursors.len() as u32).to_le_bytes();
+                let cursors: Vec<u8> = cursors
+                    .iter()
+                    .flat_map(|(minute, records)| [minute.to_le_bytes(), records.to_le_bytes()])
+                    .flatten()
+                    .collect();
+                encode_frame(0, OP_REPL_HELLO, &[&epoch.to_le_bytes(), &n, &cursors], out)
             }
-            ReplMsg::HelloOk { epoch } => payload.extend_from_slice(&epoch.to_le_bytes()),
+            ReplMsg::HelloOk { epoch } => {
+                encode_frame(0, OP_REPL_HELLO_OK, &[&epoch.to_le_bytes()], out)
+            }
             ReplMsg::Frames { op, minute, frames } => {
-                payload.extend_from_slice(&op.to_le_bytes());
-                payload.extend_from_slice(&minute.to_le_bytes());
-                payload.extend_from_slice(frames);
+                encode_op(OP_REPL_FRAMES, *op, *minute, frames, out)
             }
-            ReplMsg::Evict { op, cutoff } => {
-                payload.extend_from_slice(&op.to_le_bytes());
-                payload.extend_from_slice(&cutoff.to_le_bytes());
-            }
-            ReplMsg::Ack { op } => payload.extend_from_slice(&op.to_le_bytes()),
-        }
-        Frame {
-            request_id: 0,
-            opcode: self.opcode(),
-            payload,
+            ReplMsg::Evict { op, cutoff } => encode_op(OP_REPL_EVICT, *op, *cutoff, &[], out),
+            ReplMsg::Ack { op } => encode_frame(0, OP_REPL_ACK, &[&op.to_le_bytes()], out),
         }
     }
 
@@ -225,9 +227,12 @@ impl ReplMsg {
         Ok(msg)
     }
 
-    /// Write the message as one service frame and flush.
+    /// Write the message as one service frame and flush: the handshake
+    /// and `ACK`s, one small message at a time.
     pub fn write_to(&self, w: &mut impl Write) -> std::io::Result<()> {
-        self.to_frame().write_to(w)?;
+        let mut buf = Vec::new();
+        self.encode(&mut buf);
+        w.write_all(&buf)?;
         w.flush()
     }
 
@@ -241,6 +246,22 @@ impl ReplMsg {
             .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
     }
 }
+
+/// Append one op-numbered message to `out`: `FRAMES` (`word` is the
+/// minute, `rest` the segment frames) or `EVICT` (`word` is the cutoff,
+/// `rest` empty). The primary's outbox encodes with this directly, so a
+/// shipped run is copied once, from the store's bytes into the outbox.
+pub(crate) fn encode_op(opcode: u8, op: u64, word: u64, rest: &[u8], out: &mut Vec<u8>) {
+    encode_frame(
+        0,
+        opcode,
+        &[&op.to_le_bytes(), &word.to_le_bytes(), rest],
+        out,
+    );
+}
+
+/// Envelope and `op | word` prefix bytes of an op-numbered message.
+pub(crate) const OP_MSG_OVERHEAD: usize = FRAME_HEADER_BYTES + BODY_PREFIX_BYTES + 16;
 
 /// Ceiling on segment-frame bytes per `FRAMES` message (a lone larger
 /// frame travels alone): a long catch-up tail or a large append ships
@@ -318,7 +339,9 @@ mod tests {
             minute: 4,
             frames: bytes.clone(),
         };
-        let frame = msg.to_frame();
+        let mut wire = Vec::new();
+        msg.encode(&mut wire);
+        let (frame, _) = Frame::decode(&wire).unwrap().unwrap();
         assert_eq!(
             &frame.payload[16..],
             &bytes[..],
@@ -363,5 +386,51 @@ mod tests {
             payload,
         };
         assert!(ReplMsg::from_frame(frame).is_err());
+    }
+
+    #[test]
+    fn every_message_encodes_as_a_service_frame_of_its_payload() {
+        let run = segment_frames(&[vp(1, 9), vp(2, 9), vp(3, 9)]);
+        let le =
+            |words: &[u64]| -> Vec<u8> { words.iter().flat_map(|w| w.to_le_bytes()).collect() };
+        let cases = [
+            (
+                ReplMsg::Hello {
+                    epoch: 7,
+                    cursors: vec![(0, 12), (9, 1)],
+                },
+                [le(&[7]), 2u32.to_le_bytes().to_vec(), le(&[0, 12, 9, 1])].concat(),
+            ),
+            (
+                ReplMsg::Hello {
+                    epoch: 3,
+                    cursors: Vec::new(),
+                },
+                [le(&[3]), 0u32.to_le_bytes().to_vec()].concat(),
+            ),
+            (ReplMsg::HelloOk { epoch: 7 }, le(&[7])),
+            (
+                ReplMsg::Frames {
+                    op: 41,
+                    minute: 9,
+                    frames: run.clone(),
+                },
+                [le(&[41, 9]), run].concat(),
+            ),
+            (ReplMsg::Evict { op: 42, cutoff: 5 }, le(&[42, 5])),
+            (ReplMsg::Ack { op: 41 }, le(&[41])),
+        ];
+        for (msg, payload) in cases {
+            let mut in_place = Vec::new();
+            msg.encode(&mut in_place);
+            let mut whole = Vec::new();
+            Frame {
+                request_id: 0,
+                opcode: msg.opcode(),
+                payload,
+            }
+            .encode(&mut whole);
+            assert_eq!(in_place, whole, "{msg:?}");
+        }
     }
 }

@@ -291,7 +291,7 @@ fn fake_primary_session(
     let mut send = |msgs: &[ReplMsg]| {
         let mut wire = Vec::new();
         for msg in msgs {
-            msg.to_frame().encode(&mut wire);
+            msg.encode(&mut wire);
         }
         writer.write_all(&wire).unwrap();
     };
@@ -900,4 +900,179 @@ fn a_stream_past_the_cap_never_applies_more_than_a_burst() {
     assert_eq!(apply_ops(&follower), (acks.len() as u64, last));
     let shipped: Vec<StoredVp> = groups.into_iter().flatten().collect();
     assert_matches_replay_oracle(&follower, &ftmp.0, &key, shipped, "o_cap");
+}
+
+/// A raw-TCP follower that handshakes with empty cursors and then never
+/// reads another byte: the gray failure where a peer's socket stays
+/// open but stops taking bytes.
+fn mute_follower(primary: &Primary) -> std::net::TcpStream {
+    let stream = std::net::TcpStream::connect(primary.repl_addr()).unwrap();
+    ReplMsg::Hello {
+        epoch: 1,
+        cursors: Vec::new(),
+    }
+    .write_to(&mut &stream)
+    .unwrap();
+    // Read HELLO_OK through a one-byte buffer, so no byte past it
+    // leaves the socket.
+    let mut reader = BufReader::with_capacity(1, &stream);
+    assert_eq!(
+        ReplMsg::read_from(&mut reader).unwrap(),
+        Some(ReplMsg::HelloOk { epoch: 1 })
+    );
+    stream
+}
+
+/// Ingest `batches` batches of 1000 VPs on a thread; the number that
+/// committed within `within`.
+fn batches_committed_within(primary: &Primary, first: u64, batches: u64, within: Duration) -> u64 {
+    let done = std::sync::Arc::new(std::sync::atomic::AtomicU64::new(0));
+    let (srv, count) = (std::sync::Arc::clone(primary.server()), done.clone());
+    std::thread::spawn(move || {
+        for b in first..first + batches {
+            let results = srv.submit_batch((0..1000).map(|i| AnonymousSubmission {
+                session_id: 0,
+                vp: synthetic_vp(b * 1000 + i, b % 60),
+            }));
+            assert!(results.iter().all(|r| r.is_ok()));
+            count.fetch_add(1, std::sync::atomic::Ordering::Release);
+        }
+    });
+    let deadline = Instant::now() + within;
+    while done.load(std::sync::atomic::Ordering::Acquire) < batches && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    done.load(std::sync::atomic::Ordering::Acquire)
+}
+
+/// Check that a primary whose one follower stopped reading kept
+/// committing: all 40 batches in, the follower detached once.
+fn assert_not_wedged(primary: Primary, committed: u64) {
+    if committed < 40 {
+        // The primary is stuck writing to the mute socket under its
+        // stream lock, which dropping it would wait on too.
+        std::mem::forget(primary);
+        panic!("{committed} of 40 batches committed: a mute follower wedged the primary");
+    }
+    assert_eq!(
+        primary.hub().follower_count(),
+        0,
+        "the mute follower was detached"
+    );
+    let detaches = primary
+        .server()
+        .obs()
+        .snapshot()
+        .counter("vm_repl_follower_detaches_total");
+    assert_eq!(detaches, Some(1));
+}
+
+const MUTE_CFG: ReplicationConfig = ReplicationConfig {
+    epoch: 1,
+    sync_ack: false,
+    ack_timeout: Duration::from_secs(1),
+};
+
+#[test]
+fn a_follower_that_stops_reading_is_detached_not_waited_on() {
+    let ptmp = TempDir::new("p_mute");
+    let primary = open_primary(&ptmp.0, 13, MUTE_CFG);
+    let _mute = mute_follower(&primary);
+    wait_until("mute follower admitted", Duration::from_secs(10), || {
+        primary.hub().follower_count() == 1
+    });
+    let committed = batches_committed_within(&primary, 0, 40, Duration::from_secs(120));
+    assert_not_wedged(primary, committed);
+}
+
+#[test]
+fn a_joiner_that_stops_reading_mid_catch_up_is_detached_not_waited_on() {
+    let ptmp = TempDir::new("p_mute_join");
+    let primary = open_primary(&ptmp.0, 14, MUTE_CFG);
+    // Far more segment bytes than a socket that is never read can hold.
+    assert_eq!(
+        batches_committed_within(&primary, 0, 10, Duration::from_secs(120)),
+        10
+    );
+    let _mute = mute_follower(&primary);
+    let committed = batches_committed_within(&primary, 10, 40, Duration::from_secs(120));
+    assert_not_wedged(primary, committed);
+}
+
+#[test]
+fn a_primary_refuses_a_hello_from_a_later_epoch() {
+    let ptmp = TempDir::new("p_fence");
+    let primary = open_primary(&ptmp.0, 15, ReplicationConfig::default());
+    submit(primary.server(), synthetic_vp(1, 0));
+    let stream = std::net::TcpStream::connect(primary.repl_addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    ReplMsg::Hello {
+        epoch: 2,
+        cursors: Vec::new(),
+    }
+    .write_to(&mut &stream)
+    .unwrap();
+    // The stale primary closes the link without a HELLO_OK or a frame.
+    let reply = ReplMsg::read_from(&mut BufReader::new(&stream));
+    assert!(
+        matches!(reply, Ok(None)),
+        "a follower of a later epoch was answered {reply:?}"
+    );
+    assert_eq!(primary.hub().follower_count(), 0);
+    assert_eq!(primary.hub().shipped_ops(), 0, "nothing shipped to it");
+    let connects = primary
+        .server()
+        .obs()
+        .snapshot()
+        .counter("vm_repl_follower_connects_total");
+    assert_eq!(connects, Some(0));
+}
+
+#[test]
+fn a_follower_drops_a_hello_ok_from_an_earlier_epoch() {
+    let ftmp = TempDir::new("f_fence");
+    let mut rng = StdRng::seed_from_u64(16);
+    let key = RsaKeyPair::generate(&mut rng, KEY_BITS);
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let (follower, _) = Follower::open(
+        &ftmp.0,
+        key,
+        ViewmapConfig::default(),
+        StoreConfig::from_env(),
+        listener.local_addr().unwrap(),
+        FollowerConfig {
+            epoch: 2,
+            ..FollowerConfig::default()
+        },
+    )
+    .unwrap();
+
+    // A stale primary answers HELLO with epoch 1 and a FRAMES message in
+    // the same write, so both are on the follower's socket before it
+    // can hang up.
+    for _ in 0..2 {
+        let (stream, _) = listener.accept().unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let mut reader = BufReader::new(&stream);
+        let hello = ReplMsg::read_from(&mut reader).unwrap();
+        assert!(matches!(hello, Some(ReplMsg::Hello { epoch: 2, .. })));
+        let mut wire = Vec::new();
+        ReplMsg::HelloOk { epoch: 1 }.encode(&mut wire);
+        frames_msgs(&[vec![synthetic_vp(1, 0)]])[0].encode(&mut wire);
+        (&stream).write_all(&wire).unwrap();
+        // No ACK comes back: the follower hangs up and redials.
+        let reply = ReplMsg::read_from(&mut reader);
+        assert!(
+            !matches!(reply, Ok(Some(_))),
+            "the follower answered a stale primary with {reply:?}"
+        );
+    }
+    assert_eq!(follower.server().total_vps(), 0, "nothing applied");
+    assert_eq!(applier_count(&follower, "vm_repl_applied_ops_total"), 0);
+    assert_eq!(applier_count(&follower, "vm_repl_connects_total"), 0);
+    assert!(applier_count(&follower, "vm_repl_resyncs_total") >= 1);
 }

@@ -159,19 +159,7 @@ pub struct Frame {
 impl Frame {
     /// Append the encoded frame to `out`.
     pub fn encode(&self, out: &mut Vec<u8>) {
-        let body_len = BODY_PREFIX_BYTES + self.payload.len();
-        assert!(body_len <= MAX_BODY_BYTES, "frame body exceeds the cap");
-        out.reserve(FRAME_HEADER_BYTES + body_len);
-        out.extend_from_slice(&FRAME_MAGIC);
-        out.extend_from_slice(&(body_len as u32).to_le_bytes());
-        let sum_at = out.len();
-        out.extend_from_slice(&[0u8; 8]);
-        let body_at = out.len();
-        out.extend_from_slice(&self.request_id.to_le_bytes());
-        out.push(self.opcode);
-        out.extend_from_slice(&self.payload);
-        let sum = vm_crypto::checksum64(&out[body_at..]);
-        out[sum_at..sum_at + 8].copy_from_slice(&sum.to_le_bytes());
+        encode_frame(self.request_id, self.opcode, &[&self.payload], out);
     }
 
     /// Try to decode one frame from the front of `buf`.
@@ -235,6 +223,28 @@ impl Frame {
             payload: body,
         }))
     }
+}
+
+/// Append one frame whose payload is `parts` back to back: the header,
+/// the body prefix and the checksum are written in place around them,
+/// so a payload assembled from several buffers is copied once, into
+/// `out`. [`Frame::encode`] is this with a one-part payload.
+pub fn encode_frame(request_id: u32, opcode: u8, parts: &[&[u8]], out: &mut Vec<u8>) {
+    let body_len = BODY_PREFIX_BYTES + parts.iter().map(|p| p.len()).sum::<usize>();
+    assert!(body_len <= MAX_BODY_BYTES, "frame body exceeds the cap");
+    out.reserve(FRAME_HEADER_BYTES + body_len);
+    out.extend_from_slice(&FRAME_MAGIC);
+    out.extend_from_slice(&(body_len as u32).to_le_bytes());
+    let sum_at = out.len();
+    out.extend_from_slice(&[0u8; 8]);
+    let body_at = out.len();
+    out.extend_from_slice(&request_id.to_le_bytes());
+    out.push(opcode);
+    for part in parts {
+        out.extend_from_slice(part);
+    }
+    let sum = vm_crypto::checksum64(&out[body_at..]);
+    out[sum_at..sum_at + 8].copy_from_slice(&sum.to_le_bytes());
 }
 
 /// The header rules both parsers apply, to the first bytes of a frame:

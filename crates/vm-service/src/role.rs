@@ -11,9 +11,14 @@
 //!
 //! The **epoch** is a monotonically increasing configuration number: it
 //! starts at the operator-assigned value and bumps on every
-//! [`RoleCell::promote`]. The replication layer (`vm-repl`) uses it to
-//! fence stale peers — a node never accepts a replication stream from a
-//! lower epoch than its own.
+//! [`RoleCell::promote`]; a fenced front-end names it in its
+//! `NotPrimary` detail. The replication layer (`vm-repl`) fences with
+//! the same numbers: a follower configured at a later epoch that dials
+//! a stale primary is refused by that primary (its `HELLO` is ahead)
+//! and itself drops a `HELLO_OK` from a lower epoch, so it never
+//! applies a superseded history. A promoted cell runs no replication
+//! listener or applier, so the fence guards the follower side of a new
+//! configuration, not the promoted cell itself.
 //!
 //! The cell is shared (`Arc`) between the front-end
 //! ([`crate::server::VmService::spawn_with_role`]) and whatever failover

@@ -358,15 +358,17 @@ pub fn tail_frames(
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Some(Frames::default())),
         other => other?,
     };
-    let Some(data) = data else {
+    let Some(mut bytes) = data else {
         return Ok(None);
     };
-    let scan = scan_keeping(&data[SEGMENT_HEADER_BYTES..], expected, drop);
+    let scan = scan_keeping(&bytes[SEGMENT_HEADER_BYTES..], expected, drop);
     let skip = skip.min(scan.ends.len());
     let from = skip.checked_sub(1).map_or(0, |j| scan.ends[j]);
-    let at = SEGMENT_HEADER_BYTES;
+    // The run is cut out of the file's bytes where they lie.
+    bytes.truncate(SEGMENT_HEADER_BYTES + scan.committed_len());
+    bytes.drain(..SEGMENT_HEADER_BYTES + from);
     Ok(Some(Frames {
-        bytes: data[at + from..at + scan.committed_len()].to_vec(),
+        bytes,
         ends: scan.ends[skip..].iter().map(|end| end - from).collect(),
     }))
 }
