@@ -81,7 +81,9 @@
 //! log records through the normal batch machinery (screening, in-batch
 //! dedup) while preserving each record's own `trusted` flag, and warms
 //! no link keys. Recovery calls it before any log is attached, so it
-//! never re-appends. Bounded retention
+//! never re-appends; a replica passes the frames its primary shipped
+//! beside the records, and its log writes each accepted record's frame
+//! as it arrived instead of encoding it again. Bounded retention
 //! ([`ViewMapServer::evict_minutes_before`]) drops expired minutes from
 //! the log first, then from the shards, the id index and the
 //! solicitation board, so a refused sweep panics with memory whole. The
@@ -437,7 +439,7 @@ impl ViewMapServer {
     /// Accept one anonymized VP submission into the database, stored
     /// untrusted.
     pub fn submit(&self, sub: AnonymousSubmission) -> Result<(), SubmitError> {
-        self.store_batch(vec![sub.vp], Trust::Anonymous, false)[0]
+        self.store_batch(vec![sub.vp], None, Trust::Anonymous, false)[0]
     }
 
     /// Accept a batch of anonymized submissions in one call.
@@ -469,7 +471,7 @@ impl ViewMapServer {
         &self,
         subs: impl IntoIterator<Item = AnonymousSubmission>,
     ) -> Vec<Result<(), SubmitError>> {
-        self.store_batch(anonymous(subs), Trust::Anonymous, false)
+        self.store_batch(anonymous(subs), None, Trust::Anonymous, false)
     }
 
     /// As [`submit_batch`](Self::submit_batch), additionally precomputing
@@ -487,7 +489,7 @@ impl ViewMapServer {
         &self,
         subs: impl IntoIterator<Item = AnonymousSubmission>,
     ) -> Vec<Result<(), SubmitError>> {
-        self.store_batch(anonymous(subs), Trust::Anonymous, true)
+        self.store_batch(anonymous(subs), None, Trust::Anonymous, true)
     }
 
     /// The authority channel: flags every VP as a trust seed, then
@@ -495,7 +497,7 @@ impl ViewMapServer {
     /// (authority VPs anchor viewmaps, so they are always
     /// investigation-bound). One VP is a batch of one.
     pub fn submit_trusted_batch(&self, vps: Vec<StoredVp>) -> Vec<Result<(), SubmitError>> {
-        self.store_batch(vps, Trust::Authority, true)
+        self.store_batch(vps, None, Trust::Authority, true)
     }
 
     /// Log replay, the one entry for recovery and for a replication
@@ -509,8 +511,19 @@ impl ViewMapServer {
     /// links them — the stored state is identical either way. Recovery
     /// calls this *before* [`attach_wal`](Self::attach_wal) so the
     /// replayed records are not appended to the log a second time.
-    pub fn submit_replay_batch(&self, vps: Vec<StoredVp>) -> Vec<Result<(), SubmitError>> {
-        self.store_batch(vps, Trust::AsRecorded, false)
+    ///
+    /// `frames`, when given, holds each record's log frame as the log
+    /// it was read from holds it (`frames[i]` is `vps[i]`'s): a replica
+    /// passes the frames its primary shipped, and its attached log
+    /// writes each accepted record's frame as it is
+    /// ([`VpWal::append`]) instead of encoding the record again.
+    /// Recovery, which appends nothing, passes `None`.
+    pub fn submit_replay_batch(
+        &self,
+        vps: Vec<StoredVp>,
+        frames: Option<&[&[u8]]>,
+    ) -> Vec<Result<(), SubmitError>> {
+        self.store_batch(vps, frames, Trust::AsRecorded, false)
     }
 
     /// Bounded-retention sweep: drop every stored minute strictly before
@@ -573,14 +586,19 @@ impl ViewMapServer {
 
     /// The one commit path. Sets every VP's `trusted` flag from `trust`
     /// — the only place ingest decides trust — then screens, dedups,
-    /// optionally warms link keys, and commits per (minute, batch).
+    /// optionally warms link keys, and commits per (minute, batch),
+    /// handing the log each accepted VP's entry of `frames` if given.
     fn store_batch(
         &self,
         vps: Vec<StoredVp>,
+        frames: Option<&[&[u8]]>,
         trust: Trust,
         warm_keys: bool,
     ) -> Vec<Result<(), SubmitError>> {
         let total = vps.len();
+        if let Some(frames) = frames {
+            assert_eq!(frames.len(), total, "one frame per replayed record");
+        }
         let mut results = vec![Ok(()); total];
         // Screen without locks: shape validation, Bloom poisoning, and
         // the in-batch first-wins duplicate filter.
@@ -668,7 +686,9 @@ impl ViewMapServer {
             // the backend) for the whole (minute, batch) group.
             if let Some(wal) = &self.wal {
                 let fresh: Vec<&StoredVp> = group.iter().map(|(_, vp, _)| vp).collect();
-                if let Err(e) = wal.append(&fresh) {
+                let framed: Option<Vec<&[u8]>> =
+                    frames.map(|frames| group.iter().map(|(idx, _, _)| frames[*idx]).collect());
+                if let Err(e) = wal.append(&fresh, framed.as_deref()) {
                     panic!("WAL append failed; nothing of the group is in memory: {e}");
                 }
                 logged = true;
@@ -1103,7 +1123,7 @@ mod tests {
 
     /// Commit one VP with its own `trusted` flag (the replay channel).
     fn store(srv: &ViewMapServer, vp: StoredVp) -> Result<(), SubmitError> {
-        srv.submit_replay_batch(vec![vp])[0]
+        srv.submit_replay_batch(vec![vp], None)[0]
     }
 
     fn server(seed: u64) -> ViewMapServer {
@@ -1648,7 +1668,7 @@ mod tests {
             ),
             (
                 "submit_replay_batch",
-                |s, vp| s.submit_replay_batch(vec![vp])[0],
+                |s, vp| s.submit_replay_batch(vec![vp], None)[0],
                 None,
             ),
         ];
@@ -1658,7 +1678,7 @@ mod tests {
             let srv = fresh();
             let mut vp = synthetic_vp(1, 0);
             vp.trusted = trusted;
-            assert_eq!(srv.submit_replay_batch(vec![vp]), vec![Ok(())]);
+            assert_eq!(srv.submit_replay_batch(vec![vp], None), vec![Ok(())]);
             srv.state_digest()
         };
         let digests = [digest_with(false), digest_with(true)];
@@ -1788,7 +1808,7 @@ mod tests {
         let mut trusted = synthetic_vp(1, 0);
         trusted.trusted = true;
         let plain = synthetic_vp(2, 0);
-        let results = srv.submit_replay_batch(vec![trusted.clone(), plain.clone()]);
+        let results = srv.submit_replay_batch(vec![trusted.clone(), plain.clone()], None);
         assert!(results.iter().all(|r| r.is_ok()));
         let a = srv.lookup_vp(trusted.id).unwrap();
         let b = srv.lookup_vp(plain.id).unwrap();
@@ -1811,7 +1831,7 @@ mod tests {
             evictions: Arc<parking_lot::Mutex<Vec<MinuteId>>>,
         }
         impl crate::wal::VpWal for RecordingWal {
-            fn append(&self, vps: &[&StoredVp]) -> std::io::Result<()> {
+            fn append(&self, vps: &[&StoredVp], _: Option<&[&[u8]]>) -> std::io::Result<()> {
                 let mut log = self.appended.lock();
                 for vp in vps {
                     log.push((vp.minute(), vp.id));
@@ -1875,6 +1895,61 @@ mod tests {
     }
 
     #[test]
+    fn replay_hands_the_log_each_accepted_records_own_frame() {
+        // A replica's log writes the frames its primary shipped: every
+        // record the replay accepts reaches the log with its own frame,
+        // and one it drops (a duplicate, a malformed record) takes its
+        // frame with it.
+        type Logged = Vec<(VpId, Option<Vec<u8>>)>;
+        #[derive(Default)]
+        struct FrameWal {
+            appended: Arc<parking_lot::Mutex<Logged>>,
+        }
+        impl crate::wal::VpWal for FrameWal {
+            fn append(&self, vps: &[&StoredVp], frames: Option<&[&[u8]]>) -> std::io::Result<()> {
+                let mut log = self.appended.lock();
+                for (i, vp) in vps.iter().enumerate() {
+                    log.push((vp.id, frames.map(|frames| frames[i].to_vec())));
+                }
+                Ok(())
+            }
+            fn evict_minutes_before(&self, _: MinuteId) -> std::io::Result<usize> {
+                Ok(0)
+            }
+        }
+
+        let wal = FrameWal::default();
+        let appended = Arc::clone(&wal.appended);
+        let mut srv = server(56);
+        srv.attach_wal(Box::new(wal));
+        let held = synthetic_vp(1, 0);
+        store(&srv, held.clone()).unwrap();
+        let mut bad = synthetic_vp(9, 1);
+        bad.vds.truncate(3);
+        let batch = vec![
+            held.clone(),
+            synthetic_vp(2, 1),
+            bad,
+            synthetic_vp(3, 0),
+            synthetic_vp(2, 1), // in-batch dup
+        ];
+        let ids: Vec<VpId> = batch.iter().map(|vp| vp.id).collect();
+        let frames: Vec<Vec<u8>> = (0..batch.len() as u8).map(|i| vec![i; 4]).collect();
+        let slices: Vec<&[u8]> = frames.iter().map(Vec::as_slice).collect();
+        let results = srv.submit_replay_batch(batch, Some(&slices));
+        assert_eq!(results.iter().filter(|r| r.is_ok()).count(), 2);
+        assert_eq!(
+            *appended.lock(),
+            vec![
+                (held.id, None),
+                (ids[3], Some(vec![3; 4])),
+                (ids[1], Some(vec![1; 4])),
+            ],
+            "minute 0's group, then minute 1's, each record with its own frame"
+        );
+    }
+
+    #[test]
     fn a_refused_log_append_is_undone_before_the_panic() {
         // A log that refuses appends once armed. The panicking ingest
         // must leave memory as it was: bucket, bounds rows, id index,
@@ -1883,7 +1958,7 @@ mod tests {
             armed: Arc<std::sync::atomic::AtomicBool>,
         }
         impl crate::wal::VpWal for RefusingWal {
-            fn append(&self, _: &[&StoredVp]) -> std::io::Result<()> {
+            fn append(&self, _: &[&StoredVp], _: Option<&[&[u8]]>) -> std::io::Result<()> {
                 if self.armed.load(Ordering::Relaxed) {
                     return Err(std::io::Error::other("log device gone"));
                 }
@@ -1937,7 +2012,7 @@ mod tests {
         // restart bringing back what memory had already forgotten.
         struct RefusingWal;
         impl crate::wal::VpWal for RefusingWal {
-            fn append(&self, _: &[&StoredVp]) -> std::io::Result<()> {
+            fn append(&self, _: &[&StoredVp], _: Option<&[&[u8]]>) -> std::io::Result<()> {
                 Ok(())
             }
             fn evict_minutes_before(&self, _: MinuteId) -> std::io::Result<usize> {
@@ -1990,7 +2065,7 @@ mod tests {
             appends: AtomicU64,
         }
         impl crate::wal::VpWal for ParkingWal {
-            fn append(&self, _: &[&StoredVp]) -> std::io::Result<()> {
+            fn append(&self, _: &[&StoredVp], _: Option<&[&[u8]]>) -> std::io::Result<()> {
                 if self.appends.fetch_add(1, Ordering::Relaxed) == 0 {
                     let (lock, cv) = &*self.gate;
                     let mut gate = lock.lock().unwrap();
@@ -2020,12 +2095,12 @@ mod tests {
 
         let srv = &srv;
         let (b, a) = std::thread::scope(|s| {
-            let b = s.spawn(move || srv.submit_replay_batch(vec![y, x_late]));
+            let b = s.spawn(move || srv.submit_replay_batch(vec![y, x_late], None));
             let (lock, cv) = &*gate;
             drop(cv.wait_while(lock.lock().unwrap(), |g| !g.parked).unwrap());
             let (done, a_done) = std::sync::mpsc::channel();
             let a = s.spawn(move || {
-                let r = srv.submit_replay_batch(vec![x]);
+                let r = srv.submit_replay_batch(vec![x], None);
                 done.send(()).unwrap();
                 r
             });

@@ -54,7 +54,15 @@ pub trait VpWal: Send + Sync {
     /// implementations should issue one buffered write — and at most one
     /// fsync, per their durability policy — per call, not per VP). All
     /// VPs in one call belong to the same minute.
-    fn append(&self, vps: &[&StoredVp]) -> std::io::Result<()>;
+    ///
+    /// `frames` is `Some` only on log replay into a server with a log
+    /// attached (a replica applying its primary's stream): `frames[i]`
+    /// is the log frame `vps[i]` was decoded from, exactly as the log
+    /// it came from holds it. A backend whose format those bytes are
+    /// writes them as they are instead of encoding the records again,
+    /// so a replica's log is its primary's bytes; `None` means the
+    /// backend encodes the records itself.
+    fn append(&self, vps: &[&StoredVp], frames: Option<&[&[u8]]>) -> std::io::Result<()>;
 
     /// The ingest call that made the preceding appends is done: flush
     /// whatever they staged. Called once per call that appended

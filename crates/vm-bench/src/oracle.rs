@@ -278,7 +278,7 @@ pub fn replay(history: &[(MinuteId, Vec<StoredVp>)]) -> Result<ViewMapServer, St
     let mut rng = StdRng::seed_from_u64(0xACE5);
     let oracle = ViewMapServer::new(&mut rng, REPLAY_KEY_BITS, ViewmapConfig::default());
     for (minute, vps) in history {
-        let results = oracle.submit_replay_batch(vps.clone());
+        let results = oracle.submit_replay_batch(vps.clone(), None);
         if !results.iter().all(|r| r.is_ok()) {
             return Err(format!(
                 "oracle replay rejected a VP in {minute:?}: {results:?}"

@@ -12,8 +12,11 @@
 //! shipped order equals the primary's bucket order, and
 //! [`ViewMapServer::submit_replay_batch`] — the same replay recovery
 //! runs — preserves each record's own bytes bit-exactly, so the
-//! follower's buckets, id index, viewmap checksums, and segment files
-//! all converge to the primary's. The vopr `failover` scenario checks
+//! follower's buckets, id index and viewmap checksums converge to the
+//! primary's. Its segment files are the primary's by construction: the
+//! replay hands each accepted record's shipped frame to the replica's
+//! store, which writes those bytes instead of encoding the record
+//! again. The vopr `failover` scenario checks
 //! exactly this against an oracle fed the acked ops. (Replay warms no
 //! link keys: a standby logs and indexes at ingest speed, and the
 //! first investigation after a promotion hashes only the keys of the
@@ -29,9 +32,9 @@
 //! one replay + log, and one `ACK` of the run's last op: the follower's
 //! version of group commit. An `EVICT` ends a run. While a burst
 //! applies, what follows waits in the socket, whose backpressure is the
-//! flow control for a replica that falls behind. The follower still
-//! re-encodes the records on its own append (its store frames them
-//! afresh).
+//! flow control for a replica that falls behind. A record is encoded
+//! once, on the primary: the follower decodes it to index it and logs
+//! the frame it arrived in.
 //!
 //! # Injuries never poison the store
 //!
@@ -427,8 +430,8 @@ fn apply_burst(
 }
 
 /// Apply one run of `FRAMES`: scan each message against its own minute
-/// (the records concatenate in op order up to the first injury), replay
-/// them in one batch, ack the last op. A run of at least one full
+/// (the records, and their frames, concatenate in op order up to the
+/// first injury), replay them in one batch, ack the last op. A run of at least one full
 /// message's bytes — catch-up, or a large append — scans on worker
 /// threads, a message or more each; a live flush of one upload scans
 /// inline.
@@ -448,18 +451,22 @@ fn apply_frames(
         run[lo..hi]
             .iter()
             .map(|msg| match msg {
-                ReplMsg::Frames { op, minute, frames } => {
-                    (*op, vm_store::scan(frames, MinuteId(*minute)))
-                }
+                ReplMsg::Frames { op, minute, frames } => (
+                    *op,
+                    frames.as_slice(),
+                    vm_store::scan(frames, MinuteId(*minute)),
+                ),
                 _ => unreachable!("a run holds only FRAMES"),
             })
             .collect::<Vec<_>>()
     });
     let mut records = Vec::new();
+    let mut framed: Vec<&[u8]> = Vec::new();
     let mut injury = None;
     let mut last_op = 0u64;
     let mut ops = 0u64;
-    for (op, scan) in scans.into_iter().flatten() {
+    for (op, frames, scan) in scans.into_iter().flatten() {
+        framed.extend(scan.frames(frames));
         records.extend(scan.records);
         last_op = op;
         ops += 1;
@@ -469,8 +476,10 @@ fn apply_frames(
         }
     }
     // Apply the prefix either way: it is committed data, and catch-up
-    // after the drop re-streams the rest (dedup eats the overlap).
-    let results = shared.server.submit_replay_batch(records);
+    // after the drop re-streams the rest (dedup eats the overlap). The
+    // replica's log writes each accepted record's shipped frame as it
+    // is: its segments are the primary's bytes, encoded once.
+    let results = shared.server.submit_replay_batch(records, Some(&framed));
     let accepted = results.iter().filter(|r| r.is_ok()).count() as u64;
     shared.obs.applied_records.add(accepted);
     if let Some(e) = injury {

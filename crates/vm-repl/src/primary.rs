@@ -743,12 +743,13 @@ impl ReplicatedWal {
 }
 
 impl VpWal for ReplicatedWal {
-    fn append(&self, vps: &[&StoredVp]) -> std::io::Result<()> {
+    fn append(&self, vps: &[&StoredVp], frames: Option<&[&[u8]]>) -> std::io::Result<()> {
         // Local first: a record is never on a follower before it is on
         // the primary's own disk — the store lends the bytes only once
         // they are written.
-        self.store
-            .append_then(vps, |frames| self.hub.ship_append(vps[0].minute(), frames))
+        self.store.append_then(vps, frames, |written| {
+            self.hub.ship_append(vps[0].minute(), written)
+        })
     }
 
     fn end_batch(&self) {

@@ -46,6 +46,14 @@ fn applier_count(follower: &Follower, name: &str) -> u64 {
         .unwrap_or(0)
 }
 
+/// Records a server's store framed itself rather than writing the
+/// frames they arrived in (`None` if no store reports to it).
+fn encoded_records(srv: &ViewMapServer) -> Option<u64> {
+    srv.obs()
+        .snapshot()
+        .counter("vm_store_encoded_records_total")
+}
+
 fn submit(srv: &ViewMapServer, vp: StoredVp) {
     srv.submit(AnonymousSubmission { session_id: 0, vp })
         .expect("synthetic VP admitted");
@@ -134,6 +142,11 @@ fn live_shipping_catch_up_and_rejoin_converge_bytewise() {
     });
     assert_state_equal(follower.server(), primary.server(), 2, "live");
     assert!(applier_count(&follower, "vm_repl_wire_injuries_total") == 0);
+    assert_eq!(
+        encoded_records(follower.server()),
+        Some(0),
+        "catch-up and live shipping: the replica logs the shipped frames"
+    );
 
     // Disconnect (drop the follower entirely), keep writing, rejoin on
     // the same directory: cursors position catch-up at the stale tail.
@@ -160,6 +173,12 @@ fn live_shipping_catch_up_and_rejoin_converge_bytewise() {
         follower.server().state_digest() == primary.server().state_digest()
     });
     assert_state_equal(follower.server(), primary.server(), 2, "rejoin");
+    assert_eq!(encoded_records(follower.server()), Some(0), "rejoin");
+    assert_eq!(
+        encoded_records(primary.server()),
+        Some(30),
+        "the one encode"
+    );
 
     // The replica's segments are the primary's, byte for byte.
     primary.server().sync_wal().unwrap();
@@ -769,7 +788,7 @@ fn assert_matches_replay_oracle(
     )
     .unwrap();
     assert!(oracle
-        .submit_replay_batch(shipped)
+        .submit_replay_batch(shipped, None)
         .iter()
         .all(|r| r.is_ok()));
     assert_eq!(
@@ -900,6 +919,67 @@ fn a_stream_past_the_cap_never_applies_more_than_a_burst() {
     assert_eq!(apply_ops(&follower), (acks.len() as u64, last));
     let shipped: Vec<StoredVp> = groups.into_iter().flatten().collect();
     assert_matches_replay_oracle(&follower, &ftmp.0, &key, shipped, "o_cap");
+}
+
+#[test]
+fn a_run_the_replica_partly_holds_logs_only_the_new_frames_verbatim() {
+    // The replica already holds records 0..5 of minute 0; the next run
+    // re-ships 3 and 4 between new records. Replay dedup drops them,
+    // and each record it keeps must reach the log with its own shipped
+    // frame: the segments stay the oracle's, byte for byte, and the
+    // replica frames nothing itself.
+    let ftmp = TempDir::new("f_overlap");
+    let mut rng = StdRng::seed_from_u64(13);
+    let key = RsaKeyPair::generate(&mut rng, KEY_BITS);
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let (follower, _) = Follower::open(
+        &ftmp.0,
+        key.clone(),
+        ViewmapConfig::default(),
+        StoreConfig::from_env(),
+        listener.local_addr().unwrap(),
+        FollowerConfig::default(),
+    )
+    .unwrap();
+
+    let vp = |tag: u64, minute: u64| synthetic_vp(tag, minute);
+    let held: Vec<StoredVp> = (0..5).map(|t| vp(t, 0)).collect();
+    let acks = fake_primary_session(&listener, |send, _hello| {
+        send(&frames_msgs(std::slice::from_ref(&held)));
+        Some(1)
+    });
+    assert_eq!(acks, vec![ReplMsg::Ack { op: 1 }]);
+
+    let overlap = vec![vp(5, 0), vp(3, 0), vp(6, 0), vp(4, 0), vp(7, 0)];
+    let other_minute: Vec<StoredVp> = (0..3).map(|t| vp(100 + t, 1)).collect();
+    let acks = fake_primary_session(&listener, |send, hello| {
+        let ReplMsg::Hello { cursors, .. } = hello else {
+            panic!("expected HELLO, got {hello:?}")
+        };
+        assert_eq!(
+            cursors,
+            vec![(0, 5)],
+            "the replica holds minute 0's first five"
+        );
+        let mut msgs = frames_msgs(&[overlap.clone(), other_minute.clone()]);
+        for (op, msg) in (2..).zip(&mut msgs) {
+            let ReplMsg::Frames { op: at, .. } = msg else {
+                unreachable!()
+            };
+            *at = op;
+        }
+        send(&msgs);
+        Some(3)
+    });
+    assert_eq!(acks.last(), Some(&ReplMsg::Ack { op: 3 }));
+    assert_eq!(follower.server().vp_count(MinuteId(0)), 8);
+    assert_eq!(encoded_records(follower.server()), Some(0));
+    let fresh: Vec<StoredVp> = overlap
+        .into_iter()
+        .filter(|vp| held.iter().all(|h| h.id != vp.id))
+        .collect();
+    let shipped: Vec<StoredVp> = [held, fresh, other_minute].concat();
+    assert_matches_replay_oracle(&follower, &ftmp.0, &key, shipped, "o_overlap");
 }
 
 /// A raw-TCP follower that handshakes with empty cursors and then never

@@ -254,7 +254,11 @@ fn reconnect_with_backoff_replaces_a_poisoned_session() {
 struct FailingWal;
 
 impl viewmap_core::wal::VpWal for FailingWal {
-    fn append(&self, _: &[&viewmap_core::vp::StoredVp]) -> std::io::Result<()> {
+    fn append(
+        &self,
+        _: &[&viewmap_core::vp::StoredVp],
+        _: Option<&[&[u8]]>,
+    ) -> std::io::Result<()> {
         Err(std::io::Error::other("log device gone"))
     }
 

@@ -100,7 +100,12 @@
 //! commit (survives power loss), `Never` leaves flushing to the OS page
 //! cache until the next [`VpWal::sync`](viewmap_core::wal::VpWal::sync),
 //! which flushes every minute written since the last one (survives
-//! process crash; the default, and what the benchmarks measure). The RSA signing key **is** persisted, beside the segments
+//! process crash; the default, and what the benchmarks measure). Both
+//! write through a handle [`VpStore`] holds open from a minute's first
+//! append until a sync, an eviction of the minute, or the cap on held
+//! handles releases it. A replica's store writes the frames its primary
+//! shipped as they are, so replicated segments are the primary's bytes.
+//! The RSA signing key **is** persisted, beside the segments
 //! as `signing.key` (see [`keyfile`]): cash verifies only against the
 //! key that minted it, so the key must outlive any single process —
 //! and must be *shared* with replication followers, whose promotion

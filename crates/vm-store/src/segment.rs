@@ -107,6 +107,23 @@ impl Frames {
         }
     }
 
+    /// Append `frames` — whole frames, each one a record's committed
+    /// frame as a segment holds it — as they are: what a replica's
+    /// store writes in place of [`push`](Self::push), so its segments
+    /// are its primary's bytes.
+    pub fn push_framed(&mut self, frames: &[&[u8]]) {
+        self.bytes
+            .reserve(frames.iter().map(|frame| frame.len()).sum());
+        for frame in frames {
+            debug_assert!(
+                frame.len() >= FRAME_HEADER_BYTES && frame[..4] == FRAME_MAGIC,
+                "a whole segment frame"
+            );
+            self.bytes.extend_from_slice(frame);
+            self.ends.push(self.bytes.len());
+        }
+    }
+
     fn start(&self, i: usize) -> usize {
         i.checked_sub(1).map_or(0, |j| self.ends[j])
     }
@@ -155,6 +172,18 @@ impl<T> Scan<T> {
     /// Byte length of the committed prefix.
     pub fn committed_len(&self) -> usize {
         self.ends.last().copied().unwrap_or(0)
+    }
+
+    /// Each committed record's frame in `bytes`, the bytes this scan
+    /// read, in record order.
+    pub fn frames<'s, 'a>(
+        &'s self,
+        bytes: &'a [u8],
+    ) -> impl Iterator<Item = &'a [u8]> + use<'s, 'a, T> {
+        let starts = std::iter::once(0).chain(self.ends.iter().copied());
+        starts
+            .zip(&self.ends)
+            .map(move |(start, &end)| &bytes[start..end])
     }
 }
 
@@ -239,7 +268,8 @@ fn scan_keeping<T>(bytes: &[u8], minute: MinuteId, keep: impl Fn(StoredVp) -> T)
 /// every [`append`](Self::append) is a single `write_all` of
 /// pre-assembled frames (the group-commit unit). The writer never
 /// reads: the store recovers the file *before* constructing a writer,
-/// so the tail is known-valid by the time appends start.
+/// so the tail is known-valid by the time appends start. The store
+/// holds one open across a minute's appends.
 pub struct SegmentWriter {
     file: File,
     created: bool,
@@ -261,9 +291,11 @@ impl SegmentWriter {
     }
 
     /// Did this open write the segment's header (a new file, whose
-    /// directory entry is not yet durable)?
-    pub fn created(&self) -> bool {
-        self.created
+    /// directory entry is not yet durable)? True once per created
+    /// segment: the first call answers and clears it, so a writer held
+    /// across many appends asks for one directory sync, not one each.
+    pub fn take_created(&mut self) -> bool {
+        std::mem::take(&mut self.created)
     }
 
     /// One group commit: a single buffered write of pre-framed records.

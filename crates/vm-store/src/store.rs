@@ -8,34 +8,36 @@ use crate::segment::{
 };
 use parking_lot::Mutex;
 use rand::Rng;
-use std::collections::BTreeSet;
-use std::fs::{File, OpenOptions};
+use std::collections::BTreeMap;
+use std::fs::File;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
+use std::time::Instant;
 use viewmap_core::server::ViewMapServer;
 use viewmap_core::types::MinuteId;
 use viewmap_core::viewmap::ViewmapConfig;
 use viewmap_core::vp::StoredVp;
 use viewmap_core::wal::VpWal;
 use vm_crypto::RsaKeyPair;
-use vm_obs::{Counter, Histogram, Registry};
+use vm_obs::{Counter, Gauge, Histogram, Registry};
 
 /// How hard a group commit pushes toward stable media.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Fsync {
-    /// `fdatasync` once per group commit, and the store directory once
-    /// after a commit that created its segment or an eviction that
-    /// removed any: committed means power-loss durable. The group-commit
-    /// batching is what keeps this affordable — one sync per batch,
-    /// never one per VP.
+    /// `fdatasync` once per group commit, through the minute's held
+    /// handle, and the store directory once after the commit that
+    /// created the segment or an eviction that removed any: committed
+    /// means power-loss durable. The group-commit batching is what
+    /// keeps this affordable — one sync per batch, never one per VP.
     Always,
     /// Leave flushing to the OS page cache until the next
-    /// [`VpWal::sync`] (which also syncs the directory if a segment was
-    /// created or removed since the last one): committed means
-    /// process-crash durable (the write has returned from the kernel),
-    /// but power loss may drop the unsynced tail — which recovery then
-    /// truncates cleanly. The default, and the mode the benchmarks
-    /// measure.
+    /// [`VpWal::sync`] (which fdatasyncs every held handle and also
+    /// syncs the directory if a segment was created or removed since
+    /// the last one) or until the handle cap releases a minute, after
+    /// an fdatasync: committed means process-crash durable (the write
+    /// has returned from the kernel), but power loss may drop the
+    /// unsynced tail — which recovery then truncates cleanly. The
+    /// default, and the mode the benchmarks measure.
     Never,
 }
 
@@ -158,10 +160,15 @@ impl RecoveryReport {
 }
 
 /// Batches at or above this size frame on worker threads, and every
-/// append frames in parts of at most this many records (mirroring the
-/// server's batch-ingest threshold economics: below it, spawn/join
-/// overhead beats the fan-out).
+/// append that frames its records does so in parts of at most this many
+/// (mirroring the server's batch-ingest threshold economics: below it,
+/// spawn/join overhead beats the fan-out).
 const APPEND_PARALLEL_THRESHOLD: usize = 2048;
+
+/// The most append handles a store holds open at once: two vehicle-hour
+/// upload windows of 60 minutes with room to spare. Opening a 257th
+/// minute first releases the lowest held one, after an fdatasync.
+pub const MAX_HELD_SEGMENTS: usize = 256;
 
 /// Exclusive ownership of a store directory, held for the store's
 /// lifetime via a `LOCK` pidfile. Two live processes appending to the
@@ -256,22 +263,36 @@ fn quarantine_path(path: &Path) -> PathBuf {
 /// a [`ViewMapServer`] makes every accepted VP durable without touching
 /// the investigation hot path (reads never look at the store).
 ///
+/// Held handles: a minute's append handle opens on its first write and
+/// stays open across its later appends, so a segment is opened once per
+/// minute, not once per append. One of three things releases it:
+/// [`VpWal::sync`] fdatasyncs and closes every held handle;
+/// [`VpWal::evict_minutes_before`] closes an expired minute's handle
+/// before it unlinks the file (a handle kept past the unlink would take
+/// the minute's next records into the deleted inode); and opening a
+/// minute past [`MAX_HELD_SEGMENTS`] closes the lowest held minute
+/// first, after an fdatasync. So under [`Fsync::Never`] the held set is
+/// what `sync` has left to flush, and `vm_store_open_segments` gauges
+/// its size.
+///
 /// Concurrency: a `LOCK` pidfile makes the store single-process (see
 /// `DirLock`); within it, the server serializes appends per minute
-/// (they happen under the minute shard's write lock), and each append
-/// opens, writes and closes its own handle on the minute's segment, so
-/// appends of different minutes overlap their framing, writes and
-/// fsyncs. The one shared structure is what was written since the last
-/// [`VpWal::sync`]; its mutex is held for one insert per append, and
-/// across the flush in `sync` and the sweep in `evict_minutes_before`.
-/// Retention sweeps of a minute still receiving traffic are the
-/// caller's race to avoid — `evict_minutes_before` is meant for minutes
-/// past the retention horizon, which by definition no longer ingest.
+/// (they happen under the minute shard's write lock). Each held handle
+/// has a lock of its own, and the map of them one more: an append holds
+/// the map's lock only to find (or open) its handle and take the
+/// handle's lock, then writes, fsyncs and lends its bytes under the
+/// handle's lock alone, so appends of different minutes overlap their
+/// framing, writes and fsyncs. `sync`, eviction and the cap take the
+/// two locks in the same order, so they wait for an append in flight
+/// on a handle they release rather than pass it by. Retention sweeps of
+/// a minute still receiving traffic are the caller's race to avoid —
+/// `evict_minutes_before` is meant for minutes past the retention
+/// horizon, which by definition no longer ingest.
 pub struct VpStore {
     dir: PathBuf,
     fsync: Fsync,
-    /// What [`Fsync::Never`] left for [`VpWal::sync`] to flush.
-    dirty: Mutex<Dirty>,
+    /// The held append handles, and whether the directory needs a sync.
+    held: Mutex<Held>,
     /// Registered on a registry of the store's own at [`VpStore::open`],
     /// and on the owning server's by [`VpStore::bind_obs`].
     metrics: StoreMetrics,
@@ -279,13 +300,15 @@ pub struct VpStore {
     _lock: DirLock,
 }
 
-/// Writes [`Fsync::Never`] has not flushed yet.
+/// The store's open append handles.
 #[derive(Default)]
-struct Dirty {
-    /// Minutes appended since the last sync.
-    minutes: BTreeSet<u64>,
-    /// A segment was created or removed since the last sync, so the
-    /// directory's entries are not yet durable.
+struct Held {
+    /// By minute, at most [`MAX_HELD_SEGMENTS`]; shared with the append
+    /// writing through one.
+    segments: BTreeMap<u64, Arc<Mutex<SegmentWriter>>>,
+    /// A segment was removed, or a released handle had created its
+    /// segment, since the last sync: the directory's entries are not
+    /// yet durable.
     dir: bool,
 }
 
@@ -297,7 +320,11 @@ struct StoreMetrics {
     dir_syncs: Arc<Counter>,
     batch_records: Arc<Histogram>,
     appended_records: Arc<Counter>,
+    /// Appended records the store framed itself (the rest were written
+    /// from the frames they arrived in).
+    encoded_records: Arc<Counter>,
     segments_evicted: Arc<Counter>,
+    open_segments: Arc<Gauge>,
 }
 
 impl StoreMetrics {
@@ -308,7 +335,9 @@ impl StoreMetrics {
             dir_syncs: obs.counter("vm_store_dir_syncs_total"),
             batch_records: obs.histogram("vm_store_batch_records"),
             appended_records: obs.counter("vm_store_appended_records_total"),
+            encoded_records: obs.counter("vm_store_encoded_records_total"),
             segments_evicted: obs.counter("vm_store_segments_evicted_total"),
+            open_segments: obs.gauge("vm_store_open_segments"),
         }
     }
 }
@@ -366,7 +395,7 @@ impl VpStore {
             VpStore {
                 dir,
                 fsync: cfg.fsync,
-                dirty: Mutex::default(),
+                held: Mutex::default(),
                 metrics: StoreMetrics::register(&Registry::new()),
                 _lock: lock,
             },
@@ -428,18 +457,21 @@ impl VpStore {
     }
 
     /// One group commit: frame `vps` (accepted records of one minute)
-    /// with the store's framer, open the minute's segment, write the
-    /// frames, fsync them under [`Fsync::Always`] (or mark the minute
-    /// for the next [`VpWal::sync`] under [`Fsync::Never`]), close it,
-    /// and only then lend the exact bytes written to `written`, part by
-    /// part in write order — the replication hub ships them as they
-    /// are, so a primary encodes each record once. `written` runs only
-    /// after a successful, non-empty append; [`VpWal::append`] is this
-    /// with nobody to lend the bytes to.
+    /// with the store's framer — or, given `frames` (`frames[i]` is
+    /// `vps[i]`'s committed frame, as a replica receives them), copy
+    /// those bytes instead of encoding and checksumming the records
+    /// again — then write them through the minute's held handle, fsync
+    /// them under [`Fsync::Always`], and lend the exact bytes written to
+    /// `written`, part by part in write order — the replication hub
+    /// ships them as they are, so a primary encodes each record once.
+    /// `written` runs only after a successful, non-empty append, still
+    /// under the handle's lock; [`VpWal::append`] is this with nobody to
+    /// lend the bytes to.
     pub fn append_then(
         &self,
         vps: &[&StoredVp],
-        written: impl FnMut(&Frames),
+        frames: Option<&[&[u8]]>,
+        mut written: impl FnMut(&Frames),
     ) -> std::io::Result<()> {
         let Some(first) = vps.first() else {
             return Ok(());
@@ -449,61 +481,104 @@ impl VpStore {
             vps.iter().all(|vp| vp.minute() == minute),
             "one append call spans one minute"
         );
-        let (parts, result) = self.metrics.append_us.time(|| {
-            // Parts of at most APPEND_PARALLEL_THRESHOLD records, framed
-            // on workers from that size on (one part frames inline),
-            // written and lent in order, never concatenated and never
-            // retained: the same bytes on any thread count, held once,
-            // only for the commit.
-            let threads = viewmap_core::par::auto_threads(vps.len(), APPEND_PARALLEL_THRESHOLD);
-            let cuts = viewmap_core::par::even_cuts(vps.len(), threads);
-            let parts: Vec<Frames> = viewmap_core::par::map_ranges(&cuts, |_t, lo, hi| {
-                vps[lo..hi]
-                    .chunks(APPEND_PARALLEL_THRESHOLD)
-                    .map(|chunk| {
-                        let mut part = Frames::default();
-                        part.push(chunk);
-                        part
-                    })
-                    .collect::<Vec<_>>()
-            })
-            .into_iter()
-            .flatten()
-            .collect();
-            let result = self.write(minute, &parts);
-            (parts, result)
-        });
-        result?;
-        parts.iter().for_each(written);
+        let timer = Instant::now();
+        let parts = self.frame(vps, frames);
+        self.with_segment(minute, |segment| {
+            for part in &parts {
+                segment.append(&part.bytes)?;
+            }
+            if self.fsync == Fsync::Always {
+                self.metrics.fsync_us.time(|| segment.sync())?;
+                if segment.take_created() {
+                    self.sync_dir()?;
+                }
+            }
+            self.metrics.append_us.record_duration_us(timer.elapsed());
+            parts.iter().for_each(&mut written);
+            Ok(())
+        })?;
         self.metrics.batch_records.record(vps.len() as u64);
         self.metrics.appended_records.add(vps.len() as u64);
         Ok(())
     }
 
-    /// Write `parts` to the minute's segment (`SegmentWriter::open`
-    /// writes its header if the file is new) and settle the commit's
-    /// durability before the handle closes — a new segment's directory
-    /// entry included.
-    fn write(&self, minute: MinuteId, parts: &[Frames]) -> std::io::Result<()> {
-        let mut segment = SegmentWriter::open(&self.dir, minute)?;
-        for part in parts {
-            segment.append(&part.bytes)?;
+    /// The bytes an append writes, in parts never concatenated and
+    /// never retained: `frames` copied as they are, in one part, or else
+    /// `vps` framed in parts of at most APPEND_PARALLEL_THRESHOLD
+    /// records, on workers from that size on (one part frames inline) —
+    /// the same bytes on any thread count.
+    fn frame(&self, vps: &[&StoredVp], frames: Option<&[&[u8]]>) -> Vec<Frames> {
+        if let Some(frames) = frames {
+            debug_assert_eq!(frames.len(), vps.len(), "one frame per record");
+            let mut part = Frames::default();
+            part.push_framed(frames);
+            return vec![part];
         }
-        match self.fsync {
-            Fsync::Always => {
-                self.metrics.fsync_us.time(|| segment.sync())?;
-                if segment.created() {
-                    self.sync_dir()?;
+        self.metrics.encoded_records.add(vps.len() as u64);
+        let threads = viewmap_core::par::auto_threads(vps.len(), APPEND_PARALLEL_THRESHOLD);
+        let cuts = viewmap_core::par::even_cuts(vps.len(), threads);
+        viewmap_core::par::map_ranges(&cuts, |_t, lo, hi| {
+            vps[lo..hi]
+                .chunks(APPEND_PARALLEL_THRESHOLD)
+                .map(|chunk| {
+                    let mut part = Frames::default();
+                    part.push(chunk);
+                    part
+                })
+                .collect::<Vec<_>>()
+        })
+        .into_iter()
+        .flatten()
+        .collect()
+    }
+
+    /// Run `commit` under the lock of the minute's held handle, opening
+    /// the segment (`SegmentWriter::open` writes its header if the file
+    /// is new) if no handle is held — and, at [`MAX_HELD_SEGMENTS`],
+    /// releasing the lowest held minute first. The map's lock is held
+    /// only until the handle's is taken.
+    fn with_segment(
+        &self,
+        minute: MinuteId,
+        commit: impl FnOnce(&mut SegmentWriter) -> std::io::Result<()>,
+    ) -> std::io::Result<()> {
+        let mut held = self.held.lock();
+        let segment = match held.segments.get(&minute.0) {
+            Some(segment) => Arc::clone(segment),
+            None => {
+                if held.segments.len() >= MAX_HELD_SEGMENTS {
+                    self.release_lowest(&mut held)?;
                 }
-                Ok(())
+                let segment = Arc::new(Mutex::new(SegmentWriter::open(&self.dir, minute)?));
+                held.segments.insert(minute.0, Arc::clone(&segment));
+                self.metrics.open_segments.set(held.segments.len() as i64);
+                segment
             }
-            Fsync::Never => {
-                let mut dirty = self.dirty.lock();
-                dirty.minutes.insert(minute.0);
-                dirty.dir |= segment.created();
-                Ok(())
-            }
+        };
+        let mut writer = segment.lock();
+        drop(held);
+        commit(&mut writer)
+    }
+
+    /// Close the lowest held minute's handle: wait out an append in
+    /// flight on it, fdatasync it under [`Fsync::Never`] (under `Always`
+    /// every append already did), and note a segment it created — a
+    /// directory entry the next sync must make durable. A handle whose
+    /// flush fails stays held.
+    fn release_lowest(&self, held: &mut Held) -> std::io::Result<()> {
+        let Some((&minute, segment)) = held.segments.first_key_value() else {
+            return Ok(());
+        };
+        let mut writer = segment.lock();
+        if self.fsync == Fsync::Never {
+            self.metrics.fsync_us.time(|| writer.sync())?;
         }
+        let created = writer.take_created();
+        drop(writer);
+        held.dir |= created;
+        held.segments.remove(&minute);
+        self.metrics.open_segments.set(held.segments.len() as i64);
+        Ok(())
     }
 
     /// Make the directory's entries (segments created or removed)
@@ -516,13 +591,15 @@ impl VpStore {
 }
 
 impl VpWal for VpStore {
-    fn append(&self, vps: &[&StoredVp]) -> std::io::Result<()> {
-        self.append_then(vps, |_| {})
+    fn append(&self, vps: &[&StoredVp], frames: Option<&[&[u8]]>) -> std::io::Result<()> {
+        self.append_then(vps, frames, |_| {})
     }
 
     fn evict_minutes_before(&self, cutoff: MinuteId) -> std::io::Result<usize> {
-        let mut dirty = self.dirty.lock();
-        dirty.minutes = dirty.minutes.split_off(&cutoff.0);
+        let mut held = self.held.lock();
+        // Close the expired minutes' handles before their files go.
+        held.segments = held.segments.split_off(&cutoff.0);
+        self.metrics.open_segments.set(held.segments.len() as i64);
         let mut removed = 0usize;
         for entry in std::fs::read_dir(&self.dir)? {
             let entry = entry?;
@@ -538,28 +615,24 @@ impl VpWal for VpStore {
         if removed > 0 {
             match self.fsync {
                 Fsync::Always => self.sync_dir()?,
-                Fsync::Never => dirty.dir = true,
+                Fsync::Never => held.dir = true,
             }
         }
         Ok(removed)
     }
 
-    /// Fdatasync every minute appended since the last sync, dropping
-    /// each from the dirty set once its flush succeeds (a failed flush
-    /// stays for the next call), then the directory once if a segment
-    /// was created or removed since.
+    /// Release every held handle, lowest minute first — fdatasynced
+    /// under [`Fsync::Never`], after any append in flight on it — then
+    /// sync the directory once if a segment was created or removed
+    /// since. A handle whose flush fails stays held for the next call.
     fn sync(&self) -> std::io::Result<()> {
-        let mut dirty = self.dirty.lock();
-        while let Some(&minute) = dirty.minutes.first() {
-            let segment = OpenOptions::new()
-                .write(true)
-                .open(segment_path(&self.dir, MinuteId(minute)))?;
-            self.metrics.fsync_us.time(|| segment.sync_data())?;
-            dirty.minutes.remove(&minute);
+        let mut held = self.held.lock();
+        while !held.segments.is_empty() {
+            self.release_lowest(&mut held)?;
         }
-        if dirty.dir {
+        if held.dir {
             self.sync_dir()?;
-            dirty.dir = false;
+            held.dir = false;
         }
         Ok(())
     }
@@ -652,7 +725,7 @@ fn replay(
     mut report: RecoveryReport,
 ) -> (ViewMapServer, RecoveryReport) {
     let srv = ViewMapServer::with_key(key, cfg);
-    let results = srv.submit_replay_batch(vps);
+    let results = srv.submit_replay_batch(vps, None);
     report.rejected = results.iter().filter(|r| r.is_err()).count();
     store.bind_obs(srv.obs(), &report);
     (srv, report)
@@ -758,7 +831,7 @@ mod tests {
                 .map(|t| synthetic_vp(minute * 10 + t, minute))
                 .collect();
             let refs: Vec<&StoredVp> = group.iter().collect();
-            store.append(&refs).unwrap();
+            store.append(&refs, None).unwrap();
         }
         store.sync().unwrap();
         drop(store);
@@ -790,9 +863,9 @@ mod tests {
     fn empty_append_is_a_noop_and_foreign_files_are_ignored() {
         let tmp = TempDir::new("noop");
         let (store, _, _) = VpStore::open(&tmp.0, cfg()).unwrap();
-        store.append(&[]).unwrap();
+        store.append(&[], None).unwrap();
         store
-            .append_then(&[], |_| panic!("nothing written, nothing lent"))
+            .append_then(&[], None, |_| panic!("nothing written, nothing lent"))
             .unwrap();
         std::fs::write(tmp.0.join("README.txt"), b"not a segment").unwrap();
         drop(store);
@@ -804,15 +877,16 @@ mod tests {
 
     #[test]
     fn round_robin_appends_over_many_minutes_lose_nothing() {
-        // Two round-robin passes over 24 minutes: every append reopens a
-        // segment another minute's append closed since.
+        // Two round-robin passes over 24 minutes: the second pass writes
+        // through the handles the first one left held, between other
+        // minutes' appends.
         let tmp = TempDir::new("roundrobin");
         let (store, _, _) = VpStore::open(&tmp.0, cfg()).unwrap();
         let minutes = 24u64;
         for round in 0..2u64 {
             for minute in 0..minutes {
                 let vp = synthetic_vp(round * minutes + minute, minute);
-                store.append(&[&vp]).unwrap();
+                store.append(&[&vp], None).unwrap();
             }
         }
         drop(store);
@@ -839,7 +913,9 @@ mod tests {
         store.bind_obs(&obs, &report);
         let fsyncs = obs.histogram("vm_store_fsync_us");
         for minute in 0..12u64 {
-            store.append(&[&synthetic_vp(minute, minute)]).unwrap();
+            store
+                .append(&[&synthetic_vp(minute, minute)], None)
+                .unwrap();
         }
         store.sync().unwrap();
         assert_eq!(fsyncs.count(), 12, "one flush per minute written");
@@ -851,12 +927,18 @@ mod tests {
         );
     }
 
-    /// A store under `fsync` reporting into a registry of the test's,
-    /// and its `vm_store_dir_syncs_total` counter.
-    fn observed_store(tmp: &TempDir, fsync: Fsync) -> (VpStore, Arc<Counter>) {
+    /// A store under `fsync` reporting into a registry of the test's.
+    fn store_with_obs(tmp: &TempDir, fsync: Fsync) -> (VpStore, Registry) {
         let (mut store, _, report) = VpStore::open(&tmp.0, StoreConfig { fsync }).unwrap();
         let obs = Registry::new();
         store.bind_obs(&obs, &report);
+        (store, obs)
+    }
+
+    /// A store under `fsync` reporting into a registry of the test's,
+    /// and its `vm_store_dir_syncs_total` counter.
+    fn observed_store(tmp: &TempDir, fsync: Fsync) -> (VpStore, Arc<Counter>) {
+        let (store, obs) = store_with_obs(tmp, fsync);
         (store, obs.counter("vm_store_dir_syncs_total"))
     }
 
@@ -864,11 +946,17 @@ mod tests {
     fn always_syncs_the_directory_once_per_segment_created_or_sweep_that_removed() {
         let tmp = TempDir::new("dirsync_always");
         let (store, dir_syncs) = observed_store(&tmp, Fsync::Always);
-        store.append(&[&synthetic_vp(1, 0)]).unwrap();
+        store.append(&[&synthetic_vp(1, 0)], None).unwrap();
         assert_eq!(dir_syncs.get(), 1, "a new segment's entry is synced");
-        store.append(&[&synthetic_vp(2, 0)]).unwrap();
+        store.append(&[&synthetic_vp(2, 0)], None).unwrap();
         assert_eq!(dir_syncs.get(), 1, "an existing segment's is not");
-        store.append(&[&synthetic_vp(3, 1)]).unwrap();
+        // The minute's handle stays held across its appends; the one
+        // that created the segment asked for the directory's sync once.
+        for tag in 10..15 {
+            store.append(&[&synthetic_vp(tag, 0)], None).unwrap();
+        }
+        assert_eq!(dir_syncs.get(), 1, "repeated appends to a held minute");
+        store.append(&[&synthetic_vp(3, 1)], None).unwrap();
         assert_eq!(dir_syncs.get(), 2);
         store.sync().unwrap();
         assert_eq!(dir_syncs.get(), 2, "nothing left for sync");
@@ -882,12 +970,12 @@ mod tests {
     fn never_syncs_the_directory_at_sync_if_a_segment_came_or_went() {
         let tmp = TempDir::new("dirsync_never");
         let (store, dir_syncs) = observed_store(&tmp, Fsync::Never);
-        store.append(&[&synthetic_vp(1, 0)]).unwrap();
-        store.append(&[&synthetic_vp(2, 1)]).unwrap();
+        store.append(&[&synthetic_vp(1, 0)], None).unwrap();
+        store.append(&[&synthetic_vp(2, 1)], None).unwrap();
         assert_eq!(dir_syncs.get(), 0, "appends leave it to sync");
         store.sync().unwrap();
         assert_eq!(dir_syncs.get(), 1, "one sync for both new segments");
-        store.append(&[&synthetic_vp(3, 0)]).unwrap();
+        store.append(&[&synthetic_vp(3, 0)], None).unwrap();
         store.sync().unwrap();
         assert_eq!(dir_syncs.get(), 1, "no segment came or went");
         assert_eq!(store.evict_minutes_before(MinuteId(1)).unwrap(), 1);
@@ -899,11 +987,119 @@ mod tests {
     }
 
     #[test]
+    fn a_minute_evicted_and_written_again_recovers_its_new_records() {
+        // Eviction closes the minute's held handle before it unlinks the
+        // file. A handle kept past the unlink would take the re-ingested
+        // records into the deleted inode, and the next open would lose
+        // them without a word.
+        for fsync in [Fsync::Always, Fsync::Never] {
+            let tmp = TempDir::new(&format!("evict_rewrite_{fsync:?}"));
+            let (store, _, _) = VpStore::open(&tmp.0, StoreConfig { fsync }).unwrap();
+            let group: Vec<StoredVp> = (0..3).map(|tag| synthetic_vp(tag, 5)).collect();
+            let refs: Vec<&StoredVp> = group.iter().collect();
+            store.append(&refs, None).unwrap();
+            assert_eq!(store.evict_minutes_before(MinuteId(6)).unwrap(), 1);
+            store.append(&refs, None).unwrap();
+            drop(store);
+            let (_, vps, report) = VpStore::open(&tmp.0, StoreConfig { fsync }).unwrap();
+            assert_eq!(
+                (report.segments, report.records),
+                (1, 3),
+                "{fsync:?}: the re-ingested records recover"
+            );
+            let ids: Vec<VpId> = vps.iter().map(|vp| vp.id).collect();
+            let want: Vec<VpId> = group.iter().map(|vp| vp.id).collect();
+            assert_eq!(ids, want, "{fsync:?}");
+        }
+    }
+
+    #[test]
+    fn held_handles_stay_under_the_cap_and_every_record_recovers() {
+        // Appends to more minutes than the cap: the cap releases the
+        // lowest held minute (after an fdatasync under `Never`) before
+        // it opens another, and nothing written is lost either way.
+        let past = 3;
+        for fsync in [Fsync::Always, Fsync::Never] {
+            let tmp = TempDir::new(&format!("cap_{fsync:?}"));
+            let (store, obs) = store_with_obs(&tmp, fsync);
+            let open = obs.gauge("vm_store_open_segments");
+            let fsyncs = obs.histogram("vm_store_fsync_us");
+            let minutes = (MAX_HELD_SEGMENTS + past) as u64;
+            for minute in 0..minutes {
+                store
+                    .append(&[&synthetic_vp(minute, minute)], None)
+                    .unwrap();
+                assert!(open.get() <= MAX_HELD_SEGMENTS as i64, "{fsync:?}");
+            }
+            assert_eq!(open.get(), MAX_HELD_SEGMENTS as i64, "{fsync:?}");
+            // The released minutes take appends again: each reopens its
+            // segment, releasing the lowest minute still held.
+            for minute in 0..past as u64 {
+                store
+                    .append(&[&synthetic_vp(minutes + minute, minute)], None)
+                    .unwrap();
+            }
+            assert_eq!(open.get(), MAX_HELD_SEGMENTS as i64, "{fsync:?}");
+            let appends = minutes + past as u64;
+            let releases = 2 * past as u64;
+            let want = match fsync {
+                Fsync::Always => appends,
+                Fsync::Never => releases,
+            };
+            assert_eq!(fsyncs.count(), want, "{fsync:?}: fdatasyncs");
+            drop(store);
+            let (_, vps, report) = VpStore::open(&tmp.0, StoreConfig { fsync }).unwrap();
+            assert_eq!(report.segments, minutes as usize, "{fsync:?}");
+            assert_eq!(vps.len() as u64, appends, "{fsync:?}: every record");
+        }
+    }
+
+    #[test]
+    fn sync_waits_for_an_append_in_flight_on_a_held_minute() {
+        // Every append that returned before `sync` was called is on
+        // stable media when `sync` returns; one still in flight on a
+        // handle `sync` releases is waited for, not passed by.
+        let tmp = TempDir::new("sync_inflight");
+        let (store, obs) = store_with_obs(&tmp, Fsync::Never);
+        let open = obs.gauge("vm_store_open_segments");
+        let fsyncs = obs.histogram("vm_store_fsync_us");
+        store.append(&[&synthetic_vp(1, 0)], None).unwrap();
+        let (in_flight, in_flight_rx) = std::sync::mpsc::channel();
+        let (release, release_rx) = std::sync::mpsc::channel::<()>();
+        let (synced, synced_rx) = std::sync::mpsc::channel();
+        let store = &store;
+        let (early, done) = std::thread::scope(|s| {
+            let late = synthetic_vp(2, 0);
+            s.spawn(move || {
+                store
+                    .append_then(&[&late], None, |_| {
+                        in_flight.send(()).unwrap();
+                        release_rx.recv().unwrap();
+                    })
+                    .unwrap();
+            });
+            in_flight_rx.recv().unwrap();
+            s.spawn(move || {
+                store.sync().unwrap();
+                synced.send(()).unwrap();
+            });
+            let early = synced_rx.recv_timeout(std::time::Duration::from_millis(300));
+            release.send(()).unwrap();
+            let done = synced_rx.recv_timeout(std::time::Duration::from_secs(10));
+            (early.is_ok(), done.is_ok())
+        });
+        assert!(!early, "sync returned past an append in flight");
+        assert!(done, "sync returns once the append is done");
+        assert_eq!(fsyncs.count(), 1, "minute 0 flushed once, after both");
+        assert_eq!(open.get(), 0, "sync released the handle");
+    }
+
+    #[test]
     fn renamed_segment_is_quarantined_and_the_minute_restarts_clean() {
         let tmp = TempDir::new("renamed");
         let (store, _, _) = VpStore::open(&tmp.0, cfg()).unwrap();
         let vp = synthetic_vp(1, 5);
-        store.append(&[&vp]).unwrap();
+        store.append(&[&vp], None).unwrap();
         drop(store);
         let wrong_name = crate::segment::segment_path(&tmp.0, MinuteId(7));
         std::fs::rename(
@@ -929,7 +1125,7 @@ mod tests {
         // The freed minute starts a clean segment, and records appended
         // to it survive the next recovery (they'd be invisible if the
         // husk had stayed appendable under the wrong header).
-        store.append(&[&synthetic_vp(2, 7)]).unwrap();
+        store.append(&[&synthetic_vp(2, 7)], None).unwrap();
         drop(store);
         let (store, vps, report) = VpStore::open(&tmp.0, cfg()).unwrap();
         assert_eq!((report.segments, report.quarantined), (1, 0));
@@ -986,7 +1182,7 @@ mod tests {
         let (store, _, _) = VpStore::open(&tmp.0, cfg()).unwrap();
         let mut lent = Frames::default();
         store
-            .append_then(&refs, |part| {
+            .append_then(&refs, None, |part| {
                 assert!(part.ends.len() <= APPEND_PARALLEL_THRESHOLD);
                 let base = lent.bytes.len();
                 lent.bytes.extend_from_slice(&part.bytes);
@@ -1010,6 +1206,44 @@ mod tests {
         for (a, b) in group.iter().zip(&vps) {
             assert_eq!(a.id, b.id, "replay order");
         }
+    }
+
+    #[test]
+    fn an_append_given_frames_writes_them_as_they_are() {
+        // A replica hands the store the frames its primary shipped; the
+        // store writes them and lends them unchanged, and frames only
+        // the records that came without them.
+        let tmp = TempDir::new("verbatim");
+        let (store, obs) = store_with_obs(&tmp, cfg().fsync);
+        let encoded = obs.counter("vm_store_encoded_records_total");
+        let group: Vec<StoredVp> = (0..5).map(|tag| synthetic_vp(tag, 0)).collect();
+        let refs: Vec<&StoredVp> = group.iter().collect();
+        let mut shipped = Frames::default();
+        shipped.push(&refs);
+        // Records 1 and 3 only, as if replay dropped the others.
+        let starts = |i: usize| i.checked_sub(1).map_or(0, |j| shipped.ends[j]);
+        let frame = |i: usize| &shipped.bytes[starts(i)..shipped.ends[i]];
+        let mut lent = Vec::new();
+        store
+            .append_then(&[refs[1], refs[3]], Some(&[frame(1), frame(3)]), |part| {
+                lent.extend_from_slice(part.bytes())
+            })
+            .unwrap();
+        assert_eq!(lent, [frame(1), frame(3)].concat(), "lent as given");
+        assert_eq!(encoded.get(), 0, "nothing framed afresh");
+        store.append(&[refs[4]], None).unwrap();
+        assert_eq!(encoded.get(), 1);
+        drop(store);
+
+        let disk = std::fs::read(crate::segment::segment_path(&tmp.0, MinuteId(0))).unwrap();
+        assert_eq!(
+            &disk[crate::segment::SEGMENT_HEADER_BYTES..],
+            &[frame(1), frame(3), frame(4)].concat()[..],
+            "the given frames and the framer's are one byte stream"
+        );
+        let (_, vps, _) = VpStore::open(&tmp.0, cfg()).unwrap();
+        let ids: Vec<VpId> = vps.iter().map(|vp| vp.id).collect();
+        assert_eq!(ids, vec![group[1].id, group[3].id, group[4].id]);
     }
 
     #[test]

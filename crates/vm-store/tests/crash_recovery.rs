@@ -135,13 +135,13 @@ fn torn_tail_at_every_byte_offset_recovers_the_committed_prefix() {
     {
         use viewmap_core::wal::VpWal;
         let refs: Vec<&StoredVp> = world[..3].iter().collect();
-        store.append(&refs).unwrap();
+        store.append(&refs, None).unwrap();
         store.sync().unwrap();
     }
     let clean_len = std::fs::metadata(&seg).unwrap().len();
     {
         use viewmap_core::wal::VpWal;
-        store.append(&[&world[3]]).unwrap();
+        store.append(&[&world[3]], None).unwrap();
         store.sync().unwrap();
     }
     drop(store);
@@ -176,7 +176,7 @@ fn torn_tail_at_every_byte_offset_recovers_the_committed_prefix() {
     assert_eq!(vps.len(), 3);
     {
         use viewmap_core::wal::VpWal;
-        store.append(&[&world[3]]).unwrap();
+        store.append(&[&world[3]], None).unwrap();
         store.sync().unwrap();
     }
     drop(store);
