@@ -79,6 +79,15 @@ impl<T: ?Sized> Mutex<T> {
             Err(poison) => poison.into_inner(),
         }
     }
+
+    /// Acquire the lock if no one holds it, without waiting.
+    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
+        match self.0.try_lock() {
+            Ok(g) => Some(g),
+            Err(sync::TryLockError::Poisoned(poison)) => Some(poison.into_inner()),
+            Err(sync::TryLockError::WouldBlock) => None,
+        }
+    }
 }
 
 #[cfg(test)]
@@ -118,6 +127,16 @@ mod tests {
     fn mutex_roundtrip() {
         let m = Mutex::new(1);
         *m.lock() += 1;
+        assert_eq!(m.into_inner(), 2);
+    }
+
+    #[test]
+    fn try_lock_takes_a_free_mutex_and_never_waits_on_a_held_one() {
+        let m = Mutex::new(1);
+        let held = m.lock();
+        assert!(m.try_lock().is_none());
+        drop(held);
+        *m.try_lock().expect("free") += 1;
         assert_eq!(m.into_inner(), 2);
     }
 }

@@ -103,8 +103,9 @@
 //! process crash; the default, and what the benchmarks measure). Both
 //! write through a handle [`VpStore`] holds open from a minute's first
 //! append until a sync, an eviction of the minute, or the cap on held
-//! handles releases it. A replica's store writes the frames its primary
-//! shipped as they are, so replicated segments are the primary's bytes.
+//! handles releases it (unflushed: a later sync reopens the minute). A
+//! replica's store writes the frames its primary shipped as they are,
+//! so replicated segments are the primary's bytes.
 //! The RSA signing key **is** persisted, beside the segments
 //! as `signing.key` (see [`keyfile`]): cash verifies only against the
 //! key that minted it, so the key must outlive any single process —

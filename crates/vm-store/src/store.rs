@@ -8,8 +8,8 @@ use crate::segment::{
 };
 use parking_lot::Mutex;
 use rand::Rng;
-use std::collections::BTreeMap;
-use std::fs::File;
+use std::collections::{BTreeMap, BTreeSet};
+use std::fs::{File, OpenOptions};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
@@ -31,13 +31,15 @@ pub enum Fsync {
     /// keeps this affordable — one sync per batch, never one per VP.
     Always,
     /// Leave flushing to the OS page cache until the next
-    /// [`VpWal::sync`] (which fdatasyncs every held handle and also
-    /// syncs the directory if a segment was created or removed since
-    /// the last one) or until the handle cap releases a minute, after
-    /// an fdatasync: committed means process-crash durable (the write
-    /// has returned from the kernel), but power loss may drop the
-    /// unsynced tail — which recovery then truncates cleanly. The
-    /// default, and the mode the benchmarks measure.
+    /// [`VpWal::sync`] (which fdatasyncs every minute written since the
+    /// last one — through its held handle, or reopened by path if the
+    /// handle cap released it — and also syncs the directory if a
+    /// segment was created or removed since): committed means
+    /// process-crash durable (the write has returned from the kernel),
+    /// but power loss may drop the unsynced tail — which recovery then
+    /// truncates cleanly. No append under this policy ever waits for an
+    /// fdatasync of its own. The default, and the mode the benchmarks
+    /// measure.
     Never,
 }
 
@@ -165,9 +167,13 @@ impl RecoveryReport {
 /// spawn/join overhead beats the fan-out).
 const APPEND_PARALLEL_THRESHOLD: usize = 2048;
 
-/// The most append handles a store holds open at once: two vehicle-hour
-/// upload windows of 60 minutes with room to spare. Opening a 257th
-/// minute first releases the lowest held one, after an fdatasync.
+/// The most append handles a store holds open at once. Opening a minute
+/// past it first closes the least recently written held minute that no
+/// append is writing through, without a flush: under [`Fsync::Never`]
+/// the minute waits in the released set for [`VpWal::sync`] to reopen
+/// it by path, as every minute did before handles were held. A
+/// released minute costs its next append the open and close a held one
+/// saves.
 pub const MAX_HELD_SEGMENTS: usize = 256;
 
 /// Exclusive ownership of a store directory, held for the store's
@@ -270,10 +276,10 @@ fn quarantine_path(path: &Path) -> PathBuf {
 /// [`VpWal::evict_minutes_before`] closes an expired minute's handle
 /// before it unlinks the file (a handle kept past the unlink would take
 /// the minute's next records into the deleted inode); and opening a
-/// minute past [`MAX_HELD_SEGMENTS`] closes the lowest held minute
-/// first, after an fdatasync. So under [`Fsync::Never`] the held set is
-/// what `sync` has left to flush, and `vm_store_open_segments` gauges
-/// its size.
+/// minute past [`MAX_HELD_SEGMENTS`] first closes the least recently
+/// written idle one, unflushed. So under [`Fsync::Never`] what `sync`
+/// has left to flush is the held set plus the minutes the cap released,
+/// and `vm_store_open_segments` gauges the held set's size.
 ///
 /// Concurrency: a `LOCK` pidfile makes the store single-process (see
 /// `DirLock`); within it, the server serializes appends per minute
@@ -282,12 +288,14 @@ fn quarantine_path(path: &Path) -> PathBuf {
 /// the map's lock only to find (or open) its handle and take the
 /// handle's lock, then writes, fsyncs and lends its bytes under the
 /// handle's lock alone, so appends of different minutes overlap their
-/// framing, writes and fsyncs. `sync`, eviction and the cap take the
-/// two locks in the same order, so they wait for an append in flight
-/// on a handle they release rather than pass it by. Retention sweeps of
-/// a minute still receiving traffic are the caller's race to avoid —
-/// `evict_minutes_before` is meant for minutes past the retention
-/// horizon, which by definition no longer ingest.
+/// framing, writes and fsyncs. `sync` and eviction take the two locks
+/// in the same order, so they wait for an append in flight on a handle
+/// they release rather than pass it by; the cap passes over a busy
+/// handle for an idle one, so no append waits on another minute's
+/// write or fsync. Retention sweeps of a minute still receiving traffic
+/// are the caller's race to avoid — `evict_minutes_before` is meant for
+/// minutes past the retention horizon, which by definition no longer
+/// ingest.
 pub struct VpStore {
     dir: PathBuf,
     fsync: Fsync,
@@ -300,16 +308,29 @@ pub struct VpStore {
     _lock: DirLock,
 }
 
-/// The store's open append handles.
+/// The store's open append handles, and what sync must flush besides.
 #[derive(Default)]
 struct Held {
-    /// By minute, at most [`MAX_HELD_SEGMENTS`]; shared with the append
-    /// writing through one.
-    segments: BTreeMap<u64, Arc<Mutex<SegmentWriter>>>,
+    /// By minute, at most [`MAX_HELD_SEGMENTS`].
+    segments: BTreeMap<u64, HeldSegment>,
+    /// Counts the appends that found or opened a handle; stamps each
+    /// handle's last use.
+    tick: u64,
+    /// Minutes the cap closed unflushed under [`Fsync::Never`] and not
+    /// held since; sync reopens them by path.
+    released: BTreeSet<u64>,
     /// A segment was removed, or a released handle had created its
     /// segment, since the last sync: the directory's entries are not
     /// yet durable.
     dir: bool,
+}
+
+/// One held append handle.
+struct HeldSegment {
+    /// Shared with the append writing through it.
+    writer: Arc<Mutex<SegmentWriter>>,
+    /// The [`Held::tick`] of the last append that took it.
+    used: u64,
 }
 
 /// The store's instrument set, registered on the owning server's
@@ -481,9 +502,13 @@ impl VpStore {
             vps.iter().all(|vp| vp.minute() == minute),
             "one append call spans one minute"
         );
+        // Timed: framing, then the write and fsync under the handle's
+        // lock; neither the wait for a lock nor a segment's open counts.
         let timer = Instant::now();
         let parts = self.frame(vps, frames);
+        let framing = timer.elapsed();
         self.with_segment(minute, |segment| {
+            let timer = Instant::now();
             for part in &parts {
                 segment.append(&part.bytes)?;
             }
@@ -493,7 +518,9 @@ impl VpStore {
                     self.sync_dir()?;
                 }
             }
-            self.metrics.append_us.record_duration_us(timer.elapsed());
+            self.metrics
+                .append_us
+                .record_duration_us(framing + timer.elapsed());
             parts.iter().for_each(&mut written);
             Ok(())
         })?;
@@ -535,24 +562,36 @@ impl VpStore {
     /// Run `commit` under the lock of the minute's held handle, opening
     /// the segment (`SegmentWriter::open` writes its header if the file
     /// is new) if no handle is held — and, at [`MAX_HELD_SEGMENTS`],
-    /// releasing the lowest held minute first. The map's lock is held
-    /// only until the handle's is taken.
+    /// releasing a held minute first. The map's lock is held only until
+    /// the handle's is taken.
     fn with_segment(
         &self,
         minute: MinuteId,
         commit: impl FnOnce(&mut SegmentWriter) -> std::io::Result<()>,
     ) -> std::io::Result<()> {
         let mut held = self.held.lock();
-        let segment = match held.segments.get(&minute.0) {
-            Some(segment) => Arc::clone(segment),
+        held.tick += 1;
+        let tick = held.tick;
+        let segment = match held.segments.get_mut(&minute.0) {
+            Some(segment) => {
+                segment.used = tick;
+                Arc::clone(&segment.writer)
+            }
             None => {
                 if held.segments.len() >= MAX_HELD_SEGMENTS {
-                    self.release_lowest(&mut held)?;
+                    self.release_one(&mut held);
                 }
-                let segment = Arc::new(Mutex::new(SegmentWriter::open(&self.dir, minute)?));
-                held.segments.insert(minute.0, Arc::clone(&segment));
+                let writer = Arc::new(Mutex::new(SegmentWriter::open(&self.dir, minute)?));
+                // The held handle's flush at sync covers what the
+                // released one left in the page cache: one inode.
+                held.released.remove(&minute.0);
+                let segment = HeldSegment {
+                    writer: Arc::clone(&writer),
+                    used: tick,
+                };
+                held.segments.insert(minute.0, segment);
                 self.metrics.open_segments.set(held.segments.len() as i64);
-                segment
+                writer
             }
         };
         let mut writer = segment.lock();
@@ -560,25 +599,33 @@ impl VpStore {
         commit(&mut writer)
     }
 
-    /// Close the lowest held minute's handle: wait out an append in
-    /// flight on it, fdatasync it under [`Fsync::Never`] (under `Always`
-    /// every append already did), and note a segment it created — a
-    /// directory entry the next sync must make durable. A handle whose
-    /// flush fails stays held.
-    fn release_lowest(&self, held: &mut Held) -> std::io::Result<()> {
-        let Some((&minute, segment)) = held.segments.first_key_value() else {
-            return Ok(());
+    /// The cap: close the least recently written held minute that no
+    /// append is writing through (of all of them only if every one is
+    /// busy), without a flush. Under [`Fsync::Never`] the minute joins
+    /// the released set for sync (under `Always` every append already
+    /// fdatasynced), and a segment the handle created becomes a
+    /// directory entry the next sync makes durable. Appends take a
+    /// handle's lock only under the map's, which the caller holds, so
+    /// an idle handle stays idle.
+    fn release_one(&self, held: &mut Held) {
+        let oldest = |idle_only: bool| {
+            held.segments
+                .iter()
+                .filter(|(_, segment)| !idle_only || segment.writer.try_lock().is_some())
+                .min_by_key(|(_, segment)| segment.used)
+                .map(|(&minute, _)| minute)
         };
-        let mut writer = segment.lock();
+        let lru = oldest(false).expect("at the cap");
+        let minute = match held.segments[&lru].writer.try_lock() {
+            Some(_) => lru,
+            None => oldest(true).unwrap_or(lru),
+        };
+        let segment = held.segments.remove(&minute).expect("held");
+        held.dir |= segment.writer.lock().take_created();
         if self.fsync == Fsync::Never {
-            self.metrics.fsync_us.time(|| writer.sync())?;
+            held.released.insert(minute);
         }
-        let created = writer.take_created();
-        drop(writer);
-        held.dir |= created;
-        held.segments.remove(&minute);
         self.metrics.open_segments.set(held.segments.len() as i64);
-        Ok(())
     }
 
     /// Make the directory's entries (segments created or removed)
@@ -597,8 +644,13 @@ impl VpWal for VpStore {
 
     fn evict_minutes_before(&self, cutoff: MinuteId) -> std::io::Result<usize> {
         let mut held = self.held.lock();
-        // Close the expired minutes' handles before their files go.
-        held.segments = held.segments.split_off(&cutoff.0);
+        // Close the expired minutes' handles before their files go,
+        // each after any append in flight on it.
+        let live = held.segments.split_off(&cutoff.0);
+        for segment in std::mem::replace(&mut held.segments, live).into_values() {
+            drop(segment.writer.lock());
+        }
+        held.released = held.released.split_off(&cutoff.0);
         self.metrics.open_segments.set(held.segments.len() as i64);
         let mut removed = 0usize;
         for entry in std::fs::read_dir(&self.dir)? {
@@ -623,12 +675,28 @@ impl VpWal for VpStore {
 
     /// Release every held handle, lowest minute first — fdatasynced
     /// under [`Fsync::Never`], after any append in flight on it — then
+    /// fdatasync each minute the cap released, reopened by path, then
     /// sync the directory once if a segment was created or removed
-    /// since. A handle whose flush fails stays held for the next call.
+    /// since. A minute whose flush fails stays for the next call.
     fn sync(&self) -> std::io::Result<()> {
         let mut held = self.held.lock();
-        while !held.segments.is_empty() {
-            self.release_lowest(&mut held)?;
+        while let Some((&minute, segment)) = held.segments.first_key_value() {
+            let mut writer = segment.writer.lock();
+            if self.fsync == Fsync::Never {
+                self.metrics.fsync_us.time(|| writer.sync())?;
+            }
+            let created = writer.take_created();
+            drop(writer);
+            held.dir |= created;
+            held.segments.remove(&minute);
+            self.metrics.open_segments.set(held.segments.len() as i64);
+        }
+        while let Some(&minute) = held.released.first() {
+            let segment = OpenOptions::new()
+                .write(true)
+                .open(segment_path(&self.dir, MinuteId(minute)))?;
+            self.metrics.fsync_us.time(|| segment.sync_data())?;
+            held.released.remove(&minute);
         }
         if held.dir {
             self.sync_dir()?;
@@ -1015,9 +1083,11 @@ mod tests {
 
     #[test]
     fn held_handles_stay_under_the_cap_and_every_record_recovers() {
-        // Appends to more minutes than the cap: the cap releases the
-        // lowest held minute (after an fdatasync under `Never`) before
-        // it opens another, and nothing written is lost either way.
+        // Appends to more minutes than the cap: the cap closes the
+        // least recently written held minute, unflushed, before it
+        // opens another. No append under `Never` fdatasyncs; sync then
+        // flushes every minute written once — held or released — and
+        // nothing written is lost under either policy.
         let past = 3;
         for fsync in [Fsync::Always, Fsync::Never] {
             let tmp = TempDir::new(&format!("cap_{fsync:?}"));
@@ -1033,7 +1103,7 @@ mod tests {
             }
             assert_eq!(open.get(), MAX_HELD_SEGMENTS as i64, "{fsync:?}");
             // The released minutes take appends again: each reopens its
-            // segment, releasing the lowest minute still held.
+            // segment, releasing the least recently written one held.
             for minute in 0..past as u64 {
                 store
                     .append(&[&synthetic_vp(minutes + minute, minute)], None)
@@ -1041,17 +1111,56 @@ mod tests {
             }
             assert_eq!(open.get(), MAX_HELD_SEGMENTS as i64, "{fsync:?}");
             let appends = minutes + past as u64;
-            let releases = 2 * past as u64;
-            let want = match fsync {
+            let by_appends = match fsync {
                 Fsync::Always => appends,
-                Fsync::Never => releases,
+                Fsync::Never => 0,
             };
-            assert_eq!(fsyncs.count(), want, "{fsync:?}: fdatasyncs");
+            assert_eq!(fsyncs.count(), by_appends, "{fsync:?}: appends' fdatasyncs");
+            store.sync().unwrap();
+            let by_sync = match fsync {
+                Fsync::Always => 0,
+                Fsync::Never => minutes,
+            };
+            assert_eq!(
+                fsyncs.count(),
+                by_appends + by_sync,
+                "{fsync:?}: sync flushes each minute written once"
+            );
+            assert_eq!(open.get(), 0, "{fsync:?}");
             drop(store);
             let (_, vps, report) = VpStore::open(&tmp.0, StoreConfig { fsync }).unwrap();
             assert_eq!(report.segments, minutes as usize, "{fsync:?}");
             assert_eq!(vps.len() as u64, appends, "{fsync:?}: every record");
         }
+    }
+
+    /// Run `op` on another thread while an append to minute 0 is in
+    /// flight (stopped in `written`): did `op` return before the append
+    /// was let go, and did it return at all after?
+    fn races_an_append_in_flight(store: &VpStore, op: impl FnOnce() + Send) -> (bool, bool) {
+        let (in_flight, in_flight_rx) = std::sync::mpsc::channel();
+        let (release, release_rx) = std::sync::mpsc::channel::<()>();
+        let (returned, returned_rx) = std::sync::mpsc::channel();
+        std::thread::scope(|s| {
+            let late = synthetic_vp(2, 0);
+            s.spawn(move || {
+                store
+                    .append_then(&[&late], None, |_| {
+                        in_flight.send(()).unwrap();
+                        release_rx.recv().unwrap();
+                    })
+                    .unwrap();
+            });
+            in_flight_rx.recv().unwrap();
+            s.spawn(move || {
+                op();
+                returned.send(()).unwrap();
+            });
+            let early = returned_rx.recv_timeout(std::time::Duration::from_millis(300));
+            release.send(()).unwrap();
+            let done = returned_rx.recv_timeout(std::time::Duration::from_secs(10));
+            (early.is_ok(), done.is_ok())
+        })
     }
 
     #[test]
@@ -1064,15 +1173,98 @@ mod tests {
         let open = obs.gauge("vm_store_open_segments");
         let fsyncs = obs.histogram("vm_store_fsync_us");
         store.append(&[&synthetic_vp(1, 0)], None).unwrap();
+        let (early, done) = races_an_append_in_flight(&store, || store.sync().unwrap());
+        assert!(!early, "sync returned past an append in flight");
+        assert!(done, "sync returns once the append is done");
+        assert_eq!(fsyncs.count(), 1, "minute 0 flushed once, after both");
+        assert_eq!(open.get(), 0, "sync released the handle");
+    }
+
+    #[test]
+    fn eviction_waits_for_an_append_in_flight_on_an_expired_minute() {
+        // Eviction closes an expired minute's handle only once an
+        // append in flight on it is done, as sync does: it never drops
+        // a handle an append is still writing through.
+        let tmp = TempDir::new("evict_inflight");
+        let (store, obs) = store_with_obs(&tmp, Fsync::Never);
+        let open = obs.gauge("vm_store_open_segments");
+        store.append(&[&synthetic_vp(1, 0)], None).unwrap();
+        let (early, done) = races_an_append_in_flight(&store, || {
+            assert_eq!(store.evict_minutes_before(MinuteId(1)).unwrap(), 1);
+        });
+        assert!(!early, "eviction returned past an append in flight");
+        assert!(done, "eviction returns once the append is done");
+        assert_eq!(open.get(), 0, "eviction closed the handle");
+    }
+
+    #[test]
+    fn sync_skips_a_released_minute_that_eviction_removed() {
+        // The cap leaves minute 0 for sync to reopen by path; once
+        // eviction has removed its file there is nothing left to flush.
+        let tmp = TempDir::new("cap_evict");
+        let (store, obs) = store_with_obs(&tmp, Fsync::Never);
+        let fsyncs = obs.histogram("vm_store_fsync_us");
+        for minute in 0..=MAX_HELD_SEGMENTS as u64 {
+            store
+                .append(&[&synthetic_vp(minute, minute)], None)
+                .unwrap();
+        }
+        assert_eq!(store.evict_minutes_before(MinuteId(1)).unwrap(), 1);
+        store.sync().unwrap();
+        assert_eq!(fsyncs.count(), MAX_HELD_SEGMENTS as u64);
+    }
+
+    #[test]
+    fn a_late_hour_stays_held_across_its_vehicles() {
+        // The cap closes the least recently written minute, not the
+        // lowest: a late vehicle-hour below the held window displaces
+        // the window's oldest minutes, and the next vehicle uploading
+        // that hour writes through the handles the first one opened.
+        let tmp = TempDir::new("cap_late");
+        let (store, _) = store_with_obs(&tmp, Fsync::Never);
+        let window = 1000..1000 + MAX_HELD_SEGMENTS as u64;
+        for minute in window.clone() {
+            store
+                .append(&[&synthetic_vp(minute, minute)], None)
+                .unwrap();
+        }
+        for vehicle in 0..2u64 {
+            for minute in 0..60u64 {
+                store
+                    .append(&[&synthetic_vp(10_000 + vehicle, minute)], None)
+                    .unwrap();
+            }
+            let held = store.held.lock();
+            assert!(
+                (0..60).all(|minute| held.segments.contains_key(&minute)),
+                "vehicle {vehicle}: the late hour is held"
+            );
+            assert!(
+                held.released.iter().copied().eq(1000..1060),
+                "vehicle {vehicle}: only the window's 60 oldest minutes were released"
+            );
+        }
+    }
+
+    #[test]
+    fn the_cap_passes_over_a_handle_an_append_is_writing_through() {
+        // An append stopped in `written` keeps minute 0's handle busy
+        // while the other minutes fill the cap behind it. Minute 0 is
+        // then the least recently written, but the cap closes the next
+        // idle one instead: the new minute does not wait on the busy
+        // handle, and neither does any append of another minute.
+        let tmp = TempDir::new("cap_busy");
+        let (store, obs) = store_with_obs(&tmp, Fsync::Never);
+        let open = obs.gauge("vm_store_open_segments");
         let (in_flight, in_flight_rx) = std::sync::mpsc::channel();
         let (release, release_rx) = std::sync::mpsc::channel::<()>();
-        let (synced, synced_rx) = std::sync::mpsc::channel();
-        let store = &store;
-        let (early, done) = std::thread::scope(|s| {
-            let late = synthetic_vp(2, 0);
+        let (filled, filled_rx) = std::sync::mpsc::channel();
+        let passed = std::thread::scope(|s| {
+            let store = &store;
+            let busy = synthetic_vp(0, 0);
             s.spawn(move || {
                 store
-                    .append_then(&[&late], None, |_| {
+                    .append_then(&[&busy], None, |_| {
                         in_flight.send(()).unwrap();
                         release_rx.recv().unwrap();
                     })
@@ -1080,18 +1272,23 @@ mod tests {
             });
             in_flight_rx.recv().unwrap();
             s.spawn(move || {
-                store.sync().unwrap();
-                synced.send(()).unwrap();
+                for minute in 1..=MAX_HELD_SEGMENTS as u64 {
+                    store
+                        .append(&[&synthetic_vp(minute, minute)], None)
+                        .unwrap();
+                }
+                filled.send(()).unwrap();
             });
-            let early = synced_rx.recv_timeout(std::time::Duration::from_millis(300));
+            let passed = filled_rx.recv_timeout(std::time::Duration::from_secs(10));
             release.send(()).unwrap();
-            let done = synced_rx.recv_timeout(std::time::Duration::from_secs(10));
-            (early.is_ok(), done.is_ok())
+            passed.is_ok()
         });
-        assert!(!early, "sync returned past an append in flight");
-        assert!(done, "sync returns once the append is done");
-        assert_eq!(fsyncs.count(), 1, "minute 0 flushed once, after both");
-        assert_eq!(open.get(), 0, "sync released the handle");
+        assert!(passed, "an append waited on the busy handle");
+        assert_eq!(open.get(), MAX_HELD_SEGMENTS as i64);
+        store.sync().unwrap();
+        drop(store);
+        let (_, vps, _) = VpStore::open(&tmp.0, cfg()).unwrap();
+        assert_eq!(vps.len(), MAX_HELD_SEGMENTS + 1, "every record");
     }
 
     #[test]
