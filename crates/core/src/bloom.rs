@@ -5,6 +5,16 @@
 //! neighbor. Viewmap construction validates a candidate edge by querying
 //! each VP's element VDs against the *other* VP's filter; the two-way check
 //! squares the false-positive rate (Fig. 14).
+//!
+//! # Probing
+//!
+//! A key's `k` slots are the double-hashing sequence `h1 + i·h2 mod m`
+//! over the two 64-bit halves of its [`Digest16`], with `h2` forced odd.
+//! [`insert`](BloomFilter::insert) and [`contains`](BloomFilter::contains)
+//! take the full digest and any `m`. The linkage test takes a
+//! [`ProbeKey`] instead, 4 bytes per key: on the power-of-two filters
+//! the protocol uses it visits the very same slots, with a mask in
+//! place of the `%` ([`contains_any_probe`](BloomFilter::contains_any_probe)).
 
 use vm_crypto::Digest16;
 
@@ -18,10 +28,14 @@ pub const DEFAULT_M_BITS: usize = 2048;
 /// positive rate ≈ 10⁻⁴ at 50 neighbors (100 inserted VDs).
 pub const DEFAULT_K: usize = 8;
 
+/// The largest filter, in bits, a [`ProbeKey`] can address: its halves
+/// keep 16 bits each.
+pub const PROBE_KEY_MAX_M_BITS: usize = 1 << 16;
+
 /// The double-hashing halves of a key: `h1` and the odd-forced stride
-/// `h2` (odd so the stride visits every slot of the power-of-two-free
-/// modulus), shared by [`BloomFilter::insert`] and
-/// [`BloomFilter::contains`].
+/// `h2` (odd so that, for a power-of-two `m`, the stride visits every
+/// slot), shared by [`BloomFilter::insert`], [`BloomFilter::contains`]
+/// and [`ProbeKey::of`].
 #[inline]
 fn probe_halves(key: &Digest16) -> (u64, u64) {
     (key.low_u64(), key.high_u64() | 1)
@@ -31,6 +45,33 @@ fn probe_halves(key: &Digest16) -> (u64, u64) {
 #[inline]
 fn probe_slot(h1: u64, h2: u64, m: u64, i: u64) -> u64 {
     h1.wrapping_add(i.wrapping_mul(h2)) % m
+}
+
+/// A key's probe sequence in 4 bytes: the low 16 bits of `h1` and of
+/// the odd stride `h2`.
+///
+/// When `m` is a power of two, `(h1 + i·h2) mod 2^64 mod m` keeps only
+/// the low `log2 m` bits of the sum, and those depend only on the low
+/// `log2 m` bits of `h1` and `h2`. So for every `m ≤ 2^16` that is a
+/// power of two, [`BloomFilter::contains_any_probe`] visits exactly the
+/// slots [`BloomFilter::contains`] visits for the full digest: a
+/// quarter of a [`Digest16`] answers the same linkage test.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ProbeKey(u32);
+
+impl ProbeKey {
+    /// The probe key of a full Bloom key.
+    #[inline]
+    pub fn of(key: &Digest16) -> ProbeKey {
+        let (h1, h2) = probe_halves(key);
+        ProbeKey((h1 & 0xffff) as u32 | ((h2 & 0xffff) as u32) << 16)
+    }
+
+    /// `(h1, h2)` truncated to 16 bits each.
+    #[inline]
+    fn halves(self) -> (u32, u32) {
+        (self.0 & 0xffff, self.0 >> 16)
+    }
 }
 
 /// A fixed-size Bloom filter keyed by [`Digest16`] values.
@@ -126,6 +167,40 @@ impl BloomFilter {
             .all(|s| self.bits[s / 8] & (1 << (s % 8)) != 0)
     }
 
+    /// Does any of `keys` possibly pass this filter? The same answer
+    /// as [`contains`](Self::contains) over the keys' full digests, but
+    /// only for filters whose `m` is a power of two no larger than
+    /// [`PROBE_KEY_MAX_M_BITS`] (see [`ProbeKey`]); `None` for any
+    /// other geometry, which only a hand-built wire record carries.
+    ///
+    /// Slots come from a mask instead of a 64-bit `%`, and each key's
+    /// `k` probes are tested four at a time, so a key stops at the
+    /// first group with a clear bit.
+    pub fn contains_any_probe(&self, keys: &[ProbeKey]) -> Option<bool> {
+        if !self.m_bits.is_power_of_two() || self.m_bits > PROBE_KEY_MAX_M_BITS {
+            return None;
+        }
+        let mask = self.m_bits as u32 - 1;
+        let k = self.k as u32;
+        let set = |s: u32| self.bits[(s >> 3) as usize] >> (s & 7) & 1 != 0;
+        Some(keys.iter().any(|key| {
+            let (h1, h2) = key.halves();
+            let mut i = 0;
+            while i < k {
+                let end = k.min(i + 4);
+                let mut all = true;
+                while i < end {
+                    all &= set(h1.wrapping_add(i.wrapping_mul(h2)) & mask);
+                    i += 1;
+                }
+                if !all {
+                    return false;
+                }
+            }
+            true
+        }))
+    }
+
     /// Number of set bits (diagnostics; also used to reject trivially
     /// poisoned all-ones filters, §6.3.2).
     ///
@@ -180,6 +255,8 @@ pub fn optimal_k(m_bits: usize, n_neighbors: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn key(i: u64) -> Digest16 {
         Digest16::hash(&i.to_le_bytes())
@@ -271,6 +348,63 @@ mod tests {
         for w in rates.windows(2) {
             assert!(w[1] < w[0], "bigger filters must link falsely less");
         }
+    }
+
+    #[test]
+    fn probe_keys_answer_exactly_what_full_keys_answer() {
+        // Every power-of-two m the probe keys can address, every k in
+        // 1..=16, filters loaded from empty to saturated: the masked
+        // probe answers each random key, and each random group of keys,
+        // exactly as `contains` does on the full digests.
+        let mut rng = StdRng::seed_from_u64(0xB1005);
+        let (mut hits, mut misses) = (0usize, 0usize);
+        for log_m in 3..=16 {
+            let m = 1usize << log_m;
+            for k in 1..=16 {
+                let mut f = BloomFilter::new(m, k);
+                for _ in 0..rng.gen_range(0..=m / k + 1) {
+                    f.insert(&Digest16(rng.gen()));
+                }
+                let keys: Vec<Digest16> = (0..96).map(|_| Digest16(rng.gen())).collect();
+                for key in &keys {
+                    let full = f.contains(key);
+                    assert_eq!(
+                        f.contains_any_probe(&[ProbeKey::of(key)]),
+                        Some(full),
+                        "m={m} k={k} {key:?}"
+                    );
+                    if full {
+                        hits += 1;
+                    } else {
+                        misses += 1;
+                    }
+                }
+                for group in keys.chunks(3) {
+                    let probes: Vec<ProbeKey> = group.iter().map(ProbeKey::of).collect();
+                    assert_eq!(
+                        f.contains_any_probe(&probes),
+                        Some(group.iter().any(|key| f.contains(key))),
+                        "m={m} k={k}"
+                    );
+                }
+            }
+        }
+        assert!(hits > 1000 && misses > 1000, "{hits} hits, {misses} misses");
+    }
+
+    #[test]
+    fn probe_keys_refuse_filters_they_cannot_address() {
+        let probe = [ProbeKey::of(&key(1))];
+        for m in [24, 8008, 3 << 10, PROBE_KEY_MAX_M_BITS << 1] {
+            assert_eq!(
+                BloomFilter::new(m, 8).contains_any_probe(&probe),
+                None,
+                "m={m}"
+            );
+        }
+        let f = BloomFilter::new(PROBE_KEY_MAX_M_BITS, 8);
+        assert_eq!(f.contains_any_probe(&probe), Some(false));
+        assert_eq!(f.contains_any_probe(&[]), Some(false));
     }
 
     #[test]

@@ -535,7 +535,6 @@ impl MaintainedViewmap {
             }
 
             let wj = &self.arena[self.arena_off[j] as usize..][..2 * g.len as usize];
-            let vp_keys = vp.link_keys();
             for &su in &cand {
                 let s = su as usize;
                 let gs = &self.geom[s];
@@ -553,7 +552,7 @@ impl MaintainedViewmap {
                 }
                 // The paper's two-way Bloom test.
                 let other = &self.members[s];
-                if other.links_to_keys(vp_keys) && vp.links_to_keys(other.link_keys()) {
+                if other.links_to_warm(vp) && vp.links_to_warm(other) {
                     let partner = &mut self.adj[s];
                     let at = partner.partition_point(|&q| q < p);
                     partner.insert(at, p);

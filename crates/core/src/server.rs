@@ -137,7 +137,8 @@ pub enum SubmitError {
     Duplicate,
     /// The VP does not carry exactly 60 VDs with strictly increasing
     /// timestamps (a genuine cascade records one VD per second; repeated
-    /// or reordered seconds are only producible by tampering).
+    /// or reordered seconds are only producible by tampering), or its
+    /// minute is at or past [`crate::types::MINUTE_LIMIT`].
     MalformedVds,
     /// The Bloom filter is implausibly saturated (poisoning defense).
     SuspiciousBloom,
@@ -159,7 +160,7 @@ fn screen(vp: &StoredVp) -> Result<VdBounds, SubmitError> {
         prev = Some(vd.time);
         bounds.include(&vd.loc);
     }
-    if !ordered {
+    if !ordered || vp.minute().0 >= crate::types::MINUTE_LIMIT {
         return Err(SubmitError::MalformedVds);
     }
     if vp.bloom.is_suspicious(MAX_NEIGHBORS) {
@@ -477,12 +478,12 @@ impl ViewMapServer {
     /// As [`submit_batch`](Self::submit_batch), additionally precomputing
     /// each accepted VP's element-VD link keys while the VPs are still
     /// exclusively owned. Each VP's 60 digests are hashed through
-    /// `vm_crypto`'s multi-buffer engine (`sha256_many` — interleaved
-    /// independent streams), the same path viewmap construction's key
-    /// phase uses. Investigations of the ingested minutes then skip
+    /// `vm_crypto`'s multi-buffer engine (`sha256_many_into` —
+    /// interleaved independent streams), the same path a cold VP's first
+    /// link takes. Investigations of the ingested minutes then skip
     /// their Bloom-key hashing phase — the right trade when a minute is
     /// investigation-bound (an incident was just reported) and worth
-    /// ~1 KB of cached digests per VP. The stored state is identical
+    /// 240 B of cached probe keys per VP. The stored state is identical
     /// either way. This is the wire's ingest call; every VP is stored
     /// untrusted.
     pub fn submit_batch_warm(
@@ -1818,6 +1819,32 @@ mod tests {
             !a.is_key_warm() && !b.is_key_warm(),
             "replay warms no link keys"
         );
+    }
+
+    #[test]
+    fn warm_ingest_caches_four_bytes_of_link_key_per_vd() {
+        let srv = server(52);
+        let vp = synthetic_vp(3, 0);
+        let id = vp.id;
+        assert_eq!(srv.submit_batch_warm([submission(vp)])[0], Ok(()));
+        let stored = srv.lookup_vp(id).unwrap();
+        assert!(stored.is_key_warm(), "warm ingest fills the cache");
+        assert_eq!(
+            std::mem::size_of_val(stored.link_keys()),
+            4 * stored.vds.len()
+        );
+    }
+
+    #[test]
+    fn screen_refuses_minutes_the_store_cannot_name() {
+        let srv = server(53);
+        let last = crate::types::MINUTE_LIMIT - 1;
+        assert_eq!(store(&srv, synthetic_vp(1, last)), Ok(()));
+        assert_eq!(
+            store(&srv, synthetic_vp(2, last + 1)),
+            Err(SubmitError::MalformedVds)
+        );
+        assert_eq!(srv.total_vps(), 1);
     }
 
     #[test]

@@ -13,6 +13,12 @@ pub const SECONDS_PER_VP: u64 = 60;
 /// (footnote 10: mitigation against Bloom-poisoning attacks).
 pub const MAX_NEIGHBORS: usize = 250;
 
+/// The first minute a cell cannot store: a persistent store names each
+/// minute's segment with 12 decimal digits, so ingest refuses any VP
+/// whose minute is at or past 10¹² (about 1.9 million years of
+/// minutes; no honest VP gets near it).
+pub const MINUTE_LIMIT: u64 = 1_000_000_000_000;
+
 /// VP identifier `R_u = H(Q_u)` — a 128-bit digest, never linkable to the
 /// owner.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]

@@ -10,8 +10,9 @@
 //! The wire format is 72 bytes, matching the paper's Section 6.1 message
 //! accounting, and fits in a DSRC beacon.
 
+use crate::bloom::ProbeKey;
 use crate::types::{GeoPos, VpId};
-use vm_crypto::{Digest16, Sha256};
+use vm_crypto::{Digest16, Digest32, Sha256};
 
 /// Wire size of one VD message (Section 6.1).
 pub const VD_WIRE_BYTES: usize = 72;
@@ -186,20 +187,26 @@ impl ViewDigest {
     }
 }
 
-/// The Bloom keys of many VDs in one multi-buffer hashing pass:
-/// equivalent to `vds.iter().map(|vd| vd.bloom_key())`, but the 72-byte
-/// wire images are encoded into one flat buffer and hashed through
-/// [`vm_crypto::sha256_many`]'s interleaved lanes — this is the kernel
-/// behind `StoredVp::link_keys` and the ingest-side key precompute of
-/// `submit_batch_warm`, where every VP brings 60 independent messages at
+/// The [`ProbeKey`]s of many VDs in one multi-buffer hashing pass:
+/// equivalent to `vds.iter().map(|vd| ProbeKey::of(&vd.bloom_key()))`,
+/// but the 72-byte wire images are encoded into one flat buffer, hashed
+/// through [`vm_crypto::sha256_many_into`]'s interleaved lanes, and each
+/// digest is cut straight to its 4-byte probe key. This is the kernel
+/// behind `StoredVp::link_keys`, which batch ingest warms and a cold
+/// VP's first link fills; every VP brings 60 independent messages at
 /// once.
-pub fn bloom_keys_many(vds: &[ViewDigest]) -> Vec<Digest16> {
+pub fn link_keys_many(vds: &[ViewDigest]) -> Box<[ProbeKey]> {
     let mut flat = vec![0u8; vds.len() * VD_WIRE_BYTES];
     for (vd, chunk) in vds.iter().zip(flat.chunks_exact_mut(VD_WIRE_BYTES)) {
         chunk.copy_from_slice(&vd.encode());
     }
     let msgs: Vec<&[u8]> = flat.chunks_exact(VD_WIRE_BYTES).collect();
-    Digest16::hash_many(&msgs)
+    let mut digests = vec![Digest32([0u8; 32]); msgs.len()];
+    vm_crypto::sha256_many_into(&msgs, &mut digests);
+    digests
+        .iter()
+        .map(|d| ProbeKey::of(&Digest16(d.0[..16].try_into().expect("32-byte digest"))))
+        .collect()
 }
 
 /// Compute one cascade step:
@@ -512,8 +519,8 @@ mod tests {
     }
 
     #[test]
-    fn bloom_keys_many_matches_per_vd_keys() {
-        // The multi-buffer batch must be digest-for-digest the same as
+    fn link_keys_many_matches_per_vd_keys() {
+        // The multi-buffer batch must be key-for-key the probe keys of
         // hashing each VD alone (including odd counts that leave lanes
         // partially filled).
         let mut chain = VdChain::new([13u8; 8], 120, GeoPos::new(7.0, -2.0));
@@ -521,9 +528,12 @@ mod tests {
             .map(|i| chain.extend(&chunk(i, 40), GeoPos::new(i as f64, 2.0)))
             .collect();
         for take in [0usize, 1, 2, 3, 5, 13] {
-            let batch = bloom_keys_many(&vds[..take]);
-            let single: Vec<_> = vds[..take].iter().map(|vd| vd.bloom_key()).collect();
-            assert_eq!(batch, single, "take {take}");
+            let batch = link_keys_many(&vds[..take]);
+            let single: Vec<_> = vds[..take]
+                .iter()
+                .map(|vd| ProbeKey::of(&vd.bloom_key()))
+                .collect();
+            assert_eq!(&batch[..], &single[..], "take {take}");
         }
     }
 

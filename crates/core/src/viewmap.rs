@@ -29,9 +29,12 @@
 //! comparisons, so a fixed-point check can only ever *pass more* than
 //! its `f64` counterpart). `settle_pair` runs the integer prefilters
 //! and then the exact shared-second scan, bit-identical to the
-//! reference definition; the two-way Bloom test runs on the element-VD
-//! keys cached on each `StoredVp` ([`StoredVp::link_keys`], hashed
-//! through `vm_crypto`'s multi-buffer SHA-256).
+//! reference definition; the two-way Bloom test
+//! ([`StoredVp::links_to_warm`]) runs on the element-VD probe keys
+//! cached on each `StoredVp` ([`StoredVp::link_keys`], 4 bytes per VD,
+//! hashed through `vm_crypto`'s multi-buffer SHA-256), which answer
+//! exactly what the full Bloom keys answer (see
+//! [`crate::bloom::ProbeKey`]).
 
 use crate::maintained::{Admitted, MaintainedViewmap};
 use crate::trustrank::{self, CsrGraph, Verification};

@@ -7,7 +7,7 @@
 //! paper's accounting: 60×72 B of VDs + 256 B of filter + 8 B secret
 //! = 4584 B per minute of video (Section 6.1).
 
-use crate::bloom::BloomFilter;
+use crate::bloom::{BloomFilter, ProbeKey};
 use crate::neighbor::{Accept, NeighborRecord, NeighborTable};
 use crate::types::{GeoPos, MinuteId, VpId, SECONDS_PER_VP};
 use crate::vd::{VdChain, ViewDigest, VD_WIRE_BYTES};
@@ -79,10 +79,11 @@ pub struct StoredVp {
     pub bloom: BloomFilter,
     /// Authority trust seed?
     pub trusted: bool,
-    /// Lazily materialized element-VD Bloom keys (see
-    /// [`link_keys`](Self::link_keys)): 60 SHA-256 digests that every
-    /// viewmap build of this VP's minute would otherwise recompute.
-    link_keys: OnceLock<Box<[vm_crypto::Digest16]>>,
+    /// Lazily materialized element-VD probe keys (see
+    /// [`link_keys`](Self::link_keys)): 4 bytes per VD, cut from the 60
+    /// SHA-256 digests that every link of this VP would otherwise
+    /// recompute.
+    link_keys: OnceLock<Box<[ProbeKey]>>,
 }
 
 impl StoredVp {
@@ -163,25 +164,20 @@ impl StoredVp {
         best
     }
 
-    /// The Bloom keys of this VP's element VDs, computed once. Viewmap
-    /// construction caches these per member so the pairwise two-way
-    /// linkage checks stop re-hashing 60 VDs per candidate pair. The 60
-    /// digests are independent messages, so they run through the
-    /// multi-buffer engine ([`crate::vd::bloom_keys_many`]) rather than
-    /// one serial hash chain at a time.
-    pub fn bloom_keys(&self) -> Vec<vm_crypto::Digest16> {
-        crate::vd::bloom_keys_many(&self.vds)
-    }
-
-    /// The element-VD Bloom keys, hashed on first call and cached for the
-    /// VP's lifetime: investigations of the same minute (and the
-    /// cold builds the equivalence tests compare against) share one
-    /// hashing pass per VP. Safe to race — [`OnceLock`] keeps the first
-    /// result. Callers that mutate `vds` after a build (test-only surgery)
-    /// must construct a fresh `StoredVp` to avoid serving stale keys.
-    pub fn link_keys(&self) -> &[vm_crypto::Digest16] {
+    /// The probe keys of this VP's element VDs ([`ProbeKey`]: the low
+    /// 16 bits of each Bloom key's two double-hashing halves), hashed on
+    /// first call and cached for the VP's lifetime, 4 bytes per VD.
+    /// Investigations of the same minute (and the cold builds the
+    /// equivalence tests compare against) share one hashing pass per
+    /// VP. The 60 digests are independent messages, so they run through
+    /// the multi-buffer engine ([`crate::vd::link_keys_many`]) rather
+    /// than one serial hash chain at a time. Safe to race —
+    /// [`OnceLock`] keeps the first result. Callers that mutate `vds`
+    /// after a build (test-only surgery) must construct a fresh
+    /// `StoredVp` to avoid serving stale keys.
+    pub fn link_keys(&self) -> &[ProbeKey] {
         self.link_keys
-            .get_or_init(|| self.bloom_keys().into_boxed_slice())
+            .get_or_init(|| crate::vd::link_keys_many(&self.vds))
     }
 
     /// Is the element-VD key cache already materialized? Observability
@@ -193,14 +189,20 @@ impl StoredVp {
         self.link_keys.get().is_some()
     }
 
-    /// One-way linkage test against precomputed element keys (see
-    /// [`bloom_keys`](Self::bloom_keys)).
-    pub fn links_to_keys(&self, other_keys: &[vm_crypto::Digest16]) -> bool {
-        other_keys.iter().any(|k| self.bloom.contains(k))
+    /// One-way linkage test on the cached keys: does any of `other`'s
+    /// element VDs pass this VP's Bloom filter? The same answer as
+    /// [`links_to`](Self::links_to). A filter the probe keys cannot
+    /// address (see [`BloomFilter::contains_any_probe`]) only comes from
+    /// a hand-built record, and links through `links_to`.
+    pub fn links_to_warm(&self, other: &StoredVp) -> bool {
+        self.bloom
+            .contains_any_probe(other.link_keys())
+            .unwrap_or_else(|| self.links_to(other))
     }
 
     /// One-way linkage test: does any of `other`'s element VDs pass this
-    /// VP's Bloom filter?
+    /// VP's Bloom filter? Hashes every VD in full; the reference
+    /// [`links_to_warm`](Self::links_to_warm) is held to.
     pub fn links_to(&self, other: &StoredVp) -> bool {
         other
             .vds
@@ -405,6 +407,34 @@ mod tests {
         assert!(c.links_to(&a), "eavesdropper claims to have heard A");
         assert!(!a.links_to(&c), "A never heard the eavesdropper");
         assert!(!a.mutually_linked(&c), "two-way check defeats the claim");
+    }
+
+    #[test]
+    fn links_to_warm_equals_links_to_for_every_geometry() {
+        // A filter the probe keys cannot address (m not a power of two,
+        // or past 2^16 bits) links through the full digests; one they
+        // can address answers from the cache. Either way the answer is
+        // `links_to`'s, both ways round, for a partner and a stranger.
+        let (a, b) = run_pair(12, 50.0);
+        let (c, _) = run_pair(13, 50.0);
+        for m in [8008, 1 << 17, 2048, 1 << 16] {
+            let mut bloom = BloomFilter::new(m, 8);
+            for vd in [&b.vds[0], &b.vds[59]] {
+                bloom.insert(&vd.bloom_key());
+            }
+            let forged = StoredVp::new(a.id, a.vds.clone(), bloom, false);
+            for other in [&b, &c] {
+                assert_eq!(forged.links_to_warm(other), forged.links_to(other), "m={m}");
+                assert_eq!(
+                    other.links_to_warm(&forged),
+                    other.links_to(&forged),
+                    "m={m}"
+                );
+            }
+            assert!(forged.links_to_warm(&b), "m={m}: the partner links");
+            assert!(b.links_to_warm(&forged), "m={m}: and back");
+            assert!(!forged.links_to_warm(&c), "m={m}: the stranger does not");
+        }
     }
 
     #[test]

@@ -293,6 +293,7 @@ mod tests {
     use super::*;
     use crate::worlds::{random_graph, SynthWorld};
     use rand::Rng;
+    use viewmap_core::bloom::BloomFilter;
     use viewmap_core::trustrank::trust_scores;
 
     #[test]
@@ -302,8 +303,59 @@ mod tests {
         let w = SynthWorld::generate(400, 11);
         let cfg = ViewmapConfig::default();
         let arcs: Vec<Arc<StoredVp>> = w.vps.iter().cloned().map(Arc::new).collect();
-        let fast = Viewmap::build(&arcs, w.site, w.minute, &cfg);
-        let naive = naive_build(&arcs, w.site, w.minute, &cfg);
+        let (fast, naive) = assert_builds_agree(&arcs, w.site, w.minute, &cfg);
+        // And verification agrees end to end.
+        let (v_fast, _, _) = fast.verify_counted(&w.site, &cfg);
+        let v_naive = naive_verify(&naive, &w.site, &cfg);
+        assert_eq!(v_fast.top, v_naive.top);
+        assert_eq!(v_fast.legitimate, v_naive.legitimate);
+    }
+
+    #[test]
+    fn a_filter_the_probe_keys_cannot_address_links_as_the_naive_build_does() {
+        // A hand-built record can carry any filter geometry. Re-home the
+        // fullest member's neighbor keys into an 8008-bit filter: the
+        // memo links that member through the full digests, its partners
+        // test it through their probe keys, and the edge set must stay
+        // the seed algorithm's.
+        let w = SynthWorld::generate(400, 11);
+        let cfg = ViewmapConfig::default();
+        let mut vps = w.vps.clone();
+        let i = (1..vps.len())
+            .max_by_key(|&i| vps[i].bloom.count_ones())
+            .expect("a populated world");
+        let mut bloom = BloomFilter::new(8008, 8);
+        for vd in vps.iter().flat_map(|vp| &vp.vds) {
+            let key = vd.bloom_key();
+            if vps[i].bloom.contains(&key) {
+                bloom.insert(&key);
+            }
+        }
+        let forged = &vps[i];
+        vps[i] = StoredVp::new(forged.id, forged.vds.clone(), bloom, forged.trusted);
+        let arcs: Vec<Arc<StoredVp>> = vps.into_iter().map(Arc::new).collect();
+        let (_, naive) = assert_builds_agree(&arcs, w.site, w.minute, &cfg);
+        let node = naive
+            .vps
+            .iter()
+            .position(|vp| Arc::ptr_eq(vp, &arcs[i]))
+            .expect("the forged member is admitted");
+        assert!(
+            !naive.graph.neighbors(node).is_empty(),
+            "the forged member keeps its links"
+        );
+    }
+
+    /// Build `arcs` both ways and require the same members and the same
+    /// edge set.
+    fn assert_builds_agree(
+        arcs: &[Arc<StoredVp>],
+        site: Site,
+        minute: MinuteId,
+        cfg: &ViewmapConfig,
+    ) -> (Viewmap, Viewmap) {
+        let fast = Viewmap::build(arcs, site, minute, cfg);
+        let naive = naive_build(arcs, site, minute, cfg);
         assert_eq!(fast.len(), naive.len());
         assert_eq!(fast.edge_count(), naive.edge_count());
         for i in 0..fast.len() {
@@ -313,11 +365,7 @@ mod tests {
             b.sort_unstable();
             assert_eq!(a, b, "edge lists differ at node {i}");
         }
-        // And verification agrees end to end.
-        let (v_fast, _, _) = fast.verify_counted(&w.site, &cfg);
-        let v_naive = naive_verify(&naive, &w.site, &cfg);
-        assert_eq!(v_fast.top, v_naive.top);
-        assert_eq!(v_fast.legitimate, v_naive.legitimate);
+        (fast, naive)
     }
 
     #[test]

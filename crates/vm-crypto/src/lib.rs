@@ -56,8 +56,7 @@ impl Digest16 {
     /// Hash many independent messages and truncate each to 128 bits, via
     /// the multi-buffer engine ([`sha256_many`]): `out[i]` equals
     /// `Digest16::hash(msgs[i])`, computed at interleaved-lane
-    /// throughput. This is the batched form viewmap link-key
-    /// precomputation runs on.
+    /// throughput.
     pub fn hash_many(msgs: &[&[u8]]) -> Vec<Digest16> {
         sha256_many(msgs)
             .into_iter()

@@ -16,7 +16,7 @@ use crate::codec::{decode_record, encode_record, encoded_size_hint, CodecError};
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
-use viewmap_core::types::MinuteId;
+use viewmap_core::types::{MinuteId, MINUTE_LIMIT};
 use viewmap_core::vp::StoredVp;
 
 /// Segment file magic (8 bytes, versioned).
@@ -32,8 +32,16 @@ pub const FRAME_MAGIC: [u8; 4] = *b"VMR1";
 pub const FRAME_HEADER_BYTES: usize = 16;
 
 /// File name of a minute's segment (fixed-width, so lexicographic order
-/// is minute order).
+/// is minute order). Panics on a minute at or past
+/// [`MINUTE_LIMIT`], which would need a 13th digit that
+/// [`parse_segment_file_name`] never reads back: ingest refuses such
+/// minutes before anything reaches the log.
 pub fn segment_file_name(minute: MinuteId) -> String {
+    assert!(
+        minute.0 < MINUTE_LIMIT,
+        "minute {} has no 12-digit segment name",
+        minute.0
+    );
     format!("minute-{:012}.vmseg", minute.0)
 }
 
@@ -530,6 +538,12 @@ mod tests {
         ] {
             assert_eq!(parse_segment_file_name(bad), None, "{bad}");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "no 12-digit segment name")]
+    fn a_minute_past_the_limit_has_no_name() {
+        let _ = segment_file_name(MinuteId(MINUTE_LIMIT));
     }
 
     #[test]

@@ -21,7 +21,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::path::PathBuf;
 use viewmap_core::server::{SubmitError, ViewMapServer};
-use viewmap_core::types::{GeoPos, MinuteId, VpId};
+use viewmap_core::types::{GeoPos, MinuteId, VpId, MINUTE_LIMIT};
 use viewmap_core::upload::AnonymousSubmission;
 use viewmap_core::viewmap::{Site, ViewmapConfig};
 use viewmap_core::vp::StoredVp;
@@ -437,4 +437,37 @@ fn recovered_server_is_key_cold_and_investigates_identically() {
     }
     let after = viewmap_checksum(&srv.build_viewmap(MinuteId(0), site()));
     assert_eq!(before, after, "restart changed the investigation outcome");
+}
+
+#[test]
+fn a_minute_the_store_cannot_name_is_refused_and_every_ack_recovers() {
+    // A segment is named by its minute in 12 digits. A VP at minute
+    // 10¹² would be acked, logged under a 13-digit name, and skipped as
+    // foreign at the next recovery; ingest refuses it instead, so every
+    // ack survives a reopen.
+    let tmp = TempDir::new("minute_limit");
+    let mut rng = StdRng::seed_from_u64(12);
+    let vmcfg = ViewmapConfig::default();
+    let named = linked_minute(3, 5, 31);
+    let unnamed = linked_minute(3, MINUTE_LIMIT, 31);
+    let mut acked = Vec::new();
+    {
+        let (srv, _) = ViewMapServer::open(&mut rng, 512, vmcfg, &tmp.0, cfg()).unwrap();
+        for (vp, ack) in named.iter().zip(submit_world(&srv, &named)) {
+            assert_eq!(ack, Ok(()), "minute 5 is storable");
+            acked.push(vp.id);
+        }
+        for ack in submit_world(&srv, &unnamed) {
+            assert_eq!(ack, Err(SubmitError::MalformedVds));
+        }
+        assert_eq!(srv.total_vps(), acked.len());
+        srv.sync_wal().unwrap();
+    }
+    let (srv, report) = ViewMapServer::open(&mut rng, 512, vmcfg, &tmp.0, cfg()).unwrap();
+    assert!(report.warnings().is_empty(), "{:?}", report.warnings());
+    assert_eq!(report.records, acked.len());
+    assert_eq!(srv.total_vps(), acked.len());
+    for id in &acked {
+        assert!(srv.lookup_vp(*id).is_some(), "acked {id} lost on reopen");
+    }
 }
